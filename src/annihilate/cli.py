@@ -8,10 +8,14 @@ documented in docs/formats.md.
 from __future__ import annotations
 
 import argparse
+import collections.abc
 import json
 import logging
 import os
 import sys
+import types
+import typing
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,16 +27,18 @@ from .particles import InvalidState, ParticleState
 
 log = logging.getLogger("annihilate")
 
+# dataclass fields that are not config keys
+_HIDDEN = {"boundary_margin_cells", "sample_times", "store_steps", "max_steps"}
+
+
+def _keys(cls) -> set[str]:
+    return {f.name for f in fields(cls)} - _HIDDEN
+
+
 _SCHEMA: dict[str, set[str]] = {
-    "integrator": {
-        "t_end", "abs_tol", "rel_tol", "cluster_gap", "max_step", "safety",
-        "n_samples",
-    },
-    "scheme": {"L", "h", "rho", "cfl", "t_end"},
-    "experiment": {
-        "datum", "ns", "offset", "t_end", "n_snapshots", "ref_L", "ref_h",
-        "ref_rho", "ref_cfl", "abs_tol", "rel_tol", "scan_points", "seed",
-    },
+    "integrator": _keys(IntegratorConfig) | {"n_samples"},
+    "scheme": _keys(hjsolver.SchemeConfig),
+    "experiment": _keys(harness.ExperimentSpec),
     "simulate": {"positions", "charges", "coupling"},
     "hj": {"initial", "snapshots"},
     "verify": {"seed", "sizes", "runs", "t_end"},
@@ -70,15 +76,54 @@ def _load_config(path: str | None) -> dict:
     return raw
 
 
+def _convert(tp, value):
+    """value as the annotated type tp: a scalar type, X | None, or a tuple or sequence of X."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (tuple, collections.abc.Sequence):
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(args[0](v) for v in value)
+    if origin is types.UnionType:
+        tp = args[0]
+    return tp(value)
+
+
+def _typed(target, section: dict) -> dict:
+    """The section's values converted to the types target annotates their keys with."""
+    hints = typing.get_type_hints(target)
+    out = {}
+    for key, value in section.items():
+        try:
+            out[key] = _convert(hints[key], value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    return out
+
+
+def _build(cls, section: dict, **defaults):
+    """cls from the section's keys over the given defaults; the rest are cls's own."""
+    kwargs = {**defaults, **_typed(cls, section)}
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{cls.__name__}: {exc}") from exc
+
+
 def _integrator_config(section: dict) -> IntegratorConfig:
-    t_end = float(section.get("t_end", 1.0))
-    n_samples = int(section.get("n_samples", 11))
-    samples = tuple(np.linspace(0.0, t_end, n_samples)[1:])
-    kwargs = {}
-    for key in ("abs_tol", "rel_tol", "cluster_gap", "max_step", "safety"):
-        if key in section:
-            kwargs[key] = float(section[key])
-    return IntegratorConfig(t_end=t_end, sample_times=samples, **kwargs)
+    """IntegratorConfig sampled at the nonzero points of linspace(0, t_end, n_samples)."""
+    section = dict(section)
+    n_samples = section.pop("n_samples", 11)
+    cfg = _build(IntegratorConfig, section)
+    try:
+        samples = np.linspace(0.0, cfg.t_end, int(n_samples))[1:]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"n_samples: {exc}") from exc
+    return replace(cfg, sample_times=tuple(samples))
+
+
+def _hj_frames(scheme: hjsolver.SchemeConfig, initial: str = "sigmoid", snapshots: int = 5):
+    times = np.linspace(0.0, scheme.t_end, snapshots)
+    return hjsolver.solve_hj(harness.CATALOG[initial].u0, scheme, times)
 
 
 def _out_dir(args) -> Path:
@@ -96,6 +141,7 @@ def cmd_simulate(args, cfg: dict) -> int:
     section = cfg.get("simulate", {})
     if "positions" not in section or "charges" not in section:
         return _fail(2, "config", "simulate needs positions and charges")
+    icfg = _integrator_config(cfg.get("integrator", {}))
     out = _out_dir(args)
     chash = io.config_hash(cfg)
     try:
@@ -104,7 +150,6 @@ def cmd_simulate(args, cfg: dict) -> int:
             charges=np.asarray(section["charges"], dtype=int),
             coupling=float(section.get("coupling", -1.0)),
         )
-        icfg = _integrator_config(cfg.get("integrator", {}))
         traj = evolve(state, icfg)
     except (InvalidState, EvolveError, ValueError) as exc:
         return _fail(3, "simulation", str(exc))
@@ -115,22 +160,12 @@ def cmd_simulate(args, cfg: dict) -> int:
 
 
 def cmd_hj(args, cfg: dict) -> int:
-    section = cfg.get("scheme", {})
-    hj_section = cfg.get("hj", {})
+    scheme = _build(hjsolver.SchemeConfig, cfg.get("scheme", {}))
+    run = _typed(_hj_frames, cfg.get("hj", {}))
     out = _out_dir(args)
     chash = io.config_hash(cfg)
     try:
-        scfg = hjsolver.SchemeConfig(
-            L=float(section.get("L", 4.0)),
-            h=float(section.get("h", 1 / 128)),
-            rho=float(section.get("rho", 1 / 16)),
-            cfl=float(section.get("cfl", 0.8)),
-            t_end=float(section.get("t_end", 0.25)),
-        )
-        datum = harness.CATALOG[hj_section.get("initial", "sigmoid")]
-        snaps = hj_section.get("snapshots", 5)
-        times = np.linspace(0.0, scfg.t_end, int(snaps))
-        frames = hjsolver.solve_hj(datum.u0, scfg, times)
+        frames = _hj_frames(scheme, **run)
     except (KeyError, ValueError) as exc:
         return _fail(3, "hj", str(exc))
     for k, fr in enumerate(frames):
@@ -139,26 +174,11 @@ def cmd_hj(args, cfg: dict) -> int:
 
 
 def cmd_converge(args, cfg: dict) -> int:
-    section = cfg.get("experiment", {})
+    spec = _build(harness.ExperimentSpec, cfg.get("experiment", {}), seed=args.seed)
     out = _out_dir(args)
     chash = io.config_hash(cfg)
     try:
-        spec = harness.ExperimentSpec(
-            datum=section.get("datum", "sigmoid"),
-            ns=tuple(section.get("ns", (8, 16, 32, 64, 128))),
-            offset=float(section.get("offset", 0.5)),
-            t_end=float(section.get("t_end", 0.25)),
-            n_snapshots=int(section.get("n_snapshots", 6)),
-            ref_L=float(section.get("ref_L", 4.0)),
-            ref_h=float(section.get("ref_h", 1 / 256)),
-            ref_rho=float(section.get("ref_rho", 1 / 16)),
-            ref_cfl=float(section.get("ref_cfl", 0.8)),
-            abs_tol=float(section.get("abs_tol", 1e-12)),
-            rel_tol=float(section.get("rel_tol", 1e-9)),
-            scan_points=int(section.get("scan_points", 2**15)),
-            seed=int(section.get("seed", args.seed)),
-        )
-        result = harness.run_convergence(spec, threads=args.threads)
+        result = harness.run_convergence(spec)
     except (KeyError, ValueError) as exc:
         return _fail(3, "converge", str(exc))
     io.write_convergence_csv(out / "convergence.csv", result, chash)
@@ -171,14 +191,13 @@ def cmd_converge(args, cfg: dict) -> int:
 
 
 def cmd_verify(args, cfg: dict) -> int:
-    section = cfg.get("verify", {})
+    kwargs = {"seed": args.seed, **_typed(harness.run_property_suite, cfg.get("verify", {}))}
+    try:
+        report = harness.run_property_suite(**kwargs)
+    except ValueError as exc:
+        # only bad arguments raise ValueError; a failed run raises EvolveError
+        return _fail(2, "config", str(exc))
     out = _out_dir(args)
-    report = harness.run_property_suite(
-        seed=int(section.get("seed", args.seed)),
-        sizes=tuple(section.get("sizes", (4, 6, 8, 12, 16, 24, 32))),
-        runs=int(section.get("runs", 100)),
-        t_end=float(section.get("t_end", 1.0)),
-    )
     (out / "properties.json").write_text(report.to_json() + "\n")
     for name, chk in sorted(report.checks.items()):
         log.info("%-28s %s margin=%.3e", name, "PASS" if chk.passed else "FAIL", chk.margin)
@@ -230,6 +249,10 @@ def cmd_moments(args, cfg: dict) -> int:
     x = np.asarray(section["positions"], dtype=float)
     M = moments.moments(x)
     rec = moments.reconstruct_positions(M)
+    err = float(np.max(np.abs(rec - np.sort(x))))
+    tol = 1e-8 * max(1.0, float(np.max(np.abs(x))))
+    if not err <= tol:
+        return _fail(3, "moments", f"reconstruction error {err:.3e} exceeds {tol:.3e}")
     print(json.dumps({"moments": M.tolist(), "reconstructed": rec.tolist()}))
     return 0
 
@@ -250,7 +273,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", default=None, help="YAML config path")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--version", action="version", version=__version__)
     args = parser.parse_args(argv)
 
@@ -259,10 +281,9 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        cfg = _load_config(args.config)
+        return _COMMANDS[args.command](args, _load_config(args.config))
     except ConfigError as exc:
         return _fail(2, "config", str(exc))
-    return _COMMANDS[args.command](args, cfg)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Callable, Sequence
 
@@ -23,10 +22,10 @@ from .particles import (
     EventRecord,
     ParticleState,
     energy,
-    force,
     neighbor_pairs,
     net_charge,
     same_sign_gap,
+    velocities,
 )
 
 __all__ = [
@@ -207,7 +206,7 @@ def sample_particles(
 class ExperimentSpec:
     """One discrete-to-continuum experiment."""
 
-    datum: str
+    datum: str = "sigmoid"
     ns: tuple[int, ...] = (8, 16, 32, 64, 128)
     offset: float = 0.5
     t_end: float = 0.25
@@ -222,9 +221,22 @@ class ExperimentSpec:
     seed: int = 0
     boundary_margin_cells: int = 2
 
+    def __post_init__(self):
+        if not all(n >= 1 for n in self.ns):
+            raise ValueError("ns must be positive")
+        # both configs check their own fields
+        self.scheme_config()
+        self.integrator_config()
+
     def scheme_config(self) -> hjsolver.SchemeConfig:
         return hjsolver.SchemeConfig(
             L=self.ref_L, h=self.ref_h, rho=self.ref_rho, cfl=self.ref_cfl, t_end=self.t_end
+        )
+
+    def integrator_config(self) -> IntegratorConfig:
+        return IntegratorConfig(
+            t_end=self.t_end, abs_tol=self.abs_tol, rel_tol=self.rel_tol,
+            sample_times=tuple(self.snapshot_times()), store_steps=False,
         )
 
     def snapshot_times(self) -> np.ndarray:
@@ -264,106 +276,77 @@ def _comparison_points(spec: ExperimentSpec, ref: hjsolver.GridFunction, u_n: le
     return allpts[(allpts >= lo) & (allpts <= hi)]
 
 
-def _row_for_n(spec: ExperimentSpec, datum: InitialDatum, n: int,
-               snap_times: np.ndarray, ref_frames) -> ConvergenceRow:
-    t0 = _time.perf_counter()
-    try:
-        state = sample_particles(
-            datum.u0, n, spec.offset, window=(-spec.ref_L, spec.ref_L),
-            scan_points=spec.scan_points,
-        )
-        eps = 1.0 / n
-        base = quantized_level_below(datum.u0(-spec.ref_L), eps, spec.offset)
-        if state is None:
-            # no crossings: the constant datum is represented exactly
-            flat = datum.u0(-spec.ref_L)
-            e_n = max(
-                float(np.max(np.abs(flat - fr.values))) for fr in ref_frames
-            )
-            return ConvergenceRow(n=n, e_n=e_n, events=0,
-                                  runtime_s=_time.perf_counter() - t0)
-        cfg = IntegratorConfig(
-            t_end=spec.t_end,
-            abs_tol=spec.abs_tol,
-            rel_tol=spec.rel_tol,
-            sample_times=tuple(snap_times),
-            store_steps=False,
-        )
-        traj = evolve(state, cfg)
-        e_n = 0.0
-        for t, fr in zip(snap_times, ref_frames):
-            st = traj.state_at(t, tol=1e-6)
-            u_n = levelset.from_particles(st, eps=eps, base=base)
-            pts = _comparison_points(spec, fr, u_n)
-            e_n = max(e_n, float(np.max(np.abs(u_n(pts) - fr.interp(pts)))))
-        return ConvergenceRow(n=n, e_n=e_n, events=len(traj.events),
-                              runtime_s=_time.perf_counter() - t0)
-    except (EvolveError, DegenerateCrossing, ValueError) as exc:
-        return ConvergenceRow(n=n, e_n=float("nan"), events=0,
-                              runtime_s=_time.perf_counter() - t0, error=str(exc))
+def _ladder_row(spec: ExperimentSpec, n: int, u0: Callable[[float], float],
+                window: tuple[float, float], u_left: float,
+                reference: Callable[[float, levelset.StepFunction], tuple]) -> ConvergenceRow:
+    """Sample u0 at level spacing 1/n in window, evolve, and measure e_n.
 
-
-def _row_for_pair_bump(spec: ExperimentSpec, n: int) -> ConvergenceRow:
-    """Ladder row against the closed form u(t, x) = u0(sqrt(x^2 + eps t)).
-
-    The two-particle family admits an exact solution at every eps, so the
-    reference here is analytic rather than a grid solve.
+    u_left is the datum's value left of all crossings; the step functions
+    start at the sampling level just below it.  reference(t, u_n) returns
+    the comparison points and the reference values there at snapshot time
+    t, given the particle step function u_n at t.
     """
     t0 = _time.perf_counter()
     try:
         eps = 1.0 / n
-        datum = pair_bump(eps)
-        st = sample_particles(datum.u0, n, spec.offset, window=datum.window,
-                              scan_points=spec.scan_points)
-        snaps = spec.snapshot_times()
-        cfg = IntegratorConfig(
-            t_end=spec.t_end, abs_tol=spec.abs_tol, rel_tol=spec.rel_tol,
-            sample_times=tuple(snaps), store_steps=False,
-        )
-        traj = evolve(st, cfg)
-        base = quantized_level_below(0.0, eps, spec.offset)
-        grid = np.linspace(-spec.ref_L, spec.ref_L, 2001)
+        state = sample_particles(u0, n, spec.offset, window=window,
+                                 scan_points=spec.scan_points)
+        times = spec.snapshot_times()
+        if state is None:
+            # no crossings: the constant datum is represented exactly
+            flat = levelset.StepFunction(np.empty(0), np.empty(0, dtype=int), eps, base=u_left)
+            steps, events = [flat] * times.size, 0
+        else:
+            traj = evolve(state, spec.integrator_config())
+            base = quantized_level_below(u_left, eps, spec.offset)
+            steps = [levelset.from_particles(traj.state_at(t, tol=1e-6), eps=eps, base=base)
+                     for t in times]
+            events = len(traj.events)
         e_n = 0.0
-        for t in snaps:
-            s = traj.state_at(t, tol=1e-6)
-            u_n = levelset.from_particles(s, eps=eps, base=base)
-            exact = eps / (grid * grid + eps * t + 1.0)
-            e_n = max(e_n, float(np.max(np.abs(u_n(grid) - exact))))
-        return ConvergenceRow(n=n, e_n=e_n, events=len(traj.events),
+        for t, u_n in zip(times, steps):
+            pts, ref = reference(t, u_n)
+            e_n = max(e_n, float(np.max(np.abs(u_n(pts) - ref))))
+        return ConvergenceRow(n=n, e_n=e_n, events=events,
                               runtime_s=_time.perf_counter() - t0)
     except (EvolveError, DegenerateCrossing, ValueError) as exc:
         return ConvergenceRow(n=n, e_n=float("nan"), events=0,
                               runtime_s=_time.perf_counter() - t0, error=str(exc))
 
 
-def run_convergence(spec: ExperimentSpec, threads: int = 1) -> ConvergenceResult:
+def run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
     """Run the n-ladder against the reference solution.
 
-    Rows run concurrently when threads > 1 and are merged by n; a failing
-    row carries its error message and the others continue.  e_n is the
-    max over snapshot times of the sup distance between the particle step
-    function and the reference: the linearly interpolated grid solution
-    for catalog data (excluding two reference cells at the boundary), or
-    the closed-form solution for the pair_bump family.
+    Rows come out sorted by n; a failing row carries its error message and
+    the others continue.  e_n is the max over snapshot times of the sup
+    distance between the particle step function and the reference: the
+    linearly interpolated grid solution for catalog data (excluding two
+    reference cells at the boundary), or, for the pair_bump family, the
+    closed form u(t, x) = u0(sqrt(x^2 + eps t)) on a 2001-point grid.
     """
     snap_times = spec.snapshot_times()
     if spec.datum == "pair_bump":
-        row_fn = lambda n: _row_for_pair_bump(spec, n)
         frames = []
+        grid = np.linspace(-spec.ref_L, spec.ref_L, 2001)
+        rows = []
+        for n in sorted(spec.ns):
+            datum = pair_bump(1.0 / n)
+            exact = lambda t, u_n, eps=1.0 / n: (grid, eps / (grid * grid + eps * t + 1.0))
+            rows.append(_ladder_row(spec, n, datum.u0, datum.window, 0.0, exact))
     else:
         datum = CATALOG[spec.datum]
         ordered = sorted(set([0.0, spec.t_end] + [float(t) for t in snap_times]))
         ref_frames = hjsolver.solve_hj(datum.u0, spec.scheme_config(), snap_times)
         frame_of = dict(zip(ordered, ref_frames))
         frames = [frame_of[float(t)] for t in snap_times]
-        row_fn = lambda n: _row_for_n(spec, datum, n, snap_times, frames)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row_fn, spec.ns))
-    else:
-        rows = [row_fn(n) for n in spec.ns]
-    rows.sort(key=lambda r: r.n)
+        def interpolated(t, u_n):
+            fr = frame_of[float(t)]
+            pts = _comparison_points(spec, fr, u_n)
+            return pts, fr.interp(pts)
+
+        window = (-spec.ref_L, spec.ref_L)
+        rows = [_ladder_row(spec, n, datum.u0, window, datum.u0(window[0]), interpolated)
+                for n in sorted(spec.ns)]
     good = [r.e_n for r in rows if r.error is None]
     monotone = all(b <= 1.1 * a for a, b in zip(good[:-1], good[1:]))
     return ConvergenceResult(
@@ -513,8 +496,12 @@ def run_property_suite(
     Draws `runs` initial states (positions with gaps ~ 1/n in [-1, 1],
     i.i.d. signs with both present), evolves each to t_end at coupling
     1/n, and aggregates worst-case margins per named check.  Margins are
-    positive iff the check passed with room.
+    positive iff the check passed with room.  Raises ValueError before
+    drawing anything when sizes is empty or holds a size below 2, which
+    cannot carry both signs.
     """
+    if not sizes or min(sizes) < 2:
+        raise ValueError(f"sizes must be at least 2, got {list(sizes)}")
     rng = np.random.default_rng(seed)
     checks: dict[str, CheckResult | None] = {
         k: None
@@ -790,11 +777,12 @@ def _check_ode_residual(cur, state: ParticleState, t_end: float) -> CheckResult:
             trunc = math.sqrt((k - q * q) * s1.coupling) * delta**2 / (16.0 * s**2.5)
             if trunc > 0.1 * thr:
                 colliding.update(ev.cluster)
+        v = velocities(s1)
         for i in range(state.n):
             if i in colliding:
                 continue
             vel = (s2.positions[i] - s0.positions[i]) / (s2.time - s0.time)
-            res = abs(vel - force(s1, i))
+            res = abs(vel - v[i])
             result = _worst(result, res <= thr, thr - res, f"t={t:.3f} i={i}")
     return result
 
@@ -805,14 +793,10 @@ def _check_operator_identity(rng) -> CheckResult:
         n = int(rng.integers(2, 9))
         st = _random_state(rng, n)
         u = levelset.from_particles(st)
+        closed = levelset.nonlocal_operator_closed_form(u)
         for jump in range(u.n_jumps):
-            lhs = n * levelset.nonlocal_operator_quadrature(u, float(u.locations[jump]))
-            rhs = -sum(
-                u.signs[j] / (u.locations[jump] - u.locations[j])
-                for j in range(u.n_jumps)
-                if j != jump
-            )
-            worst = max(worst, abs(lhs - rhs))
+            quad = levelset.nonlocal_operator_quadrature(u, float(u.locations[jump]))
+            worst = max(worst, n * abs(quad - closed[jump]))
     return CheckResult(worst <= 1e-10, 1e-10 - worst, f"max abs dev {worst:.2e}")
 
 

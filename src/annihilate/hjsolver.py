@@ -11,7 +11,7 @@ principle holds nodewise, exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -21,10 +21,7 @@ __all__ = [
     "SchemeConfig",
     "GridFunction",
     "CFLViolation",
-    "levy_operator",
     "levy_operator_all",
-    "near_field_quadrature",
-    "far_field_grid",
     "step_hj",
     "solve_hj",
     "barrier_check",
@@ -49,11 +46,11 @@ class SchemeConfig:
     stability bound.
     """
 
-    L: float
-    h: float
-    rho: float
+    L: float = 4.0
+    h: float = 1.0 / 128.0
+    rho: float = 1.0 / 16.0
     cfl: float = 0.8
-    t_end: float = 1.0
+    t_end: float = 0.25
 
     def __post_init__(self):
         if not (self.L > 0 and self.h > 0 and self.t_end > 0):
@@ -174,59 +171,8 @@ def _kernel_for(u: GridFunction, r: int) -> _Kernel:
     return _kernels[key]
 
 
-def near_field_quadrature(u: GridFunction, i: int, rho: float) -> float:
-    """Trapezoid quadrature of int_{|z|<rho} (u(x+z) - u(x) - u'(x) z) dz/z^2.
-
-    The integrand is bounded around z = 0; its value there is taken from
-    the second difference.  u' is the centered difference, whose
-    contributions cancel pairwise in the symmetric sum.
-    """
-    h = u.h
-    r = int(round(rho / h))
-    pad = r + 1
-    U = _padded(u, pad)
-    j = i + pad
-    total = 0.5 * (U[j + 1] - 2.0 * U[j] + U[j - 1]) / h  # k = 0, weight h
-    for k in range(1, r + 1):
-        w = 0.5 if k == r else 1.0
-        total += w * (U[j + k] - U[j]) / (k * k * h)
-        total += w * (U[j - k] - U[j]) / (k * k * h)
-    return float(total)
-
-
-def far_field_grid(u: GridFunction, i: int, rho: float) -> float:
-    """Cellwise-exact integral of (u(x+z) - u(x)) dz/z^2 over |z| > rho.
-
-    Grid cells carry their endpoint-average value against the closed-form
-    weight 1/(k(k+1)h); beyond the sampled range the constant tails give
-    (tail - u_i)/z_cut analytically.
-    """
-    h = u.h
-    r = int(round(rho / h))
-    n = u.values.size
-    half = n
-    pad = half + 1
-    U = _padded(u, pad)
-    j = i + pad
-    ui = U[j]
-    total = 0.0
-    for k in range(r, half + 1):
-        c = 1.0 / (h * k * (k + 1))
-        total += c * (0.5 * (U[j + k] + U[j + k + 1]) - ui)
-        total += c * (0.5 * (U[j - k] + U[j - k - 1]) - ui)
-    cut = (half + 1) * h
-    total += (u.tails[1] - ui) / cut
-    total += (u.tails[0] - ui) / cut
-    return float(total)
-
-
-def levy_operator(u: GridFunction, i: int, rho: float) -> float:
-    """Operator value at node i: near-field quadrature plus exact far field."""
-    return near_field_quadrature(u, i, rho) + far_field_grid(u, i, rho)
-
-
 def levy_operator_all(u: GridFunction, rho: float) -> np.ndarray:
-    """Vectorized operator at every node (same weights as levy_operator)."""
+    """Operator at every node: near-field trapezoid quadrature plus cellwise-exact far field."""
     r = int(round(rho / u.h))
     return _kernel_for(u, r).apply(u)
 
@@ -248,23 +194,17 @@ def _godunov_gradient(u: GridFunction, v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0.0, rising, falling)
 
 
-def _stable_dt(u: GridFunction, config: SchemeConfig, v: np.ndarray, grad: np.ndarray) -> float:
-    kern = _kernel_for(u, config.r_cells)
-    denom = kern.W * float(np.max(grad, initial=0.0)) + float(np.max(np.abs(v), initial=0.0)) / u.h
-    if denom == 0.0:
-        return math.inf
-    return config.cfl / denom
-
-
 def step_hj(u: GridFunction, config: SchemeConfig, dt: float | None = None) -> GridFunction:
     """One forward-Euler step of u_t = I[u] |u_x| with Godunov upwinding.
 
-    dt defaults to the computed monotonicity bound; passing a larger value
-    raises CFLViolation.  Tails never change.
+    dt defaults to the monotonicity bound, cut short to end at config.t_end;
+    passing a larger value raises CFLViolation.  Tails never change.
     """
     v = levy_operator_all(u, config.rho)
     grad = _godunov_gradient(u, v)
-    dt_max = _stable_dt(u, config, v, grad)
+    kern = _kernel_for(u, config.r_cells)
+    denom = kern.W * float(np.max(grad, initial=0.0)) + float(np.max(np.abs(v), initial=0.0)) / u.h
+    dt_max = math.inf if denom == 0.0 else config.cfl / denom
     if dt is None:
         dt = min(dt_max, config.t_end - u.time)
         if dt <= 0:
@@ -282,7 +222,8 @@ def solve_hj(
 ) -> list[GridFunction]:
     """March to t_end, returning snapshots (always including t=0 and t_end).
 
-    Snapshot times are hit exactly by clipping the stable step.  A crude
+    Snapshot times are hit exactly: each step_hj runs with t_end set to
+    the next snapshot time, which clips the stable step there.  A crude
     self-convergence probe is available by re-running with h halved.
     """
     u = u0 if isinstance(u0, GridFunction) else GridFunction.from_callable(u0, config)
@@ -295,10 +236,7 @@ def solve_hj(
         wanted = wanted[1:]
     for target in wanted:
         while u.time < target - 1e-14:
-            v = levy_operator_all(u, config.rho)
-            grad = _godunov_gradient(u, v)
-            dt = min(_stable_dt(u, config, v, grad), target - u.time)
-            u = u.copy_with(u.values + dt * v * grad, u.time + dt)
+            u = step_hj(u, replace(config, t_end=target))
         out.append(u)
     return out
 

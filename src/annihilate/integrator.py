@@ -70,7 +70,7 @@ class IntegratorConfig:
     sigma in the collision-safe step cap.
     """
 
-    t_end: float
+    t_end: float = 1.0
     abs_tol: float = 1e-12
     rel_tol: float = 1e-9
     cluster_gap: float | None = None

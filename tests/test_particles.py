@@ -9,10 +9,10 @@ from annihilate.particles import (
     NonFiniteForce,
     ParticleState,
     energy,
-    force,
     validate_state,
     velocities,
 )
+from reference import force
 
 
 def make(x, b, gamma=None):
