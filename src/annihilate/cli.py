@@ -1,9 +1,9 @@
 """Command-line driver: simulate, hj, converge, verify, measure, moments.
 
-Configuration is one YAML file with nested sections; unknown keys are
-rejected (exit 2).  Runtime failures exit 3 with a machine-readable error
-JSON on stdout; `verify` exits 1 when an invariant fails.  Formats are
-documented in docs/formats.md.
+Configuration is one YAML file with nested sections; unknown keys and
+bad values are rejected (exit 2).  Runtime failures exit 3 with a
+machine-readable error JSON on stdout; `verify` exits 1 when an invariant
+fails.  Formats are documented in docs/formats.md.
 """
 from __future__ import annotations
 
