@@ -162,6 +162,10 @@ def cmd_simulate(args, cfg: dict) -> int:
 def cmd_hj(args, cfg: dict) -> int:
     scheme = _build(hjsolver.SchemeConfig, cfg.get("scheme", {}))
     run = _typed(_hj_frames, cfg.get("hj", {}))
+    if "initial" in run and run["initial"] not in harness.CATALOG:
+        raise ConfigError(
+            f"initial: unknown datum {run['initial']!r}; choose from {sorted(harness.CATALOG)}"
+        )
     out = _out_dir(args)
     chash = io.config_hash(cfg)
     try:
@@ -204,13 +208,21 @@ def cmd_verify(args, cfg: dict) -> int:
     return 0 if report.all_passed else 1
 
 
+def _measure_args(
+    family: str = "dipole", ns: tuple[int, ...] = (4, 8, 16, 32, 64), threshold: float = 0.05
+) -> tuple[str, tuple[int, ...], float]:
+    """The `measure` section's values with its defaults, checked before any output is made."""
+    if family not in ("dipole", "lipschitz_cdf"):
+        raise ConfigError(f"family: unknown measure family {family!r}")
+    if not all(n >= 1 for n in ns):
+        raise ConfigError("ns: must be positive")
+    return family, ns, threshold
+
+
 def cmd_measure(args, cfg: dict) -> int:
-    section = cfg.get("measure", {})
+    family, ns, threshold = _measure_args(**_typed(_measure_args, cfg.get("measure", {})))
     out = _out_dir(args)
     chash = io.config_hash(cfg)
-    family = section.get("family", "dipole")
-    ns = [int(n) for n in section.get("ns", (4, 8, 16, 32, 64))]
-    threshold = float(section.get("threshold", 0.05))
     zero = measures.SignedAtomicMeasure(locations=np.array([1e6]), weights=np.array([0.0]))
     mus = []
     for n in ns:
@@ -218,12 +230,10 @@ def cmd_measure(args, cfg: dict) -> int:
             mu = measures.SignedAtomicMeasure(
                 locations=np.array([0.0, 1.0 / n]), weights=np.array([-1.0, 1.0])
             )
-        elif family == "lipschitz_cdf":
+        else:
             # atoms of a smooth ramp sampled at spacing 1/n
             locs = np.linspace(0.0, 1.0, n, endpoint=False)
             mu = measures.SignedAtomicMeasure(locations=locs, weights=np.full(n, 1.0 / n))
-        else:
-            return _fail(3, "measure", f"unknown family {family!r}")
         mus.append(mu)
         io.write_measure_csv(out / f"measure_{family}_{n:04d}.csv", mu, chash)
     omega = (lambda r: abs(r)) if family == "lipschitz_cdf" else (lambda r: 2.0 * abs(r))
@@ -248,7 +258,10 @@ def cmd_moments(args, cfg: dict) -> int:
         return _fail(2, "config", "moments needs positions")
     x = np.asarray(section["positions"], dtype=float)
     M = moments.moments(x)
-    rec = moments.reconstruct_positions(M)
+    try:
+        rec = moments.reconstruct_positions(M)
+    except moments.ComplexRoots as exc:
+        return _fail(3, "moments", str(exc))
     err = float(np.max(np.abs(rec - np.sort(x))))
     tol = 1e-8 * max(1.0, float(np.max(np.abs(x))))
     if not err <= tol:

@@ -222,6 +222,10 @@ class ExperimentSpec:
     boundary_margin_cells: int = 2
 
     def __post_init__(self):
+        if self.datum != "pair_bump" and self.datum not in CATALOG:
+            raise ValueError(
+                f"unknown datum {self.datum!r}; choose from {sorted(CATALOG)} or 'pair_bump'"
+            )
         if not all(n >= 1 for n in self.ns):
             raise ValueError("ns must be positive")
         # both configs check their own fields

@@ -1,13 +1,21 @@
 """Time evolution of the particle system: smooth flow plus annihilation.
 
 Between collisions the positions follow the singular ODE and are advanced
-with an embedded Dormand-Prince 5(4) pair.  The step size is additionally
-capped by sigma * g^2 / (4 gamma), where g is the smallest opposite-sign
-neighbor gap: an isolated attracting pair obeys d(t)^2 = d0^2 - 4 gamma t
-exactly, so no pair can cross zero within that horizon.  When a group of
-charged particles falls below the clustering gap while mutually
-approaching, it is resolved into an annihilation event instead of being
-integrated into the singularity.
+with an embedded Dormand-Prince 5(4) pair (Hairer, Norsett and Wanner,
+Solving Ordinary Differential Equations I, section II.4).  The last stage
+of an accepted step is evaluated at the new solution, so it is reused as
+the first stage of the next step (first same as last, FSAL): an attempt
+costs at most six force evaluations, and the field is recomputed from
+scratch only after an annihilation event.  The step size follows a PI
+controller (Gustafsson 1991, ACM TOMS 17), dt_new = dt * 0.9 err^(-0.7/5)
+err_prev^(0.4/5), which does not grow the step right after a rejection
+and restarts after every event.  The step size is additionally capped by
+sigma * g^2 / (4 gamma), where g is the smallest opposite-sign neighbor
+gap: an isolated attracting pair obeys d(t)^2 = d0^2 - 4 gamma t exactly,
+so no pair can cross zero within that horizon.  When a group of charged
+particles falls below the clustering gap while mutually approaching, it
+is resolved into an annihilation event instead of being integrated into
+the singularity.
 """
 from __future__ import annotations
 
@@ -30,6 +38,7 @@ from .particles import (
 __all__ = [
     "IntegratorConfig",
     "Trajectory",
+    "StepStats",
     "StepSizeUnderflow",
     "NonAlternatingCluster",
     "NetChargeTooLarge",
@@ -92,6 +101,22 @@ class IntegratorConfig:
 
 
 @dataclass
+class StepStats:
+    """Work done by one evolve() call.
+
+    accepted counts every accepted step (an all-neutral state advances in
+    one step with no force evaluation); rejected_error and rejected_order
+    count attempts discarded for the error estimate and for a broken
+    charged ordering; force_evals counts velocity_field evaluations.
+    """
+
+    accepted: int = 0
+    rejected_error: int = 0
+    rejected_order: int = 0
+    force_evals: int = 0
+
+
+@dataclass
 class Trajectory:
     """Time-ordered snapshots plus the annihilation event log."""
 
@@ -99,6 +124,7 @@ class Trajectory:
     states: list[ParticleState]
     events: list[EventRecord]
     config: IntegratorConfig
+    stats: StepStats = field(default_factory=StepStats)
 
     @property
     def final(self) -> ParticleState:
@@ -117,8 +143,9 @@ class Trajectory:
         return [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau.  The last stage point is the 5th-order
+# solution (A[6] equals the 5th-order weights), so k[6] = f(x5) is the
+# first stage of the next step (FSAL).
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -128,10 +155,24 @@ _DP_A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+# weights of the error estimate x5 - x4
+_DP_E = np.append(_DP_A[6], 0.0) - _DP_B4
+
+# PI step control (Gustafsson 1991): next dt = dt * 0.9 err^-ALPHA err_prev^BETA
+_PI_ALPHA = 0.7 / 5
+_PI_BETA = 0.4 / 5
+
+
+@dataclass
+class _Controller:
+    """Step-size memory of one inter-event segment of evolve()."""
+
+    hint: float = math.inf  # first dt to try
+    # error norm of the last accepted step, floored at 1e-4; starts at the floor
+    err_prev: float = 1e-4
 
 
 def _collision_cap(state: ParticleState, safety: float) -> float:
@@ -143,76 +184,85 @@ def _collision_cap(state: ParticleState, safety: float) -> float:
 
 def _charged_ordered(x: np.ndarray, order: np.ndarray) -> bool:
     xs = x[order]
-    return bool(np.all(np.diff(xs) > 0.0))
+    return bool((xs[1:] > xs[:-1]).all())
 
 
 def _step_core(
-    state: ParticleState, dt_max: float, config: IntegratorConfig, hint: float
-) -> tuple[ParticleState, float, float]:
-    """One accepted embedded RK step; returns (new state, dt taken, next hint).
+    state: ParticleState,
+    dt_max: float,
+    config: IntegratorConfig,
+    ctl: _Controller,
+    k0: np.ndarray,
+    order: np.ndarray,
+    stats: StepStats,
+) -> tuple[ParticleState, float, np.ndarray]:
+    """One accepted embedded RK step; returns (new state, dt taken, f(new state)).
 
-    dt starts from min(dt_max, max_step, collision cap, hint) and shrinks
+    k0 is f(state) and order the charged indices sorted by position.  dt
+    starts from min(dt_max, max_step, collision cap, ctl.hint) and shrinks
     until the local error estimate passes the tolerances and the charged
-    ordering is preserved.  All-neutral states advance by dt_max exactly.
+    ordering is preserved; ctl is updated for the next step.  All-neutral
+    states advance by dt_max exactly.
     """
     x, b = state.positions, state.charges
     gamma = state.coupling
-    order = charged_order(state)
 
     if order.size < 2:
-        return replace(state, time=state.time + dt_max), dt_max, hint
+        return replace(state, time=state.time + dt_max), dt_max, k0
 
-    internal_cap = min(config.max_step, _collision_cap(state, config.safety), hint)
+    internal_cap = min(config.max_step, _collision_cap(state, config.safety), ctl.hint)
     dt = min(dt_max, internal_cap)
     target_bound = dt_max <= internal_cap
+    rejected = False
     k = np.empty((7, x.size))
+    k[0] = k0
     tiny = 1e-16 * max(1.0, abs(state.time))
     while True:
         if dt < tiny:
             raise StepSizeUnderflow(
                 f"dt={dt:.3e} at t={state.time:.6e}; pathological state"
             )
-        k[0] = velocity_field(x, b, gamma)
-        ok = True
         for s in range(1, 7):
-            xs = x + dt * (k[:s].T @ _DP_A[s])
+            xs = x + dt * (_DP_A[s] @ k[:s])
             if not _charged_ordered(xs, order):
-                ok = False
                 break
             k[s] = velocity_field(xs, b, gamma)
-        if ok:
-            x5 = x + dt * (k.T @ _DP_B5)
-            x4 = x + dt * (k.T @ _DP_B4)
-            if _charged_ordered(x5, order):
-                scale = config.abs_tol + config.rel_tol * np.maximum(
-                    np.abs(x), np.abs(x5)
+            stats.force_evals += 1
+        else:
+            # xs is now the 5th-order solution x5 and k[6] = f(x5)
+            scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(x), np.abs(xs))
+            r = dt * (_DP_E @ k) / scale
+            err = math.sqrt(r @ r / r.size)  # RMS of the scaled error estimate
+            if err <= 1.0:
+                new = ParticleState(
+                    positions=xs, charges=b, coupling=gamma, time=state.time + dt
                 )
-                err = float(np.sqrt(np.mean(((x5 - x4) / scale) ** 2)))
-                if err <= 1.0:
-                    new = ParticleState(
-                        positions=x5,
-                        charges=b,
-                        coupling=gamma,
-                        time=state.time + dt,
-                    )
-                    if target_bound:
-                        # clipped by the requested horizon, not by accuracy:
-                        # the landing step says nothing about error capacity
-                        return new, dt, hint
-                    grow = 5.0 if err == 0.0 else min(5.0, max(0.5, 0.9 * err**-0.2))
-                    return new, dt, dt * grow
-                dt *= min(1.0, max(0.2, 0.9 * err**-0.2))
-                target_bound = False
-                continue
+                if not target_bound:
+                    # a step clipped by the requested horizon says nothing
+                    # about error capacity and leaves the controller as it is
+                    fac = 0.9 * max(err, 1e-10) ** -_PI_ALPHA * ctl.err_prev**_PI_BETA
+                    fac = min(1.0 if rejected else 5.0, max(0.5, fac))
+                    ctl.hint = dt * fac
+                    ctl.err_prev = max(err, 1e-4)
+                return new, dt, k[6]
+            stats.rejected_error += 1
+            dt *= min(1.0, max(0.2, 0.9 * err**-0.2))
+            target_bound = False
+            rejected = True
+            continue
+        stats.rejected_order += 1
         dt *= 0.5
         target_bound = False
+        rejected = True
 
 
 def step(
     state: ParticleState, dt_max: float, config: IntegratorConfig
 ) -> tuple[ParticleState, float]:
     """Single accepted step with no history: the hint starts unconstrained."""
-    new, dt, _ = _step_core(state, dt_max, config, math.inf)
+    k0 = velocity_field(state.positions, state.charges, state.coupling)
+    order = charged_order(state)
+    new, dt, _ = _step_core(state, dt_max, config, _Controller(), k0, order, StepStats())
     return new, dt
 
 
@@ -225,27 +275,31 @@ def _cluster_gap(state: ParticleState, config: IntegratorConfig) -> float:
 
 
 def detect_clusters(
-    state: ParticleState, config: IntegratorConfig
+    state: ParticleState, config: IntegratorConfig, v: np.ndarray | None = None
 ) -> list[list[int]]:
     """Maximal groups of charged particles ripe for annihilation.
 
     Adjacent charged particles are linked when their gap is below the
-    clustering threshold AND it is shrinking under the current velocities;
-    groups are the transitive closures, singletons dropped.  Every
-    returned cluster must alternate in sign: equal-sign neighbors repel,
-    so a non-alternating cluster means cluster_gap was set too large.
+    clustering threshold AND it is shrinking under the current velocities
+    v (computed from state when not given); groups are the transitive
+    closures, singletons dropped.  Every returned cluster must alternate
+    in sign: equal-sign neighbors repel, so a non-alternating cluster
+    means cluster_gap was set too large.
     """
     gap = _cluster_gap(state, config)
     order = charged_order(state)
     if order.size < 2:
         return []
     x = state.positions
-    v = velocity_field(x, state.charges, state.coupling)
+    if v is None:
+        v = velocity_field(x, state.charges, state.coupling)
+    linked = (np.diff(x[order]) < gap) & (np.diff(v[order]) < 0.0)
+    if not linked.any():
+        return []
     clusters: list[list[int]] = []
     current = [int(order[0])]
-    for a, c in zip(order[:-1], order[1:]):
-        closing = (v[c] - v[a]) < 0.0
-        if (x[c] - x[a]) < gap and closing:
+    for c, link in zip(order[1:], linked):
+        if link:
             current.append(int(c))
         else:
             if len(current) > 1:
@@ -325,6 +379,7 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
         config = replace(config, cluster_gap=_cluster_gap(initial, config))
 
     traj = Trajectory(times=[initial.time], states=[initial], events=[], config=config)
+    stats = traj.stats
     state = initial
 
     def record(st: ParticleState, force_keep: bool = False):
@@ -332,30 +387,41 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
             traj.times.append(st.time)
             traj.states.append(st)
 
+    def forces(st: ParticleState) -> np.ndarray:
+        stats.force_evals += 1
+        return velocity_field(st.positions, st.charges, st.coupling)
+
     targets = [config.t_end]
     if config.sample_times:
         targets = sorted(set(t for t in config.sample_times if t <= config.t_end) | {config.t_end})
     targets = [t for t in targets if t > state.time]
 
-    steps_taken = 0
-    hint = math.inf
+    # f(state), the charged order and the step-size memory stay valid
+    # until the next annihilation: ordering is enforced between events
+    v = forces(state)
+    order = charged_order(state)
+    ctl = _Controller()
     try:
         for target in targets:
             while state.time < target:
-                if steps_taken > config.max_steps:
+                if stats.accepted > config.max_steps:
                     raise StepSizeUnderflow(
                         f"exceeded {config.max_steps} steps at t={state.time:.6e}"
                     )
-                clusters = detect_clusters(state, config)
+                clusters = detect_clusters(state, config, v)
                 if clusters:
                     for cl in clusters:
                         state, event = resolve_annihilation(state, cl, config)
                         traj.events.append(event)
                         record(state, force_keep=True)
-                    hint = math.inf  # post-collision field, start afresh
+                    v = forces(state)
+                    order = charged_order(state)
+                    ctl = _Controller()  # post-collision field, start afresh
                     continue
-                state, _dt, hint = _step_core(state, target - state.time, config, hint)
-                steps_taken += 1
+                state, _dt, v = _step_core(
+                    state, target - state.time, config, ctl, v, order, stats
+                )
+                stats.accepted += 1
                 # snap onto the target when only fp residue remains
                 if abs(state.time - target) <= 4e-15 * max(1.0, abs(target)):
                     state = replace(state, time=target)

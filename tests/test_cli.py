@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 import yaml
 
@@ -158,6 +159,13 @@ class TestOtherCommands:
         assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert json.loads(capsys.readouterr().out)["error"] == "moments"
 
+    def test_moments_complex_roots_exits_3(self, tmp_path, capsys):
+        # 40 spread-out points: the Newton-identity polynomial has complex roots
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, 40).tolist()
+        cfg = write_cfg(tmp_path, {"moments": {"positions": x}})
+        assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "moments"
+
     def test_moments_subcommand(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"moments": {"positions": [1.0, 2.0, 3.0]}})
         assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
@@ -181,8 +189,16 @@ class TestConfigSchema:
             ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
                           "integrator": {"rel_tol": -1}}),
             ("verify", {"verify": {"sizes": [1]}}),
+            ("measure", {"measure": {"ns": "foo"}}),
+            ("measure", {"measure": {"ns": [0, 8]}}),
+            ("measure", {"measure": {"family": "nonsense"}}),
+            ("converge", {"experiment": {"datum": "nonsense"}}),
+            ("hj", {"hj": {"initial": "nonsense"}}),
         ],
-        ids=["ns-string", "ns-zero", "ref_h-zero", "h-zero", "rel_tol-negative", "sizes-one"],
+        ids=[
+            "ns-string", "ns-zero", "ref_h-zero", "h-zero", "rel_tol-negative", "sizes-one",
+            "measure-ns-string", "measure-ns-zero", "measure-family", "datum", "hj-initial",
+        ],
     )
     def test_bad_value_exits_2_without_outputs(self, tmp_path, capsys, command, payload):
         out = tmp_path / "out"

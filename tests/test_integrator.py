@@ -11,7 +11,13 @@ from annihilate.integrator import (
     resolve_annihilation,
     step,
 )
-from annihilate.particles import InvalidState, ParticleState, net_charge, same_sign_gap
+from annihilate.particles import (
+    InvalidState,
+    ParticleState,
+    net_charge,
+    same_sign_gap,
+    velocities,
+)
 
 
 def make(x, b, gamma=None, t=0.0):
@@ -298,3 +304,54 @@ class TestEvolve:
         traj = evolve(s, IntegratorConfig(t_end=1.0, sample_times=ts))
         for t in ts:
             assert traj.state_at(t, tol=1e-12).time == t
+
+
+def _odd_lattice():
+    return make(np.arange(1.0, 10.0), np.ones(9, int))
+
+
+def _random_16():
+    rng = np.random.default_rng(16)
+    x = np.cumsum(rng.uniform(0.3, 1.0, 16)) / 8.0
+    b = rng.choice([-1, 1], 16)
+    return make(x - x.mean(), b)
+
+
+class TestStats:
+    @pytest.mark.parametrize(
+        "make_state, has_events", [(_odd_lattice, False), (_random_16, True)],
+        ids=["odd9", "random16"],
+    )
+    def test_evaluation_budget(self, make_state, has_events):
+        # DP5 with FSAL: one evaluation to start and one after each event,
+        # then at most six per attempt
+        traj = evolve(make_state(), IntegratorConfig(t_end=1.0))
+        assert bool(traj.events) == has_events
+        st = traj.stats
+        attempts = st.accepted + st.rejected_error + st.rejected_order
+        assert st.accepted > 0
+        assert st.force_evals <= 1 + len(traj.events) + 6 * attempts
+        # store_steps: one snapshot per accepted step and one per event
+        assert st.accepted == len(traj.times) - 1 - len(traj.events)
+
+    def test_force_evals_counts_every_evaluation(self, monkeypatch):
+        import annihilate.integrator as integ
+
+        calls = []
+        real = integ.velocity_field
+
+        def counting(x, b, g):
+            calls.append(1)
+            return real(x, b, g)
+
+        monkeypatch.setattr(integ, "velocity_field", counting)
+        traj = integ.evolve(_random_16(), IntegratorConfig(t_end=1.0))
+        assert traj.stats.force_evals == len(calls)
+
+    def test_detect_clusters_accepts_given_velocities(self):
+        s = make([0.0, 1e-9, 1.0], [1, -1, 1])
+        cfg = IntegratorConfig(t_end=1.0, cluster_gap=1e-7)
+        v = velocities(s)
+        assert detect_clusters(s, cfg, v) == detect_clusters(s, cfg) == [[0, 1]]
+        # the given field decides: an opening pair is not a cluster
+        assert detect_clusters(s, cfg, -v) == []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from annihilate.particles import (
     energy,
     validate_state,
     velocities,
+    velocity_field,
 )
 from reference import force
 
@@ -70,6 +73,28 @@ class TestForce:
         v = velocities(s)
         for i in range(7):
             assert v[i] == pytest.approx(force(s, i), rel=1e-13, abs=1e-15)
+
+
+class TestKernelAccuracy:
+    """velocity_field against an exactly rounded sum at the sizes the ladder runs."""
+
+    @pytest.mark.parametrize("n", [64, 128, 316])
+    def test_matches_fsum_with_near_collision(self, n):
+        rng = np.random.default_rng(n)
+        x = np.sort(rng.uniform(-1.0, 1.0, n))
+        b = rng.choice([-1, 1], n)
+        k = n // 2
+        b[k], b[k + 1] = 1, -1
+        x[k + 1] = x[k] + 1e-7 * (x[-1] - x[0])
+        gamma = 1.0 / n
+        v = velocity_field(x, b, gamma)
+        eps = np.finfo(float).eps
+        for i in range(n):
+            terms = [b[i] * b[j] / (x[i] - x[j]) for j in range(n) if j != i]
+            exact = gamma * math.fsum(terms)
+            bound = 4.0 * eps * gamma * math.fsum(abs(t) for t in terms)
+            assert abs(v[i] - exact) <= bound, (i, v[i] - exact, bound)
+        assert abs(math.fsum(v)) <= 1e-12 * np.max(np.abs(v))
 
 
 coords = st.lists(
