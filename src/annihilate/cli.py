@@ -23,7 +23,7 @@ import yaml
 
 from . import __version__, harness, hjsolver, io, measures, moments
 from .integrator import EvolveError, IntegratorConfig, evolve
-from .particles import InvalidState, ParticleState
+from .particles import ParticleState
 
 log = logging.getLogger("annihilate")
 
@@ -142,16 +142,19 @@ def cmd_simulate(args, cfg: dict) -> int:
     if "positions" not in section or "charges" not in section:
         return _fail(2, "config", "simulate needs positions and charges")
     icfg = _integrator_config(cfg.get("integrator", {}))
-    out = _out_dir(args)
-    chash = io.config_hash(cfg)
     try:
         state = ParticleState(
             positions=np.asarray(section["positions"], dtype=float),
             charges=np.asarray(section["charges"], dtype=int),
             coupling=float(section.get("coupling", -1.0)),
         )
+    except (TypeError, ValueError) as exc:  # InvalidState is a ValueError
+        raise ConfigError(f"simulate: {exc}") from exc
+    out = _out_dir(args)
+    chash = io.config_hash(cfg)
+    try:
         traj = evolve(state, icfg)
-    except (InvalidState, EvolveError, ValueError) as exc:
+    except (EvolveError, ValueError) as exc:
         return _fail(3, "simulation", str(exc))
     io.write_trajectory_csv(out / "trajectory.csv", traj.times, traj.states, chash)
     io.write_events_jsonl(out / "events.jsonl", traj.events, chash)

@@ -29,9 +29,7 @@ from .particles import (
     EventRecord,
     InvalidState,
     ParticleState,
-    charged_order,
     min_opposite_gap,
-    validate_state,
     velocity_field,
 )
 
@@ -182,32 +180,27 @@ def _collision_cap(state: ParticleState, safety: float) -> float:
     return safety * g * g / (4.0 * state.coupling)
 
 
-def _charged_ordered(x: np.ndarray, order: np.ndarray) -> bool:
-    xs = x[order]
-    return bool((xs[1:] > xs[:-1]).all())
-
-
 def _step_core(
     state: ParticleState,
     dt_max: float,
     config: IntegratorConfig,
     ctl: _Controller,
     k0: np.ndarray,
-    order: np.ndarray,
     stats: StepStats,
 ) -> tuple[ParticleState, float, np.ndarray]:
     """One accepted embedded RK step; returns (new state, dt taken, f(new state)).
 
-    k0 is f(state) and order the charged indices sorted by position.  dt
-    starts from min(dt_max, max_step, collision cap, ctl.hint) and shrinks
-    until the local error estimate passes the tolerances and the charged
-    ordering is preserved; ctl is updated for the next step.  All-neutral
-    states advance by dt_max exactly.
+    k0 is f(state).  dt starts from min(dt_max, max_step, collision cap,
+    ctl.hint) and shrinks until the local error estimate passes the
+    tolerances and every stage keeps the charged particles strictly ordered;
+    ctl is updated for the next step.  States with fewer than two charges
+    advance by dt_max exactly.
     """
     x, b = state.positions, state.charges
     gamma = state.coupling
+    charged = np.flatnonzero(b)
 
-    if order.size < 2:
+    if charged.size < 2:
         return replace(state, time=state.time + dt_max), dt_max, k0
 
     internal_cap = min(config.max_step, _collision_cap(state, config.safety), ctl.hint)
@@ -224,7 +217,8 @@ def _step_core(
             )
         for s in range(1, 7):
             xs = x + dt * (_DP_A[s] @ k[:s])
-            if not _charged_ordered(xs, order):
+            xc = xs[charged]
+            if not (xc[1:] > xc[:-1]).all():
                 break
             k[s] = velocity_field(xs, b, gamma)
             stats.force_evals += 1
@@ -261,8 +255,7 @@ def step(
 ) -> tuple[ParticleState, float]:
     """Single accepted step with no history: the hint starts unconstrained."""
     k0 = velocity_field(state.positions, state.charges, state.coupling)
-    order = charged_order(state)
-    new, dt, _ = _step_core(state, dt_max, config, _Controller(), k0, order, StepStats())
+    new, dt, _ = _step_core(state, dt_max, config, _Controller(), k0, StepStats())
     return new, dt
 
 
@@ -287,18 +280,18 @@ def detect_clusters(
     means cluster_gap was set too large.
     """
     gap = _cluster_gap(state, config)
-    order = charged_order(state)
-    if order.size < 2:
+    charged = np.flatnonzero(state.charges)
+    if charged.size < 2:
         return []
     x = state.positions
     if v is None:
         v = velocity_field(x, state.charges, state.coupling)
-    linked = (np.diff(x[order]) < gap) & (np.diff(v[order]) < 0.0)
+    linked = (np.diff(x[charged]) < gap) & (np.diff(v[charged]) < 0.0)
     if not linked.any():
         return []
     clusters: list[list[int]] = []
-    current = [int(order[0])]
-    for c, link in zip(order[1:], linked):
+    current = [int(charged[0])]
+    for c, link in zip(charged[1:], linked):
         if link:
             current.append(int(c))
         else:
@@ -329,7 +322,7 @@ def resolve_annihilation(
     charge is +-1 the member of matching charge nearest y survives
     (smallest index on ties); everyone else is neutralized.
     """
-    cluster = [int(i) for i in sorted(cluster, key=lambda i: state.positions[i])]
+    cluster = sorted(int(i) for i in cluster)
     b = state.charges
     pre = tuple(int(b[i]) for i in cluster)
     if any(p == 0 for p in pre):
@@ -372,9 +365,6 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
     event is recorded at the event time instead.  Integration failures
     propagate as EvolveError with the trajectory so far attached.
     """
-    problems = validate_state(initial)
-    if problems:
-        raise InvalidState("; ".join(problems))
     if config.cluster_gap is None:
         config = replace(config, cluster_gap=_cluster_gap(initial, config))
 
@@ -396,10 +386,8 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
         targets = sorted(set(t for t in config.sample_times if t <= config.t_end) | {config.t_end})
     targets = [t for t in targets if t > state.time]
 
-    # f(state), the charged order and the step-size memory stay valid
-    # until the next annihilation: ordering is enforced between events
+    # f(state) and the step-size memory stay valid until the next annihilation
     v = forces(state)
-    order = charged_order(state)
     ctl = _Controller()
     try:
         for target in targets:
@@ -415,12 +403,9 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
                         traj.events.append(event)
                         record(state, force_keep=True)
                     v = forces(state)
-                    order = charged_order(state)
                     ctl = _Controller()  # post-collision field, start afresh
                     continue
-                state, _dt, v = _step_core(
-                    state, target - state.time, config, ctl, v, order, stats
-                )
+                state, _dt, v = _step_core(state, target - state.time, config, ctl, v, stats)
                 stats.accepted += 1
                 # snap onto the target when only fp residue remains
                 if abs(state.time - target) <= 4e-15 * max(1.0, abs(target)):

@@ -115,18 +115,13 @@ def from_particles(state: particles.ParticleState, eps: float | None = None, bas
     """Step function of a particle state: one eps-jump per charged particle.
 
     eps defaults to the state's coupling (level spacing equals coupling in
-    both the classic 1/n system and the rescaled one).
+    both the classic 1/n system and the rescaled one).  Jump r is the r-th
+    charged particle by index, which is also its place by position.
     """
     mask = state.charges != 0
-    loc = state.positions[mask]
-    sg = state.charges[mask]
-    order = np.argsort(loc, kind="stable")
-    loc, sg = loc[order], sg[order]
-    if loc.size and np.any(np.diff(loc) <= 0):
-        raise ValueError("coincident charged particles have no step function")
     return StepFunction(
-        locations=loc,
-        signs=sg,
+        locations=state.positions[mask],
+        signs=state.charges[mask],
         eps=state.coupling if eps is None else eps,
         base=base,
     )
@@ -171,43 +166,21 @@ def far_field(u: StepFunction, at_jump: int, rho: float) -> float:
 
     # The integrand is eps/2 times an odd integer level: s_i just right of
     # 0, gaining 2 s_j across each jump to the right; -s_i just left of 0,
-    # losing 2 s_j across each jump to the left.
+    # losing 2 s_j across each jump to the left.  Each side is walked
+    # outward from 0 in its own direction d.
     total = 0.0
-    # Right side: breakpoints sorted ascending.
-    mask = z > 0
-    bps = z[mask]
-    sgs = sg[mask]
-    lvl = int(sg[at_jump])  # doubled integrand level on (0, first bp)
-    for k in range(bps.size):
-        if bps[k] > rho:
-            break
-        lvl += 2 * int(sgs[k])
-    else:
-        k = bps.size
-    prev = rho
-    for j in range(k, bps.size):
-        total += 0.5 * u.eps * lvl * (1.0 / prev - 1.0 / bps[j])
-        lvl += 2 * int(sgs[j])
-        prev = bps[j]
-    total += 0.5 * u.eps * lvl * (1.0 / prev)
-
-    # Left side: breakpoints sorted by decreasing |z|; walk outward from 0.
-    mask = z < 0
-    bps = -z[mask][::-1]  # ascending distances
-    sgs = sg[mask][::-1]
-    lvl = -int(sg[at_jump])
-    for k in range(bps.size):
-        if bps[k] > rho:
-            break
-        lvl -= 2 * int(sgs[k])
-    else:
-        k = bps.size
-    prev = rho
-    for j in range(k, bps.size):
-        total += 0.5 * u.eps * lvl * (1.0 / prev - 1.0 / bps[j])
-        lvl -= 2 * int(sgs[j])
-        prev = bps[j]
-    total += 0.5 * u.eps * lvl * (1.0 / prev)
+    for d in (1, -1):
+        side = d * z > 0
+        dist = (d * z[side])[::d]  # ascending distances
+        steps = (2 * d * sg[side])[::d]  # change of the doubled level across each jump
+        k = int(np.searchsorted(dist, rho, side="right"))  # jumps inside rho
+        lvl = d * int(sg[at_jump]) + int(steps[:k].sum())
+        prev = rho
+        for j in range(k, dist.size):
+            total += 0.5 * u.eps * lvl * (1.0 / prev - 1.0 / dist[j])
+            lvl += int(steps[j])
+            prev = dist[j]
+        total += 0.5 * u.eps * lvl * (1.0 / prev)
     return total
 
 
@@ -283,14 +256,10 @@ def hje_residual(traj, sample_times: Iterable[float]) -> ResidualReport:
             entries.append((float(t1), -1, 0.0))
             continue
         ops = nonlocal_operator_closed_form(from_particles(s1))
-        jump_of = {int(i): r for r, i in enumerate(
-            sorted(charged, key=lambda i: s1.positions[i])
-        )}
-        for i in charged:
+        for i, op in zip(charged, ops):
             vel = _nonuniform_derivative(
                 t0, t1, t2, s0.positions[i], s1.positions[i], s2.positions[i]
             )
-            op = ops[jump_of[int(i)]]
             res = abs(vel + s1.charges[i] * op)
             entries.append((float(t1), int(i), float(res)))
     max_res = max((e[2] for e in entries), default=0.0)

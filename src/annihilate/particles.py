@@ -4,6 +4,11 @@ Positions ``x_1..x_n`` carry charges ``b_i`` in ``{-1, 0, +1}``.  Charged
 particles move with velocity ``coupling * sum_j b_i b_j / (x_i - x_j)``;
 neutral particles (``b_i = 0``) exert no force, feel none, and stay frozen.
 They are kept in the arrays so that annihilation never changes ``n``.
+
+Admissible states keep the charged particles strictly ordered by index:
+i > j with b_i b_j != 0 implies x_i > x_j.  ``ParticleState`` refuses any
+other state, so index order is position order for charged particles
+everywhere downstream, and no two charged particles coincide.
 """
 from __future__ import annotations
 
@@ -15,13 +20,10 @@ __all__ = [
     "EventRecord",
     "InvalidState",
     "NonFiniteForce",
-    "NonFiniteEnergy",
-    "validate_state",
     "velocities",
     "velocity_field",
     "energy",
     "net_charge",
-    "charged_order",
     "neighbor_pairs",
     "same_sign_gap",
     "min_opposite_gap",
@@ -36,10 +38,6 @@ class NonFiniteForce(ArithmeticError):
     """A charged pair sits at coincident positions; the force diverges."""
 
 
-class NonFiniteEnergy(ArithmeticError):
-    """A charged pair sits at coincident positions; the energy diverges."""
-
-
 @dataclass(frozen=True)
 class ParticleState:
     """Immutable snapshot ``(x, b)`` with interaction coupling and clock.
@@ -47,6 +45,9 @@ class ParticleState:
     ``coupling`` is the prefactor gamma of the pairwise sum.  The classic
     system uses gamma = 1/n (the default); the convergence harness uses
     gamma = eps, the level spacing of the associated step function.
+
+    Construction raises InvalidState unless the charged positions are
+    strictly increasing in index; neutral particles may sit anywhere.
     """
 
     positions: np.ndarray
@@ -65,6 +66,14 @@ class ParticleState:
             raise InvalidState("positions must be finite")
         if not ((b >= -1) & (b <= 1)).all():
             raise InvalidState("charges must lie in {-1, 0, +1}")
+        idx = np.flatnonzero(b)
+        xc = x[idx]
+        bad = np.flatnonzero(xc[1:] <= xc[:-1])
+        if bad.size:
+            i, j = idx[bad[0]], idx[bad[0] + 1]
+            raise InvalidState(
+                f"charged particles out of order: x[{j}]={float(x[j])} <= x[{i}]={float(x[i])}"
+            )
         gamma = float(self.coupling)
         if gamma == -1.0:
             gamma = 1.0 / x.size
@@ -118,24 +127,6 @@ class EventRecord:
             raise InvalidState("more than one surviving charge in a cluster")
 
 
-def validate_state(state: ParticleState) -> list[str]:
-    """Diagnostic membership check for the admissible state space.
-
-    Charged particles must be strictly ordered by index: i > j with
-    b_i b_j != 0 requires x_i > x_j.  Neutral particles are unconstrained.
-    Returns a list of violation messages; empty means OK.  Never raises.
-    """
-    x, b = state.positions, state.charges
-    idx = np.flatnonzero(b != 0)
-    problems = []
-    for a, c in zip(idx[:-1], idx[1:]):
-        if not x[c] > x[a]:
-            problems.append(
-                f"charged particles out of order: x[{c}]={x[c]!r} <= x[{a}]={x[a]!r}"
-            )
-    return problems
-
-
 def velocity_field(x: np.ndarray, b: np.ndarray, coupling: float) -> np.ndarray:
     """All particle velocities at once (vectorized over the pair matrix).
 
@@ -179,8 +170,6 @@ def energy(state: ParticleState) -> float:
     diff = np.abs(xa[:, None] - xa[None, :])
     iu = np.triu_indices(act.size, k=1)
     gaps = diff[iu]
-    if np.any(gaps == 0.0):
-        raise NonFiniteEnergy("coincident charged particles")
     prods = (ba[:, None] * ba[None, :])[iu]
     total = 2.0 * float(np.sum(prods * -np.log(gaps)))
     return total / (2.0 * state.n**2)
@@ -190,16 +179,18 @@ def net_charge(state: ParticleState) -> int:
     return int(state.charges.sum())
 
 
-def charged_order(state: ParticleState) -> np.ndarray:
-    """Indices of charged particles sorted by position."""
-    idx = np.flatnonzero(state.charges != 0)
-    return idx[np.argsort(state.positions[idx], kind="stable")]
-
-
 def neighbor_pairs(state: ParticleState) -> list[tuple[int, int]]:
     """Adjacent charged pairs (only neutrals in between), left index first."""
-    order = charged_order(state)
-    return [(int(a), int(c)) for a, c in zip(order[:-1], order[1:])]
+    idx = np.flatnonzero(state.charges)
+    return [(int(a), int(c)) for a, c in zip(idx[:-1], idx[1:])]
+
+
+def _min_neighbor_gap(state: ParticleState, keep) -> float:
+    # smallest x_c - x_a over adjacent charged pairs (a, c) with keep(b_a, b_c)
+    idx = np.flatnonzero(state.charges)
+    b = state.charges[idx]
+    gaps = np.diff(state.positions[idx])[keep(b[:-1], b[1:])]
+    return float(gaps.min()) if gaps.size else np.inf
 
 
 def same_sign_gap(state: ParticleState, sign: int) -> float:
@@ -207,17 +198,9 @@ def same_sign_gap(state: ParticleState, sign: int) -> float:
 
     Returns inf when no such neighboring pair exists.
     """
-    x, b = state.positions, state.charges
-    best = np.inf
-    for a, c in neighbor_pairs(state):
-        if b[a] == sign and b[c] == sign:
-            best = min(best, x[c] - x[a])
-    return best
+    return _min_neighbor_gap(state, lambda bl, br: (bl == sign) & (br == sign))
 
 
 def min_opposite_gap(state: ParticleState) -> float:
     """Smallest gap between opposite-sign charged neighbors (inf if none)."""
-    order = charged_order(state)
-    opposite = state.charges[order[1:]] != state.charges[order[:-1]]
-    gaps = np.diff(state.positions[order])[opposite]
-    return float(gaps.min()) if gaps.size else np.inf
+    return _min_neighbor_gap(state, lambda bl, br: bl != br)

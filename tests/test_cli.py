@@ -1,12 +1,18 @@
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 from annihilate import harness
-from annihilate.cli import _SCHEMA, main
+from annihilate.cli import _SCHEMA, _build, _load_config, _typed, main
 from annihilate.io import read_events_jsonl, read_trajectory_csv
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
 
 
 def write_cfg(tmp_path, payload):
@@ -56,7 +62,8 @@ class TestSimulate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "config"
 
-    def test_invalid_state_exits_3(self, tmp_path):
+    def test_invalid_state_exits_2_without_outputs(self, tmp_path, capsys):
+        # an inadmissible initial state is a rejected config value
         cfg = write_cfg(
             tmp_path,
             {
@@ -64,7 +71,12 @@ class TestSimulate:
                 "integrator": {"t_end": 0.1},
             },
         )
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "config"
+        assert "out of order" in payload["message"]
+        assert not out.exists()
 
     def test_trajectory_roundtrip_bit_exact(self, tmp_path):
         cfg = pair_config(tmp_path)
@@ -194,10 +206,14 @@ class TestConfigSchema:
             ("measure", {"measure": {"family": "nonsense"}}),
             ("converge", {"experiment": {"datum": "nonsense"}}),
             ("hj", {"hj": {"initial": "nonsense"}}),
+            ("simulate", {"simulate": {"positions": [1.0, 0.0], "charges": [1, -1]}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [2, -1]}}),
+            ("simulate", {"simulate": {"positions": "foo", "charges": [1, -1]}}),
         ],
         ids=[
             "ns-string", "ns-zero", "ref_h-zero", "h-zero", "rel_tol-negative", "sizes-one",
             "measure-ns-string", "measure-ns-zero", "measure-family", "datum", "hj-initial",
+            "simulate-out-of-order", "simulate-charge-two", "simulate-positions-string",
         ],
     )
     def test_bad_value_exits_2_without_outputs(self, tmp_path, capsys, command, payload):
@@ -244,3 +260,39 @@ class TestConfigSchema:
         argv = ["converge", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "7"]
         assert main(argv) == 3
         assert seen == [harness.ExperimentSpec(datum="sigmoid", seed=7)]
+
+
+class TestShippedConfigs:
+    def test_configs_found(self):
+        assert {p.name for p in CONFIGS} >= {
+            "pair.yaml", "measure-dipole.yaml", "converge-pair.yaml",
+            "converge-sigmoid.yaml", "verify-quick.yaml",
+        }
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+    def test_every_config_loads(self, path):
+        assert _load_config(str(path))
+
+    @pytest.mark.parametrize("command, name, written", [
+        ("simulate", "pair.yaml", "events.jsonl"),
+        ("measure", "measure-dipole.yaml", "measure_report.json"),
+    ])
+    def test_runs_to_exit_0(self, tmp_path, command, name, written):
+        out = tmp_path / "out"
+        assert main([command, "--config", str(CONFIG_DIR / name), "--out", str(out)]) == 0
+        assert (out / written).is_file()
+
+    @pytest.mark.parametrize(
+        "path", [p for p in CONFIGS if p.stem.startswith("converge")],
+        ids=lambda p: p.stem,
+    )
+    def test_converge_configs_build(self, path):
+        spec = _build(harness.ExperimentSpec, _load_config(str(path))["experiment"])
+        assert spec.ns
+
+    @pytest.mark.parametrize(
+        "path", [p for p in CONFIGS if p.stem.startswith("verify")], ids=lambda p: p.stem,
+    )
+    def test_verify_configs_build(self, path):
+        kwargs = _typed(harness.run_property_suite, _load_config(str(path))["verify"])
+        inspect.signature(harness.run_property_suite).bind(**kwargs)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from annihilate.integrator import (
     EvolveError,
@@ -198,9 +199,8 @@ class TestEvolve:
             assert len(traj.events) <= cap
 
     def test_degenerate_initial_data_rejected(self):
-        s = make([0.0, 0.0], [1, -1])
         with pytest.raises(InvalidState):
-            evolve(s, CFG)
+            evolve(make([0.0, 0.0], [1, -1]), CFG)
 
     def test_deterministic(self):
         s = make([-0.4, -0.1, 0.3, 0.9], [1, -1, 1, -1])
@@ -355,3 +355,51 @@ class TestStats:
         assert detect_clusters(s, cfg, v) == detect_clusters(s, cfg) == [[0, 1]]
         # the given field decides: an opening pair is not a cluster
         assert detect_clusters(s, cfg, -v) == []
+
+
+@st.composite
+def degenerate_states(draw):
+    """Small states at the edges of the admissible space.
+
+    A background of 2..7 particles (any charges, gaps 0.05..1) gets one of:
+    a +-+ or -+- triple, symmetric up to a relative 1e-9 and sometimes
+    alone among neutrals, whose isolated collision time d^2 / gamma lies in
+    [0.01, 2]; or an opposite pair whose gap is within 2x of the default
+    cluster_gap (1e-7 x spread).  The coupling gamma goes down to 1e-12.
+    """
+    coupling = 10.0 ** draw(st.floats(-12.0, 0.0))
+    n = draw(st.integers(2, 7))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
+    x = np.concatenate([[0.0], np.cumsum(gaps)])
+    b = np.array(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n)))
+    b[0] = draw(st.sampled_from([-1, 1]))  # the pair's spread then runs from x[0] = 0
+    sign = draw(st.sampled_from([-1, 1]))
+    at = x[-1] + draw(st.floats(0.05, 1.0))
+    if draw(st.booleans()):
+        d = np.sqrt(coupling * draw(st.floats(0.01, 2.0)))
+        skew = draw(st.sampled_from([0.0]) | st.floats(-1e-9, 1e-9))
+        extra_x = at + d * np.array([0.0, 1.0, 2.0 + skew])
+        extra_b = sign * np.array([1, -1, 1])
+        if draw(st.booleans()):
+            b[:] = 0  # a neutral background leaves the triple isolated
+    else:
+        gap = draw(st.floats(0.5, 2.0)) * 1e-7 * at  # at is the spread up to 1e-7
+        extra_x = at + np.array([0.0, gap])
+        extra_b = sign * np.array([1, -1])
+    return make(np.concatenate([x, extra_x]), np.concatenate([b, extra_b]), gamma=coupling)
+
+
+class TestDegenerateFuzz:
+    @given(degenerate_states())
+    @settings(max_examples=100, deadline=None)
+    def test_only_typed_errors_escape(self, s):
+        try:
+            traj = evolve(s, IntegratorConfig(t_end=1.0))
+        except (EvolveError, InvalidState):
+            return
+        final = traj.final
+        assert final.time == 1.0
+        assert np.isfinite(final.positions).all()
+        assert net_charge(final) == net_charge(s)
+        pos, neg = int((s.charges == 1).sum()), int((s.charges == -1).sum())
+        assert len(traj.events) <= min(pos, neg)
