@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -24,14 +24,7 @@ __all__ = [
     "levy_operator_all",
     "step_hj",
     "solve_hj",
-    "barrier_check",
-    "BARRIER_C",
 ]
-
-# Constant in the barrier speed, from bounding the staircase-averaged
-# integral of a parabola alpha z + K z^2 / 2; elementary estimates give < 3.
-BARRIER_C = 3.0
-
 
 class CFLViolation(ValueError):
     """Requested time step exceeds the monotonicity bound."""
@@ -239,33 +232,3 @@ def solve_hj(
             u = step_hj(u, replace(config, t_end=target))
         out.append(u)
     return out
-
-
-def barrier_check(
-    v0: Callable,
-    lip: float,
-    semiconcavity: float,
-    frames: Iterable[GridFunction],
-    v0_sup: float | None = None,
-) -> tuple[bool, float]:
-    """Verify that a run started below v0 stays below the rising barrier.
-
-    The barrier speed is sigma = 2 (K L + C (K + L^2) + 4 ||v0||_inf L + 1)
-    with C = BARRIER_C and a safety factor 2.  Returns (ok, margin) where
-    margin is the minimum of v0(x) + sigma t - u(t, x) over all frames.
-    """
-    frames = list(frames)
-    if v0_sup is None:
-        xs = frames[0].xs if frames else np.linspace(-10, 10, 1001)
-        v0_sup = float(np.max(np.abs([v0(x) for x in xs])))
-    sigma = 2.0 * (
-        semiconcavity * lip
-        + BARRIER_C * (semiconcavity + lip * lip)
-        + 4.0 * v0_sup * lip
-        + 1.0
-    )
-    margin = math.inf
-    for fr in frames:
-        bar = np.array([v0(x) for x in fr.xs]) + sigma * fr.time
-        margin = min(margin, float(np.min(bar - fr.values)))
-    return margin >= -1e-12, margin

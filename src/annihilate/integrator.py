@@ -41,7 +41,6 @@ __all__ = [
     "NonAlternatingCluster",
     "NetChargeTooLarge",
     "EvolveError",
-    "step",
     "detect_clusters",
     "resolve_annihilation",
     "evolve",
@@ -49,7 +48,7 @@ __all__ = [
 
 
 class StepSizeUnderflow(ArithmeticError):
-    """dt collapsed below machine scale without triggering clustering."""
+    """dt fell below 1e-16 of the state's time scale without triggering clustering."""
 
 
 class NonAlternatingCluster(ValueError):
@@ -209,7 +208,11 @@ def _step_core(
     rejected = False
     k = np.empty((7, x.size))
     k[0] = k0
-    tiny = 1e-16 * max(1.0, abs(state.time))
+    # the floor is relative to the state's own time scale: |t|, or the time
+    # d^2 / (4 gamma) in which the closest charged pair (gap d) moves by ~d
+    xc = x[charged]
+    d = float((xc[1:] - xc[:-1]).min())
+    tiny = 1e-16 * max(abs(state.time), d * d / (4.0 * gamma))
     while True:
         if dt < tiny:
             raise StepSizeUnderflow(
@@ -248,15 +251,6 @@ def _step_core(
         dt *= 0.5
         target_bound = False
         rejected = True
-
-
-def step(
-    state: ParticleState, dt_max: float, config: IntegratorConfig
-) -> tuple[ParticleState, float]:
-    """Single accepted step with no history: the hint starts unconstrained."""
-    k0 = velocity_field(state.positions, state.charges, state.coupling)
-    new, dt, _ = _step_core(state, dt_max, config, _Controller(), k0, StepStats())
-    return new, dt
 
 
 def _cluster_gap(state: ParticleState, config: IntegratorConfig) -> float:

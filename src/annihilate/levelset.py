@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -30,8 +29,6 @@ __all__ = [
     "nonlocal_operator_closed_form",
     "nonlocal_operator_quadrature",
     "far_field",
-    "hje_residual",
-    "ResidualReport",
 ]
 
 
@@ -204,63 +201,3 @@ def nonlocal_operator_quadrature(u: StepFunction, x: float, rho: float | None = 
     if rho >= nearest:
         raise JumpTooClose(f"rho={rho} reaches the nearest jump at distance {nearest}")
     return far_field(u, i, rho)
-
-
-@dataclass
-class ResidualReport:
-    """Max deviation between crossing velocities and the operator identity."""
-
-    max_residual: float
-    entries: list[tuple[float, int, float]]  # (time, particle, residual)
-
-
-def _nonuniform_derivative(t0, t1, t2, f0, f1, f2):
-    # Second-order three-point derivative at t1 for non-uniform spacing.
-    h0 = t1 - t0
-    h1 = t2 - t1
-    return (h0 * h0 * f2 - h1 * h1 * f0 + (h1 * h1 - h0 * h0) * f1) / (
-        h0 * h1 * (h0 + h1)
-    )
-
-
-def hje_residual(traj, sample_times: Iterable[float]) -> ResidualReport:
-    """Check crossing dynamics against the nonlocal operator identity.
-
-    At each requested time away from events, the velocity of every charged
-    jump (three-point differences of stored snapshots) is compared with
-    -s_i * M[u](x_i) from the closed form.  Event times are excluded; the
-    value of the vanishing extremum at an annihilation instant is
-    convention-dependent.
-    """
-    times = np.asarray(traj.times)
-    taus = [ev.tau for ev in traj.events]
-    entries: list[tuple[float, int, float]] = []
-    for t in sample_times:
-        k = int(np.argmin(np.abs(times - t)))
-        if k == 0 or k >= times.size - 1:
-            continue
-        lo, hi = k - 1, k + 1
-        span = 1e-10 * max(1.0, abs(times[k]))
-        while lo > 0 and times[k] - times[lo] < span:
-            lo -= 1
-        while hi < times.size - 1 and times[hi] - times[k] < span:
-            hi += 1
-        t0, t1, t2 = times[lo], times[k], times[hi]
-        if t2 - t1 < span or t1 - t0 < span:
-            continue
-        if any(t0 <= tau <= t2 for tau in taus):
-            continue
-        s0, s1, s2 = traj.states[lo], traj.states[k], traj.states[hi]
-        charged = np.flatnonzero(s1.charges != 0)
-        if charged.size == 0:
-            entries.append((float(t1), -1, 0.0))
-            continue
-        ops = nonlocal_operator_closed_form(from_particles(s1))
-        for i, op in zip(charged, ops):
-            vel = _nonuniform_derivative(
-                t0, t1, t2, s0.positions[i], s1.positions[i], s2.positions[i]
-            )
-            res = abs(vel + s1.charges[i] * op)
-            entries.append((float(t1), int(i), float(res)))
-    max_res = max((e[2] for e in entries), default=0.0)
-    return ResidualReport(max_residual=max_res, entries=entries)

@@ -27,7 +27,6 @@ __all__ = [
     "aec_modulus",
     "narrow_distance_proxy",
     "default_dictionary",
-    "mass_outside",
 ]
 
 
@@ -66,12 +65,6 @@ class SignedAtomicMeasure:
     def integrate(self, phi: Callable) -> float:
         return float(sum(w * phi(x) for x, w in zip(self.locations, self.weights)))
 
-    def interval_mass(self, x: float, y: float) -> float:
-        """kappa((x, y]) for x <= y."""
-        loc = self.locations
-        mask = (loc > x) & (loc <= y)
-        return float(np.sum(self.weights[mask]))
-
 
 def from_state(state: ParticleState) -> SignedAtomicMeasure:
     """Empirical measure sum_i gamma b_i delta_{x_i} over charged particles.
@@ -103,12 +96,6 @@ def cdf(mu: SignedAtomicMeasure) -> StepFunction:
         signs=np.sign(mu.weights).astype(int),
         eps=eps,
     )
-
-
-def mass_outside(mu: SignedAtomicMeasure, R: float) -> float:
-    """Total variation carried by atoms with |x| > R (tightness monitor)."""
-    mask = np.abs(mu.locations) > R
-    return float(np.sum(np.abs(mu.weights[mask])))
 
 
 def aec_modulus(

