@@ -4,7 +4,9 @@ Each evaluates one formula at one particle or grid node with an explicit
 loop, independent of the vectorized code in `annihilate`:
 `force` is one entry of `particles.velocity_field`, and `levy_operator`
 (near-field quadrature plus far field) is one node of
-`hjsolver.levy_operator_all`.  The helpers at the end serve only the
+`hjsolver.levy_operator_all`.  `levy_operator_direct` is that operator at
+every node by one direct convolution with the solver's own weights, the
+oracle of its FFT branch.  The helpers at the end serve only the
 tests: a single integrator step with no history, the barrier bound on the
 limit equation and the tightness monitor of a measure.
 """
@@ -100,6 +102,17 @@ def far_field_grid(u: GridFunction, i: int, rho: float) -> float:
 def levy_operator(u: GridFunction, i: int, rho: float) -> float:
     """Operator value at node i: near-field quadrature plus exact far field."""
     return near_field_quadrature(u, i, rho) + far_field_grid(u, i, rho)
+
+
+def levy_operator_direct(u: GridFunction, G: np.ndarray, tail_cut: float) -> np.ndarray:
+    """Operator at every node by direct sum: the tail-padded values convolved with G.
+
+    G holds the weights of lags -(n+1)..n+1 on an n-node grid, laid out as
+    `hjsolver._Kernel.G`; beyond them each constant tail adds
+    (tail - u_i)/tail_cut.
+    """
+    out = np.convolve(_padded(u, (G.size - 1) // 2), G[::-1], mode="valid")
+    return out + (u.tails[0] - u.values) / tail_cut + (u.tails[1] - u.values) / tail_cut
 
 
 def step(

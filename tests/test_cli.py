@@ -1,5 +1,8 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,8 @@ from annihilate.cli import _SCHEMA, _build, _load_config, _typed, main
 from annihilate.io import read_events_jsonl, read_trajectory_csv
 
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
 
 
@@ -296,3 +300,15 @@ class TestShippedConfigs:
     def test_verify_configs_build(self, path):
         kwargs = _typed(harness.run_property_suite, _load_config(str(path))["verify"])
         inspect.signature(harness.run_property_suite).bind(**kwargs)
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy.signal alone took most of the CLI's start-up; nothing needs it
+        code = "import annihilate.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

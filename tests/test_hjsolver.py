@@ -5,7 +5,13 @@ import pytest
 
 from annihilate import hjsolver as H
 from annihilate.harness import CATALOG
-from reference import barrier_check, far_field_grid, levy_operator, near_field_quadrature
+from reference import (
+    barrier_check,
+    far_field_grid,
+    levy_operator,
+    levy_operator_direct,
+    near_field_quadrature,
+)
 
 SIGMOID = CATALOG["sigmoid"].u0
 
@@ -86,6 +92,25 @@ class TestOperator:
             assert allv[i] == pytest.approx(
                 levy_operator(u, i, small_cfg.rho), abs=1e-10
             )
+
+    @pytest.mark.parametrize("n", [601, 1025, 8193])
+    def test_fft_branch_matches_direct_sum(self, n):
+        assert n >= H.FFT_NODES
+        rng = np.random.default_rng(n)
+        xs = np.linspace(-4.0, 4.0, n)
+        vals = np.cumsum(rng.standard_normal(n)) * 0.01
+        tails = (-0.7, 0.3)
+        u = H.GridFunction(xs=xs, values=vals, tails=tails)
+        got = H.levy_operator_all(u, 4 * u.h)
+        kern = H._kernel_for(u, 4)
+        want = levy_operator_direct(u, kern.G, kern.tail_cut)
+        scale = float(np.max(np.abs(kern.G))) * max(float(np.max(np.abs(vals))), *map(abs, tails))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    def test_fft_branch_constant_maps_to_zero(self):
+        n = 8193
+        u = H.GridFunction(xs=np.linspace(-4.0, 4.0, n), values=np.full(n, 0.7), tails=(0.7, 0.7))
+        assert np.max(np.abs(H.levy_operator_all(u, 4 * u.h))) < 1e-10
 
 
 class TestStep:
