@@ -77,14 +77,19 @@ def _load_config(path: str | None) -> dict:
 
 
 def _convert(tp, value):
-    """value as the annotated type tp: a scalar type, X | None, or a tuple or sequence of X."""
+    """value as the annotated type tp: a scalar type, X | None, or a tuple or sequence of X.
+
+    An int takes whole numbers only: a bool or a fractional float is refused, not truncated.
+    """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (tuple, collections.abc.Sequence):
         if not isinstance(value, (list, tuple)):
             raise TypeError(f"expected a list, got {value!r}")
-        return tuple(args[0](v) for v in value)
+        return tuple(_convert(args[0], v) for v in value)
     if origin is types.UnionType:
         tp = args[0]
+    if tp is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
     return tp(value)
 
 
@@ -115,7 +120,7 @@ def _integrator_config(section: dict) -> IntegratorConfig:
     n_samples = section.pop("n_samples", 11)
     cfg = _build(IntegratorConfig, section)
     try:
-        samples = np.linspace(0.0, cfg.t_end, int(n_samples))[1:]
+        samples = np.linspace(0.0, cfg.t_end, _convert(int, n_samples))[1:]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"n_samples: {exc}") from exc
     return replace(cfg, sample_times=tuple(samples))
@@ -217,8 +222,10 @@ def _measure_args(
     """The `measure` section's values with its defaults, checked before any output is made."""
     if family not in ("dipole", "lipschitz_cdf"):
         raise ConfigError(f"family: unknown measure family {family!r}")
-    if not all(n >= 1 for n in ns):
-        raise ConfigError("ns: must be positive")
+    if not ns or not all(n >= 1 for n in ns):
+        raise ConfigError("ns: must be a non-empty list of positive sizes")
+    if not 0.0 <= threshold < np.inf:
+        raise ConfigError(f"threshold: must be finite and nonnegative, got {threshold!r}")
     return family, ns, threshold
 
 

@@ -67,10 +67,6 @@ class SchemeConfig:
         if r < 2 or abs(r * self.h - self.rho) > 1e-9 * self.h:
             raise ValueError("rho must be an integer multiple of h, at least 2h")
 
-    @property
-    def r_cells(self) -> int:
-        return int(round(self.rho / self.h))
-
 
 @dataclass
 class GridFunction:
@@ -208,17 +204,23 @@ class _Kernel:
 _kernels: dict[tuple[int, float, int], _Kernel] = {}
 
 
-def _kernel_for(u: GridFunction, r: int) -> _Kernel:
-    key = (u.values.size, round(u.h, 14), r)
+def _kernel_for(u: GridFunction, rho: float) -> _Kernel:
+    """The cached kernel of u's grid, split at r = rho/h cells."""
+    h = u.h
+    key = (u.values.size, round(h, 14), int(round(rho / h)))
     if key not in _kernels:
-        _kernels[key] = _Kernel(u.values.size, u.h, r)
+        _kernels[key] = _Kernel(u.values.size, h, key[2])
     return _kernels[key]
 
 
-def levy_operator_all(u: GridFunction, rho: float) -> np.ndarray:
-    """Operator at every node: near-field trapezoid quadrature plus cellwise-exact far field."""
-    r = int(round(rho / u.h))
-    return _kernel_for(u, r).apply(u)
+def levy_operator_all(u: GridFunction, rho: float, kernel: _Kernel | None = None) -> np.ndarray:
+    """Operator at every node: near-field trapezoid quadrature plus cellwise-exact far field.
+
+    `kernel` is `_kernel_for(u, rho)` when the caller already holds it.
+    """
+    if kernel is None:
+        kernel = _kernel_for(u, rho)
+    return kernel.apply(u)
 
 
 def _godunov_gradient(u: GridFunction, v: np.ndarray) -> np.ndarray:
@@ -244,9 +246,9 @@ def step_hj(u: GridFunction, config: SchemeConfig, dt: float | None = None) -> G
     dt defaults to the monotonicity bound, cut short to end at config.t_end;
     passing a larger value raises CFLViolation.  Tails never change.
     """
-    v = levy_operator_all(u, config.rho)
+    kern = _kernel_for(u, config.rho)
+    v = levy_operator_all(u, config.rho, kern)
     grad = _godunov_gradient(u, v)
-    kern = _kernel_for(u, config.r_cells)
     denom = kern.W * float(np.max(grad, initial=0.0)) + float(np.max(np.abs(v), initial=0.0)) / u.h
     dt_max = math.inf if denom == 0.0 else config.cfl / denom
     if dt is None:

@@ -6,7 +6,10 @@ loop, independent of the vectorized code in `annihilate`:
 (near-field quadrature plus far field) is one node of
 `hjsolver.levy_operator_all`.  `levy_operator_direct` is that operator at
 every node by one direct convolution with the solver's own weights, the
-oracle of its FFT branch.  The helpers at the end serve only the
+oracle of its FFT branch.  `aec_defect_loop` is one defect of
+`measures.aec_modulus` by a scalar double loop over intervals, and
+`narrow_proxy_loop` is `measures.narrow_distance_proxy` by scalar sums
+over atoms with a scalar default dictionary.  The helpers at the end serve only the
 tests: a single integrator step with no history, the barrier bound on the
 limit equation and the tightness monitor of a measure.
 """
@@ -163,3 +166,42 @@ def mass_outside(mu: SignedAtomicMeasure, R: float) -> float:
     """Total variation carried by atoms with |x| > R (tightness monitor)."""
     mask = np.abs(mu.locations) > R
     return float(np.sum(np.abs(mu.weights[mask])))
+
+
+def aec_defect_loop(mu: SignedAtomicMeasure, omega: Callable) -> float:
+    """sup over atom runs i..j of (|mu(run)| - omega(x_j - x_i))^+, one pair at a time."""
+    csum = np.concatenate([[0.0], np.cumsum(mu.weights)])
+    loc = mu.locations
+    best = 0.0
+    for i in range(mu.n_atoms):
+        for j in range(i, mu.n_atoms):
+            val = abs(csum[j + 1] - csum[i]) - omega(loc[j] - loc[i])
+            if val > best:
+                best = float(val)
+    return best
+
+
+def _scalar_dictionary(lo: float, hi: float, depth: int = 5) -> list[Callable]:
+    """The default dictionary's tanh sigmoids and triangular bumps, one point per call."""
+    size = max(hi - lo, 1e-9)
+    funcs: list[Callable] = []
+    for level in range(depth + 1):
+        w = size / 2**level
+        for c in np.linspace(lo, hi, 2**level + 1):
+            funcs.append(lambda x, c=c, w=w: math.tanh((x - c) / w))
+            funcs.append(lambda x, c=c, w=w: max(0.0, 1.0 - abs(x - c) / w))
+    return funcs
+
+
+def narrow_proxy_loop(
+    mu: SignedAtomicMeasure, nu: SignedAtomicMeasure, dictionary: Iterable[Callable] | None = None
+) -> float:
+    """max over the dictionary of |int phi dmu - int phi dnu|, each integral a scalar sum."""
+    if dictionary is None:
+        pts = [*mu.locations, *nu.locations, 0.0]
+        dictionary = _scalar_dictionary(min(pts) - 1.0, max(pts) + 1.0)
+
+    def integral(m: SignedAtomicMeasure, phi: Callable) -> float:
+        return sum(w * phi(x) for x, w in zip(m.locations, m.weights))
+
+    return max(abs(integral(mu, phi) - integral(nu, phi)) for phi in dictionary)

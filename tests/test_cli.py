@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from annihilate import harness
-from annihilate.cli import _SCHEMA, _build, _load_config, _typed, main
+from annihilate.cli import _SCHEMA, _build, _load_config, _measure_args, _typed, main
 from annihilate.io import read_events_jsonl, read_trajectory_csv
 
 
@@ -213,11 +213,26 @@ class TestConfigSchema:
             ("simulate", {"simulate": {"positions": [1.0, 0.0], "charges": [1, -1]}}),
             ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [2, -1]}}),
             ("simulate", {"simulate": {"positions": "foo", "charges": [1, -1]}}),
+            ("measure", {"measure": {"ns": [2.5]}}),
+            ("measure", {"measure": {"ns": [True]}}),
+            ("measure", {"measure": {"ns": []}}),
+            ("measure", {"measure": {"threshold": float("nan")}}),
+            ("measure", {"measure": {"threshold": float("inf")}}),
+            ("measure", {"measure": {"threshold": -0.1}}),
+            ("converge", {"experiment": {"ns": [8, 16.5]}}),
+            ("verify", {"verify": {"runs": 2.5}}),
+            ("hj", {"hj": {"snapshots": True}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
+                          "integrator": {"n_samples": 5.5}}),
         ],
         ids=[
             "ns-string", "ns-zero", "ref_h-zero", "h-zero", "rel_tol-negative", "sizes-one",
             "measure-ns-string", "measure-ns-zero", "measure-family", "datum", "hj-initial",
             "simulate-out-of-order", "simulate-charge-two", "simulate-positions-string",
+            "measure-ns-fraction", "measure-ns-bool", "measure-ns-empty",
+            "measure-threshold-nan", "measure-threshold-inf", "measure-threshold-negative",
+            "converge-ns-fraction", "verify-runs-fraction", "hj-snapshots-bool",
+            "n_samples-fraction",
         ],
     )
     def test_bad_value_exits_2_without_outputs(self, tmp_path, capsys, command, payload):
@@ -239,6 +254,11 @@ class TestConfigSchema:
         out = tmp_path / "out"
         assert main([command, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_whole_floats_convert_to_int(self):
+        assert _typed(_measure_args, {"ns": [4.0, 8], "threshold": 0}) == {
+            "ns": (4, 8), "threshold": 0.0,
+        }
 
     def test_schema_keys(self):
         # the schema is read from the config dataclasses: a new field must

@@ -102,7 +102,7 @@ class TestOperator:
         tails = (-0.7, 0.3)
         u = H.GridFunction(xs=xs, values=vals, tails=tails)
         got = H.levy_operator_all(u, 4 * u.h)
-        kern = H._kernel_for(u, 4)
+        kern = H._kernel_for(u, 4 * u.h)
         want = levy_operator_direct(u, kern.G, kern.tail_cut)
         scale = float(np.max(np.abs(kern.G))) * max(float(np.max(np.abs(vals))), *map(abs, tails))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale

@@ -6,7 +6,7 @@ from annihilate.harness import pair_bump, sample_particles
 from annihilate.integrator import IntegratorConfig, evolve
 from annihilate.levelset import from_particles
 from annihilate.particles import ParticleState, net_charge
-from reference import mass_outside
+from reference import aec_defect_loop, mass_outside, narrow_proxy_loop
 
 
 def dipole(n):
@@ -23,6 +23,17 @@ def lipschitz_family(n):
 
 
 ZERO = M.SignedAtomicMeasure(locations=np.array([1e6]), weights=np.array([0.0]))
+
+ORACLE_SIZES = (0, 1, 2, 17, 120, 300)
+
+
+def random_measure(rng, n):
+    """n atoms in [0, 1) with weights of both signs and magnitudes in [0.2, 1] / sqrt(n)."""
+    signs = rng.choice([-1.0, 1.0], n)
+    return M.SignedAtomicMeasure(
+        locations=rng.uniform(0.0, 1.0, n),
+        weights=signs * rng.uniform(0.2, 1.0, n) / np.sqrt(max(n, 1)),
+    )
 
 
 class TestCdf:
@@ -77,7 +88,38 @@ class TestAec:
         assert ok and all(v == 0.0 for v in s)
 
 
+    @pytest.mark.parametrize(
+        "omega",
+        [
+            lambda r: 0.5 * np.abs(r),
+            lambda r: 4.0 * np.abs(r),
+            lambda r: np.sqrt(np.abs(r)),
+            lambda r: np.minimum(1.0, 3 * np.abs(r)),
+            lambda r: np.where(r > 0.5, np.nan, np.abs(r)),
+        ],
+        ids=["lipschitz-0.5", "lipschitz-4", "sqrt", "capped", "nan-beyond-half"],
+    )
+    def test_row_sweep_equals_scalar_loop(self, omega):
+        rng = np.random.default_rng(11)
+        mus = [random_measure(rng, n) for n in ORACLE_SIZES]
+        s, _ = M.aec_modulus(mus, omega)
+        assert s == [aec_defect_loop(mu, omega) for mu in mus]
+        assert all(v > 0.0 for v in s[1:])
+
+
 class TestNarrowProxy:
+    @pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
+    def test_matches_scalar_sums(self, explicit):
+        rng = np.random.default_rng(12)
+        extra = [lambda x: np.cos(3.0 * x), lambda x: np.exp(-x * x)]
+        for n in ORACLE_SIZES:
+            mu, nu = random_measure(rng, n), random_measure(rng, n + 3)
+            d = M.default_dictionary((-1.5, 2.5)) + extra if explicit else None
+            got = M.narrow_distance_proxy(mu, nu, d)
+            want = narrow_proxy_loop(mu, nu, d)
+            assert abs(got - want) <= 1e-13 * (mu.total_variation() + nu.total_variation())
+            assert want > 0.0
+
     def test_identical_measures(self):
         mu = lipschitz_family(16)
         assert M.narrow_distance_proxy(mu, mu) == 0.0
