@@ -1,21 +1,23 @@
 """Command-line driver: simulate, hj, converge, verify, measure, moments.
 
-Configuration is one YAML file with nested sections; unknown keys and
-bad values are rejected (exit 2).  Runtime failures exit 3 with a
-machine-readable error JSON on stdout; `verify` exits 1 when an invariant
-fails.  Formats are documented in docs/formats.md.
+Configuration is one YAML file of sections, each built by one callable
+whose parameters give the section's keys, types and defaults; an unknown
+or missing key or a bad value exits 2 before any output exists.  Runtime
+failures exit 3 with a machine-readable error JSON on stdout; `verify`
+exits 1 when an invariant fails.  Formats are in docs/formats.md.
 """
 from __future__ import annotations
 
 import argparse
 import collections.abc
+import inspect
 import json
 import logging
 import os
 import sys
 import types
 import typing
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,24 +29,12 @@ from .particles import ParticleState
 
 log = logging.getLogger("annihilate")
 
-# dataclass fields that are not config keys
 _HIDDEN = {"boundary_margin_cells", "sample_times", "store_steps", "max_steps"}
 
 
-def _keys(cls) -> set[str]:
-    return {f.name for f in fields(cls)} - _HIDDEN
-
-
-_SCHEMA: dict[str, set[str]] = {
-    "integrator": _keys(IntegratorConfig) | {"n_samples"},
-    "scheme": _keys(hjsolver.SchemeConfig),
-    "experiment": _keys(harness.ExperimentSpec),
-    "simulate": {"positions", "charges", "coupling"},
-    "hj": {"initial", "snapshots"},
-    "verify": {"seed", "sizes", "runs", "t_end"},
-    "measure": {"family", "ns", "threshold"},
-    "moments": {"positions"},
-}
+def _keys(target) -> set[str]:
+    """A section's keys: the parameters of the callable it is built with, less _HIDDEN fields."""
+    return set(inspect.signature(target).parameters) - _HIDDEN
 
 
 class ConfigError(ValueError):
@@ -79,7 +69,7 @@ def _load_config(path: str | None) -> dict:
 def _convert(tp, value):
     """value as the annotated type tp: a scalar type, X | None, or a tuple or sequence of X.
 
-    An int takes whole numbers only: a bool or a fractional float is refused, not truncated.
+    A bool is never a number and a fraction never an int: both are refused, not converted.
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (tuple, collections.abc.Sequence):
@@ -88,7 +78,9 @@ def _convert(tp, value):
         return tuple(_convert(args[0], v) for v in value)
     if origin is types.UnionType:
         tp = args[0]
-    if tp is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, bool) and tp is not bool:
+        raise TypeError(f"expected {tp.__name__}, got {value!r}")
+    if tp is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return tp(value)
 
@@ -105,13 +97,13 @@ def _typed(target, section: dict) -> dict:
     return out
 
 
-def _build(cls, section: dict, **defaults):
-    """cls from the section's keys over the given defaults; the rest are cls's own."""
-    kwargs = {**defaults, **_typed(cls, section)}
+def _build(target, section: dict, **defaults):
+    """target called with the section over the defaults; whatever it refuses is a ConfigError."""
+    kwargs = {**defaults, **_typed(target, section)}
     try:
-        return cls(**kwargs)
+        return target(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{cls.__name__}: {exc}") from exc
+        raise ConfigError(f"{target.__name__}: {exc}") from exc
 
 
 def _integrator_config(section: dict) -> IntegratorConfig:
@@ -126,9 +118,25 @@ def _integrator_config(section: dict) -> IntegratorConfig:
     return replace(cfg, sample_times=tuple(samples))
 
 
-def _hj_frames(scheme: hjsolver.SchemeConfig, initial: str = "sigmoid", snapshots: int = 5):
-    times = np.linspace(0.0, scheme.t_end, snapshots)
-    return hjsolver.solve_hj(harness.CATALOG[initial].u0, scheme, times)
+def _simulate_state(positions: tuple[float, ...], charges: tuple[int, ...], coupling: float = -1.0):
+    """The `simulate` section's initial state; coupling -1 stands for 1/n."""
+    return ParticleState(positions=positions, charges=charges, coupling=coupling)
+
+
+def _hj_args(initial: str = "sigmoid", snapshots: int = 5):
+    """The `hj` section: the initial datum and the number of frames from 0 to t_end."""
+    if initial not in harness.CATALOG:
+        raise ValueError(f"unknown datum {initial!r}; choose from {sorted(harness.CATALOG)}")
+    if snapshots < 2:
+        raise ValueError(f"snapshots must be at least 2, got {snapshots}")
+    return harness.CATALOG[initial].u0, snapshots
+
+
+def _moments_positions(positions: tuple[float, ...]) -> tuple[float, ...]:
+    """The `moments` section's positions: a non-empty list of finite numbers."""
+    if not positions or not np.isfinite(positions).all():
+        raise ValueError(f"positions must be non-empty and finite, got {list(positions)}")
+    return positions
 
 
 def _out_dir(args) -> Path:
@@ -143,18 +151,8 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 
 def cmd_simulate(args, cfg: dict) -> int:
-    section = cfg.get("simulate", {})
-    if "positions" not in section or "charges" not in section:
-        return _fail(2, "config", "simulate needs positions and charges")
     icfg = _integrator_config(cfg.get("integrator", {}))
-    try:
-        state = ParticleState(
-            positions=np.asarray(section["positions"], dtype=float),
-            charges=np.asarray(section["charges"], dtype=int),
-            coupling=float(section.get("coupling", -1.0)),
-        )
-    except (TypeError, ValueError) as exc:  # InvalidState is a ValueError
-        raise ConfigError(f"simulate: {exc}") from exc
+    state = _build(_simulate_state, cfg.get("simulate", {}))
     out = _out_dir(args)
     chash = io.config_hash(cfg)
     try:
@@ -169,17 +167,10 @@ def cmd_simulate(args, cfg: dict) -> int:
 
 def cmd_hj(args, cfg: dict) -> int:
     scheme = _build(hjsolver.SchemeConfig, cfg.get("scheme", {}))
-    run = _typed(_hj_frames, cfg.get("hj", {}))
-    if "initial" in run and run["initial"] not in harness.CATALOG:
-        raise ConfigError(
-            f"initial: unknown datum {run['initial']!r}; choose from {sorted(harness.CATALOG)}"
-        )
+    u0, snapshots = _build(_hj_args, cfg.get("hj", {}))
     out = _out_dir(args)
     chash = io.config_hash(cfg)
-    try:
-        frames = _hj_frames(scheme, **run)
-    except (KeyError, ValueError) as exc:
-        return _fail(3, "hj", str(exc))
+    frames = hjsolver.solve_hj(u0, scheme, np.linspace(0.0, scheme.t_end, snapshots))
     for k, fr in enumerate(frames):
         io.write_xy_csv(out / f"hj_{k:03d}.csv", fr.xs, fr.values, chash)
     return 0
@@ -203,12 +194,7 @@ def cmd_converge(args, cfg: dict) -> int:
 
 
 def cmd_verify(args, cfg: dict) -> int:
-    kwargs = {"seed": args.seed, **_typed(harness.run_property_suite, cfg.get("verify", {}))}
-    try:
-        report = harness.run_property_suite(**kwargs)
-    except ValueError as exc:
-        # only bad arguments raise ValueError; a failed run raises EvolveError
-        return _fail(2, "config", str(exc))
+    report = _build(harness.run_property_suite, cfg.get("verify", {}), seed=args.seed)
     out = _out_dir(args)
     (out / "properties.json").write_text(report.to_json() + "\n")
     for name, chk in sorted(report.checks.items()):
@@ -221,19 +207,19 @@ def _measure_args(
 ) -> tuple[str, tuple[int, ...], float]:
     """The `measure` section's values with its defaults, checked before any output is made."""
     if family not in ("dipole", "lipschitz_cdf"):
-        raise ConfigError(f"family: unknown measure family {family!r}")
+        raise ValueError(f"family: unknown measure family {family!r}")
     if not ns or not all(n >= 1 for n in ns):
-        raise ConfigError("ns: must be a non-empty list of positive sizes")
+        raise ValueError("ns: must be a non-empty list of positive sizes")
     if not 0.0 <= threshold < np.inf:
-        raise ConfigError(f"threshold: must be finite and nonnegative, got {threshold!r}")
+        raise ValueError(f"threshold: must be finite and nonnegative, got {threshold!r}")
     return family, ns, threshold
 
 
 def cmd_measure(args, cfg: dict) -> int:
-    family, ns, threshold = _measure_args(**_typed(_measure_args, cfg.get("measure", {})))
+    family, ns, threshold = _build(_measure_args, cfg.get("measure", {}))
     out = _out_dir(args)
     chash = io.config_hash(cfg)
-    zero = measures.SignedAtomicMeasure(locations=np.array([1e6]), weights=np.array([0.0]))
+    empty = measures.SignedAtomicMeasure(locations=np.empty(0), weights=np.empty(0))
     mus = []
     for n in ns:
         if family == "dipole":
@@ -248,7 +234,7 @@ def cmd_measure(args, cfg: dict) -> int:
         io.write_measure_csv(out / f"measure_{family}_{n:04d}.csv", mu, chash)
     omega = (lambda r: abs(r)) if family == "lipschitz_cdf" else (lambda r: 2.0 * abs(r))
     s_list, aec_ok = measures.aec_modulus(mus, omega, threshold=threshold)
-    proxies = [measures.narrow_distance_proxy(mu, zero) for mu in mus]
+    proxies = [measures.narrow_distance_proxy(mu, empty) for mu in mus]
     sup_cdf = [measures.cdf(mu).sup_norm() for mu in mus]
     payload = {
         "family": family,
@@ -263,10 +249,7 @@ def cmd_measure(args, cfg: dict) -> int:
 
 
 def cmd_moments(args, cfg: dict) -> int:
-    section = cfg.get("moments", {})
-    if "positions" not in section:
-        return _fail(2, "config", "moments needs positions")
-    x = np.asarray(section["positions"], dtype=float)
+    x = _build(_moments_positions, cfg.get("moments", {}))
     M = moments.moments(x)
     try:
         rec = moments.reconstruct_positions(M)
@@ -279,6 +262,17 @@ def cmd_moments(args, cfg: dict) -> int:
     print(json.dumps({"moments": M.tolist(), "reconstructed": rec.tolist()}))
     return 0
 
+
+_SCHEMA: dict[str, set[str]] = {
+    "integrator": _keys(IntegratorConfig) | {"n_samples"},
+    "scheme": _keys(hjsolver.SchemeConfig),
+    "experiment": _keys(harness.ExperimentSpec),
+    "simulate": _keys(_simulate_state),
+    "hj": _keys(_hj_args),
+    "verify": _keys(harness.run_property_suite),
+    "measure": _keys(_measure_args),
+    "moments": _keys(_moments_positions),
+}
 
 _COMMANDS = {
     "simulate": cmd_simulate,

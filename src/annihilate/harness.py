@@ -211,12 +211,12 @@ class ExperimentSpec:
     offset: float = 0.5
     t_end: float = 0.25
     n_snapshots: int = 6
-    ref_L: float = 4.0
+    ref_L: float = hjsolver.SchemeConfig.L
     ref_h: float = 1.0 / 256.0
-    ref_rho: float = 1.0 / 16.0
-    ref_cfl: float = 0.8
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-9
+    ref_rho: float = hjsolver.SchemeConfig.rho
+    ref_cfl: float = hjsolver.SchemeConfig.cfl
+    abs_tol: float = IntegratorConfig.abs_tol
+    rel_tol: float = IntegratorConfig.rel_tol
     scan_points: int = 2**15
     seed: int = 0
     boundary_margin_cells: int = 2
@@ -228,6 +228,8 @@ class ExperimentSpec:
             )
         if not all(n >= 1 for n in self.ns):
             raise ValueError("ns must be positive")
+        if not 0.0 <= self.offset < 1.0:
+            raise ValueError(f"offset must lie in [0, 1), got {self.offset!r}")
         # both configs check their own fields
         self.scheme_config()
         self.integrator_config()
@@ -502,10 +504,10 @@ def run_property_suite(
     1/n, and aggregates worst-case margins per named check.  Margins are
     positive iff the check passed with room.  Raises ValueError before
     drawing anything when sizes is empty or holds a size below 2, which
-    cannot carry both signs.
+    cannot carry both signs, or when runs is negative.
     """
-    if not sizes or min(sizes) < 2:
-        raise ValueError(f"sizes must be at least 2, got {list(sizes)}")
+    if not sizes or min(sizes) < 2 or runs < 0:
+        raise ValueError(f"need sizes >= 2 and runs >= 0, got sizes={list(sizes)}, runs={runs}")
     rng = np.random.default_rng(seed)
     found: dict[str, CheckResult | None] = dict.fromkeys([*_PER_RUN, *_ONE_SHOT])
     events: list[int] = []

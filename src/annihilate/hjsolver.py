@@ -59,8 +59,8 @@ class SchemeConfig:
     t_end: float = 0.25
 
     def __post_init__(self):
-        if not (self.L > 0 and self.h > 0 and self.t_end > 0):
-            raise ValueError("L, h, t_end must be positive")
+        if not (0 < self.L < math.inf and self.h > 0 and 0 < self.t_end < math.inf):
+            raise ValueError("L and t_end must be positive and finite, h positive")
         if not (0 < self.cfl < 1):
             raise ValueError("cfl must lie in (0, 1)")
         r = int(round(self.rho / self.h))

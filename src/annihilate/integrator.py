@@ -90,6 +90,8 @@ class IntegratorConfig:
         for name in ("t_end", "abs_tol", "rel_tol", "max_step", "safety"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not math.isfinite(self.t_end):
+            raise ValueError("t_end must be finite")
         if self.cluster_gap is not None and not self.cluster_gap > 0:
             raise ValueError("cluster_gap must be positive")
         if self.sample_times is not None:

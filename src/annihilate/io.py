@@ -26,6 +26,7 @@ __all__ = [
     "read_events_jsonl",
     "write_xy_csv",
     "write_measure_csv",
+    "write_stepfunction_csv",
     "write_convergence_csv",
 ]
 

@@ -158,6 +158,14 @@ class TestOtherCommands:
         proxies = payload["narrow_proxy"]
         assert all(b < a for a, b in zip(proxies[:-1], proxies[1:]))
 
+    def test_measure_dipole_proxy_against_the_empty_measure(self, tmp_path):
+        # the dipole against no atoms at all, on a dictionary over the dipole's own window
+        cfg = write_cfg(tmp_path, {"measure": {"family": "dipole", "ns": [256]}})
+        out = tmp_path / "out"
+        assert main(["measure", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "measure_report.json").read_text())
+        assert payload["narrow_proxy"] == [pytest.approx(0.062358, rel=1e-3)]
+
     def test_measure_lipschitz_family_passes(self, tmp_path):
         cfg = write_cfg(
             tmp_path, {"measure": {"family": "lipschitz_cdf", "ns": [8, 16, 32, 64]}}
@@ -224,6 +232,27 @@ class TestConfigSchema:
             ("hj", {"hj": {"snapshots": True}}),
             ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
                           "integrator": {"n_samples": 5.5}}),
+            ("moments", {"moments": {"positions": "foo"}}),
+            ("moments", {"moments": {"positions": []}}),
+            ("moments", {"moments": {"positions": [[1, 2], [3, 4]]}}),
+            ("moments", {"moments": {"positions": [1, float("nan")]}}),
+            ("moments", {"moments": {"positions": [True, 2]}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1.5, -1]}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [True, -1]}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
+                                       "coupling": True}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
+                          "integrator": {"t_end": True}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
+                          "integrator": {"cluster_gap": True}}),
+            ("measure", {"measure": {"threshold": True}}),
+            ("converge", {"experiment": {"t_end": True}}),
+            ("verify", {"verify": {"runs": -1}}),
+            ("hj", {"hj": {"snapshots": -3}}),
+            ("hj", {"hj": {"snapshots": 1}}),
+            ("converge", {"experiment": {"offset": 1.5}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0]}}),
+            ("moments", {"moments": {}}),
         ],
         ids=[
             "ns-string", "ns-zero", "ref_h-zero", "h-zero", "rel_tol-negative", "sizes-one",
@@ -233,6 +262,12 @@ class TestConfigSchema:
             "measure-threshold-nan", "measure-threshold-inf", "measure-threshold-negative",
             "converge-ns-fraction", "verify-runs-fraction", "hj-snapshots-bool",
             "n_samples-fraction",
+            "moments-positions-string", "moments-positions-empty", "moments-positions-nested",
+            "moments-positions-nan", "moments-positions-bool", "simulate-charge-fraction",
+            "simulate-charge-bool", "simulate-coupling-bool", "integrator-t_end-bool",
+            "integrator-cluster_gap-bool", "measure-threshold-bool", "experiment-t_end-bool",
+            "verify-runs-negative", "hj-snapshots-negative", "hj-snapshots-one",
+            "experiment-offset-above-one", "simulate-missing-charges", "moments-missing-positions",
         ],
     )
     def test_bad_value_exits_2_without_outputs(self, tmp_path, capsys, command, payload):
@@ -271,6 +306,12 @@ class TestConfigSchema:
             "datum", "ns", "offset", "t_end", "n_snapshots", "ref_L", "ref_h",
             "ref_rho", "ref_cfl", "abs_tol", "rel_tol", "scan_points", "seed",
         }
+        assert _SCHEMA["simulate"] == {"positions", "charges", "coupling"}
+        assert _SCHEMA["hj"] == {"initial", "snapshots"}
+        assert _SCHEMA["verify"] == {"seed", "sizes", "runs", "t_end"}
+        assert _SCHEMA["measure"] == {"family", "ns", "threshold"}
+        assert _SCHEMA["moments"] == {"positions"}
+        assert len(_SCHEMA) == 8
 
     def test_converge_defaults_come_from_the_spec(self, tmp_path, monkeypatch):
         seen = []

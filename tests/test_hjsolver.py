@@ -38,6 +38,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             H.SchemeConfig(L=1.0, h=1 / 16, rho=4 / 16, cfl=1.5, t_end=1.0)
 
+    @pytest.mark.parametrize("name", ["L", "t_end"])
+    def test_infinite_extent_rejected(self, name):
+        # solve_hj would march towards an infinite t_end without end
+        kwargs = {"L": 1.0, "h": 1 / 16, "rho": 4 / 16, "cfl": 0.5, "t_end": 1.0, name: math.inf}
+        with pytest.raises(ValueError, match="finite"):
+            H.SchemeConfig(**kwargs)
+
 
 class TestOperator:
     def test_constant_maps_to_zero(self, small_cfg):

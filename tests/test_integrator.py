@@ -132,6 +132,11 @@ class TestResolve:
 
 
 class TestEvolve:
+    def test_infinite_t_end_rejected(self):
+        # evolve would step towards an infinite horizon without end
+        with pytest.raises(ValueError, match="finite"):
+            IntegratorConfig(t_end=np.inf)
+
     def test_pair_annihilation_time(self):
         a = 0.6
         s = make([-a, a], [1, -1], gamma=0.5)
