@@ -1,10 +1,12 @@
 """Command-line driver: simulate, hj, converge, verify, measure, moments.
 
 Configuration is one YAML file of sections, each built by one callable
-whose parameters give the section's keys, types and defaults; an unknown
-or missing key or a bad value exits 2 before any output exists.  Runtime
-failures exit 3 with a machine-readable error JSON on stdout; `verify`
-exits 1 when an invariant fails.  Formats are in docs/formats.md.
+whose parameters give the section's keys, types and defaults.  Each
+command reads only its own sections (`_COMMANDS`).  An unknown or missing
+key, a section the command does not read, or a bad value exits 2 before
+any output exists.  Runtime failures exit 3 with a machine-readable error
+JSON on stdout; `verify` exits 1 when an invariant fails.  Formats are in
+docs/formats.md.
 """
 from __future__ import annotations
 
@@ -41,7 +43,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, sections: set[str]) -> dict:
+    """The YAML config at path, holding no section outside `sections`: those the command reads."""
     if path is None:
         return {}
     try:
@@ -53,8 +56,8 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     for section, content in raw.items():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section {section!r}")
+        if section not in sections:
+            raise ConfigError(f"config section {section!r} is not one of {sorted(sections)}")
         if content is None:
             raw[section] = {}
             continue
@@ -69,7 +72,8 @@ def _load_config(path: str | None) -> dict:
 def _convert(tp, value):
     """value as the annotated type tp: a scalar type, X | None, or a tuple or sequence of X.
 
-    A bool is never a number and a fraction never an int: both are refused, not converted.
+    None passes through for X | None.  A bool is never a number and a
+    fraction never an int: both are refused, not converted.
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (tuple, collections.abc.Sequence):
@@ -77,6 +81,8 @@ def _convert(tp, value):
             raise TypeError(f"expected a list, got {value!r}")
         return tuple(_convert(args[0], v) for v in value)
     if origin is types.UnionType:
+        if value is None:
+            return None
         tp = args[0]
     if isinstance(value, bool) and tp is not bool:
         raise TypeError(f"expected {tp.__name__}, got {value!r}")
@@ -118,8 +124,9 @@ def _integrator_config(section: dict) -> IntegratorConfig:
     return replace(cfg, sample_times=tuple(samples))
 
 
-def _simulate_state(positions: tuple[float, ...], charges: tuple[int, ...], coupling: float = -1.0):
-    """The `simulate` section's initial state; coupling -1 stands for 1/n."""
+def _simulate_state(positions: tuple[float, ...], charges: tuple[int, ...],
+                    coupling: float | None = None):
+    """The `simulate` section's initial state; no coupling stands for 1/n."""
     return ParticleState(positions=positions, charges=charges, coupling=coupling)
 
 
@@ -274,13 +281,14 @@ _SCHEMA: dict[str, set[str]] = {
     "moments": _keys(_moments_positions),
 }
 
+# each command with the only config sections it reads
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "hj": cmd_hj,
-    "converge": cmd_converge,
-    "verify": cmd_verify,
-    "measure": cmd_measure,
-    "moments": cmd_moments,
+    "simulate": (cmd_simulate, {"simulate", "integrator"}),
+    "hj": (cmd_hj, {"hj", "scheme"}),
+    "converge": (cmd_converge, {"experiment"}),
+    "verify": (cmd_verify, {"verify"}),
+    "measure": (cmd_measure, {"measure"}),
+    "moments": (cmd_moments, {"moments"}),
 }
 
 
@@ -297,8 +305,9 @@ def main(argv: list[str] | None = None) -> int:
         level=os.environ.get("ANNIHILATE_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
+    command, sections = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args, _load_config(args.config))
+        return command(args, _load_config(args.config, sections))
     except ConfigError as exc:
         return _fail(2, "config", str(exc))
 

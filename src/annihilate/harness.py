@@ -1,10 +1,11 @@
 """Discrete-to-continuum experiments and the randomized invariant battery.
 
-Particles are sampled from continuous initial data as level crossings at
-heights eps (Z + a), evolved with coupling gamma = eps = 1/n, turned back
-into step functions, and compared in sup norm against the grid solution
-of the limit equation.  The property suite drives randomized ensembles
-through every quantitative invariant the theory provides.
+Particles are sampled from continuous initial data, which act elementwise
+on arrays, as level crossings at heights eps (Z + a), all bisected at
+once.  They are evolved with coupling gamma = eps = 1/n, turned back into
+step functions, and compared in sup norm against the grid solution of the
+limit equation.  The property suite drives randomized ensembles through
+every quantitative invariant the theory provides.
 """
 from __future__ import annotations
 
@@ -53,32 +54,32 @@ class DegenerateCrossing(ValueError):
 
 @dataclass(frozen=True)
 class InitialDatum:
-    """Catalog entry: bounded uniformly continuous, constant outside window."""
+    """Catalog entry: bounded uniformly continuous, constant outside window.
+
+    u0 acts elementwise: it takes an array of points and returns the
+    values there, an array of the same shape.
+    """
 
     name: str
-    u0: Callable[[float], float]
+    u0: Callable[[np.ndarray], np.ndarray]
     window: tuple[float, float]
     lipschitz: float  # upper bound on max |u0'|
     description: str = ""
 
 
-def _smoothstep(x: float) -> float:
-    if x <= -1.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    t = (x + 1.0) / 2.0
+def _smoothstep(x: np.ndarray) -> np.ndarray:
+    t = np.clip((x + 1.0) / 2.0, 0.0, 1.0)
     return t * t * (3.0 - 2.0 * t)
 
 
-def _mollifier(x: float) -> float:
+def _mollifier(x: np.ndarray) -> np.ndarray:
     # C-infinity bump supported on (-1, 1), value 1 at 0
-    if abs(x) >= 1.0:
-        return 0.0
-    return math.exp(1.0 - 1.0 / (1.0 - x * x))
+    inside = np.abs(x) < 1.0
+    r = np.where(inside, x, 0.0)
+    return np.where(inside, np.exp(1.0 - 1.0 / (1.0 - r * r)), 0.0)
 
 
-def _double_bump(x: float) -> float:
+def _double_bump(x: np.ndarray) -> np.ndarray:
     return 0.62 * (_mollifier((x + 1.05) / 0.85) + _mollifier((x - 1.05) / 0.85))
 
 
@@ -99,7 +100,7 @@ CATALOG: dict[str, InitialDatum] = {
     ),
     "constant": InitialDatum(
         name="constant",
-        u0=lambda x: 0.25,
+        u0=lambda x: np.full(np.shape(x), 0.25),
         window=(-1.0, 1.0),
         lipschitz=0.0,
         description="no level crossings, no particles; the error is zero",
@@ -140,21 +141,8 @@ def quantized_level_below(value: float, eps: float, a: float) -> float:
     return level
 
 
-def _bisect(f, lo: float, hi: float, flo: float) -> float:
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def sample_particles(
-    u0: Callable[[float], float],
+    u0: Callable[[np.ndarray], np.ndarray],
     n: int,
     a: float,
     window: tuple[float, float] = (-4.0, 4.0),
@@ -162,6 +150,9 @@ def sample_particles(
 ) -> ParticleState | None:
     """Particles as level crossings of u0 at heights (1/n)(Z + a).
 
+    u0 is called on whole arrays: once on the scan grid, then once per
+    halving on the midpoints of every bracket of every level.  A bracket
+    stops when its midpoint equals an end, after at most 200 halvings.
     The charge is the sign of the slope at the crossing.  Coupling is set
     to eps = 1/n, the rescaled system of the level-set correspondence.
     Returns None when no level is crossed (constant data).  Raises
@@ -171,29 +162,38 @@ def sample_particles(
         raise ValueError("offset a must lie in [0, 1)")
     eps = 1.0 / n
     xs = np.linspace(window[0], window[1], scan_points)
-    vals = np.array([u0(x) for x in xs])
-    umin, umax = float(vals.min()), float(vals.max())
-    k_lo = math.ceil(umin / eps - a)
-    k_hi = math.floor(umax / eps - a)
+    vals = u0(xs)
+    k_lo = math.ceil(float(vals.min()) / eps - a)
+    k_hi = math.floor(float(vals.max()) / eps - a)
 
-    crossings: list[tuple[float, int]] = []
+    brackets, levels = [np.empty(0, dtype=int)], [np.empty(0)]  # empty when no level is crossed
     for k in range(k_lo, k_hi + 1):
         level = eps * (k + a)
         f = vals - level
         flat = np.abs(f) < 1e-12
         if np.any(flat[:-1] & flat[1:]):
             raise DegenerateCrossing(f"u0 is flat at level {level}")
-        sign_change = np.flatnonzero(f[:-1] * f[1:] < 0.0)
-        for i in sign_change:
-            c = _bisect(lambda x: u0(x) - level, xs[i], xs[i + 1], f[i])
-            charge = 1 if f[i] < 0 else -1  # rising crossing carries +1
-            crossings.append((c, charge))
-    if not crossings:
+        brackets.append(np.flatnonzero(f[:-1] * f[1:] < 0.0))
+        levels.append(np.full(brackets[-1].size, level))
+    idx, level = np.concatenate(brackets), np.concatenate(levels)
+    if not idx.size:
         return None
-    crossings.sort()
-    pos = np.array([c for c, _ in crossings])
-    chg = np.array([b for _, b in crossings], dtype=int)
-    if pos.size > 1 and np.any(np.diff(pos) <= 0):
+    lo, hi = xs[idx], xs[idx + 1]
+    flo = vals[idx] - level
+    chg = np.where(flo < 0, 1, -1)  # rising crossing carries +1
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        live = (mid != lo) & (mid != hi)
+        if not live.any():
+            break
+        fm = u0(mid) - level
+        up = live & ((fm > 0) == (flo > 0))
+        lo, flo = np.where(up, mid, lo), np.where(up, fm, flo)
+        hi = np.where(live & ~up, mid, hi)
+    pos = 0.5 * (lo + hi)
+    order = np.argsort(pos)
+    pos, chg = pos[order], chg[order]
+    if np.any(np.diff(pos) <= 0):
         raise DegenerateCrossing("coincident crossings; raise scan_points or move a")
     return ParticleState(positions=pos, charges=chg, coupling=eps)
 
@@ -282,7 +282,7 @@ def _comparison_points(spec: ExperimentSpec, ref: hjsolver.GridFunction, u_n: le
     return allpts[(allpts >= lo) & (allpts <= hi)]
 
 
-def _ladder_row(spec: ExperimentSpec, n: int, u0: Callable[[float], float],
+def _ladder_row(spec: ExperimentSpec, n: int, u0: Callable[[np.ndarray], np.ndarray],
                 window: tuple[float, float], u_left: float,
                 reference: Callable[[float, levelset.StepFunction], tuple]) -> ConvergenceRow:
     """Sample u0 at level spacing 1/n in window, evolve, and measure e_n.
@@ -350,8 +350,9 @@ def run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
             pts = _comparison_points(spec, fr, u_n)
             return pts, fr.interp(pts)
 
-        window = (-spec.ref_L, spec.ref_L)
-        rows = [_ladder_row(spec, n, datum.u0, window, datum.u0(window[0]), interpolated)
+        # the reference's left tail is u0 at the window's left end
+        window, u_left = (-spec.ref_L, spec.ref_L), frame_of[0.0].tails[0]
+        rows = [_ladder_row(spec, n, datum.u0, window, u_left, interpolated)
                 for n in sorted(spec.ns)]
     good = [r.e_n for r in rows if r.error is None]
     monotone = all(b <= 1.1 * a for a, b in zip(good[:-1], good[1:]))

@@ -16,7 +16,9 @@ the sum splits into a Toeplitz product of the grid values alone, done
 as a circulant product with a kernel spectrum cached per grid
 (Golub-Van Loan, Matrix Computations, section 4.7), plus each tail times
 the cached total weight of the padding beyond its end.  A step then
-costs one numpy.fft rfft/irfft pair of length about 2n and two axpys.
+costs one numpy.fft rfft/irfft pair, of the smallest power-of-two length
+at least 2n - 2, and two axpys.  An initial datum acts elementwise on an
+array of points; `GridFunction.from_callable` calls it once on all nodes.
 """
 from __future__ import annotations
 
@@ -81,7 +83,7 @@ class GridFunction:
     def from_callable(cls, u0: Callable, config: SchemeConfig, time: float = 0.0) -> "GridFunction":
         n = int(round(2 * config.L / config.h))
         xs = np.linspace(-config.L, config.L, n + 1)
-        vals = np.array([float(u0(x)) for x in xs])
+        vals = np.asarray(u0(xs), dtype=float)
         return cls(xs=xs, values=vals, tails=(vals[0], vals[-1]), time=time)
 
     @property
@@ -109,22 +111,6 @@ def _padded(u: GridFunction, pad: int) -> np.ndarray:
     )
 
 
-def _smooth_len(n: int) -> int:
-    """Smallest 2^a 3^b 5^c that is at least n: a length numpy.fft transforms fast."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            m = p35
-            while m < n:
-                m *= 2
-            best = min(best, m)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 class _Kernel:
     """Symmetric discrete weights of the rho-split operator on one grid.
 
@@ -136,7 +122,8 @@ class _Kernel:
     With n >= FFT_NODES nodes the sum over the padded array U splits as
     sum_j G_{j-i} u_j + uL left_i + uR right_i.  The first term is a
     Toeplitz product over lags -(n-1)..n-1; it runs as a circulant product
-    of length `size` >= 2n - 2, whose kernel spectrum is cached.  (Lags
+    whose length `size` is the smallest power of two >= 2n - 2, with its
+    kernel spectrum cached.  (At size = 2n - 2, as on dyadic grids, lags
     n-1 and -(n-1) share one slot of that circulant; G is symmetric, so
     both read the same weight.)
     left_i = sum_{m < -i} G_m and right_i = sum_{m > n-1-i} G_m are the
@@ -180,7 +167,7 @@ class _Kernel:
         self.W = float(-G[mid] + 2.0 / self.tail_cut)
         if n_nodes >= FFT_NODES:
             n = n_nodes
-            self.size = _smooth_len(2 * n - 2)
+            self.size = 1 << (2 * n - 3).bit_length()
             # lag m at index m mod size
             wrapped = np.zeros(self.size)
             wrapped[:n] = G[mid : mid + n]

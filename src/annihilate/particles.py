@@ -12,7 +12,7 @@ everywhere downstream, and no two charged particles coincide.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
@@ -52,7 +52,7 @@ class ParticleState:
 
     positions: np.ndarray
     charges: np.ndarray
-    coupling: float = field(default=-1.0)  # -1 sentinel -> 1/n
+    coupling: float | None = None  # None -> 1/n
     time: float = 0.0
 
     def __post_init__(self):
@@ -74,9 +74,7 @@ class ParticleState:
             raise InvalidState(
                 f"charged particles out of order: x[{j}]={float(x[j])} <= x[{i}]={float(x[i])}"
             )
-        gamma = float(self.coupling)
-        if gamma == -1.0:
-            gamma = 1.0 / x.size
+        gamma = 1.0 / x.size if self.coupling is None else float(self.coupling)
         if not (gamma > 0 and np.isfinite(gamma)):
             raise InvalidState("coupling must be positive")
         x = x.copy()

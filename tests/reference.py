@@ -9,7 +9,9 @@ every node by one direct convolution with the solver's own weights, the
 oracle of its FFT branch.  `aec_defect_loop` is one defect of
 `measures.aec_modulus` by a scalar double loop over intervals, and
 `narrow_proxy_loop` is `measures.narrow_distance_proxy` by scalar sums
-over atoms with a scalar default dictionary.  The helpers at the end serve only the
+over atoms with a scalar default dictionary.  `sample_particles_loop` is
+`harness.sample_particles` with one u0 call per scan point and one scalar
+bisection per crossing.  The helpers at the end serve only the
 tests: a single integrator step with no history, the barrier bound on the
 limit equation and the tightness monitor of a measure.
 """
@@ -118,6 +120,47 @@ def levy_operator_direct(u: GridFunction, G: np.ndarray, tail_cut: float) -> np.
     return out + (u.tails[0] - u.values) / tail_cut + (u.tails[1] - u.values) / tail_cut
 
 
+def _bisect(f: Callable, lo: float, hi: float, flo: float) -> float:
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fm = f(mid)
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def sample_particles_loop(
+    u0: Callable, n: int, a: float, window: tuple[float, float] = (-4.0, 4.0),
+    scan_points: int = 2**15,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(positions, charges) of the level crossings of u0 at heights (1/n)(Z + a), point by point.
+
+    The scan grid, the levels and the sign-change test are the package's;
+    each crossing is then bisected alone with scalar u0 calls.  None when
+    no level is crossed.
+    """
+    eps = 1.0 / n
+    xs = np.linspace(window[0], window[1], scan_points)
+    vals = np.array([u0(x) for x in xs])
+    k_lo = math.ceil(float(vals.min()) / eps - a)
+    k_hi = math.floor(float(vals.max()) / eps - a)
+    crossings = []
+    for k in range(k_lo, k_hi + 1):
+        level = eps * (k + a)
+        f = vals - level
+        for i in np.flatnonzero(f[:-1] * f[1:] < 0.0):
+            c = _bisect(lambda x: u0(x) - level, xs[i], xs[i + 1], f[i])
+            crossings.append((c, 1 if f[i] < 0 else -1))
+    if not crossings:
+        return None
+    crossings.sort()
+    return np.array([c for c, _ in crossings]), np.array([b for _, b in crossings])
+
+
 def step(
     state: ParticleState, dt_max: float, config: IntegratorConfig
 ) -> tuple[ParticleState, float]:
@@ -148,7 +191,7 @@ def barrier_check(
     frames = list(frames)
     if v0_sup is None:
         xs = frames[0].xs if frames else np.linspace(-10, 10, 1001)
-        v0_sup = float(np.max(np.abs([v0(x) for x in xs])))
+        v0_sup = float(np.max(np.abs(v0(xs))))
     sigma = 2.0 * (
         semiconcavity * lip
         + BARRIER_C * (semiconcavity + lip * lip)
@@ -157,7 +200,7 @@ def barrier_check(
     )
     margin = math.inf
     for fr in frames:
-        bar = np.array([v0(x) for x in fr.xs]) + sigma * fr.time
+        bar = v0(fr.xs) + sigma * fr.time
         margin = min(margin, float(np.min(bar - fr.values)))
     return margin >= -1e-12, margin
 

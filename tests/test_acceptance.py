@@ -33,7 +33,7 @@ def make(x, b, gamma=None):
     return ParticleState(
         positions=np.asarray(x, float),
         charges=np.asarray(b, int),
-        coupling=-1.0 if gamma is None else gamma,
+        coupling=gamma,
     )
 
 
@@ -236,7 +236,7 @@ def test_criterion_07_staircase_and_quartic_bounds():
     cfg = H.SchemeConfig(L=4.0, h=rho / 32, rho=rho, cfl=0.8, t_end=1.0)
     y = 0.3
     g = H.GridFunction.from_callable(
-        lambda x: (x - y) ** 4 * math.exp(-((x / 3.0) ** 4)), cfg
+        lambda x: (x - y) ** 4 * np.exp(-((x / 3.0) ** 4)), cfg
     )
     i = int(round((0.55 + cfg.L) / cfg.h))
     exact = 12 * (g.xs[i] - y) ** 2 * rho + (2 / 3) * rho**3
@@ -256,8 +256,8 @@ def _random_compact_profile(rng, xs):
     c1, c2 = rng.uniform(-0.4, 0.4, 2)
     w1, w2 = rng.uniform(0.3, 0.55, 2)
     amp1, amp2 = rng.uniform(0.1, 0.4), rng.uniform(-0.3, 0.3)
-    step = np.array([Hn._smoothstep((x - c1) / w1) for x in xs])
-    bump = np.array([Hn._mollifier((x - c2) / w2) for x in xs])
+    step = Hn._smoothstep((xs - c1) / w1)
+    bump = Hn._mollifier((xs - c2) / w2)
     vals = amp1 * step + amp2 * bump
     return H.GridFunction(xs=xs, values=vals, tails=(0.0, amp1))
 
@@ -272,7 +272,7 @@ def test_criterion_08_scheme_properties():
         c2 = rng.uniform(-0.4, 0.4)
         amp = rng.uniform(0.05, 0.3)
         u = _random_compact_profile(rng, xs)
-        bump = np.array([Hn._mollifier((x - c2) / 0.5) for x in xs])
+        bump = Hn._mollifier((xs - c2) / 0.5)
         w = H.GridFunction(xs=xs, values=u.values + amp * bump, tails=u.tails)
         sup, lip = u.sup_norm(), u.lipschitz()
         for _ in range(10):
@@ -282,7 +282,7 @@ def test_criterion_08_scheme_properties():
             worst_order = min(worst_order, float(np.min(w.values - u.values)))
             norms_ok &= u.sup_norm() <= sup + 1e-12 and u.lipschitz() <= lip + 1e-9
             sup, lip = u.sup_norm(), u.lipschitz()
-    const = H.GridFunction.from_callable(lambda x: 0.3, cfg)
+    const = H.GridFunction.from_callable(lambda x: np.full_like(x, 0.3), cfg)
     const_ok = np.array_equal(H.step_hj(const, cfg, dt=1e-3).values, const.values)
     ok = worst_order >= -1e-12 and norms_ok and const_ok
     assert criterion(

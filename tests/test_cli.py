@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import json
 import os
@@ -9,14 +10,18 @@ import numpy as np
 import pytest
 import yaml
 
-from annihilate import harness
-from annihilate.cli import _SCHEMA, _build, _load_config, _measure_args, _typed, main
+from annihilate import harness, hjsolver
+from annihilate.cli import (
+    _COMMANDS, _SCHEMA, _build, _hj_args, _integrator_config, _load_config, _measure_args,
+    _moments_positions, _simulate_state, _typed, main,
+)
 from annihilate.io import read_events_jsonl, read_trajectory_csv
 
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
+WORKLOADS_PY = ROOT / "benchmarks" / "workloads.py"
 
 
 def write_cfg(tmp_path, payload):
@@ -81,6 +86,23 @@ class TestSimulate:
         assert payload["error"] == "config"
         assert "out of order" in payload["message"]
         assert not out.exists()
+
+    def test_null_optional_values_take_the_default(self, tmp_path):
+        # `coupling: null` and `cluster_gap: null` are the fields' own defaults
+        plain = {"simulate": {"positions": [0.0, 0.8], "charges": [1, -1]},
+                 "integrator": {"t_end": 0.5}}
+        nulls = {"simulate": {**plain["simulate"], "coupling": None},
+                 "integrator": {**plain["integrator"], "cluster_gap": None}}
+        runs = []
+        for name, payload in (("plain", plain), ("null", nulls)):
+            out = tmp_path / name
+            cfg = write_cfg(tmp_path, payload)
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            runs.append((read_events_jsonl(out / "events.jsonl"),
+                         *read_trajectory_csv(out / "trajectory.csv")))
+        assert len(runs[0][0]) == 1 and runs[1][0] == runs[0][0]
+        for a, b in zip(runs[0][1:], runs[1][1:]):
+            assert np.array_equal(a, b)
 
     def test_trajectory_roundtrip_bit_exact(self, tmp_path):
         cfg = pair_config(tmp_path)
@@ -253,6 +275,18 @@ class TestConfigSchema:
             ("converge", {"experiment": {"offset": 1.5}}),
             ("simulate", {"simulate": {"positions": [0.0, 1.0]}}),
             ("moments", {"moments": {}}),
+            ("converge", {"experiment": {"ns": [8]}, "scheme": {"h": 1 / 64}}),
+            ("converge", {"experiment": {"ns": [8]}, "integrator": {"rel_tol": 1e-6}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
+                          "scheme": {"h": 1 / 64}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
+                          "experiment": {"t_end": 0.1}}),
+            ("hj", {"hj": {"snapshots": 3}, "integrator": {"t_end": 0.1}}),
+            ("verify", {"verify": {"runs": 1}, "measure": {"ns": [4]}}),
+            ("measure", {"measure": {"ns": [4]}, "moments": {"positions": [1.0]}}),
+            ("moments", {"moments": {"positions": [1.0]}, "simulate": {}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
+                                       "coupling": -1}}),
         ],
         ids=[
             "ns-string", "ns-zero", "ref_h-zero", "h-zero", "rel_tol-negative", "sizes-one",
@@ -268,6 +302,10 @@ class TestConfigSchema:
             "integrator-cluster_gap-bool", "measure-threshold-bool", "experiment-t_end-bool",
             "verify-runs-negative", "hj-snapshots-negative", "hj-snapshots-one",
             "experiment-offset-above-one", "simulate-missing-charges", "moments-missing-positions",
+            "converge-reads-no-scheme", "converge-reads-no-integrator",
+            "simulate-reads-no-scheme", "simulate-reads-no-experiment", "hj-reads-no-integrator",
+            "verify-reads-no-measure", "measure-reads-no-moments", "moments-reads-no-simulate",
+            "simulate-coupling-minus-one",
         ],
     )
     def test_bad_value_exits_2_without_outputs(self, tmp_path, capsys, command, payload):
@@ -336,7 +374,7 @@ class TestShippedConfigs:
 
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
     def test_every_config_loads(self, path):
-        assert _load_config(str(path))
+        assert _load_config(str(path), set(_SCHEMA))
 
     @pytest.mark.parametrize("command, name, written", [
         ("simulate", "pair.yaml", "events.jsonl"),
@@ -352,15 +390,54 @@ class TestShippedConfigs:
         ids=lambda p: p.stem,
     )
     def test_converge_configs_build(self, path):
-        spec = _build(harness.ExperimentSpec, _load_config(str(path))["experiment"])
+        spec = _build(harness.ExperimentSpec, _load_config(str(path), {"experiment"})["experiment"])
         assert spec.ns
 
     @pytest.mark.parametrize(
         "path", [p for p in CONFIGS if p.stem.startswith("verify")], ids=lambda p: p.stem,
     )
     def test_verify_configs_build(self, path):
-        kwargs = _typed(harness.run_property_suite, _load_config(str(path))["verify"])
+        kwargs = _typed(harness.run_property_suite, _load_config(str(path), {"verify"})["verify"])
         inspect.signature(harness.run_property_suite).bind(**kwargs)
+
+
+def _workloads() -> dict:
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS
+
+
+WORKLOADS = _workloads()
+
+
+# each section's build, short of running anything: the suite's arguments are only bound
+SECTION_BUILDS = {
+    "integrator": _integrator_config,
+    "scheme": lambda sec: _build(hjsolver.SchemeConfig, sec),
+    "experiment": lambda sec: _build(harness.ExperimentSpec, sec),
+    "simulate": lambda sec: _build(_simulate_state, sec),
+    "hj": lambda sec: _build(_hj_args, sec),
+    "verify": lambda sec: inspect.signature(harness.run_property_suite).bind(
+        **_typed(harness.run_property_suite, sec)),
+    "measure": lambda sec: _build(_measure_args, sec),
+    "moments": lambda sec: _build(_moments_positions, sec),
+}
+
+
+class TestBenchmarkWorkloads:
+    def test_every_section_has_a_build(self):
+        assert set(SECTION_BUILDS) == set(_SCHEMA)
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_tiny_calls_build(self, tmp_path, name):
+        # the benchmark's configs pass the section rule of their command
+        for seed in (0, 1):
+            for command, payload in WORKLOADS[name].calls(seed, "tiny"):
+                cfg = _load_config(write_cfg(tmp_path, payload), _COMMANDS[command][1])
+                for section, content in cfg.items():
+                    SECTION_BUILDS[section](content)
 
 
 class TestStartup:

@@ -7,6 +7,7 @@ from annihilate import harness as Hn
 from annihilate.integrator import IntegratorConfig, evolve
 from annihilate.levelset import from_particles
 from annihilate.particles import ParticleState
+from reference import sample_particles_loop
 
 
 class TestSampler:
@@ -29,12 +30,12 @@ class TestSampler:
         assert not traj.events
 
     def test_constant_data_has_no_particles(self):
-        assert Hn.sample_particles(lambda x: 0.25, 8, 0.5) is None
+        assert Hn.sample_particles(lambda x: np.full_like(x, 0.25), 8, 0.5) is None
 
     def test_flat_at_level_rejected(self):
         with pytest.raises(Hn.DegenerateCrossing):
             # equals the a=0.5 level of n=2 on a whole interval
-            Hn.sample_particles(lambda x: 0.25 if abs(x) < 1 else 0.0, 2, 0.5)
+            Hn.sample_particles(lambda x: np.where(np.abs(x) < 1, 0.25, 0.0), 2, 0.5)
 
     def test_sandwich_bound(self):
         u0 = Hn.CATALOG["double_bump"].u0
@@ -43,7 +44,7 @@ class TestSampler:
             base = Hn.quantized_level_below(u0(-4.0), 1.0 / n, 0.5)
             u_n = from_particles(st, eps=1.0 / n, base=base)
             xs = np.linspace(-4, 4, 4001)
-            diff = np.array([u0(x) for x in xs]) - u_n(xs)
+            diff = u0(xs) - u_n(xs)
             assert np.min(diff) >= -1e-12
             assert np.max(diff) <= 1.0 / n + 1e-12
 
@@ -73,6 +74,30 @@ class TestSampler:
             o0 = [k for k in order0 if tuple(k) in common]
             o1 = [k for k in order1 if tuple(k) in common]
             assert o0 == o1
+
+    @pytest.mark.parametrize("name", [*Hn.CATALOG, "pair_bump"])
+    def test_matches_scalar_loop(self, name):
+        # the array bisection stops each crossing where the scalar one does
+        offsets = [0.25, 0.5, *np.random.default_rng(10).uniform(0.0, 1.0, 2)]
+        for n in (8, 32, 128):
+            u0 = (Hn.pair_bump(1.0 / n) if name == "pair_bump" else Hn.CATALOG[name]).u0
+            for a in offsets:
+                st = Hn.sample_particles(u0, n, a, scan_points=2**12)
+                want = sample_particles_loop(u0, n, a, scan_points=2**12)
+                if name == "constant":
+                    assert st is None and want is None
+                    continue
+                assert np.array_equal(st.positions, want[0]), (n, a)
+                assert np.array_equal(st.charges, want[1]), (n, a)
+
+    @pytest.mark.parametrize("name", list(Hn.CATALOG))
+    def test_datum_is_elementwise(self, name):
+        # one call on the grid gives, bit for bit, the values one point at a time
+        u0 = Hn.CATALOG[name].u0
+        xs = np.linspace(-4.0, 4.0, 8193)  # h = 1/1024, L = 4
+        vals = u0(xs)
+        assert vals.shape == xs.shape
+        assert np.array_equal(vals, [u0(x) for x in xs.tolist()])
 
 
 class TestConvergence:

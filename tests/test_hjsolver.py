@@ -48,7 +48,7 @@ class TestConfig:
 
 class TestOperator:
     def test_constant_maps_to_zero(self, small_cfg):
-        u = H.GridFunction.from_callable(lambda x: 0.7, small_cfg)
+        u = H.GridFunction.from_callable(lambda x: np.full_like(x, 0.7), small_cfg)
         assert levy_operator(u, 50, small_cfg.rho) == 0.0
         assert np.max(np.abs(H.levy_operator_all(u, small_cfg.rho))) < 1e-11
 
@@ -59,7 +59,7 @@ class TestOperator:
         cfg = H.SchemeConfig(L=4.0, h=h, rho=rho, cfl=0.8, t_end=1.0)
         y = 0.3
         u = H.GridFunction.from_callable(
-            lambda x: (x - y) ** 4 * math.exp(-((x / 3.0) ** 4)), cfg
+            lambda x: (x - y) ** 4 * np.exp(-((x / 3.0) ** 4)), cfg
         )
         i = int(round((0.55 + cfg.L) / h))
         x = u.xs[i]
@@ -81,7 +81,7 @@ class TestOperator:
     def test_gaussian_against_reference(self):
         # pv int (e^{-z^2} - 1)/z^2 dz = -2 sqrt(pi), by parts
         cfg = H.SchemeConfig(L=8.0, h=1 / 128, rho=16 / 128, cfl=0.8, t_end=1.0)
-        u = H.GridFunction.from_callable(lambda x: math.exp(-x * x), cfg)
+        u = H.GridFunction.from_callable(lambda x: np.exp(-x * x), cfg)
         i0 = u.values.size // 2
         assert u.xs[i0] == 0.0
         assert levy_operator(u, i0, cfg.rho) == pytest.approx(
@@ -122,7 +122,7 @@ class TestOperator:
 
 class TestStep:
     def test_constant_unchanged(self, small_cfg):
-        u = H.GridFunction.from_callable(lambda x: 0.3, small_cfg)
+        u = H.GridFunction.from_callable(lambda x: np.full_like(x, 0.3), small_cfg)
         new = H.step_hj(u, small_cfg, dt=1e-3)
         assert np.array_equal(new.values, u.values)
 
@@ -159,8 +159,8 @@ class TestStep:
         xs = np.linspace(-2, 2, 257)
         for _ in range(5):
             c = rng.uniform(-0.3, 0.3)
-            vals = 0.5 * np.array([_smoothstep((x - c) / 0.5) for x in xs])
-            vals += 0.2 * np.array([_mollifier((x + c) / 0.5) for x in xs])
+            vals = 0.5 * _smoothstep((xs - c) / 0.5)
+            vals += 0.2 * _mollifier((xs + c) / 0.5)
             u = H.GridFunction(xs=xs, values=vals, tails=(0.0, 0.5))
             sup, lip = u.sup_norm(), u.lipschitz()
             for _ in range(20):
@@ -172,7 +172,7 @@ class TestStep:
     def test_translation_equivariance_exact(self, small_cfg):
         # compactly varying datum: shifting by one cell commutes exactly
         xs = np.linspace(-2, 2, 257)
-        vals = np.array([SIGMOID(x) for x in xs])
+        vals = SIGMOID(xs)
         a = H.GridFunction(xs=xs, values=vals, tails=(0.0, 1.0))
         b = H.GridFunction(
             xs=xs, values=np.concatenate([[0.0], vals[:-1]]), tails=(0.0, 1.0)
@@ -190,12 +190,12 @@ class TestStep:
 
 class TestSolve:
     def test_constant_snapshots_identical(self, small_cfg):
-        frames = H.solve_hj(lambda x: 0.25, small_cfg, [0.05, 0.1])
+        frames = H.solve_hj(lambda x: np.full_like(x, 0.25), small_cfg, [0.05, 0.1])
         for fr in frames:
             assert np.all(fr.values == 0.25)
 
     def test_antisymmetry_preserved(self, small_cfg):
-        u0 = lambda x: 0.3 * math.tanh(3 * x)
+        u0 = lambda x: 0.3 * np.tanh(3 * x)
         frames = H.solve_hj(u0, small_cfg, [0.05, 0.1])
         for fr in frames:
             assert np.max(np.abs(fr.values + fr.values[::-1])) < 1e-13
@@ -216,14 +216,14 @@ class TestSolve:
 class TestBarrier:
     def test_zero_barrier(self):
         cfg = H.SchemeConfig(L=3.0, h=1 / 64, rho=8 / 64, cfl=0.8, t_end=0.05)
-        u0 = H.GridFunction.from_callable(lambda x: -0.2 * math.exp(-x * x), cfg)
+        u0 = H.GridFunction.from_callable(lambda x: -0.2 * np.exp(-x * x), cfg)
         frames = H.solve_hj(u0, cfg, [0.05])
-        ok, margin = barrier_check(lambda x: 0.0, 0.0, 0.0, frames)
+        ok, margin = barrier_check(np.zeros_like, 0.0, 0.0, frames)
         assert ok and margin >= 0.0
 
     def test_clipped_parabola(self):
         def v0(x):
-            return -min(x * x, 4.0) / 2.0
+            return -np.minimum(x * x, 4.0) / 2.0
 
         cfg = H.SchemeConfig(L=3.0, h=1 / 64, rho=8 / 64, cfl=0.8, t_end=0.05)
         u0 = H.GridFunction.from_callable(lambda x: v0(x) - 0.1, cfg)

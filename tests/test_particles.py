@@ -20,7 +20,7 @@ def make(x, b, gamma=None):
     return ParticleState(
         positions=np.asarray(x, float),
         charges=np.asarray(b, int),
-        coupling=-1.0 if gamma is None else gamma,
+        coupling=gamma,
     )
 
 
