@@ -166,7 +166,7 @@ def cmd_simulate(args, cfg: dict) -> int:
         traj = evolve(state, icfg)
     except (EvolveError, ValueError) as exc:
         return _fail(3, "simulation", str(exc))
-    io.write_trajectory_csv(out / "trajectory.csv", traj.times, traj.states, chash)
+    io.write_trajectory_csv(out / "trajectory.csv", traj.times, traj.positions, traj.charges, chash)
     io.write_events_jsonl(out / "events.jsonl", traj.events, chash)
     log.info("wrote %s events to %s", len(traj.events), out)
     return 0

@@ -5,7 +5,11 @@ on arrays, as level crossings at heights eps (Z + a), all bisected at
 once.  They are evolved with coupling gamma = eps = 1/n, turned back into
 step functions, and compared in sup norm against the grid solution of the
 limit equation.  The property suite drives randomized ensembles through
-every quantitative invariant the theory provides.
+every quantitative invariant the theory provides.  Its per-run checks are
+array expressions over a trajectory's times, positions and charges: M1
+and the net charge are row sums, and the checks that need a fixed charged
+set (gap bounds, energy) work on the row ranges where the charges stay
+equal, one `particles` call per range.
 """
 from __future__ import annotations
 
@@ -17,17 +21,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import hjsolver, levelset, measures, moments
+from . import hjsolver, levelset, measures, moments, particles
 from .integrator import EvolveError, IntegratorConfig, Trajectory, evolve
-from .particles import (
-    EventRecord,
-    ParticleState,
-    energy,
-    neighbor_pairs,
-    net_charge,
-    same_sign_gap,
-    velocities,
-)
+from .particles import EventRecord, ParticleState, energy, net_charge, same_sign_gap
 
 __all__ = [
     "InitialDatum",
@@ -63,7 +59,6 @@ class InitialDatum:
     name: str
     u0: Callable[[np.ndarray], np.ndarray]
     window: tuple[float, float]
-    lipschitz: float  # upper bound on max |u0'|
     description: str = ""
 
 
@@ -88,21 +83,18 @@ CATALOG: dict[str, InitialDatum] = {
         name="sigmoid",
         u0=_smoothstep,
         window=(-1.0, 1.0),
-        lipschitz=0.75,
         description="monotone ramp 0 -> 1; all charges +1, no annihilation ever",
     ),
     "double_bump": InitialDatum(
         name="double_bump",
         u0=_double_bump,
         window=(-1.9, 1.9),
-        lipschitz=2.0,
         description="two separated bumps; inner opposite pairs annihilate",
     ),
     "constant": InitialDatum(
         name="constant",
         u0=lambda x: np.full(np.shape(x), 0.25),
         window=(-1.0, 1.0),
-        lipschitz=0.0,
         description="no level crossings, no particles; the error is zero",
     ),
 }
@@ -118,7 +110,6 @@ def pair_bump(eps: float) -> InitialDatum:
         name="pair_bump",
         u0=lambda x: eps / (x * x + 1.0),
         window=(-8.0, 8.0),
-        lipschitz=eps,
         description="eps/(x^2+1); exact solution u(t,x) = u0(sqrt(x^2 + eps t))",
     )
 
@@ -427,23 +418,15 @@ def fit_collision_exponent(traj: Trajectory, event: EventRecord) -> float | None
     the last two available decades; returns None when fewer than five
     points exist (no fit).
     """
-    ds = []
-    dts = []
-    for t, st in zip(traj.times, traj.states):
-        if t >= event.tau:
-            break
-        if any(st.charges[i] == 0 for i in event.cluster):
-            continue
-        xs = st.positions[list(event.cluster)]
-        d = float(xs.max() - xs.min())
-        gap = event.tau - t
-        if d > 0 and gap > 0:
-            ds.append(d)
-            dts.append(gap)
+    before = traj.times < event.tau  # the times never decrease
+    cl = list(event.cluster)
+    xs = traj.positions[before][:, cl]
+    ds = xs.max(axis=1) - xs.min(axis=1)
+    dts = event.tau - traj.times[before]
+    keep = (traj.charges[before][:, cl] != 0).all(axis=1) & (ds > 0) & (dts > 0)
+    ds, dts = ds[keep], dts[keep]
     if len(ds) < 5:
         return None
-    dts = np.asarray(dts)
-    ds = np.asarray(ds)
     lo = dts.min()
     mask = dts <= 100.0 * lo
     if mask.sum() < 5:
@@ -546,50 +529,55 @@ def run_property_suite(
     )
 
 
+def _charge_runs(traj: Trajectory) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) of the trajectory over which the charges stay equal, in order."""
+    b = traj.charges
+    cuts = np.flatnonzero((b[1:] != b[:-1]).any(axis=1)) + 1
+    edges = [0, *cuts.tolist(), len(b)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _check_m1(traj):
-    m1_0 = float(traj.states[0].positions.sum())
-    tol = 1e-9 * (1.0 + abs(m1_0))
-    worst = max(abs(float(st.positions.sum()) - m1_0) for st in traj.states)
+    m1 = traj.positions.sum(axis=1)
+    tol = 1e-9 * (1.0 + abs(float(m1[0])))
+    worst = float(np.abs(m1 - m1[0]).max())
     yield worst <= tol, tol - worst, f"max drift {worst:.3e}"
 
 
 def _check_net_charge(traj):
-    q0 = net_charge(traj.states[0])
-    dev = max(abs(net_charge(st) - q0) for st in traj.states)
+    q = traj.charges.sum(axis=1)
+    dev = int(np.abs(q - q[0]).max())
     yield dev == 0, float(-dev), f"max integer deviation {dev}"
 
 
-def _m2(state: ParticleState) -> float:
-    return 0.5 * float(np.sum(state.positions**2))
+def _m2(x: np.ndarray) -> float:
+    return 0.5 * float(np.sum(x**2))
 
 
 def _check_m2(traj):
     """Between events M2 moves at the constant rate gamma/2 ((sum b)^2 - sum b^2)."""
     rel_tol = 1e-6
-    t_first = traj.times[0]
+    times = traj.times
     for a, b in traj.segments():
-        inside = [
-            k
-            for k in range(len(traj.times))
-            if a + 1e-13 < traj.times[k] < b - 1e-13 or (a == t_first and traj.times[k] == a)
-        ]
+        inside = np.flatnonzero(((a + 1e-13 < times) & (times < b - 1e-13))
+                                | ((a == times[0]) & (times == a)))
         if len(inside) < 2:
             continue
         k0, k1 = inside[0], inside[-1]
-        dt = traj.times[k1] - traj.times[k0]
+        dt = times[k1] - times[k0]
         # difference quotients over short spans amplify the integrator's
         # position error past the 1e-6 relative target; skip them
         if dt <= 0.05:
             continue
-        st = traj.states[k0]
-        bsum = float(st.charges.sum())
-        bsq = float(np.sum(st.charges.astype(float) ** 2))
-        pred = 0.5 * st.coupling * (bsum * bsum - bsq)
-        slope = (_m2(traj.states[k1]) - _m2(traj.states[k0])) / dt
+        charges, x0 = traj.charges[k0], traj.positions[k0]
+        bsum = float(charges.sum())
+        bsq = float(np.sum(charges.astype(float) ** 2))
+        pred = 0.5 * traj.coupling * (bsum * bsum - bsq)
+        slope = (_m2(traj.positions[k1]) - _m2(x0)) / dt
         if pred == 0.0:
             # exactly conserved segment: allow the integrator's propagated
             # position error (~rel_tol * scale) spread over the segment
-            floor = 100.0 * traj.config.rel_tol * (1.0 + abs(_m2(st))) / dt
+            floor = 100.0 * traj.config.rel_tol * (1.0 + abs(_m2(x0))) / dt
             dev = abs(slope)
             yield dev <= floor, floor - dev, f"zero-rate segment dev {dev:.2e}"
         else:
@@ -598,37 +586,37 @@ def _check_m2(traj):
 
 
 def _check_equal_gap(traj):
-    st0 = traj.states[0]
-    n = st0.n
-    rate = 8.0 / (n * n - 1.0)
+    times, x, b = traj.times, traj.positions, traj.charges
+    rate = 8.0 / (b.shape[1] ** 2 - 1.0)
     for sign in (+1, -1):
-        d0 = same_sign_gap(st0, sign)
+        d0 = float(same_sign_gap(x[0], b[0], sign))
         if not math.isfinite(d0):
             continue
-        for t, st in zip(traj.times, traj.states):
-            d = same_sign_gap(st, sign)
-            if not math.isfinite(d):
+        for lo, hi in _charge_runs(traj):
+            d = same_sign_gap(x[lo:hi], b[lo], sign)
+            if not np.isfinite(d).any():
                 continue
-            bound = d0 * d0 + rate * (t - traj.times[0]) - 1e-9
-            yield d * d >= bound, d * d - bound, f"sign {sign} at t={t:.3f}"
+            bound = d0 * d0 + rate * (times[lo:hi] - times[0]) - 1e-9
+            for t, dd, bd in zip(times[lo:hi].tolist(), (d * d).tolist(), bound.tolist()):
+                yield dd >= bd, dd - bd, f"sign {sign} at t={t:.3f}"
 
 
 def _check_opposite_gap(traj):
-    st0 = traj.states[0]
-    n = st0.n
+    times, x, b = traj.times, traj.positions, traj.charges
+    n = b.shape[1]
     beta = 8.0 * (math.log(n) + 1.0) / n
-    c0_all = min(same_sign_gap(st0, 1), same_sign_gap(st0, -1))
-    for (i, j) in neighbor_pairs(st0):
-        c0 = min(c0_all, st0.positions[j] - st0.positions[i])
-        for t, st in zip(traj.times, traj.states):
-            if st.charges[i] == 0 or st.charges[j] == 0:
-                break
-            radicand = c0 * c0 - beta * (t - traj.times[0])
-            if radicand <= 0:
-                break
-            gap = st.positions[j] - st.positions[i]
-            bound = math.sqrt(radicand) - 1e-9
-            yield gap >= bound, gap - bound, f"pair ({i},{j}) t={t:.3f}"
+    c0_all = min(float(same_sign_gap(x[0], b[0], 1)), float(same_sign_gap(x[0], b[0], -1)))
+    idx = np.flatnonzero(b[0])
+    for i, j in zip(idx[:-1].tolist(), idx[1:].tolist()):
+        c0 = min(c0_all, x[0, j] - x[0, i])
+        radicand = c0 * c0 - beta * (times - times[0])
+        # the pair is followed until one of them is neutral or the bound runs out
+        stop = (b[:, i] == 0) | (b[:, j] == 0) | (radicand <= 0)
+        end = int(np.argmax(stop)) if stop.any() else len(times)
+        gap = x[:end, j] - x[:end, i]
+        bound = np.sqrt(radicand[:end]) - 1e-9
+        for t, g, bd in zip(times[:end].tolist(), gap.tolist(), bound.tolist()):
+            yield g >= bd, g - bd, f"pair ({i},{j}) t={t:.3f}"
 
 
 def _check_slopes(traj):
@@ -641,12 +629,11 @@ def _check_slopes(traj):
 
 
 def _check_dm_lipschitz(traj):
-    sample_grid = traj.config.sample_times
-    idx = [k for k, t in enumerate(traj.times) if any(abs(t - s) < 1e-12 for s in sample_grid)]
+    grid = np.asarray(traj.config.sample_times)
+    idx = np.flatnonzero((np.abs(traj.times[:, None] - grid[None, :]) < 1e-12).any(axis=1))
     if len(idx) < 3:
         return
-    xs = [traj.states[k].positions for k in idx]
-    ts = [traj.times[k] for k in idx]
+    xs, ts = traj.positions[idx], traj.times[idx].tolist()
     c_adj = 0.0
     for k in range(len(idx) - 1):
         dt = ts[k + 1] - ts[k]
@@ -663,21 +650,26 @@ def _check_dm_lipschitz(traj):
 
 
 def _check_energy(traj):
-    taus = [ev.tau for ev in traj.events]
-    prev_t, prev_e = None, None
-    for t, st in zip(traj.times, traj.states):
-        if any(abs(t - tau) < 1e-13 for tau in taus):
-            prev_t, prev_e = None, None
-            continue
-        e = energy(st)
-        if prev_e is not None and not any(prev_t < tau < t for tau in taus):
-            tol = 1e-9 * (1.0 + abs(prev_e))
-            yield e <= prev_e + tol, prev_e + tol - e, f"t={t:.3f}"
-        prev_t, prev_e = t, e
+    """Between events the energy of each sample is at most its predecessor's, to 1e-9 relative.
+
+    A sample at an event time starts afresh, and so does a pair of samples
+    with an event strictly between them.
+    """
+    times = traj.times
+    taus = np.array([ev.tau for ev in traj.events])
+    e = np.concatenate([energy(traj.positions[lo:hi], traj.charges[lo])
+                        for lo, hi in _charge_runs(traj)])
+    at_event = (np.abs(times[:, None] - taus[None, :]) < 1e-13).any(axis=1)
+    between = ((times[:-1, None] < taus[None, :]) & (taus[None, :] < times[1:, None])).any(axis=1)
+    pairs = np.flatnonzero(~at_event[1:] & ~at_event[:-1] & ~between) + 1
+    prev = e[pairs - 1]
+    tol = 1e-9 * (1.0 + np.abs(prev))
+    for t, ek, lim in zip(times[pairs].tolist(), e[pairs].tolist(), (prev + tol).tolist()):
+        yield ek <= lim, lim - ek, f"t={t:.3f}"
 
 
 def _check_events(traj):
-    b0 = traj.states[0].charges
+    b0 = traj.charges[0]
     bound = min(int((b0 == 1).sum()), int((b0 == -1).sum()))
     yield len(traj.events) <= bound, float(bound - len(traj.events)), "event count bound"
     for ev in traj.events:
@@ -709,7 +701,7 @@ def _ode_residuals(traj: Trajectory, anchors: Iterable[float], trunc_limit: floa
     integrator; a cluster's particles are skipped while that bound exceeds
     trunc_limit.
     """
-    times = np.asarray(traj.times)
+    times = traj.times
     for t in anchors:
         k = int(np.argmin(np.abs(times - t)))
         if k == 0 or k >= times.size - 1:
@@ -724,7 +716,7 @@ def _ode_residuals(traj: Trajectory, anchors: Iterable[float], trunc_limit: floa
         h0, h1 = times[k] - times[lo], times[hi] - times[k]
         if min(h0, h1) < span or any(times[lo] <= ev.tau <= times[hi] for ev in traj.events):
             continue
-        s0, s1, s2 = traj.states[lo], traj.states[k], traj.states[hi]
+        x0, x1, x2 = traj.positions[[lo, k, hi]]
         h = max(h0, h1)
         colliding = set()
         for ev in traj.events:
@@ -732,11 +724,12 @@ def _ode_residuals(traj: Trajectory, anchors: Iterable[float], trunc_limit: floa
             if s <= 0:
                 continue
             m, q = len(ev.cluster), sum(ev.pre_charges)
-            if math.sqrt((m - q * q) * s1.coupling) * h**2 / (16.0 * s**2.5) > trunc_limit:
+            if math.sqrt((m - q * q) * traj.coupling) * h**2 / (16.0 * s**2.5) > trunc_limit:
                 colliding.update(ev.cluster)
-        back = (s1.positions - s0.positions) / h0
-        fwd = (s2.positions - s1.positions) / h1
-        res = np.abs((h1 * back + h0 * fwd) / (h0 + h1) - velocities(s1))
+        back = (x1 - x0) / h0
+        fwd = (x2 - x1) / h1
+        res = np.abs((h1 * back + h0 * fwd) / (h0 + h1)
+                     - particles.velocity_field(x1, traj.charges[k], traj.coupling))
         for i in range(res.size):
             if i not in colliding:
                 yield float(times[k]), i, float(res[i])
@@ -750,7 +743,7 @@ def _check_ode_residual(traj):
     the approach to a collision is skipped while its truncation bound
     exceeds a tenth of the threshold.
     """
-    state, t_end = traj.states[0], traj.config.t_end
+    state, t_end = traj.state(0), traj.config.t_end
     delta = 1e-4 * t_end
     anchors = [0.3 * t_end, 0.6 * t_end, 0.9 * t_end]
     times = sorted({t + k * delta for t in anchors for k in (-1, 0, 1)})
@@ -831,8 +824,8 @@ def _check_odd_lattice(_rng):
     dt = 1e-3
     cfg = IntegratorConfig(t_end=dt, sample_times=(dt,), abs_tol=1e-14, rel_tol=1e-12)
     traj = evolve(st, cfg)
-    d0 = same_sign_gap(st, 1)
-    d1 = same_sign_gap(traj.state_at(dt, tol=1e-9), 1)
+    d0 = float(same_sign_gap(st.positions, st.charges, 1))
+    d1 = float(same_sign_gap(traj.state_at(dt, tol=1e-9).positions, st.charges, 1))
     rate = (d1 * d1 - d0 * d0) / dt
     target = 8.0 / (n * n - 1.0)
     rel = abs(rate - target) / target

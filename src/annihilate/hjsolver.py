@@ -93,11 +93,6 @@ class GridFunction:
     def sup_norm(self) -> float:
         return max(float(np.max(np.abs(self.values))), abs(self.tails[0]), abs(self.tails[1]))
 
-    def lipschitz(self) -> float:
-        """Max one-sided difference quotient, tails included."""
-        padded = np.concatenate([[self.tails[0]], self.values, [self.tails[1]]])
-        return float(np.max(np.abs(np.diff(padded)))) / self.h
-
     def interp(self, x) -> np.ndarray:
         return np.interp(x, self.xs, self.values, left=self.tails[0], right=self.tails[1])
 

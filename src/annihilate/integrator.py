@@ -16,6 +16,13 @@ so no pair can cross zero within that horizon.  When a group of charged
 particles falls below the clustering gap while mutually approaching, it
 is resolved into an annihilation event instead of being integrated into
 the singularity.
+
+The charges change only at those events, so between them evolve() carries
+the positions, the charges and the clock as plain arrays and a float, and
+works out the charged particles and their opposite-sign neighbors once per
+inter-event segment.  A ParticleState is built only around an event, which
+validates every post-event state.  The Trajectory stores its samples as
+arrays too: times (K,), positions (K, n) and charges (K, n).
 """
 from __future__ import annotations
 
@@ -25,13 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .particles import (
-    EventRecord,
-    InvalidState,
-    ParticleState,
-    min_opposite_gap,
-    velocity_field,
-)
+from .particles import EventRecord, InvalidState, ParticleState, velocity_field
 
 __all__ = [
     "IntegratorConfig",
@@ -117,24 +118,35 @@ class StepStats:
 
 @dataclass
 class Trajectory:
-    """Time-ordered snapshots plus the annihilation event log."""
+    """Time-ordered samples, stored as arrays, plus the annihilation event log.
 
-    times: list[float]
-    states: list[ParticleState]
+    Row k of positions (K, n) and charges (K, n) is the configuration at
+    times[k]; every row shares one coupling.  A ParticleState is built only
+    when asked for, by state(k), state_at(t) or final.
+    """
+
+    times: np.ndarray
+    positions: np.ndarray
+    charges: np.ndarray
+    coupling: float
     events: list[EventRecord]
     config: IntegratorConfig
     stats: StepStats = field(default_factory=StepStats)
 
+    def state(self, k: int) -> ParticleState:
+        return ParticleState(positions=self.positions[k], charges=self.charges[k],
+                             coupling=self.coupling, time=self.times[k])
+
     @property
     def final(self) -> ParticleState:
-        return self.states[-1]
+        return self.state(-1)
 
     def state_at(self, t: float, tol: float = 1e-9) -> ParticleState:
         """Stored state nearest to t (t must be within tol of a sample)."""
-        k = int(np.argmin(np.abs(np.asarray(self.times) - t)))
+        k = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[k] - t) > tol * max(1.0, abs(t)):
             raise KeyError(f"no stored sample near t={t}")
-        return self.states[k]
+        return self.state(k)
 
     def segments(self) -> list[tuple[float, float]]:
         """Inter-event intervals covering [t0, t_end]."""
@@ -165,46 +177,47 @@ _PI_ALPHA = 0.7 / 5
 _PI_BETA = 0.4 / 5
 
 
-@dataclass
-class _Controller:
-    """Step-size memory of one inter-event segment of evolve()."""
+class _Segment:
+    """The fixed charges and the step-size memory of one inter-event segment of evolve()."""
 
-    hint: float = math.inf  # first dt to try
-    # error norm of the last accepted step, floored at 1e-4; starts at the floor
-    err_prev: float = 1e-4
-
-
-def _collision_cap(state: ParticleState, safety: float) -> float:
-    g = min_opposite_gap(state)
-    if not math.isfinite(g):
-        return math.inf
-    return safety * g * g / (4.0 * state.coupling)
+    def __init__(self, b: np.ndarray, gamma: float):
+        self.b, self.gamma = b, gamma
+        self.charged = np.flatnonzero(b)
+        bc = b[self.charged]
+        self.opposite = bc[:-1] != bc[1:]  # adjacent charged pairs of opposite sign
+        self.hint = math.inf  # first dt to try
+        # error norm of the last accepted step, floored at 1e-4; starts at the floor
+        self.err_prev = 1e-4
 
 
 def _step_core(
-    state: ParticleState,
+    x: np.ndarray,
+    t: float,
     dt_max: float,
+    seg: _Segment,
     config: IntegratorConfig,
-    ctl: _Controller,
     k0: np.ndarray,
     stats: StepStats,
-) -> tuple[ParticleState, float, np.ndarray]:
-    """One accepted embedded RK step; returns (new state, dt taken, f(new state)).
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """One accepted embedded RK step from positions x at time t; returns (new x, dt taken, f(new x)).
 
-    k0 is f(state).  dt starts from min(dt_max, max_step, collision cap,
-    ctl.hint) and shrinks until the local error estimate passes the
+    k0 is f(x).  dt starts from min(dt_max, max_step, collision cap,
+    seg.hint) and shrinks until the local error estimate passes the
     tolerances and every stage keeps the charged particles strictly ordered;
-    ctl is updated for the next step.  States with fewer than two charges
-    advance by dt_max exactly.
+    seg's step-size memory is updated for the next step.  Fewer than two
+    charges advance by dt_max exactly.
     """
-    x, b = state.positions, state.charges
-    gamma = state.coupling
-    charged = np.flatnonzero(b)
-
+    b, gamma, charged = seg.b, seg.gamma, seg.charged
     if charged.size < 2:
-        return replace(state, time=state.time + dt_max), dt_max, k0
+        return x, dt_max, k0
 
-    internal_cap = min(config.max_step, _collision_cap(state, config.safety), ctl.hint)
+    xc = x[charged]
+    gaps = xc[1:] - xc[:-1]
+    cap = math.inf
+    if seg.opposite.any():
+        g = float(gaps[seg.opposite].min())
+        cap = config.safety * g * g / (4.0 * gamma)
+    internal_cap = min(config.max_step, cap, seg.hint)
     dt = min(dt_max, internal_cap)
     target_bound = dt_max <= internal_cap
     rejected = False
@@ -212,14 +225,11 @@ def _step_core(
     k[0] = k0
     # the floor is relative to the state's own time scale: |t|, or the time
     # d^2 / (4 gamma) in which the closest charged pair (gap d) moves by ~d
-    xc = x[charged]
-    d = float((xc[1:] - xc[:-1]).min())
-    tiny = 1e-16 * max(abs(state.time), d * d / (4.0 * gamma))
+    d = float(gaps.min())
+    tiny = 1e-16 * max(abs(t), d * d / (4.0 * gamma))
     while True:
         if dt < tiny:
-            raise StepSizeUnderflow(
-                f"dt={dt:.3e} at t={state.time:.6e}; pathological state"
-            )
+            raise StepSizeUnderflow(f"dt={dt:.3e} at t={t:.6e}; pathological state")
         for s in range(1, 7):
             xs = x + dt * (_DP_A[s] @ k[:s])
             xc = xs[charged]
@@ -233,17 +243,14 @@ def _step_core(
             r = dt * (_DP_E @ k) / scale
             err = math.sqrt(r @ r / r.size)  # RMS of the scaled error estimate
             if err <= 1.0:
-                new = ParticleState(
-                    positions=xs, charges=b, coupling=gamma, time=state.time + dt
-                )
                 if not target_bound:
                     # a step clipped by the requested horizon says nothing
                     # about error capacity and leaves the controller as it is
-                    fac = 0.9 * max(err, 1e-10) ** -_PI_ALPHA * ctl.err_prev**_PI_BETA
+                    fac = 0.9 * max(err, 1e-10) ** -_PI_ALPHA * seg.err_prev**_PI_BETA
                     fac = min(1.0 if rejected else 5.0, max(0.5, fac))
-                    ctl.hint = dt * fac
-                    ctl.err_prev = max(err, 1e-4)
-                return new, dt, k[6]
+                    seg.hint = dt * fac
+                    seg.err_prev = max(err, 1e-4)
+                return xs, dt, k[6]
             stats.rejected_error += 1
             dt *= min(1.0, max(0.2, 0.9 * err**-0.2))
             target_bound = False
@@ -255,33 +262,19 @@ def _step_core(
         rejected = True
 
 
-def _cluster_gap(state: ParticleState, config: IntegratorConfig) -> float:
-    # default is 1e-7 times the INITIAL spread; evolve() freezes it into
-    # the config so the threshold does not shrink with a collapsing pair
-    if config.cluster_gap is not None:
-        return config.cluster_gap
-    return 1e-7 * max(state.spread(), np.finfo(float).tiny)
-
-
-def detect_clusters(
-    state: ParticleState, config: IntegratorConfig, v: np.ndarray | None = None
-) -> list[list[int]]:
+def detect_clusters(x: np.ndarray, b: np.ndarray, v: np.ndarray, gap: float) -> list[list[int]]:
     """Maximal groups of charged particles ripe for annihilation.
 
-    Adjacent charged particles are linked when their gap is below the
-    clustering threshold AND it is shrinking under the current velocities
-    v (computed from state when not given); groups are the transitive
-    closures, singletons dropped.  Every returned cluster must alternate
-    in sign: equal-sign neighbors repel, so a non-alternating cluster
-    means cluster_gap was set too large.
+    Adjacent charged particles (positions x, charges b) are linked when
+    their gap is below the clustering threshold gap AND it is shrinking
+    under the velocities v; groups are the transitive closures, singletons
+    dropped.  Every returned cluster must alternate in sign: equal-sign
+    neighbors repel, so a non-alternating cluster means the threshold was
+    set too large.
     """
-    gap = _cluster_gap(state, config)
-    charged = np.flatnonzero(state.charges)
+    charged = np.flatnonzero(b)
     if charged.size < 2:
         return []
-    x = state.positions
-    if v is None:
-        v = velocity_field(x, state.charges, state.coupling)
     linked = (np.diff(x[charged]) < gap) & (np.diff(v[charged]) < 0.0)
     if not linked.any():
         return []
@@ -297,12 +290,23 @@ def detect_clusters(
     if len(current) > 1:
         clusters.append(current)
     for cl in clusters:
-        signs = state.charges[cl]
+        signs = b[cl]
         if np.any(signs[1:] * signs[:-1] != -1):
             raise NonAlternatingCluster(
                 f"cluster {cl} has signs {signs.tolist()}; reduce cluster_gap"
             )
     return clusters
+
+
+def _collision(x: np.ndarray, net: int, gamma: float) -> tuple[float, float]:
+    """(y, time left) of a cluster at positions x with net charge net.
+
+    y is the members' mean; the time left follows from the second-moment
+    law dM/dt = -B, B = (gamma/2) (m - net^2) for m members of charge +-1.
+    """
+    y = float(np.mean(x))
+    B = 0.5 * gamma * (x.size - net * net)
+    return y, 0.5 * float(np.sum((x - y) ** 2)) / B
 
 
 def resolve_annihilation(
@@ -327,12 +331,8 @@ def resolve_annihilation(
     if abs(net) > 1:
         raise NetChargeTooLarge(f"cluster net charge {net}")
 
-    xs = state.positions[cluster]
-    y = float(np.mean(xs))
-    m = len(cluster)
-    B = 0.5 * state.coupling * (m - net * net)
-    M_c = 0.5 * float(np.sum((xs - y) ** 2))
-    tau = state.time + M_c / B
+    y, left = _collision(state.positions[cluster], net, state.coupling)
+    tau = state.time + left
 
     new_b = b.copy()
     new_x = state.positions.copy()
@@ -355,58 +355,72 @@ def resolve_annihilation(
 def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
     """Run the full dynamics to t_end, recording steps and events.
 
-    Deterministic given (initial, config).  Snapshots are stored at every
-    accepted step (if store_steps) and exactly at the configured sample
-    times; a sample falling inside the tiny extrapolated window of an
-    event is recorded at the event time instead.  Integration failures
-    propagate as EvolveError with the trajectory so far attached.
+    Deterministic given (initial, config).  Between events the positions,
+    the charges and the clock are plain values; a ParticleState is built
+    only to resolve a cluster, so every post-event state is validated.
+    Samples are stored at every accepted step (if store_steps) and exactly
+    at the configured sample times and t_end.  A detected cluster is
+    resolved once its extrapolated collision time falls at or before the
+    next of those; until then it is stepped like the rest.  Integration
+    failures propagate as EvolveError with the trajectory so far attached.
     """
     if config.cluster_gap is None:
-        config = replace(config, cluster_gap=_cluster_gap(initial, config))
+        # 1e-7 times the INITIAL spread, frozen into the config so the
+        # threshold does not shrink with a collapsing pair
+        config = replace(config, cluster_gap=1e-7 * max(initial.spread(), np.finfo(float).tiny))
 
-    traj = Trajectory(times=[initial.time], states=[initial], events=[], config=config)
-    stats = traj.stats
-    state = initial
+    x, b, t, gamma = initial.positions, initial.charges, initial.time, initial.coupling
+    times, xs, bs, events = [t], [x], [b], []
+    stats = StepStats()
 
-    def record(st: ParticleState, force_keep: bool = False):
+    def record(force_keep: bool = False):
         if config.store_steps or force_keep:
-            traj.times.append(st.time)
-            traj.states.append(st)
+            times.append(t)
+            xs.append(x)
+            bs.append(b)
 
-    def forces(st: ParticleState) -> np.ndarray:
+    def forces() -> np.ndarray:
         stats.force_evals += 1
-        return velocity_field(st.positions, st.charges, st.coupling)
+        return velocity_field(x, b, gamma)
+
+    def trajectory() -> Trajectory:
+        return Trajectory(times=np.array(times), positions=np.array(xs), charges=np.array(bs),
+                          coupling=gamma, events=events, config=config, stats=stats)
 
     targets = [config.t_end]
     if config.sample_times:
-        targets = sorted(set(t for t in config.sample_times if t <= config.t_end) | {config.t_end})
-    targets = [t for t in targets if t > state.time]
+        targets = sorted(set(s for s in config.sample_times if s <= config.t_end) | {config.t_end})
+    targets = [s for s in targets if s > t]
 
-    # f(state) and the step-size memory stay valid until the next annihilation
-    v = forces(state)
-    ctl = _Controller()
+    # f(x) and the segment stay valid until the next annihilation
+    v = forces()
+    seg = _Segment(b, gamma)
     try:
         for target in targets:
-            while state.time < target:
+            while t < target:
                 if stats.accepted > config.max_steps:
-                    raise StepSizeUnderflow(
-                        f"exceeded {config.max_steps} steps at t={state.time:.6e}"
-                    )
-                clusters = detect_clusters(state, config, v)
-                if clusters:
+                    raise StepSizeUnderflow(f"exceeded {config.max_steps} steps at t={t:.6e}")
+                clusters = detect_clusters(x, b, v, config.cluster_gap)
+                # the clusters are resolved once one of them collides by the
+                # target; until then they are stepped like the rest
+                if clusters and t + min(_collision(x[cl], int(b[cl].sum()), gamma)[1]
+                                        for cl in clusters) <= target:
+                    state = ParticleState(positions=x, charges=b, coupling=gamma, time=t)
                     for cl in clusters:
                         state, event = resolve_annihilation(state, cl, config)
-                        traj.events.append(event)
-                        record(state, force_keep=True)
-                    v = forces(state)
-                    ctl = _Controller()  # post-collision field, start afresh
+                        events.append(event)
+                        x, b, t = state.positions, state.charges, state.time
+                        record(force_keep=True)
+                    v = forces()
+                    seg = _Segment(b, gamma)  # post-collision field, start afresh
                     continue
-                state, _dt, v = _step_core(state, target - state.time, config, ctl, v, stats)
+                x, dt, v = _step_core(x, t, target - t, seg, config, v, stats)
+                t += dt
                 stats.accepted += 1
                 # snap onto the target when only fp residue remains
-                if abs(state.time - target) <= 4e-15 * max(1.0, abs(target)):
-                    state = replace(state, time=target)
-                record(state, force_keep=(state.time >= target))
+                if abs(t - target) <= 4e-15 * max(1.0, abs(target)):
+                    t = target
+                record(force_keep=(t >= target))
     except (StepSizeUnderflow, NonAlternatingCluster, NetChargeTooLarge) as exc:
-        raise EvolveError(str(exc), traj) from exc
-    return traj
+        raise EvolveError(str(exc), trajectory()) from exc
+    return trajectory()

@@ -21,9 +21,7 @@ __all__ = [
     "config_hash",
     "provenance_line",
     "write_trajectory_csv",
-    "read_trajectory_csv",
     "write_events_jsonl",
-    "read_events_jsonl",
     "write_xy_csv",
     "write_measure_csv",
     "write_stepfunction_csv",
@@ -44,30 +42,15 @@ def provenance_line(cfg_hash: str) -> str:
     return f"# annihilate v{__version__} config={cfg_hash}"
 
 
-def write_trajectory_csv(path, times, states, cfg_hash: str = "none") -> None:
-    """Columns: t, x_1..x_n, b_1..b_n, in that fixed order."""
-    n = states[0].n
+def write_trajectory_csv(path, times, positions, charges, cfg_hash: str = "none") -> None:
+    """Columns: t, x_1..x_n, b_1..b_n, in that fixed order; row k from times[k], positions[k], charges[k]."""
+    n = positions.shape[1]
     lines = [provenance_line(cfg_hash)]
     header = ["t"] + [f"x_{i + 1}" for i in range(n)] + [f"b_{i + 1}" for i in range(n)]
     lines.append(",".join(header))
-    for t, st in zip(times, states):
-        row = [_fmt(t)] + [_fmt(v) for v in st.positions] + [str(int(b)) for b in st.charges]
-        lines.append(",".join(row))
+    for t, x, b in zip(times.tolist(), positions.tolist(), charges.tolist()):
+        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in x] + [str(c) for c in b]))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_trajectory_csv(path):
-    """Returns (times, positions, charges) arrays; bit-exact round trip."""
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if not line or line.startswith("#") or line.startswith("t,"):
-            continue
-        rows.append(line.split(","))
-    n = (len(rows[0]) - 1) // 2
-    times = np.array([float(r[0]) for r in rows])
-    xs = np.array([[float(v) for v in r[1 : 1 + n]] for r in rows])
-    bs = np.array([[int(v) for v in r[1 + n :]] for r in rows])
-    return times, xs, bs
 
 
 def write_events_jsonl(path, events: Iterable[EventRecord], cfg_hash: str = "none") -> None:
@@ -85,15 +68,6 @@ def write_events_jsonl(path, events: Iterable[EventRecord], cfg_hash: str = "non
             )
         )
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_events_jsonl(path) -> list[dict]:
-    out = []
-    for line in Path(path).read_text().splitlines():
-        if not line or line.startswith("#"):
-            continue
-        out.append(json.loads(line))
-    return out
 
 
 def write_xy_csv(path, xs, ys, cfg_hash: str = "none", names=("x", "u")) -> None:

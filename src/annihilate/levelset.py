@@ -25,7 +25,6 @@ __all__ = [
     "StepFunction",
     "JumpTooClose",
     "from_particles",
-    "staircase",
     "nonlocal_operator_closed_form",
     "nonlocal_operator_quadrature",
     "far_field",
@@ -96,9 +95,6 @@ class StepFunction:
         vals = np.minimum(self._prefix[right], self._prefix[left])
         return self.base + self.eps * vals
 
-    def total_variation(self) -> float:
-        return self.eps * self.n_jumps
-
     def sup_norm(self) -> float:
         vals = self.base + self.eps * self._prefix
         return float(np.max(np.abs(vals)))
@@ -122,21 +118,6 @@ def from_particles(state: particles.ParticleState, eps: float | None = None, bas
         eps=state.coupling if eps is None else eps,
         base=base,
     )
-
-
-def staircase(alpha: float, eps: float, variant: str = "upper") -> float:
-    """Staircase quantization of the identity at spacing eps.
-
-    upper: eps * (floor(alpha/eps) + 1/2)   (equal to its usc envelope)
-    lower: eps * ceil(alpha/eps) - eps/2    (the lsc envelope)
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if variant == "upper":
-        return eps * (math.floor(alpha / eps) + 0.5)
-    if variant == "lower":
-        return eps * math.ceil(alpha / eps) - eps / 2.0
-    raise ValueError("variant must be 'upper' or 'lower'")
 
 
 def nonlocal_operator_closed_form(u: StepFunction) -> np.ndarray:

@@ -56,9 +56,6 @@ class SignedAtomicMeasure:
     def n_atoms(self) -> int:
         return self.locations.size
 
-    def total_variation(self) -> float:
-        return float(np.sum(np.abs(self.weights)))
-
     def total_mass(self) -> float:
         """kappa(R): the conserved net charge divided by n for states."""
         return float(np.sum(self.weights))

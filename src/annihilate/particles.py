@@ -20,13 +20,10 @@ __all__ = [
     "EventRecord",
     "InvalidState",
     "NonFiniteForce",
-    "velocities",
     "velocity_field",
     "energy",
     "net_charge",
-    "neighbor_pairs",
     "same_sign_gap",
-    "min_opposite_gap",
 ]
 
 
@@ -90,14 +87,9 @@ class ParticleState:
     def n(self) -> int:
         return self.positions.size
 
-    @property
-    def charged(self) -> np.ndarray:
-        """Boolean mask of charged particles."""
-        return self.charges != 0
-
     def spread(self) -> float:
         """Diameter of the charged configuration (full range if all neutral)."""
-        x = self.positions[self.charged]
+        x = self.positions[self.charges != 0]
         if x.size < 2:
             x = self.positions
         return float(x.max() - x.min())
@@ -149,56 +141,36 @@ def velocity_field(x: np.ndarray, b: np.ndarray, coupling: float) -> np.ndarray:
     return v
 
 
-def velocities(state: ParticleState) -> np.ndarray:
-    return velocity_field(state.positions, state.charges, state.coupling)
-
-
-def energy(state: ParticleState) -> float:
+def energy(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Interaction energy (1 / 2n^2) sum_{i != j} b_i b_j * (-log|x_i - x_j|).
 
-    Monitoring diagnostic only: with coupling 1/n the flow descends this
-    energy between collisions.
+    x holds one configuration per row, shape (n,) or (samples, n), all
+    with the charges b; the result has one entry per row.  Monitoring
+    diagnostic only: with coupling 1/n the flow descends this energy
+    between collisions.
     """
-    x, b = state.positions, state.charges
-    act = np.flatnonzero(b != 0)
-    if act.size < 2:
-        return 0.0
-    xa = x[act]
-    ba = b[act].astype(float)
-    diff = np.abs(xa[:, None] - xa[None, :])
-    iu = np.triu_indices(act.size, k=1)
-    gaps = diff[iu]
-    prods = (ba[:, None] * ba[None, :])[iu]
-    total = 2.0 * float(np.sum(prods * -np.log(gaps)))
-    return total / (2.0 * state.n**2)
+    act = np.flatnonzero(b)
+    i, j = (act[k] for k in np.triu_indices(act.size, k=1))
+    # np.take keeps each row contiguous, so a row sums exactly as a 1-d array would
+    gaps = np.abs(np.take(x, i, axis=-1) - np.take(x, j, axis=-1))
+    terms = (b[i] * b[j]).astype(float) * -np.log(gaps)
+    return 2.0 * terms.sum(axis=-1) / (2.0 * b.size**2)
 
 
 def net_charge(state: ParticleState) -> int:
     return int(state.charges.sum())
 
 
-def neighbor_pairs(state: ParticleState) -> list[tuple[int, int]]:
-    """Adjacent charged pairs (only neutrals in between), left index first."""
-    idx = np.flatnonzero(state.charges)
-    return [(int(a), int(c)) for a, c in zip(idx[:-1], idx[1:])]
+def same_sign_gap(x: np.ndarray, b: np.ndarray, sign: int) -> np.ndarray:
+    """Least gap between neighboring charged particles of the given sign.
 
-
-def _min_neighbor_gap(state: ParticleState, keep) -> float:
-    # smallest x_c - x_a over adjacent charged pairs (a, c) with keep(b_a, b_c)
-    idx = np.flatnonzero(state.charges)
-    b = state.charges[idx]
-    gaps = np.diff(state.positions[idx])[keep(b[:-1], b[1:])]
-    return float(gaps.min()) if gaps.size else np.inf
-
-
-def same_sign_gap(state: ParticleState, sign: int) -> float:
-    """Minimal gap between neighboring charged particles of the given sign.
-
-    Returns inf when no such neighboring pair exists.
+    x holds one configuration per row, shape (n,) or (samples, n), all
+    with the charges b; the result has one entry per row, inf when no such
+    neighboring pair exists.
     """
-    return _min_neighbor_gap(state, lambda bl, br: (bl == sign) & (br == sign))
-
-
-def min_opposite_gap(state: ParticleState) -> float:
-    """Smallest gap between opposite-sign charged neighbors (inf if none)."""
-    return _min_neighbor_gap(state, lambda bl, br: bl != br)
+    idx = np.flatnonzero(b)
+    bc = b[idx]
+    keep = (bc[:-1] == sign) & (bc[1:] == sign)
+    if not keep.any():
+        return np.full(x.shape[:-1], np.inf)
+    return np.diff(x[..., idx], axis=-1)[..., keep].min(axis=-1)

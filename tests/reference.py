@@ -11,21 +11,29 @@ oracle of its FFT branch.  `aec_defect_loop` is one defect of
 `narrow_proxy_loop` is `measures.narrow_distance_proxy` by scalar sums
 over atoms with a scalar default dictionary.  `sample_particles_loop` is
 `harness.sample_particles` with one u0 call per scan point and one scalar
-bisection per crossing.  The helpers at the end serve only the
-tests: a single integrator step with no history, the barrier bound on the
-limit equation and the tightness monitor of a measure.
+bisection per crossing.  The `*_loop` checks at the end are the property
+suite's per-run checks walking a trajectory one `ParticleState` at a
+time.  The other helpers serve only the tests: a single integrator step
+with no history, per-state velocities, the staircase quantization, the
+total variation and Lipschitz constant of a step or grid function, the
+barrier bound on the limit equation, the tightness monitor of a measure,
+and the readers of the trajectory CSV and event JSONL formats.
 """
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
+from annihilate import moments
 from annihilate.hjsolver import GridFunction
-from annihilate.integrator import IntegratorConfig, StepStats, _Controller, _step_core
+from annihilate.integrator import IntegratorConfig, StepStats, Trajectory, _Segment, _step_core
+from annihilate.levelset import StepFunction
 from annihilate.measures import SignedAtomicMeasure
-from annihilate.particles import NonFiniteForce, ParticleState, velocity_field
+from annihilate.particles import EventRecord, NonFiniteForce, ParticleState, velocity_field
 
 
 def force(state: ParticleState, i: int) -> float:
@@ -166,8 +174,66 @@ def step(
 ) -> tuple[ParticleState, float]:
     """Single accepted integrator step with no history: the hint starts unconstrained."""
     k0 = velocity_field(state.positions, state.charges, state.coupling)
-    new, dt, _ = _step_core(state, dt_max, config, _Controller(), k0, StepStats())
-    return new, dt
+    seg = _Segment(state.charges, state.coupling)
+    x, dt, _ = _step_core(state.positions, state.time, dt_max, seg, config, k0, StepStats())
+    return ParticleState(positions=x, charges=state.charges, coupling=state.coupling,
+                         time=state.time + dt), dt
+
+
+def velocities(state: ParticleState) -> np.ndarray:
+    return velocity_field(state.positions, state.charges, state.coupling)
+
+
+def staircase(alpha: float, eps: float, variant: str = "upper") -> float:
+    """Staircase quantization of the identity at spacing eps.
+
+    upper: eps * (floor(alpha/eps) + 1/2)   (equal to its usc envelope)
+    lower: eps * ceil(alpha/eps) - eps/2    (the lsc envelope)
+    """
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    if variant == "upper":
+        return eps * (math.floor(alpha / eps) + 0.5)
+    if variant == "lower":
+        return eps * math.ceil(alpha / eps) - eps / 2.0
+    raise ValueError("variant must be 'upper' or 'lower'")
+
+
+def total_variation(u: StepFunction) -> float:
+    return u.eps * u.n_jumps
+
+
+def measure_total_variation(mu: SignedAtomicMeasure) -> float:
+    return float(np.sum(np.abs(mu.weights)))
+
+
+def grid_lipschitz(u: GridFunction) -> float:
+    """Max one-sided difference quotient of a grid function, tails included."""
+    padded = np.concatenate([[u.tails[0]], u.values, [u.tails[1]]])
+    return float(np.max(np.abs(np.diff(padded)))) / u.h
+
+
+def read_trajectory_csv(path):
+    """Returns (times, positions, charges) arrays; bit-exact round trip."""
+    rows = []
+    for line in Path(path).read_text().splitlines():
+        if not line or line.startswith("#") or line.startswith("t,"):
+            continue
+        rows.append(line.split(","))
+    n = (len(rows[0]) - 1) // 2
+    times = np.array([float(r[0]) for r in rows])
+    xs = np.array([[float(v) for v in r[1 : 1 + n]] for r in rows])
+    bs = np.array([[int(v) for v in r[1 + n :]] for r in rows])
+    return times, xs, bs
+
+
+def read_events_jsonl(path) -> list[dict]:
+    out = []
+    for line in Path(path).read_text().splitlines():
+        if not line or line.startswith("#"):
+            continue
+        out.append(json.loads(line))
+    return out
 
 
 # Constant in the barrier speed, from bounding the staircase-averaged
@@ -248,3 +314,179 @@ def narrow_proxy_loop(
         return sum(w * phi(x) for x, w in zip(m.locations, m.weights))
 
     return max(abs(integral(mu, phi) - integral(nu, phi)) for phi in dictionary)
+
+
+# ---------------------------------------------------------------------------
+# the property suite's per-run checks, one ParticleState at a time
+
+
+def _states(traj: Trajectory) -> list[ParticleState]:
+    return [traj.state(k) for k in range(len(traj.times))]
+
+
+def _same_sign_gap(state: ParticleState, sign: int) -> float:
+    idx = np.flatnonzero(state.charges)
+    b = state.charges[idx]
+    gaps = np.diff(state.positions[idx])[(b[:-1] == sign) & (b[1:] == sign)]
+    return float(gaps.min()) if gaps.size else np.inf
+
+
+def _energy(state: ParticleState) -> float:
+    x, b = state.positions, state.charges
+    act = np.flatnonzero(b != 0)
+    if act.size < 2:
+        return 0.0
+    xa = x[act]
+    ba = b[act].astype(float)
+    diff = np.abs(xa[:, None] - xa[None, :])
+    iu = np.triu_indices(act.size, k=1)
+    total = 2.0 * float(np.sum((ba[:, None] * ba[None, :])[iu] * -np.log(diff[iu])))
+    return total / (2.0 * state.n**2)
+
+
+def check_m1_loop(traj):
+    states = _states(traj)
+    m1_0 = float(states[0].positions.sum())
+    tol = 1e-9 * (1.0 + abs(m1_0))
+    worst = max(abs(float(st.positions.sum()) - m1_0) for st in states)
+    yield worst <= tol, tol - worst, f"max drift {worst:.3e}"
+
+
+def check_net_charge_loop(traj):
+    states = _states(traj)
+    q0 = int(states[0].charges.sum())
+    dev = max(abs(int(st.charges.sum()) - q0) for st in states)
+    yield dev == 0, float(-dev), f"max integer deviation {dev}"
+
+
+def check_m2_loop(traj):
+    rel_tol = 1e-6
+    states, times = _states(traj), traj.times.tolist()
+    m2 = lambda st: 0.5 * float(np.sum(st.positions**2))
+    for a, b in traj.segments():
+        inside = [k for k, t in enumerate(times)
+                  if a + 1e-13 < t < b - 1e-13 or (a == times[0] and t == a)]
+        if len(inside) < 2:
+            continue
+        k0, k1 = inside[0], inside[-1]
+        dt = times[k1] - times[k0]
+        if dt <= 0.05:
+            continue
+        st = states[k0]
+        bsum = float(st.charges.sum())
+        bsq = float(np.sum(st.charges.astype(float) ** 2))
+        pred = 0.5 * st.coupling * (bsum * bsum - bsq)
+        slope = (m2(states[k1]) - m2(st)) / dt
+        if pred == 0.0:
+            floor = 100.0 * traj.config.rel_tol * (1.0 + abs(m2(st))) / dt
+            dev = abs(slope)
+            yield dev <= floor, floor - dev, f"zero-rate segment dev {dev:.2e}"
+        else:
+            rel = abs(slope - pred) / abs(pred)
+            yield rel <= rel_tol, rel_tol - rel, f"rel dev {rel:.2e}"
+
+
+def check_equal_gap_loop(traj):
+    states, times = _states(traj), traj.times.tolist()
+    n = states[0].n
+    rate = 8.0 / (n * n - 1.0)
+    for sign in (+1, -1):
+        d0 = _same_sign_gap(states[0], sign)
+        if not math.isfinite(d0):
+            continue
+        for t, st in zip(times, states):
+            d = _same_sign_gap(st, sign)
+            if not math.isfinite(d):
+                continue
+            bound = d0 * d0 + rate * (t - times[0]) - 1e-9
+            yield d * d >= bound, d * d - bound, f"sign {sign} at t={t:.3f}"
+
+
+def check_opposite_gap_loop(traj):
+    states, times = _states(traj), traj.times.tolist()
+    st0 = states[0]
+    beta = 8.0 * (math.log(st0.n) + 1.0) / st0.n
+    c0_all = min(_same_sign_gap(st0, 1), _same_sign_gap(st0, -1))
+    idx = np.flatnonzero(st0.charges)
+    for i, j in zip(idx[:-1].tolist(), idx[1:].tolist()):
+        c0 = min(c0_all, st0.positions[j] - st0.positions[i])
+        for t, st in zip(times, states):
+            if st.charges[i] == 0 or st.charges[j] == 0:
+                break
+            radicand = c0 * c0 - beta * (t - times[0])
+            if radicand <= 0:
+                break
+            gap = st.positions[j] - st.positions[i]
+            bound = math.sqrt(radicand) - 1e-9
+            yield gap >= bound, gap - bound, f"pair ({i},{j}) t={t:.3f}"
+
+
+def fit_collision_exponent_loop(traj: Trajectory, event: EventRecord) -> float | None:
+    ds, dts = [], []
+    for t, st in zip(traj.times.tolist(), _states(traj)):
+        if t >= event.tau:
+            break
+        if any(st.charges[i] == 0 for i in event.cluster):
+            continue
+        xs = st.positions[list(event.cluster)]
+        d = float(xs.max() - xs.min())
+        gap = event.tau - t
+        if d > 0 and gap > 0:
+            ds.append(d)
+            dts.append(gap)
+    if len(ds) < 5:
+        return None
+    dts, ds = np.asarray(dts), np.asarray(ds)
+    lo = dts.min()
+    mask = dts <= 100.0 * lo
+    if mask.sum() < 5:
+        mask = dts <= 1000.0 * lo
+    if mask.sum() < 5:
+        return None
+    return float(np.polyfit(np.log(dts[mask]), np.log(ds[mask]), 1)[0])
+
+
+def check_slopes_loop(traj):
+    for ev in traj.events:
+        slope = fit_collision_exponent_loop(traj, ev)
+        if slope is None:
+            continue
+        margin = 0.02 - abs(slope - 0.5)
+        yield margin >= 0, margin, f"slope {slope:.4f} at tau={ev.tau:.4f}"
+
+
+def check_dm_lipschitz_loop(traj):
+    states, times = _states(traj), traj.times.tolist()
+    grid = traj.config.sample_times
+    idx = [k for k, t in enumerate(times) if any(abs(t - s) < 1e-12 for s in grid)]
+    if len(idx) < 3:
+        return
+    xs = [states[k].positions for k in idx]
+    ts = [times[k] for k in idx]
+    c_adj = 0.0
+    for k in range(len(idx) - 1):
+        dt = ts[k + 1] - ts[k]
+        if dt > 1e-12:
+            c_adj = max(c_adj, moments.d_M(xs[k], xs[k + 1]) / dt)
+    allowed = 1.01 * c_adj + 1e-9
+    worst = 0.0
+    for a in range(0, len(idx), 3):
+        for b in range(a + 1, len(idx)):
+            dt = ts[b] - ts[a]
+            if dt > 1e-12:
+                worst = max(worst, moments.d_M(xs[a], xs[b]) / dt)
+    yield worst <= allowed, allowed - worst, f"fit C={c_adj:.3e}, worst {worst:.3e}"
+
+
+def check_energy_loop(traj):
+    taus = [ev.tau for ev in traj.events]
+    prev_t, prev_e = None, None
+    for t, st in zip(traj.times.tolist(), _states(traj)):
+        if any(abs(t - tau) < 1e-13 for tau in taus):
+            prev_t, prev_e = None, None
+            continue
+        e = _energy(st)
+        if prev_e is not None and not any(prev_t < tau < t for tau in taus):
+            tol = 1e-9 * (1.0 + abs(prev_e))
+            yield e <= prev_e + tol, prev_e + tol - e, f"t={t:.3f}"
+        prev_t, prev_e = t, e

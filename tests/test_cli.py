@@ -15,7 +15,7 @@ from annihilate.cli import (
     _COMMANDS, _SCHEMA, _build, _hj_args, _integrator_config, _load_config, _measure_args,
     _moments_positions, _simulate_state, _typed, main,
 )
-from annihilate.io import read_events_jsonl, read_trajectory_csv
+from reference import read_events_jsonl, read_trajectory_csv
 
 
 ROOT = Path(__file__).resolve().parent.parent

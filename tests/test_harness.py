@@ -7,7 +7,17 @@ from annihilate import harness as Hn
 from annihilate.integrator import IntegratorConfig, evolve
 from annihilate.levelset import from_particles
 from annihilate.particles import ParticleState
-from reference import sample_particles_loop
+from reference import (
+    check_dm_lipschitz_loop,
+    check_energy_loop,
+    check_equal_gap_loop,
+    check_m1_loop,
+    check_m2_loop,
+    check_net_charge_loop,
+    check_opposite_gap_loop,
+    check_slopes_loop,
+    sample_particles_loop,
+)
 
 
 class TestSampler:
@@ -181,8 +191,9 @@ class TestPropertySuite:
 
     def test_ode_residual_can_fail(self, monkeypatch):
         # a force field off by 1e-3 relative shows in the residual check
-        exact = Hn.velocities
-        monkeypatch.setattr(Hn, "velocities", lambda st: exact(st) * (1.0 + 1e-3))
+        exact = Hn.particles.velocity_field
+        monkeypatch.setattr(Hn.particles, "velocity_field",
+                            lambda x, b, g: exact(x, b, g) * (1.0 + 1e-3))
         rep = Hn.run_property_suite(seed=4, sizes=(4,), runs=3, t_end=0.5)
         assert rep.checks["ode_residual"].margin < 0
         assert not rep.checks["ode_residual"].passed
@@ -239,3 +250,47 @@ class TestStability:
     def test_fixture_has_three_collisions(self):
         traj = evolve(Hn._triple_collision_fixture(), IntegratorConfig(t_end=1.0))
         assert len(traj.events) == 3
+
+
+# each vectorized per-run check and its per-state loop in tests/reference.py
+_CHECK_ORACLES = {
+    "m1_conservation": check_m1_loop,
+    "net_charge": check_net_charge_loop,
+    "m2_drift": check_m2_loop,
+    "equal_sign_gap_bound": check_equal_gap_loop,
+    "opposite_gap_bound": check_opposite_gap_loop,
+    "collision_slope": check_slopes_loop,
+    "dm_lipschitz": check_dm_lipschitz_loop,
+    "energy_decay": check_energy_loop,
+}
+
+
+@pytest.fixture(scope="module")
+def suite_runs():
+    """Suite-style runs at n = 4..32 from three seeds, plus two runs without events."""
+    grid = tuple(np.linspace(0.0, 1.0, 21))
+    cfg = IntegratorConfig(t_end=1.0, sample_times=grid)
+    runs = []
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        runs += [evolve(Hn._random_state(rng, n), cfg) for n in (4, 8, 16, 32)]
+    plus = ParticleState(positions=np.linspace(-1.0, 1.0, 8), charges=np.ones(8, dtype=int))
+    mixed = ParticleState(positions=np.linspace(-1.0, 1.0, 6), charges=np.array([1, 0, 1, 0, -1, 0]))
+    runs += [evolve(plus, cfg), evolve(mixed, IntegratorConfig(t_end=0.2, sample_times=grid[:5]))]
+    return runs
+
+
+class TestVectorizedChecks:
+    def test_runs_cover_events_and_none(self, suite_runs):
+        assert sum(1 for tr in suite_runs if tr.events) >= 6
+        assert sum(1 for tr in suite_runs if not tr.events) >= 2
+
+    @pytest.mark.parametrize("name", sorted(_CHECK_ORACLES))
+    def test_matches_per_state_loop(self, suite_runs, name):
+        # same (passed, margin, detail) cases in the same order
+        total = 0
+        for tr in suite_runs:
+            fast = list(Hn._PER_RUN[name](tr))
+            assert fast == list(_CHECK_ORACLES[name](tr))
+            total += len(fast)
+        assert total > 0

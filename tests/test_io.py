@@ -6,6 +6,7 @@ from annihilate.integrator import IntegratorConfig, evolve
 from annihilate.levelset import from_particles
 from annihilate.measures import SignedAtomicMeasure
 from annihilate.particles import ParticleState
+from reference import read_events_jsonl, read_trajectory_csv
 
 
 @pytest.fixture
@@ -17,16 +18,15 @@ def traj():
 class TestTrajectoryCsv:
     def test_round_trip_bit_exact(self, tmp_path, traj):
         path = tmp_path / "traj.csv"
-        io.write_trajectory_csv(path, traj.times, traj.states, "deadbeef")
-        times, xs, bs = io.read_trajectory_csv(path)
-        assert np.array_equal(times, np.asarray(traj.times))
-        for k, st in enumerate(traj.states):
-            assert np.array_equal(xs[k], st.positions)
-            assert np.array_equal(bs[k], st.charges)
+        io.write_trajectory_csv(path, traj.times, traj.positions, traj.charges, "deadbeef")
+        times, xs, bs = read_trajectory_csv(path)
+        assert np.array_equal(times, traj.times)
+        assert np.array_equal(xs, traj.positions)
+        assert np.array_equal(bs, traj.charges)
 
     def test_provenance_header(self, tmp_path, traj):
         path = tmp_path / "traj.csv"
-        io.write_trajectory_csv(path, traj.times, traj.states, "cafe")
+        io.write_trajectory_csv(path, traj.times, traj.positions, traj.charges, "cafe")
         first = path.read_text().splitlines()[0]
         assert first.startswith("# annihilate v") and first.endswith("config=cafe")
 
@@ -35,7 +35,7 @@ class TestEventsJsonl:
     def test_round_trip(self, tmp_path, traj):
         path = tmp_path / "ev.jsonl"
         io.write_events_jsonl(path, traj.events, "cafe")
-        rows = io.read_events_jsonl(path)
+        rows = read_events_jsonl(path)
         assert len(rows) == len(traj.events) == 1
         assert rows[0]["tau"] == traj.events[0].tau
         assert rows[0]["cluster"] == list(traj.events[0].cluster)

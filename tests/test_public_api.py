@@ -2,7 +2,10 @@
 
 `benchmarks/layers.py` installs its spans by replacing module attributes
 such as `harness.evolve`; moving a function out of a module breaks the
-tracer without breaking any call inside the package.
+tracer without breaking any call inside the package.  Its counters read
+the call sites too: `evolve` must call `velocity_field` and
+`detect_clusters` through the `integrator` module, once per evaluation
+and once per step.
 """
 import importlib
 import importlib.util
@@ -17,11 +20,15 @@ LAYERS = Path(__file__).resolve().parents[1] / "benchmarks" / "layers.py"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(annihilate.__path__))
 
 
-def _traced_attributes() -> list[str]:
+def _layers():
     spec = importlib.util.spec_from_file_location("benchmark_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    return [attr for _, attrs in layers.TRACED for attr in attrs]
+    return layers
+
+
+def _traced_attributes() -> list[str]:
+    return [attr for _, attrs in _layers().TRACED for attr in attrs]
 
 
 @pytest.mark.parametrize("attr", _traced_attributes())
@@ -39,3 +46,25 @@ def test_exported_names_exist(mod):
 def test_every_module_is_checked():
     # a rename of the package's modules must not empty the parametrization
     assert {"harness", "integrator", "levelset", "measures", "hjsolver"} <= set(MODULES)
+
+
+def test_trace_counters_equal_integrator_counters(monkeypatch):
+    # the n = 16 rung of the double_bump ladder, evolved under the tracer
+    layers = _layers()
+    for attr in _traced_attributes():
+        mod, name = attr.rsplit(".", 1)
+        module = importlib.import_module(f"annihilate.{mod}")
+        monkeypatch.setattr(module, name, getattr(module, name))  # undone after the test
+    tracer = layers.Tracer()
+    tracer.install()
+    from annihilate import harness
+
+    spec = harness.ExperimentSpec(datum="double_bump", ns=(16,))
+    state = harness.sample_particles(harness.CATALOG["double_bump"].u0, 16, spec.offset,
+                                     window=(-spec.ref_L, spec.ref_L), scan_points=spec.scan_points)
+    traj = harness.evolve(state, spec.integrator_config())
+    metrics = tracer.layer_metrics()
+    assert traj.events and traj.stats.accepted > 0
+    assert tracer.counts["step_evals"] == traj.stats.force_evals
+    assert metrics["integrator.accepted_steps"] == traj.stats.accepted
+    assert metrics["integrator.events"] == len(traj.events)
