@@ -31,7 +31,7 @@ from .particles import ParticleState
 
 log = logging.getLogger("annihilate")
 
-_HIDDEN = {"boundary_margin_cells", "sample_times", "store_steps", "max_steps"}
+_HIDDEN = {"sample_times", "store_steps", "max_steps"}
 
 
 def _keys(target) -> set[str]:

@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 
+# points of the grid on which sample_particles looks for level crossings
+SCAN_POINTS = 2**15
+
+
 class DegenerateCrossing(ValueError):
     """The datum is flat at a sampling level over an interval."""
 
@@ -56,10 +60,8 @@ class InitialDatum:
     values there, an array of the same shape.
     """
 
-    name: str
     u0: Callable[[np.ndarray], np.ndarray]
     window: tuple[float, float]
-    description: str = ""
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:
@@ -79,24 +81,12 @@ def _double_bump(x: np.ndarray) -> np.ndarray:
 
 
 CATALOG: dict[str, InitialDatum] = {
-    "sigmoid": InitialDatum(
-        name="sigmoid",
-        u0=_smoothstep,
-        window=(-1.0, 1.0),
-        description="monotone ramp 0 -> 1; all charges +1, no annihilation ever",
-    ),
-    "double_bump": InitialDatum(
-        name="double_bump",
-        u0=_double_bump,
-        window=(-1.9, 1.9),
-        description="two separated bumps; inner opposite pairs annihilate",
-    ),
-    "constant": InitialDatum(
-        name="constant",
-        u0=lambda x: np.full(np.shape(x), 0.25),
-        window=(-1.0, 1.0),
-        description="no level crossings, no particles; the error is zero",
-    ),
+    # monotone ramp 0 -> 1; all charges +1, no annihilation ever
+    "sigmoid": InitialDatum(u0=_smoothstep, window=(-1.0, 1.0)),
+    # two separated bumps; inner opposite pairs annihilate
+    "double_bump": InitialDatum(u0=_double_bump, window=(-1.9, 1.9)),
+    # no level crossings, no particles; the error is zero
+    "constant": InitialDatum(u0=lambda x: np.full(np.shape(x), 0.25), window=(-1.0, 1.0)),
 }
 
 
@@ -104,14 +94,10 @@ def pair_bump(eps: float) -> InitialDatum:
     """Height-eps Lorentzian bump: the closed-form two-particle family.
 
     Sampling at any offset a in (0, 1) yields one +- pair at +-sqrt(1/a-1)
-    whose trajectories are +-sqrt(x0^2 - eps t).
+    whose trajectories are +-sqrt(x0^2 - eps t); the exact solution is
+    u(t, x) = u0(sqrt(x^2 + eps t)).
     """
-    return InitialDatum(
-        name="pair_bump",
-        u0=lambda x: eps / (x * x + 1.0),
-        window=(-8.0, 8.0),
-        description="eps/(x^2+1); exact solution u(t,x) = u0(sqrt(x^2 + eps t))",
-    )
+    return InitialDatum(u0=lambda x: eps / (x * x + 1.0), window=(-8.0, 8.0))
 
 
 def odd_lattice(n: int) -> ParticleState:
@@ -137,7 +123,7 @@ def sample_particles(
     n: int,
     a: float,
     window: tuple[float, float] = (-4.0, 4.0),
-    scan_points: int = 2**15,
+    scan_points: int = SCAN_POINTS,
 ) -> ParticleState | None:
     """Particles as level crossings of u0 at heights (1/n)(Z + a).
 
@@ -195,22 +181,21 @@ def sample_particles(
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One discrete-to-continuum experiment."""
+    """One discrete-to-continuum experiment.
+
+    The reference grid spans the `SchemeConfig` default [-L, L], and the
+    particles run at the `IntegratorConfig` default tolerances.  seed
+    changes no result: the ladder draws no random numbers.
+    """
 
     datum: str = "sigmoid"
     ns: tuple[int, ...] = (8, 16, 32, 64, 128)
     offset: float = 0.5
     t_end: float = 0.25
-    n_snapshots: int = 6
-    ref_L: float = hjsolver.SchemeConfig.L
     ref_h: float = 1.0 / 256.0
     ref_rho: float = hjsolver.SchemeConfig.rho
-    ref_cfl: float = hjsolver.SchemeConfig.cfl
-    abs_tol: float = IntegratorConfig.abs_tol
-    rel_tol: float = IntegratorConfig.rel_tol
-    scan_points: int = 2**15
+    scan_points: int = SCAN_POINTS
     seed: int = 0
-    boundary_margin_cells: int = 2
 
     def __post_init__(self):
         if self.datum != "pair_bump" and self.datum not in CATALOG:
@@ -226,19 +211,16 @@ class ExperimentSpec:
         self.integrator_config()
 
     def scheme_config(self) -> hjsolver.SchemeConfig:
-        return hjsolver.SchemeConfig(
-            L=self.ref_L, h=self.ref_h, rho=self.ref_rho, cfl=self.ref_cfl, t_end=self.t_end
-        )
+        return hjsolver.SchemeConfig(h=self.ref_h, rho=self.ref_rho, t_end=self.t_end)
 
     def integrator_config(self) -> IntegratorConfig:
         return IntegratorConfig(
-            t_end=self.t_end, abs_tol=self.abs_tol, rel_tol=self.rel_tol,
-            sample_times=tuple(self.snapshot_times()), store_steps=False,
+            t_end=self.t_end, sample_times=tuple(self.snapshot_times()), store_steps=False,
         )
 
     def snapshot_times(self) -> np.ndarray:
-        inner = np.geomspace(self.t_end / 30.0, self.t_end, self.n_snapshots)
-        return np.concatenate([[0.0], inner])
+        """0 and six times spaced geometrically from t_end / 30 to t_end, sorted and distinct."""
+        return np.concatenate([[0.0], np.geomspace(self.t_end / 30.0, self.t_end, 6)])
 
 
 @dataclass
@@ -261,9 +243,11 @@ class ConvergenceResult:
         return [r.e_n for r in self.rows if r.error is None]
 
 
-def _comparison_points(spec: ExperimentSpec, ref: hjsolver.GridFunction, u_n: levelset.StepFunction) -> np.ndarray:
-    lo = -spec.ref_L + spec.boundary_margin_cells * spec.ref_h
-    hi = spec.ref_L - spec.boundary_margin_cells * spec.ref_h
+def _comparison_points(spec: ExperimentSpec, ref: hjsolver.GridFunction,
+                       u_n: levelset.StepFunction) -> np.ndarray:
+    # two reference cells at either end of the grid are left out
+    lo = ref.xs[0] + 2 * spec.ref_h
+    hi = ref.xs[-1] - 2 * spec.ref_h
     pts = [ref.xs, ref.xs[:-1] + 0.5 * spec.ref_h]
     if u_n.n_jumps:
         off = 1e-9 * max(1.0, float(np.max(np.abs(u_n.locations))))
@@ -275,13 +259,13 @@ def _comparison_points(spec: ExperimentSpec, ref: hjsolver.GridFunction, u_n: le
 
 def _ladder_row(spec: ExperimentSpec, n: int, u0: Callable[[np.ndarray], np.ndarray],
                 window: tuple[float, float], u_left: float,
-                reference: Callable[[float, levelset.StepFunction], tuple]) -> ConvergenceRow:
+                reference: Callable[[int, levelset.StepFunction], tuple]) -> ConvergenceRow:
     """Sample u0 at level spacing 1/n in window, evolve, and measure e_n.
 
     u_left is the datum's value left of all crossings; the step functions
-    start at the sampling level just below it.  reference(t, u_n) returns
-    the comparison points and the reference values there at snapshot time
-    t, given the particle step function u_n at t.
+    start at the sampling level just below it.  reference(k, u_n) returns
+    the comparison points and the reference values there at snapshot k of
+    spec.snapshot_times(), given the particle step function u_n then.
     """
     t0 = _time.perf_counter()
     try:
@@ -296,12 +280,11 @@ def _ladder_row(spec: ExperimentSpec, n: int, u0: Callable[[np.ndarray], np.ndar
         else:
             traj = evolve(state, spec.integrator_config())
             base = quantized_level_below(u_left, eps, spec.offset)
-            steps = [levelset.from_particles(traj.state_at(t, tol=1e-6), eps=eps, base=base)
-                     for t in times]
+            steps = [levelset.from_particles(traj.state_at(t), eps=eps, base=base) for t in times]
             events = len(traj.events)
         e_n = 0.0
-        for t, u_n in zip(times, steps):
-            pts, ref = reference(t, u_n)
+        for k, u_n in enumerate(steps):
+            pts, ref = reference(k, u_n)
             e_n = max(e_n, float(np.max(np.abs(u_n(pts) - ref))))
         return ConvergenceRow(n=n, e_n=e_n, events=events,
                               runtime_s=_time.perf_counter() - t0)
@@ -320,29 +303,27 @@ def run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
     reference cells at the boundary), or, for the pair_bump family, the
     closed form u(t, x) = u0(sqrt(x^2 + eps t)) on a 2001-point grid.
     """
-    snap_times = spec.snapshot_times()
+    snap_times, scheme = spec.snapshot_times(), spec.scheme_config()
     if spec.datum == "pair_bump":
         frames = []
-        grid = np.linspace(-spec.ref_L, spec.ref_L, 2001)
+        grid = np.linspace(-scheme.L, scheme.L, 2001)
         rows = []
         for n in sorted(spec.ns):
             datum = pair_bump(1.0 / n)
-            exact = lambda t, u_n, eps=1.0 / n: (grid, eps / (grid * grid + eps * t + 1.0))
+            exact = lambda k, u_n, eps=1.0 / n: (
+                grid, eps / (grid * grid + eps * snap_times[k] + 1.0))
             rows.append(_ladder_row(spec, n, datum.u0, datum.window, 0.0, exact))
     else:
         datum = CATALOG[spec.datum]
-        ordered = sorted(set([0.0, spec.t_end] + [float(t) for t in snap_times]))
-        ref_frames = hjsolver.solve_hj(datum.u0, spec.scheme_config(), snap_times)
-        frame_of = dict(zip(ordered, ref_frames))
-        frames = [frame_of[float(t)] for t in snap_times]
+        # one frame per snapshot time: they are sorted, distinct, and hold 0 and t_end
+        frames = hjsolver.solve_hj(datum.u0, scheme, snap_times)
 
-        def interpolated(t, u_n):
-            fr = frame_of[float(t)]
-            pts = _comparison_points(spec, fr, u_n)
-            return pts, fr.interp(pts)
+        def interpolated(k, u_n):
+            pts = _comparison_points(spec, frames[k], u_n)
+            return pts, frames[k].interp(pts)
 
         # the reference's left tail is u0 at the window's left end
-        window, u_left = (-spec.ref_L, spec.ref_L), frame_of[0.0].tails[0]
+        window, u_left = (-scheme.L, scheme.L), frames[0].tails[0]
         rows = [_ladder_row(spec, n, datum.u0, window, u_left, interpolated)
                 for n in sorted(spec.ns)]
     good = [r.e_n for r in rows if r.error is None]
@@ -442,10 +423,9 @@ def stability_sweep(
     deltas: Sequence[float],
     t_end: float,
     rng: np.random.Generator,
-    n_times: int = 21,
 ) -> list[float]:
-    """sup_t d_M between the base run and runs from perturbed initial data."""
-    times = tuple(np.linspace(0.0, t_end, n_times))
+    """sup_t d_M over 21 equispaced times in [0, t_end] between the base run and perturbed runs."""
+    times = tuple(np.linspace(0.0, t_end, 21))
     cfg = IntegratorConfig(t_end=t_end, sample_times=times, store_steps=False)
     ref = evolve(base_state, cfg)
     direction = rng.standard_normal(base_state.n)
@@ -459,7 +439,7 @@ def stability_sweep(
         )
         run = evolve(pert, cfg)
         sup = max(
-            moments.d_M(ref.state_at(t, tol=1e-6).positions, run.state_at(t, tol=1e-6).positions)
+            moments.d_M(ref.state_at(t).positions, run.state_at(t).positions)
             for t in times
         )
         sups.append(sup)
@@ -630,7 +610,7 @@ def _check_slopes(traj):
 
 def _check_dm_lipschitz(traj):
     grid = np.asarray(traj.config.sample_times)
-    idx = np.flatnonzero((np.abs(traj.times[:, None] - grid[None, :]) < 1e-12).any(axis=1))
+    idx = np.flatnonzero(np.isin(traj.times, grid))  # the samples land exactly on their times
     if len(idx) < 3:
         return
     xs, ts = traj.positions[idx], traj.times[idx].tolist()
@@ -785,7 +765,7 @@ def _check_envelopes(rng):
 
 
 def _check_hj_comparison(rng):
-    cfg = hjsolver.SchemeConfig(L=2.0, h=1 / 32, rho=4 / 32, cfl=0.8, t_end=0.05)
+    cfg = hjsolver.SchemeConfig(L=2.0, h=1 / 32, rho=4 / 32, t_end=0.05)
     xs = np.linspace(-2.0, 2.0, 129)
     worst = math.inf
     for _ in range(3):
@@ -825,7 +805,7 @@ def _check_odd_lattice(_rng):
     cfg = IntegratorConfig(t_end=dt, sample_times=(dt,), abs_tol=1e-14, rel_tol=1e-12)
     traj = evolve(st, cfg)
     d0 = float(same_sign_gap(st.positions, st.charges, 1))
-    d1 = float(same_sign_gap(traj.state_at(dt, tol=1e-9).positions, st.charges, 1))
+    d1 = float(same_sign_gap(traj.state_at(dt).positions, st.charges, 1))
     rate = (d1 * d1 - d0 * d0) / dt
     target = 8.0 / (n * n - 1.0)
     rel = abs(rate - target) / target

@@ -39,6 +39,8 @@ __all__ = [
 
 # grids of at least this many nodes apply the operator by FFT
 FFT_NODES = 600
+# fraction of the computed stability bound each step takes
+CFL = 0.8
 
 
 class CFLViolation(ValueError):
@@ -50,21 +52,17 @@ class SchemeConfig:
     """Grid and stepping parameters.
 
     rho is the near/far split radius and is snapped to an integer number
-    of cells r = rho/h (at least 2).  cfl in (0,1) scales the computed
-    stability bound.
+    of cells r = rho/h (at least 2).
     """
 
     L: float = 4.0
     h: float = 1.0 / 128.0
     rho: float = 1.0 / 16.0
-    cfl: float = 0.8
     t_end: float = 0.25
 
     def __post_init__(self):
         if not (0 < self.L < math.inf and self.h > 0 and 0 < self.t_end < math.inf):
             raise ValueError("L and t_end must be positive and finite, h positive")
-        if not (0 < self.cfl < 1):
-            raise ValueError("cfl must lie in (0, 1)")
         r = int(round(self.rho / self.h))
         if r < 2 or abs(r * self.h - self.rho) > 1e-9 * self.h:
             raise ValueError("rho must be an integer multiple of h, at least 2h")
@@ -225,14 +223,15 @@ def _godunov_gradient(u: GridFunction, v: np.ndarray) -> np.ndarray:
 def step_hj(u: GridFunction, config: SchemeConfig, dt: float | None = None) -> GridFunction:
     """One forward-Euler step of u_t = I[u] |u_x| with Godunov upwinding.
 
-    dt defaults to the monotonicity bound, cut short to end at config.t_end;
-    passing a larger value raises CFLViolation.  Tails never change.
+    dt defaults to CFL times the monotonicity bound, cut short to end at
+    config.t_end; passing a larger value raises CFLViolation.  Tails
+    never change.
     """
     kern = _kernel_for(u, config.rho)
     v = levy_operator_all(u, config.rho, kern)
     grad = _godunov_gradient(u, v)
     denom = kern.W * float(np.max(grad, initial=0.0)) + float(np.max(np.abs(v), initial=0.0)) / u.h
-    dt_max = math.inf if denom == 0.0 else config.cfl / denom
+    dt_max = math.inf if denom == 0.0 else CFL / denom
     if dt is None:
         dt = min(dt_max, config.t_end - u.time)
         if dt <= 0:

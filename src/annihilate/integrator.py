@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 
+# sigma of the collision cap sigma * g^2 / (4 gamma) on the step size
+COLLISION_SAFETY = 0.5
+
+
 class StepSizeUnderflow(ArithmeticError):
     """dt fell below 1e-16 of the state's time scale without triggering clustering."""
 
@@ -73,8 +77,7 @@ class IntegratorConfig:
     """Tolerances and thresholds for evolve().
 
     cluster_gap defaults to 1e-7 times the initial charged spread; it must
-    stay well below the smallest initial charged gap.  safety is the
-    sigma in the collision-safe step cap.
+    stay well below the smallest initial charged gap.
     """
 
     t_end: float = 1.0
@@ -82,13 +85,12 @@ class IntegratorConfig:
     rel_tol: float = 1e-9
     cluster_gap: float | None = None
     max_step: float = math.inf
-    safety: float = 0.5
     sample_times: tuple[float, ...] | None = None
     store_steps: bool = True
     max_steps: int = 500_000
 
     def __post_init__(self):
-        for name in ("t_end", "abs_tol", "rel_tol", "max_step", "safety"):
+        for name in ("t_end", "abs_tol", "rel_tol", "max_step"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not math.isfinite(self.t_end):
@@ -141,12 +143,12 @@ class Trajectory:
     def final(self) -> ParticleState:
         return self.state(-1)
 
-    def state_at(self, t: float, tol: float = 1e-9) -> ParticleState:
-        """Stored state nearest to t (t must be within tol of a sample)."""
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > tol * max(1.0, abs(t)):
-            raise KeyError(f"no stored sample near t={t}")
-        return self.state(k)
+    def state_at(self, t: float) -> ParticleState:
+        """The first stored state at exactly t: every sample time and t_end is stored exactly."""
+        hits = np.flatnonzero(self.times == t)
+        if not hits.size:
+            raise KeyError(f"no stored sample at t={t}")
+        return self.state(int(hits[0]))
 
     def segments(self) -> list[tuple[float, float]]:
         """Inter-event intervals covering [t0, t_end]."""
@@ -216,7 +218,7 @@ def _step_core(
     cap = math.inf
     if seg.opposite.any():
         g = float(gaps[seg.opposite].min())
-        cap = config.safety * g * g / (4.0 * gamma)
+        cap = COLLISION_SAFETY * g * g / (4.0 * gamma)
     internal_cap = min(config.max_step, cap, seg.hint)
     dt = min(dt_max, internal_cap)
     target_bound = dt_max <= internal_cap
@@ -224,11 +226,12 @@ def _step_core(
     k = np.empty((7, x.size))
     k[0] = k0
     # the floor is relative to the state's own time scale: |t|, or the time
-    # d^2 / (4 gamma) in which the closest charged pair (gap d) moves by ~d
+    # d^2 / (4 gamma) in which the closest charged pair (gap d) moves by ~d;
+    # a step cut short only by a nearby target is not held to it
     d = float(gaps.min())
     tiny = 1e-16 * max(abs(t), d * d / (4.0 * gamma))
     while True:
-        if dt < tiny:
+        if dt < tiny and not target_bound:
             raise StepSizeUnderflow(f"dt={dt:.3e} at t={t:.6e}; pathological state")
         for s in range(1, 7):
             xs = x + dt * (_DP_A[s] @ k[:s])
@@ -310,7 +313,7 @@ def _collision(x: np.ndarray, net: int, gamma: float) -> tuple[float, float]:
 
 
 def resolve_annihilation(
-    state: ParticleState, cluster: Sequence[int], config: IntegratorConfig
+    state: ParticleState, cluster: Sequence[int]
 ) -> tuple[ParticleState, EventRecord]:
     """Replace a collapsing cluster by its post-collision configuration.
 
@@ -407,7 +410,7 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
                                         for cl in clusters) <= target:
                     state = ParticleState(positions=x, charges=b, coupling=gamma, time=t)
                     for cl in clusters:
-                        state, event = resolve_annihilation(state, cl, config)
+                        state, event = resolve_annihilation(state, cl)
                         events.append(event)
                         x, b, t = state.positions, state.charges, state.time
                         record(force_keep=True)

@@ -14,7 +14,6 @@ by piece; the two routes check each other.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,16 +22,11 @@ from . import particles
 
 __all__ = [
     "StepFunction",
-    "JumpTooClose",
     "from_particles",
     "nonlocal_operator_closed_form",
     "nonlocal_operator_quadrature",
     "far_field",
 ]
-
-
-class JumpTooClose(ValueError):
-    """The requested split radius reaches past the nearest other jump."""
 
 
 @dataclass(frozen=True)
@@ -162,13 +156,12 @@ def far_field(u: StepFunction, at_jump: int, rho: float) -> float:
     return total
 
 
-def nonlocal_operator_quadrature(u: StepFunction, x: float, rho: float | None = None) -> float:
+def nonlocal_operator_quadrature(u: StepFunction, x: float) -> float:
     """Exact piecewise evaluation of the full pv integral at a jump point.
 
-    Inside |z| < rho the integrand is the odd constant +-eps/2, so the
+    Inside |z| < rho, rho half the distance to the nearest other jump (1
+    for a lone jump), the integrand is the odd constant +-eps/2, so the
     symmetric principal value vanishes and only the far field remains.
-    rho must stay below the nearest-jump distance for that cancellation;
-    it defaults to half of it.
     """
     dist = np.abs(u.locations - x)
     i = int(np.argmin(dist))
@@ -176,9 +169,5 @@ def nonlocal_operator_quadrature(u: StepFunction, x: float, rho: float | None = 
         raise ValueError(f"x={x!r} is not a jump location")
     others = np.abs(u.locations - u.locations[i])
     others = others[others > 0]
-    nearest = float(others.min()) if others.size else math.inf
-    if rho is None:
-        rho = nearest / 2.0 if math.isfinite(nearest) else 1.0
-    if rho >= nearest:
-        raise JumpTooClose(f"rho={rho} reaches the nearest jump at distance {nearest}")
+    rho = float(others.min()) / 2.0 if others.size else 1.0
     return far_field(u, i, rho)

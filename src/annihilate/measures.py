@@ -101,7 +101,6 @@ def aec_modulus(
     mus: Sequence[SignedAtomicMeasure],
     omega: Callable[[np.ndarray], np.ndarray],
     threshold: float = 0.05,
-    slack: float = 1.2,
 ) -> tuple[list[float], bool]:
     """AEC defects s_n for a measure family against a candidate modulus.
 
@@ -110,8 +109,8 @@ def aec_modulus(
     realize the max.  omega acts elementwise on an ndarray of lengths; one
     row per left atom keeps memory O(n), and the defects equal a scalar
     loop's exactly.  The family passes when the defects decay: the final
-    defect is below `threshold` and the sequence is non-increasing within
-    the multiplicative `slack`.
+    defect is below `threshold` and no defect exceeds 1.2 times the one
+    before it.
     """
     s_list: list[float] = []
     for mu in mus:
@@ -129,22 +128,22 @@ def aec_modulus(
     if s_list:
         ok = s_list[-1] <= threshold
         for a, b in zip(s_list[:-1], s_list[1:]):
-            if b > slack * a + 1e-15:
+            if b > 1.2 * a + 1e-15:
                 ok = False
     return s_list, bool(ok)
 
 
-def default_dictionary(window: tuple[float, float], depth: int = 5) -> list[Callable]:
+def default_dictionary(window: tuple[float, float]) -> list[Callable]:
     """Bounded Lipschitz test functions: tanh sigmoids and triangular bumps.
 
     Centers sit on dyadic grids inside the window, widths shrink
-    dyadically from the window size down to size / 2^depth.  Each acts
+    dyadically from the window size down to size / 2^5.  Each acts
     elementwise on an ndarray.
     """
     lo, hi = window
     size = max(hi - lo, 1e-9)
     funcs: list[Callable] = []
-    for level in range(depth + 1):
+    for level in range(6):
         w = size / 2**level
         for c in np.linspace(lo, hi, 2**level + 1):
             funcs.append(lambda x, c=c, w=w: np.tanh((x - c) / w))

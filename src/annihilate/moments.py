@@ -83,12 +83,12 @@ def moments_to_elementary(M) -> np.ndarray:
     return e
 
 
-def reconstruct_positions(M, imag_tol: float = 1e-6) -> np.ndarray:
+def reconstruct_positions(M) -> np.ndarray:
     """Recover the sorted multiset of positions from its moment vector.
 
     The monic polynomial prod (z - x_i) = sum_k (-1)^k e_k z^(n-k) is
     rooted via companion-matrix eigenvalues.  Raises ComplexRoots when the
-    imaginary parts exceed imag_tol times the coefficient scale, which
+    imaginary parts exceed 1e-6 times the coefficient scale, which
     signals a non-realizable or ill-conditioned moment vector.
     """
     e = moments_to_elementary(M)
@@ -96,7 +96,7 @@ def reconstruct_positions(M, imag_tol: float = 1e-6) -> np.ndarray:
     coeffs = np.array([(-1.0) ** k * e[k] for k in range(n + 1)])
     roots = np.roots(coeffs)
     scale = max(1.0, float(np.max(np.abs(coeffs))))
-    if np.max(np.abs(roots.imag)) > imag_tol * scale:
+    if np.max(np.abs(roots.imag)) > 1e-6 * scale:
         raise ComplexRoots(
             f"imaginary residue {np.max(np.abs(roots.imag)):.3e} exceeds tolerance"
         )

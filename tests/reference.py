@@ -16,8 +16,9 @@ suite's per-run checks walking a trajectory one `ParticleState` at a
 time.  The other helpers serve only the tests: a single integrator step
 with no history, per-state velocities, the staircase quantization, the
 total variation and Lipschitz constant of a step or grid function, the
-barrier bound on the limit equation, the tightness monitor of a measure,
-and the readers of the trajectory CSV and event JSONL formats.
+barrier bound on the limit equation, its exact semicircle solution, the
+tightness monitor of a measure, and the readers of the trajectory CSV
+and event JSONL formats.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from annihilate import moments
+from annihilate.harness import SCAN_POINTS
 from annihilate.hjsolver import GridFunction
 from annihilate.integrator import IntegratorConfig, StepStats, Trajectory, _Segment, _step_core
 from annihilate.levelset import StepFunction
@@ -143,7 +145,7 @@ def _bisect(f: Callable, lo: float, hi: float, flo: float) -> float:
 
 def sample_particles_loop(
     u0: Callable, n: int, a: float, window: tuple[float, float] = (-4.0, 4.0),
-    scan_points: int = 2**15,
+    scan_points: int = SCAN_POINTS,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """(positions, charges) of the level crossings of u0 at heights (1/n)(Z + a), point by point.
 
@@ -178,6 +180,19 @@ def step(
     x, dt, _ = _step_core(state.positions, state.time, dt_max, seg, config, k0, StepStats())
     return ParticleState(positions=x, charges=state.charges, coupling=state.coupling,
                          time=state.time + dt), dt
+
+
+def semicircle(t: float, x: np.ndarray) -> np.ndarray:
+    """Exact solution u(t, x) = Phi(x / R(t)) of u_t = I[u] |u_x|, R(t)^2 = 1 + 4t.
+
+    Phi(s) = 1/2 + (s sqrt(1 - s^2) + arcsin s) / pi, clipped to |s| <= 1,
+    is the CDF of the semicircle density of radius 1, whose Hilbert
+    transform is linear inside its support; the profile keeps its shape
+    and spreads self-similarly (Biler, Karch and Monneau, Comm. Math.
+    Phys. 294, 2010).
+    """
+    s = np.clip(np.asarray(x, dtype=float) / math.sqrt(1.0 + 4.0 * t), -1.0, 1.0)
+    return 0.5 + (s * np.sqrt(1.0 - s * s) + np.arcsin(s)) / math.pi
 
 
 def velocities(state: ParticleState) -> np.ndarray:
@@ -290,11 +305,11 @@ def aec_defect_loop(mu: SignedAtomicMeasure, omega: Callable) -> float:
     return best
 
 
-def _scalar_dictionary(lo: float, hi: float, depth: int = 5) -> list[Callable]:
+def _scalar_dictionary(lo: float, hi: float) -> list[Callable]:
     """The default dictionary's tanh sigmoids and triangular bumps, one point per call."""
     size = max(hi - lo, 1e-9)
     funcs: list[Callable] = []
-    for level in range(depth + 1):
+    for level in range(6):
         w = size / 2**level
         for c in np.linspace(lo, hi, 2**level + 1):
             funcs.append(lambda x, c=c, w=w: math.tanh((x - c) / w))
@@ -458,7 +473,7 @@ def check_slopes_loop(traj):
 def check_dm_lipschitz_loop(traj):
     states, times = _states(traj), traj.times.tolist()
     grid = traj.config.sample_times
-    idx = [k for k, t in enumerate(times) if any(abs(t - s) < 1e-12 for s in grid)]
+    idx = [k for k, t in enumerate(times) if t in grid]
     if len(idx) < 3:
         return
     xs = [states[k].positions for k in idx]

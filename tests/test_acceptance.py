@@ -101,7 +101,7 @@ def test_criterion_02_odd_lattice_equality():
     )
 
     def gap_sq(t):
-        return same_sign_gap(traj.state_at(t, tol=1e-9).positions, s.charges, 1) ** 2
+        return same_sign_gap(traj.state_at(t).positions, s.charges, 1) ** 2
 
     margin = min(gap_sq(t) - (1.0 + rate * t) for t in ts)
 
@@ -233,7 +233,7 @@ def test_criterion_07_staircase_and_quartic_bounds():
         far_ok &= abs(L.far_field(u, j, rho)) <= (4 * u.sup_norm() + u.eps) / rho + 1e-12
 
     rho = 0.5
-    cfg = H.SchemeConfig(L=4.0, h=rho / 32, rho=rho, cfl=0.8, t_end=1.0)
+    cfg = H.SchemeConfig(L=4.0, h=rho / 32, rho=rho, t_end=1.0)
     y = 0.3
     g = H.GridFunction.from_callable(
         lambda x: (x - y) ** 4 * np.exp(-((x / 3.0) ** 4)), cfg
@@ -263,7 +263,7 @@ def _random_compact_profile(rng, xs):
 
 
 def test_criterion_08_scheme_properties():
-    cfg = H.SchemeConfig(L=2.0, h=1 / 64, rho=4 / 64, cfl=0.8, t_end=0.1)
+    cfg = H.SchemeConfig(L=2.0, h=1 / 64, rho=4 / 64, t_end=0.1)
     rng = np.random.default_rng(9)
     xs = np.linspace(-2.0, 2.0, 257)
     worst_order = math.inf
@@ -308,7 +308,7 @@ def test_criterion_09_example_pair_family():
         base = Hn.quantized_level_below(0.0, eps, 0.5)
         grid = np.linspace(-6.0, 6.0, 2001)
         for t in ts:
-            s = traj.state_at(t, tol=1e-9)
+            s = traj.state_at(t)
             pred = math.sqrt(x0 * x0 - eps * t)
             worst_pos = max(
                 worst_pos,

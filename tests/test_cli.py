@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -320,8 +321,19 @@ class TestConfigSchema:
             ("converge", {"experiment": {"boundary_margin_cells": 3}}),
             ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
                           "integrator": {"store_steps": False}}),
+            # settings that are constants, not keys
+            ("converge", {"experiment": {"abs_tol": 1e-12}}),
+            ("converge", {"experiment": {"rel_tol": 1e-9}}),
+            ("converge", {"experiment": {"ref_L": 4.0}}),
+            ("converge", {"experiment": {"ref_cfl": 0.8}}),
+            ("converge", {"experiment": {"n_snapshots": 6}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
+                          "integrator": {"safety": 0.5}}),
+            ("hj", {"scheme": {"cfl": 0.8}}),
         ],
-        ids=["boundary_margin_cells", "store_steps"],
+        ids=["boundary_margin_cells", "store_steps", "experiment-abs_tol", "experiment-rel_tol",
+             "experiment-ref_L", "experiment-ref_cfl", "experiment-n_snapshots",
+             "integrator-safety", "scheme-cfl"],
     )
     def test_dataclass_field_outside_schema_exits_2(self, tmp_path, command, payload):
         out = tmp_path / "out"
@@ -337,12 +349,11 @@ class TestConfigSchema:
         # the schema is read from the config dataclasses: a new field must
         # not become a config key unnoticed
         assert _SCHEMA["integrator"] == {
-            "t_end", "abs_tol", "rel_tol", "cluster_gap", "max_step", "safety", "n_samples",
+            "t_end", "abs_tol", "rel_tol", "cluster_gap", "max_step", "n_samples",
         }
-        assert _SCHEMA["scheme"] == {"L", "h", "rho", "cfl", "t_end"}
+        assert _SCHEMA["scheme"] == {"L", "h", "rho", "t_end"}
         assert _SCHEMA["experiment"] == {
-            "datum", "ns", "offset", "t_end", "n_snapshots", "ref_L", "ref_h",
-            "ref_rho", "ref_cfl", "abs_tol", "rel_tol", "scan_points", "seed",
+            "datum", "ns", "offset", "t_end", "ref_h", "ref_rho", "scan_points", "seed",
         }
         assert _SCHEMA["simulate"] == {"positions", "charges", "coupling"}
         assert _SCHEMA["hj"] == {"initial", "snapshots"}
@@ -363,6 +374,20 @@ class TestConfigSchema:
         argv = ["converge", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "7"]
         assert main(argv) == 3
         assert seen == [harness.ExperimentSpec(datum="sigmoid", seed=7)]
+
+
+class TestFormatsDoc:
+    def test_section_table_lists_the_schema(self):
+        # a key removed from a section must leave the docs with it
+        lines = (ROOT / "docs" / "formats.md").read_text().splitlines()
+        start = next(k for k, ln in enumerate(lines) if re.match(r"\|\s*section\s*\|", ln))
+        rows = {}
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            section, _, keys = (c.strip() for c in line.strip("|").split("|"))
+            rows[section.strip("`")] = set(re.findall(r"`([^`]+)`", keys))
+        assert rows == _SCHEMA
 
 
 class TestShippedConfigs:

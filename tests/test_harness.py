@@ -69,8 +69,8 @@ class TestSampler:
             runs[a] = evolve(st, IntegratorConfig(t_end=0.3, sample_times=ts))
         orders = []
         for t in ts:
-            sa = runs[0.25].state_at(t, tol=1e-9)
-            sb = runs[0.75].state_at(t, tol=1e-9)
+            sa = runs[0.25].state_at(t)
+            sb = runs[0.75].state_at(t)
             merged = []
             for tag, s in (("a", sa), ("b", sb)):
                 for i in range(s.n):
@@ -208,7 +208,7 @@ class TestResidual:
         ts = tuple(np.linspace(0.0, 0.9 * x0 * x0 / eps, 10))
         traj = evolve(st, IntegratorConfig(t_end=ts[-1], sample_times=ts))
         for t in ts:
-            s = traj.state_at(t, tol=1e-9)
+            s = traj.state_at(t)
             pred = math.sqrt(x0 * x0 - eps * t)
             assert s.positions[0] == pytest.approx(-pred, abs=1e-6)
             assert s.positions[1] == pytest.approx(pred, abs=1e-6)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from annihilate.integrator import (
+    COLLISION_SAFETY,
     EvolveError,
     IntegratorConfig,
     NonAlternatingCluster,
@@ -11,7 +14,9 @@ from annihilate.integrator import (
     evolve,
     resolve_annihilation,
 )
-from annihilate.particles import InvalidState, ParticleState, net_charge, same_sign_gap
+from annihilate.particles import (
+    InvalidState, ParticleState, net_charge, same_sign_gap, velocity_field,
+)
 from reference import step, velocities
 
 
@@ -55,7 +60,7 @@ class TestStep:
         g = 1e-3
         s = make([0.0, g], [1, -1], gamma=0.5)
         _, dt = step(s, 1.0, CFG)
-        assert dt <= CFG.safety * g * g / (4.0 * s.coupling) + 1e-18
+        assert dt <= COLLISION_SAFETY * g * g / (4.0 * s.coupling) + 1e-18
 
     def test_underflow_detected(self):
         s = make([0.0, 1e-13], [1, -1], gamma=0.5)
@@ -90,7 +95,7 @@ class TestDetect:
 class TestResolve:
     def test_pair(self):
         s = make([0.0, 1e-9], [1, -1])
-        new, ev = resolve_annihilation(s, [0, 1], CFG)
+        new, ev = resolve_annihilation(s, [0, 1])
         assert tuple(new.charges) == (0, 0)
         assert ev.y == pytest.approx(5e-10)
         assert new.positions[0] == new.positions[1] == ev.y
@@ -98,7 +103,7 @@ class TestResolve:
 
     def test_triple_survivor(self):
         s = make([-1e-9, 0.0, 1e-9], [1, -1, 1])
-        new, ev = resolve_annihilation(s, [0, 1, 2], CFG)
+        new, ev = resolve_annihilation(s, [0, 1, 2])
         assert sorted(ev.post_charges) == [0, 0, 1]
         survivor = [i for i in ev.cluster if new.charges[i] != 0][0]
         assert new.positions[survivor] == ev.y
@@ -106,13 +111,13 @@ class TestResolve:
     def test_net_charge_preserved(self):
         s = make([-2e-9, -1e-9, 0.0, 1e-9, 2e-9], [-1, 1, -1, 1, -1])
         q0 = net_charge(s)
-        new, ev = resolve_annihilation(s, [0, 1, 2, 3, 4], CFG)
+        new, ev = resolve_annihilation(s, [0, 1, 2, 3, 4])
         assert net_charge(new) == q0 == -1
 
     def test_first_moment_preserved_exactly(self):
         s = make([0.1, 0.1 + 1e-9, 0.1 + 3e-9], [1, -1, 1])
         m0 = s.positions.sum()
-        new, _ = resolve_annihilation(s, [0, 1, 2], CFG)
+        new, _ = resolve_annihilation(s, [0, 1, 2])
         assert new.positions.sum() == pytest.approx(m0, abs=1e-22)
 
 
@@ -259,8 +264,8 @@ class TestEvolve:
             IntegratorConfig(t_end=alpha * alpha * t_end, sample_times=tuple(ts2)),
         )
         for t, t2 in zip(ts, ts2):
-            xa = base.state_at(t, tol=1e-9).positions
-            xb = scaled.state_at(t2, tol=1e-9).positions
+            xa = base.state_at(t).positions
+            xb = scaled.state_at(t2).positions
             assert xb == pytest.approx(alpha * xa, rel=1e-7, abs=1e-8)
         assert len(base.events) == len(scaled.events) == 1
         for ea, eb in zip(base.events, scaled.events):
@@ -290,7 +295,7 @@ class TestEvolve:
         ts = (0.123, 0.456, 0.789)
         traj = evolve(s, IntegratorConfig(t_end=1.0, sample_times=ts))
         for t in ts:
-            assert traj.state_at(t, tol=1e-12).time == t
+            assert traj.state_at(t).time == t
 
 
 # isolated collisions far below t = 1: (state, t_end, tau, surviving charge)
@@ -316,6 +321,23 @@ class TestUnderflowFloor:
         ev = traj.events[0]
         assert ev.tau == pytest.approx(tau, rel=1e-7)
         assert [c for c in ev.post_charges if c] == ([survivor] if survivor else [])
+
+    @pytest.mark.parametrize("variant", ["sample_time", "t_end"])
+    def test_event_just_before_a_target(self, variant):
+        # the inner pair annihilates 1e-15 before the target; the step left
+        # to the target is far below the floor of the outer pair's time
+        # scale, and is short only because the target is near
+        s = make([-5.0, -0.7, 0.7, 5.0], [1, 1, -1, -1], gamma=0.5)
+        tau = 0.7183731454671466
+        target = tau + 1e-15
+        if variant == "t_end":
+            cfg = IntegratorConfig(t_end=target)
+        else:
+            cfg = IntegratorConfig(t_end=1.0, sample_times=(target,))
+        traj = evolve(s, cfg)
+        assert [ev.tau for ev in traj.events] == [tau]
+        assert traj.state_at(target).time == target
+        assert np.flatnonzero(traj.state_at(target).charges).tolist() == [0, 3]
 
     def test_close_equal_charge_pair_separates(self):
         # repulsion at gap 1e-10 starts on a time scale of ~1e-21
@@ -443,3 +465,44 @@ class TestDegenerateFuzz:
         assert net_charge(final) == net_charge(s)
         pos, neg = int((s.charges == 1).sum()), int((s.charges == -1).sum())
         assert len(traj.events) <= min(pos, neg)
+
+
+class TestHermiteLattice:
+    """All-positive charges at scaled Hermite zeros: the exact n-body law (Stieltjes 1885).
+
+    The zeros h_i of H_n satisfy sum_{j != i} 1/(h_i - h_j) = h_i, so
+    particles at s0 h_i with coupling gamma move with velocity gamma h_i / s0
+    and stay on the lattice sqrt(s0^2 + 2 gamma t) h_i.
+    """
+
+    @staticmethod
+    def lattice(n):
+        h = np.polynomial.hermite.hermgauss(n)[0]
+        s0 = 1.0 / float(np.max(np.abs(h)))
+        return h, s0, make(s0 * h, np.ones(n, int), gamma=1.0 / n)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_velocity_field(self, n):
+        h, s0, s = self.lattice(n)
+        x, gamma, eps = s.positions, s.coupling, np.finfo(float).eps
+        v = velocity_field(x, s.charges, gamma)
+        d = x[:, None] - x[None, :] + np.eye(n)
+        off = 1.0 - np.eye(n)
+        # the bound of TestKernelAccuracy against the exact sum over these floats
+        kernel = 4.0 * eps * gamma * (off / np.abs(d)).sum(axis=1)
+        exact = np.array([gamma * math.fsum(1.0 / (x[i] - np.delete(x, i))) for i in range(n)])
+        assert np.all(np.abs(v - exact) <= kernel)
+        # the floats sit off the exact lattice by up to eps relative (zeros
+        # accurate to about an ulp, one rounding of s0 h), which moves the
+        # exact field by at most gamma sum_j eps (|x_i| + |x_j|) / (x_i - x_j)^2
+        lattice = eps * gamma * (off * (np.abs(x)[:, None] + np.abs(x)[None, :]) / d**2).sum(axis=1)
+        assert np.all(np.abs(v - gamma * h / s0) <= kernel + lattice)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_evolve_stays_on_the_lattice(self, n):
+        h, s0, s = self.lattice(n)
+        traj = evolve(s, IntegratorConfig(t_end=1.0, store_steps=False))
+        exact = np.sqrt(s0 * s0 + 2.0 * s.coupling * 1.0) * h
+        x = traj.final.positions
+        assert traj.final.time == 1.0 and not traj.events
+        assert np.max(np.abs(x - exact)) <= 1e-8 * np.max(np.abs(x))

@@ -139,11 +139,6 @@ class TestOperator:
         u = L.StepFunction(locations=np.array([0.3]), signs=np.array([1]), eps=0.25)
         assert L.nonlocal_operator_quadrature(u, 0.3) == 0.0
 
-    def test_rho_past_nearest_jump_rejected(self):
-        u = L.from_particles(make([0.0, 1.0], [1, -1]))
-        with pytest.raises(L.JumpTooClose):
-            L.nonlocal_operator_quadrature(u, 0.0, rho=1.5)
-
     def test_not_a_jump_rejected(self):
         u = L.from_particles(make([0.0, 1.0], [1, -1]))
         with pytest.raises(ValueError):

@@ -152,7 +152,7 @@ class TestTrajectoryDiagnostics:
         traj = evolve(st, IntegratorConfig(t_end=1.0, sample_times=ts))
         support = max(abs(float(x)) for x in st.positions) + 1.0
         for t in ts:
-            s = traj.state_at(t, tol=1e-9)
+            s = traj.state_at(t)
             mu = M.from_state(s)
             assert mu.total_mass() == pytest.approx(net_charge(s) / s.n, abs=1e-15)
             # mass outside is non-increasing in R and zero beyond support+drift
@@ -171,7 +171,7 @@ class TestTrajectoryDiagnostics:
             st = sample_particles(pair_bump(1.0 / n).u0, n, 0.5)
             t_n = t_star + 0.5 / n
             traj = evolve(st, IntegratorConfig(t_end=1.0, sample_times=(t_n,)))
-            mus.append(M.from_state(traj.state_at(t_n, tol=1e-9)))
+            mus.append(M.from_state(traj.state_at(t_n)))
         # modulus of the limit CDF (constant zero) is 0; defects equal the
         # largest interval mass = 1/n here, which decays
         s, ok = M.aec_modulus(mus, omega=lambda r: 0.5 * abs(r), threshold=0.2)

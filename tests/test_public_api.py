@@ -60,8 +60,9 @@ def test_trace_counters_equal_integrator_counters(monkeypatch):
     from annihilate import harness
 
     spec = harness.ExperimentSpec(datum="double_bump", ns=(16,))
+    L = spec.scheme_config().L
     state = harness.sample_particles(harness.CATALOG["double_bump"].u0, 16, spec.offset,
-                                     window=(-spec.ref_L, spec.ref_L), scan_points=spec.scan_points)
+                                     window=(-L, L), scan_points=spec.scan_points)
     traj = harness.evolve(state, spec.integrator_config())
     metrics = tracer.layer_metrics()
     assert traj.events and traj.stats.accepted > 0
