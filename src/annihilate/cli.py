@@ -31,7 +31,7 @@ from .particles import ParticleState
 
 log = logging.getLogger("annihilate")
 
-_HIDDEN = {"sample_times", "store_steps", "max_steps"}
+_HIDDEN = {"sample_times", "store_steps"}
 
 
 def _keys(target) -> set[str]:
@@ -210,7 +210,8 @@ def cmd_verify(args, cfg: dict) -> int:
 
 
 def _measure_args(
-    family: str = "dipole", ns: tuple[int, ...] = (4, 8, 16, 32, 64), threshold: float = 0.05
+    family: str = "dipole", ns: tuple[int, ...] = (4, 8, 16, 32, 64),
+    threshold: float = measures.AEC_THRESHOLD,
 ) -> tuple[str, tuple[int, ...], float]:
     """The `measure` section's values with its defaults, checked before any output is made."""
     if family not in ("dipole", "lipschitz_cdf"):

@@ -549,10 +549,8 @@ def _check_m2(traj):
         # position error past the 1e-6 relative target; skip them
         if dt <= 0.05:
             continue
-        charges, x0 = traj.charges[k0], traj.positions[k0]
-        bsum = float(charges.sum())
-        bsq = float(np.sum(charges.astype(float) ** 2))
-        pred = 0.5 * traj.coupling * (bsum * bsum - bsq)
+        x0 = traj.positions[k0]
+        pred = particles.m2_rate(traj.charges[k0], traj.coupling)
         slope = (_m2(traj.positions[k1]) - _m2(x0)) / dt
         if pred == 0.0:
             # exactly conserved segment: allow the integrator's propagated
@@ -674,7 +672,7 @@ def _ode_residuals(traj: Trajectory, anchors: Iterable[float], trunc_limit: floa
     The stencil also misreads the approach to a collision.  A cluster of k
     charges with net charge q meeting at (tau, y) follows the collision law
     x_i - y ~ xi_i sqrt(gamma s), s = tau - t, whose profile satisfies
-    sum_i xi_i^2 = k - q^2 (the M2 rate law on the cluster).  The
+    sum_i xi_i^2 = k - q^2 (the cluster's M2 rate is -(k - q^2) gamma / 2).  The
     difference then carries the truncation error h^2 / 6 * max |x_i'''|
     <= sqrt((k - q^2) gamma) h^2 / (16 s^(5/2)), h = max(h0, h1) and s
     taken at the stencil's right end, which has nothing to do with the
@@ -703,8 +701,8 @@ def _ode_residuals(traj: Trajectory, anchors: Iterable[float], trunc_limit: floa
             s = ev.tau - times[hi]
             if s <= 0:
                 continue
-            m, q = len(ev.cluster), sum(ev.pre_charges)
-            if math.sqrt((m - q * q) * traj.coupling) * h**2 / (16.0 * s**2.5) > trunc_limit:
+            root = math.sqrt(-2.0 * particles.m2_rate(ev.pre_charges, traj.coupling))
+            if root * h**2 / (16.0 * s**2.5) > trunc_limit:
                 colliding.update(ev.cluster)
         back = (x1 - x0) / h0
         fwd = (x2 - x1) / h1

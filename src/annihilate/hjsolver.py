@@ -78,11 +78,11 @@ class GridFunction:
     time: float = 0.0
 
     @classmethod
-    def from_callable(cls, u0: Callable, config: SchemeConfig, time: float = 0.0) -> "GridFunction":
+    def from_callable(cls, u0: Callable, config: SchemeConfig) -> "GridFunction":
         n = int(round(2 * config.L / config.h))
         xs = np.linspace(-config.L, config.L, n + 1)
         vals = np.asarray(u0(xs), dtype=float)
-        return cls(xs=xs, values=vals, tails=(vals[0], vals[-1]), time=time)
+        return cls(xs=xs, values=vals, tails=(vals[0], vals[-1]))
 
     @property
     def h(self) -> float:
@@ -243,25 +243,22 @@ def step_hj(u: GridFunction, config: SchemeConfig, dt: float | None = None) -> G
 
 
 def solve_hj(
-    u0: Callable | GridFunction,
+    u0: Callable,
     config: SchemeConfig,
     snapshot_times: Sequence[float] | None = None,
 ) -> list[GridFunction]:
-    """March to t_end, returning snapshots (always including t=0 and t_end).
+    """March u0, sampled on the grid, to t_end; the snapshots always include t=0 and t_end.
 
     Snapshot times are hit exactly: each step_hj runs with t_end set to
     the next snapshot time, which clips the stable step there.  A crude
     self-convergence probe is available by re-running with h halved.
     """
-    u = u0 if isinstance(u0, GridFunction) else GridFunction.from_callable(u0, config)
+    u = GridFunction.from_callable(u0, config)
     extra = [] if snapshot_times is None else [float(t) for t in snapshot_times]
     wanted = sorted(set([0.0, config.t_end] + extra))
     wanted = [t for t in wanted if t <= config.t_end + 1e-15]
-    out: list[GridFunction] = []
-    if wanted and wanted[0] <= u.time:
-        out.append(u)
-        wanted = wanted[1:]
-    for target in wanted:
+    out = [u]  # the frame at t=0, the first of wanted
+    for target in wanted[1:]:
         leg = replace(config, t_end=target)
         while u.time < target - 1e-14:
             u = step_hj(u, leg)

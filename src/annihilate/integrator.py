@@ -9,18 +9,18 @@ costs at most six force evaluations, and the field is recomputed from
 scratch only after an annihilation event.  The step size follows a PI
 controller (Gustafsson 1991, ACM TOMS 17), dt_new = dt * 0.9 err^(-0.7/5)
 err_prev^(0.4/5), which does not grow the step right after a rejection
-and restarts after every event.  The step size is additionally capped by
+and restarts after every event.  The step size is capped by
 sigma * g^2 / (4 gamma), where g is the smallest opposite-sign neighbor
 gap: an isolated attracting pair obeys d(t)^2 = d0^2 - 4 gamma t exactly,
 so no pair can cross zero within that horizon.  When a group of charged
 particles falls below the clustering gap while mutually approaching, it
-is resolved into an annihilation event instead of being integrated into
-the singularity.
+is resolved into an annihilation event, at its extrapolated collision
+time, instead of being integrated into the singularity.
 
 The charges change only at those events, so between them evolve() carries
 the positions, the charges and the clock as plain arrays and a float, and
 works out the charged particles and their opposite-sign neighbors once per
-inter-event segment.  A ParticleState is built only around an event, which
+inter-event segment.  A ParticleState is built only after an event, which
 validates every post-event state.  The Trajectory stores its samples as
 arrays too: times (K,), positions (K, n) and charges (K, n).
 """
@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .particles import EventRecord, InvalidState, ParticleState, velocity_field
+from .particles import EventRecord, InvalidState, ParticleState, m2_rate, velocity_field
 
 __all__ = [
     "IntegratorConfig",
@@ -50,6 +50,8 @@ __all__ = [
 
 # sigma of the collision cap sigma * g^2 / (4 gamma) on the step size
 COLLISION_SAFETY = 0.5
+# accepted steps after which evolve() gives up with StepSizeUnderflow
+MAX_STEPS = 500_000
 
 
 class StepSizeUnderflow(ArithmeticError):
@@ -84,13 +86,11 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-9
     cluster_gap: float | None = None
-    max_step: float = math.inf
     sample_times: tuple[float, ...] | None = None
     store_steps: bool = True
-    max_steps: int = 500_000
 
     def __post_init__(self):
-        for name in ("t_end", "abs_tol", "rel_tol", "max_step"):
+        for name in ("t_end", "abs_tol", "rel_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not math.isfinite(self.t_end):
@@ -203,9 +203,9 @@ def _step_core(
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """One accepted embedded RK step from positions x at time t; returns (new x, dt taken, f(new x)).
 
-    k0 is f(x).  dt starts from min(dt_max, max_step, collision cap,
-    seg.hint) and shrinks until the local error estimate passes the
-    tolerances and every stage keeps the charged particles strictly ordered;
+    k0 is f(x).  dt starts from min(dt_max, collision cap, seg.hint) and
+    shrinks until the local error estimate passes the tolerances and every
+    stage keeps the charged particles strictly ordered;
     seg's step-size memory is updated for the next step.  Fewer than two
     charges advance by dt_max exactly.
     """
@@ -219,7 +219,7 @@ def _step_core(
     if seg.opposite.any():
         g = float(gaps[seg.opposite].min())
         cap = COLLISION_SAFETY * g * g / (4.0 * gamma)
-    internal_cap = min(config.max_step, cap, seg.hint)
+    internal_cap = min(cap, seg.hint)
     dt = min(dt_max, internal_cap)
     target_bound = dt_max <= internal_cap
     rejected = False
@@ -301,58 +301,50 @@ def detect_clusters(x: np.ndarray, b: np.ndarray, v: np.ndarray, gap: float) -> 
     return clusters
 
 
-def _collision(x: np.ndarray, net: int, gamma: float) -> tuple[float, float]:
-    """(y, time left) of a cluster at positions x with net charge net.
-
-    y is the members' mean; the time left follows from the second-moment
-    law dM/dt = -B, B = (gamma/2) (m - net^2) for m members of charge +-1.
-    """
-    y = float(np.mean(x))
-    B = 0.5 * gamma * (x.size - net * net)
-    return y, 0.5 * float(np.sum((x - y) ** 2)) / B
-
-
 def resolve_annihilation(
-    state: ParticleState, cluster: Sequence[int]
-) -> tuple[ParticleState, EventRecord]:
-    """Replace a collapsing cluster by its post-collision configuration.
+    x: np.ndarray, b: np.ndarray, t: float, gamma: float,
+    clusters: Sequence[Sequence[int]], until: float = math.inf,
+) -> tuple[np.ndarray, np.ndarray, float, list[EventRecord]]:
+    """Resolve every cluster of one detection that collides at or before until.
 
-    The collision point y is the charge-count-weighted mean of the cluster
-    (each charged member counts once), which conserves the first moment
-    exactly when all members are moved to y.  The residual time to
-    collision is extrapolated from the cluster second-moment law
-    dM/dt ~ -B with B = (gamma/2) (sum b_i^2 - (sum b_i)^2).  If the net
-    charge is +-1 the member of matching charge nearest y survives
-    (smallest index on ties); everyone else is neutralized.
+    x and b are the positions and charges at the detection time t; every
+    cluster is resolved from that one snapshot.  A cluster of m charges
+    with net charge q meets at the mean y of its positions, which conserves
+    the first moment exactly when all members move to y.  Its collision
+    time extrapolates the cluster's second-moment law (m2_rate) to zero:
+    tau = t + sum (x_i - y)^2 / (gamma (m - q^2)).  If q is +-1 the member
+    of charge q nearest y survives (smallest index on ties); everyone else
+    is neutralized.  A cluster with tau after until is left as it is.
+
+    Returns (x, b, t_new, events): the events in tau order and t_new the
+    latest tau, or t when no cluster is due.
     """
-    cluster = sorted(int(i) for i in cluster)
-    b = state.charges
-    pre = tuple(int(b[i]) for i in cluster)
-    if any(p == 0 for p in pre):
-        raise InvalidState("cluster contains a neutral particle")
-    net = sum(pre)
-    if abs(net) > 1:
-        raise NetChargeTooLarge(f"cluster net charge {net}")
-
-    y, left = _collision(state.positions[cluster], net, state.coupling)
-    tau = state.time + left
-
-    new_b = b.copy()
-    new_x = state.positions.copy()
-    for i in cluster:
-        new_b[i] = 0
-        new_x[i] = y
-    if net != 0:
-        matching = [i for i in cluster if b[i] == net]
-        survivor = min(matching, key=lambda i: (abs(state.positions[i] - y), i))
-        new_b[survivor] = net
-    post = tuple(int(new_b[i]) for i in cluster)
-
-    event = EventRecord(tau=tau, y=y, cluster=tuple(cluster), pre_charges=pre, post_charges=post)
-    new_state = ParticleState(
-        positions=new_x, charges=new_b, coupling=state.coupling, time=tau
-    )
-    return new_state, event
+    new_x, new_b = x.copy(), b.copy()
+    events = []
+    for cluster in clusters:
+        cluster = sorted(int(i) for i in cluster)
+        pre = tuple(int(b[i]) for i in cluster)
+        if any(p == 0 for p in pre):
+            raise InvalidState("cluster contains a neutral particle")
+        net = sum(pre)
+        if abs(net) > 1:
+            raise NetChargeTooLarge(f"cluster net charge {net}")
+        xc = x[cluster]
+        y = float(np.mean(xc))
+        tau = t + 0.5 * float(np.sum((xc - y) ** 2)) / -m2_rate(pre, gamma)
+        if tau > until:
+            continue
+        new_b[cluster] = 0
+        new_x[cluster] = y
+        if net != 0:
+            matching = [i for i in cluster if b[i] == net]
+            survivor = min(matching, key=lambda i: (abs(x[i] - y), i))
+            new_b[survivor] = net
+        post = tuple(int(new_b[i]) for i in cluster)
+        events.append(EventRecord(tau=tau, y=y, cluster=tuple(cluster),
+                                  pre_charges=pre, post_charges=post))
+    events.sort(key=lambda ev: ev.tau)
+    return new_x, new_b, max((ev.tau for ev in events), default=t), events
 
 
 def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
@@ -360,12 +352,13 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
 
     Deterministic given (initial, config).  Between events the positions,
     the charges and the clock are plain values; a ParticleState is built
-    only to resolve a cluster, so every post-event state is validated.
-    Samples are stored at every accepted step (if store_steps) and exactly
-    at the configured sample times and t_end.  A detected cluster is
-    resolved once its extrapolated collision time falls at or before the
-    next of those; until then it is stepped like the rest.  Integration
-    failures propagate as EvolveError with the trajectory so far attached.
+    after each resolution, so every post-event state is validated.
+    Samples are stored at every accepted step (if store_steps), once per
+    resolution, and exactly at the configured sample times and t_end.  A
+    detected cluster is resolved once its extrapolated collision time falls
+    at or before the next of those; until then it is stepped like the rest.
+    Integration failures propagate as EvolveError with the trajectory so
+    far attached.
     """
     if config.cluster_gap is None:
         # 1e-7 times the INITIAL spread, frozen into the config so the
@@ -401,22 +394,21 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
     try:
         for target in targets:
             while t < target:
-                if stats.accepted > config.max_steps:
-                    raise StepSizeUnderflow(f"exceeded {config.max_steps} steps at t={t:.6e}")
+                if stats.accepted > MAX_STEPS:
+                    raise StepSizeUnderflow(f"exceeded {MAX_STEPS} steps at t={t:.6e}")
                 clusters = detect_clusters(x, b, v, config.cluster_gap)
-                # the clusters are resolved once one of them collides by the
-                # target; until then they are stepped like the rest
-                if clusters and t + min(_collision(x[cl], int(b[cl].sum()), gamma)[1]
-                                        for cl in clusters) <= target:
-                    state = ParticleState(positions=x, charges=b, coupling=gamma, time=t)
-                    for cl in clusters:
-                        state, event = resolve_annihilation(state, cl)
-                        events.append(event)
+                if clusters:
+                    x_new, b_new, t_new, resolved = resolve_annihilation(
+                        x, b, t, gamma, clusters, until=target)
+                    if resolved:
+                        state = ParticleState(positions=x_new, charges=b_new,
+                                              coupling=gamma, time=t_new)
                         x, b, t = state.positions, state.charges, state.time
+                        events.extend(resolved)
                         record(force_keep=True)
-                    v = forces()
-                    seg = _Segment(b, gamma)  # post-collision field, start afresh
-                    continue
+                        v = forces()
+                        seg = _Segment(b, gamma)  # post-collision field, start afresh
+                        continue
                 x, dt, v = _step_core(x, t, target - t, seg, config, v, stats)
                 t += dt
                 stats.accepted += 1

@@ -30,6 +30,8 @@ __all__ = [
     "default_dictionary",
 ]
 
+AEC_THRESHOLD = 0.05
+
 
 @dataclass(frozen=True)
 class SignedAtomicMeasure:
@@ -100,7 +102,7 @@ def cdf(mu: SignedAtomicMeasure) -> StepFunction:
 def aec_modulus(
     mus: Sequence[SignedAtomicMeasure],
     omega: Callable[[np.ndarray], np.ndarray],
-    threshold: float = 0.05,
+    threshold: float = AEC_THRESHOLD,
 ) -> tuple[list[float], bool]:
     """AEC defects s_n for a measure family against a candidate modulus.
 

@@ -22,6 +22,7 @@ __all__ = [
     "NonFiniteForce",
     "velocity_field",
     "energy",
+    "m2_rate",
     "net_charge",
     "same_sign_gap",
 ]
@@ -155,6 +156,12 @@ def energy(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     gaps = np.abs(np.take(x, i, axis=-1) - np.take(x, j, axis=-1))
     terms = (b[i] * b[j]).astype(float) * -np.log(gaps)
     return 2.0 * terms.sum(axis=-1) / (2.0 * b.size**2)
+
+
+def m2_rate(charges, coupling: float) -> float:
+    """dM2/dt = (coupling/2) ((sum b)^2 - sum b^2) of M2 = sum x_i^2 / 2 while the charges b hold."""
+    b = np.asarray(charges, dtype=float)
+    return 0.5 * coupling * float(b.sum() ** 2 - b @ b)
 
 
 def net_charge(state: ParticleState) -> int:

@@ -349,7 +349,7 @@ class TestConfigSchema:
         # the schema is read from the config dataclasses: a new field must
         # not become a config key unnoticed
         assert _SCHEMA["integrator"] == {
-            "t_end", "abs_tol", "rel_tol", "cluster_gap", "max_step", "n_samples",
+            "t_end", "abs_tol", "rel_tol", "cluster_gap", "n_samples",
         }
         assert _SCHEMA["scheme"] == {"L", "h", "rho", "t_end"}
         assert _SCHEMA["experiment"] == {

@@ -214,8 +214,7 @@ class TestSolve:
 class TestBarrier:
     def test_zero_barrier(self):
         cfg = H.SchemeConfig(L=3.0, h=1 / 64, rho=8 / 64, t_end=0.05)
-        u0 = H.GridFunction.from_callable(lambda x: -0.2 * np.exp(-x * x), cfg)
-        frames = H.solve_hj(u0, cfg, [0.05])
+        frames = H.solve_hj(lambda x: -0.2 * np.exp(-x * x), cfg, [0.05])
         ok, margin = barrier_check(np.zeros_like, 0.0, 0.0, frames)
         assert ok and margin >= 0.0
 
@@ -224,8 +223,7 @@ class TestBarrier:
             return -np.minimum(x * x, 4.0) / 2.0
 
         cfg = H.SchemeConfig(L=3.0, h=1 / 64, rho=8 / 64, t_end=0.05)
-        u0 = H.GridFunction.from_callable(lambda x: v0(x) - 0.1, cfg)
-        frames = H.solve_hj(u0, cfg, [0.02, 0.05])
+        frames = H.solve_hj(lambda x: v0(x) - 0.1, cfg, [0.02, 0.05])
         ok, margin = barrier_check(v0, 2.0, 1.0, frames)
         assert ok and margin > 0.0
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from annihilate import integrator
 from annihilate.integrator import (
     COLLISION_SAFETY,
     EvolveError,
@@ -30,6 +31,12 @@ def make(x, b, gamma=None, t=0.0):
 
 
 CFG = IntegratorConfig(t_end=1.0)
+
+
+def resolve(s, cluster):
+    """The state after resolving one cluster of s, and its event."""
+    x, b, t, (ev,) = resolve_annihilation(s.positions, s.charges, s.time, s.coupling, [cluster])
+    return make(x, b, s.coupling, t), ev
 
 
 class TestStep:
@@ -95,7 +102,7 @@ class TestDetect:
 class TestResolve:
     def test_pair(self):
         s = make([0.0, 1e-9], [1, -1])
-        new, ev = resolve_annihilation(s, [0, 1])
+        new, ev = resolve(s, [0, 1])
         assert tuple(new.charges) == (0, 0)
         assert ev.y == pytest.approx(5e-10)
         assert new.positions[0] == new.positions[1] == ev.y
@@ -103,7 +110,7 @@ class TestResolve:
 
     def test_triple_survivor(self):
         s = make([-1e-9, 0.0, 1e-9], [1, -1, 1])
-        new, ev = resolve_annihilation(s, [0, 1, 2])
+        new, ev = resolve(s, [0, 1, 2])
         assert sorted(ev.post_charges) == [0, 0, 1]
         survivor = [i for i in ev.cluster if new.charges[i] != 0][0]
         assert new.positions[survivor] == ev.y
@@ -111,13 +118,13 @@ class TestResolve:
     def test_net_charge_preserved(self):
         s = make([-2e-9, -1e-9, 0.0, 1e-9, 2e-9], [-1, 1, -1, 1, -1])
         q0 = net_charge(s)
-        new, ev = resolve_annihilation(s, [0, 1, 2, 3, 4])
+        new, ev = resolve(s, [0, 1, 2, 3, 4])
         assert net_charge(new) == q0 == -1
 
     def test_first_moment_preserved_exactly(self):
         s = make([0.1, 0.1 + 1e-9, 0.1 + 3e-9], [1, -1, 1])
         m0 = s.positions.sum()
-        new, _ = resolve_annihilation(s, [0, 1, 2])
+        new, _ = resolve(s, [0, 1, 2])
         assert new.positions.sum() == pytest.approx(m0, abs=1e-22)
 
 
@@ -175,6 +182,24 @@ class TestEvolve:
         assert {ev.cluster for ev in traj.events} == {(0, 1), (2, 3)}
         assert all(b.tau >= a.tau for a, b in zip(traj.events[:-1], traj.events[1:]))
 
+    # two pairs detected together at t = 0 (both gaps are below the default
+    # clustering gap of ~1e-6): at coupling 1e-12 the near pair collides at
+    # 2.5e-7 and the far one, gap d = 9e-8, at d^2 / (4 gamma) = 2.025e-3
+    TWO_PAIRS = make([0.0, 1e-9, 10.0, 10.0 + 9e-8], [1, -1, 1, -1], gamma=1e-12)
+
+    def test_cluster_due_after_t_end_stays_charged(self):
+        traj = evolve(self.TWO_PAIRS, IntegratorConfig(t_end=1e-3))
+        assert [ev.tau for ev in traj.events] == [pytest.approx(2.5e-7, rel=1e-12)]
+        assert traj.state_at(1e-3).time == traj.times[-1] == 1e-3
+        assert traj.final.charges.tolist() == [0, 0, 1, -1]
+
+    def test_each_cluster_collides_on_its_own_clock(self):
+        traj = evolve(self.TWO_PAIRS, IntegratorConfig(t_end=1.0))
+        assert [ev.cluster for ev in traj.events] == [(0, 1), (2, 3)]
+        # d as stored: 10 + 9e-8 is 9e-8 only to about 1e-8 relative
+        d = self.TWO_PAIRS.positions[3] - self.TWO_PAIRS.positions[2]
+        assert traj.events[1].tau == pytest.approx(d * d / 4e-12, rel=1e-12)
+
     def test_single_charged_among_neutrals(self):
         s = make([0.0, 0.5, 1.0], [0, 1, 0])
         traj = evolve(s, IntegratorConfig(t_end=2.0))
@@ -205,11 +230,12 @@ class TestEvolve:
         assert np.array_equal(t1.times, t2.times)
         assert np.array_equal(t1.positions, t2.positions)
 
-    def test_error_carries_trajectory(self):
+    def test_error_carries_trajectory(self, monkeypatch):
         # clustering disabled: the pair integrates into the singularity
         # until dt underflows, and the partial trajectory comes back attached
+        monkeypatch.setattr(integrator, "MAX_STEPS", 500)
         s = make([0.0, 2e-5, 1.0], [1, -1, 1], gamma=0.5)
-        cfg = IntegratorConfig(t_end=1.0, cluster_gap=1e-300, max_steps=500)
+        cfg = IntegratorConfig(t_end=1.0, cluster_gap=1e-300)
         with pytest.raises(EvolveError) as exc_info:
             evolve(s, cfg)
         assert len(exc_info.value.trajectory.times) > 1
