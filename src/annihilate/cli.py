@@ -113,15 +113,9 @@ def _build(target, section: dict, **defaults):
 
 
 def _integrator_config(section: dict) -> IntegratorConfig:
-    """IntegratorConfig sampled at the nonzero points of linspace(0, t_end, n_samples)."""
-    section = dict(section)
-    n_samples = section.pop("n_samples", 11)
+    """IntegratorConfig sampled at the nonzero points of linspace(0, t_end, 11)."""
     cfg = _build(IntegratorConfig, section)
-    try:
-        samples = np.linspace(0.0, cfg.t_end, _convert(int, n_samples))[1:]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"n_samples: {exc}") from exc
-    return replace(cfg, sample_times=tuple(samples))
+    return replace(cfg, sample_times=tuple(np.linspace(0.0, cfg.t_end, 11)[1:]))
 
 
 def _simulate_state(positions: tuple[float, ...], charges: tuple[int, ...],
@@ -211,20 +205,17 @@ def cmd_verify(args, cfg: dict) -> int:
 
 def _measure_args(
     family: str = "dipole", ns: tuple[int, ...] = (4, 8, 16, 32, 64),
-    threshold: float = measures.AEC_THRESHOLD,
-) -> tuple[str, tuple[int, ...], float]:
+) -> tuple[str, tuple[int, ...]]:
     """The `measure` section's values with its defaults, checked before any output is made."""
     if family not in ("dipole", "lipschitz_cdf"):
         raise ValueError(f"family: unknown measure family {family!r}")
     if not ns or not all(n >= 1 for n in ns):
         raise ValueError("ns: must be a non-empty list of positive sizes")
-    if not 0.0 <= threshold < np.inf:
-        raise ValueError(f"threshold: must be finite and nonnegative, got {threshold!r}")
-    return family, ns, threshold
+    return family, ns
 
 
 def cmd_measure(args, cfg: dict) -> int:
-    family, ns, threshold = _build(_measure_args, cfg.get("measure", {}))
+    family, ns = _build(_measure_args, cfg.get("measure", {}))
     out = _out_dir(args)
     chash = io.config_hash(cfg)
     empty = measures.SignedAtomicMeasure(locations=np.empty(0), weights=np.empty(0))
@@ -241,7 +232,7 @@ def cmd_measure(args, cfg: dict) -> int:
         mus.append(mu)
         io.write_measure_csv(out / f"measure_{family}_{n:04d}.csv", mu, chash)
     omega = (lambda r: abs(r)) if family == "lipschitz_cdf" else (lambda r: 2.0 * abs(r))
-    s_list, aec_ok = measures.aec_modulus(mus, omega, threshold=threshold)
+    s_list, aec_ok = measures.aec_modulus(mus, omega)
     proxies = [measures.narrow_distance_proxy(mu, empty) for mu in mus]
     sup_cdf = [measures.cdf(mu).sup_norm() for mu in mus]
     payload = {
@@ -272,7 +263,7 @@ def cmd_moments(args, cfg: dict) -> int:
 
 
 _SCHEMA: dict[str, set[str]] = {
-    "integrator": _keys(IntegratorConfig) | {"n_samples"},
+    "integrator": _keys(IntegratorConfig),
     "scheme": _keys(hjsolver.SchemeConfig),
     "experiment": _keys(harness.ExperimentSpec),
     "simulate": _keys(_simulate_state),

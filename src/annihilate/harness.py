@@ -183,9 +183,10 @@ def sample_particles(
 class ExperimentSpec:
     """One discrete-to-continuum experiment.
 
-    The reference grid spans the `SchemeConfig` default [-L, L], and the
-    particles run at the `IntegratorConfig` default tolerances.  seed
-    changes no result: the ladder draws no random numbers.
+    The reference grid spans the `SchemeConfig` default [-L, L] with its
+    default near-field radius rho, and the particles run at the
+    `IntegratorConfig` default tolerances.  seed changes no result: the
+    ladder draws no random numbers.
     """
 
     datum: str = "sigmoid"
@@ -193,7 +194,6 @@ class ExperimentSpec:
     offset: float = 0.5
     t_end: float = 0.25
     ref_h: float = 1.0 / 256.0
-    ref_rho: float = hjsolver.SchemeConfig.rho
     scan_points: int = SCAN_POINTS
     seed: int = 0
 
@@ -202,8 +202,10 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown datum {self.datum!r}; choose from {sorted(CATALOG)} or 'pair_bump'"
             )
-        if not all(n >= 1 for n in self.ns):
-            raise ValueError("ns must be positive")
+        if not self.ns or not all(n >= 1 for n in self.ns):
+            raise ValueError(f"ns must be a non-empty list of positive sizes, got {list(self.ns)}")
+        if self.scan_points < 2:
+            raise ValueError(f"scan_points must be at least 2, got {self.scan_points}")
         if not 0.0 <= self.offset < 1.0:
             raise ValueError(f"offset must lie in [0, 1), got {self.offset!r}")
         # both configs check their own fields
@@ -211,7 +213,7 @@ class ExperimentSpec:
         self.integrator_config()
 
     def scheme_config(self) -> hjsolver.SchemeConfig:
-        return hjsolver.SchemeConfig(h=self.ref_h, rho=self.ref_rho, t_end=self.t_end)
+        return hjsolver.SchemeConfig(h=self.ref_h, t_end=self.t_end)
 
     def integrator_config(self) -> IntegratorConfig:
         return IntegratorConfig(
@@ -238,9 +240,6 @@ class ConvergenceResult:
     rows: list[ConvergenceRow]
     monotone: bool
     ref_frames: list = field(default_factory=list)  # (time, GridFunction) plot data
-
-    def errors(self) -> list[float]:
-        return [r.e_n for r in self.rows if r.error is None]
 
 
 def _comparison_points(spec: ExperimentSpec, ref: hjsolver.GridFunction,

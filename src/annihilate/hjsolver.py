@@ -88,9 +88,6 @@ class GridFunction:
     def h(self) -> float:
         return float(self.xs[1] - self.xs[0])
 
-    def sup_norm(self) -> float:
-        return max(float(np.max(np.abs(self.values))), abs(self.tails[0]), abs(self.tails[1]))
-
     def interp(self, x) -> np.ndarray:
         return np.interp(x, self.xs, self.values, left=self.tails[0], right=self.tails[1])
 

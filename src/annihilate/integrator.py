@@ -13,9 +13,10 @@ and restarts after every event.  The step size is capped by
 sigma * g^2 / (4 gamma), where g is the smallest opposite-sign neighbor
 gap: an isolated attracting pair obeys d(t)^2 = d0^2 - 4 gamma t exactly,
 so no pair can cross zero within that horizon.  When a group of charged
-particles falls below the clustering gap while mutually approaching, it
-is resolved into an annihilation event, at its extrapolated collision
-time, instead of being integrated into the singularity.
+particles falls below the clustering gap (CLUSTER_GAP times the initial
+charged spread) while mutually approaching, it is resolved into an
+annihilation event, at its extrapolated collision time, instead of being
+integrated into the singularity.
 
 The charges change only at those events, so between them evolve() carries
 the positions, the charges and the clock as plain arrays and a float, and
@@ -27,7 +28,7 @@ arrays too: times (K,), positions (K, n) and charges (K, n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +51,9 @@ __all__ = [
 
 # sigma of the collision cap sigma * g^2 / (4 gamma) on the step size
 COLLISION_SAFETY = 0.5
+# clustering gap as a fraction of the initial charged spread; it must stay
+# well below the smallest initial charged gap
+CLUSTER_GAP = 1e-7
 # accepted steps after which evolve() gives up with StepSizeUnderflow
 MAX_STEPS = 500_000
 
@@ -59,7 +63,7 @@ class StepSizeUnderflow(ArithmeticError):
 
 
 class NonAlternatingCluster(ValueError):
-    """A detected cluster has non-alternating signs: cluster_gap too large."""
+    """A detected cluster has non-alternating signs: the clustering gap is too large."""
 
 
 class NetChargeTooLarge(ValueError):
@@ -76,16 +80,11 @@ class EvolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and thresholds for evolve().
-
-    cluster_gap defaults to 1e-7 times the initial charged spread; it must
-    stay well below the smallest initial charged gap.
-    """
+    """Horizon, tolerances and sampling of evolve()."""
 
     t_end: float = 1.0
     abs_tol: float = 1e-12
     rel_tol: float = 1e-9
-    cluster_gap: float | None = None
     sample_times: tuple[float, ...] | None = None
     store_steps: bool = True
 
@@ -95,8 +94,6 @@ class IntegratorConfig:
                 raise ValueError(f"{name} must be positive")
         if not math.isfinite(self.t_end):
             raise ValueError("t_end must be finite")
-        if self.cluster_gap is not None and not self.cluster_gap > 0:
-            raise ValueError("cluster_gap must be positive")
         if self.sample_times is not None:
             ts = tuple(sorted(float(t) for t in self.sample_times))
             object.__setattr__(self, "sample_times", ts)
@@ -296,7 +293,7 @@ def detect_clusters(x: np.ndarray, b: np.ndarray, v: np.ndarray, gap: float) -> 
         signs = b[cl]
         if np.any(signs[1:] * signs[:-1] != -1):
             raise NonAlternatingCluster(
-                f"cluster {cl} has signs {signs.tolist()}; reduce cluster_gap"
+                f"cluster {cl} has signs {signs.tolist()}; the clustering gap is too large"
             )
     return clusters
 
@@ -360,11 +357,9 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
     Integration failures propagate as EvolveError with the trajectory so
     far attached.
     """
-    if config.cluster_gap is None:
-        # 1e-7 times the INITIAL spread, frozen into the config so the
-        # threshold does not shrink with a collapsing pair
-        config = replace(config, cluster_gap=1e-7 * max(initial.spread(), np.finfo(float).tiny))
-
+    # a fraction of the INITIAL spread, so the threshold does not shrink
+    # with a collapsing pair
+    gap = CLUSTER_GAP * max(initial.spread(), np.finfo(float).tiny)
     x, b, t, gamma = initial.positions, initial.charges, initial.time, initial.coupling
     times, xs, bs, events = [t], [x], [b], []
     stats = StepStats()
@@ -396,7 +391,7 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
             while t < target:
                 if stats.accepted > MAX_STEPS:
                     raise StepSizeUnderflow(f"exceeded {MAX_STEPS} steps at t={t:.6e}")
-                clusters = detect_clusters(x, b, v, config.cluster_gap)
+                clusters = detect_clusters(x, b, v, gap)
                 if clusters:
                     x_new, b_new, t_new, resolved = resolve_annihilation(
                         x, b, t, gamma, clusters, until=target)

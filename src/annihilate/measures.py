@@ -102,7 +102,6 @@ def cdf(mu: SignedAtomicMeasure) -> StepFunction:
 def aec_modulus(
     mus: Sequence[SignedAtomicMeasure],
     omega: Callable[[np.ndarray], np.ndarray],
-    threshold: float = AEC_THRESHOLD,
 ) -> tuple[list[float], bool]:
     """AEC defects s_n for a measure family against a candidate modulus.
 
@@ -111,7 +110,7 @@ def aec_modulus(
     realize the max.  omega acts elementwise on an ndarray of lengths; one
     row per left atom keeps memory O(n), and the defects equal a scalar
     loop's exactly.  The family passes when the defects decay: the final
-    defect is below `threshold` and no defect exceeds 1.2 times the one
+    defect is below AEC_THRESHOLD and no defect exceeds 1.2 times the one
     before it.
     """
     s_list: list[float] = []
@@ -128,7 +127,7 @@ def aec_modulus(
         s_list.append(best)
     ok = True
     if s_list:
-        ok = s_list[-1] <= threshold
+        ok = s_list[-1] <= AEC_THRESHOLD
         for a, b in zip(s_list[:-1], s_list[1:]):
             if b > 1.2 * a + 1e-15:
                 ok = False

@@ -16,6 +16,7 @@ suite's per-run checks walking a trajectory one `ParticleState` at a
 time.  The other helpers serve only the tests: a single integrator step
 with no history, per-state velocities, the staircase quantization, the
 total variation and Lipschitz constant of a step or grid function, the
+sup norm of a grid function, the e_n of a ladder's good rows, the
 barrier bound on the limit equation, its exact semicircle solution, the
 tightness monitor of a measure, and the readers of the trajectory CSV
 and event JSONL formats.
@@ -30,7 +31,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from annihilate import moments
-from annihilate.harness import SCAN_POINTS
+from annihilate.harness import SCAN_POINTS, ConvergenceResult
 from annihilate.hjsolver import GridFunction
 from annihilate.integrator import IntegratorConfig, StepStats, Trajectory, _Segment, _step_core
 from annihilate.levelset import StepFunction
@@ -220,6 +221,16 @@ def total_variation(u: StepFunction) -> float:
 
 def measure_total_variation(mu: SignedAtomicMeasure) -> float:
     return float(np.sum(np.abs(mu.weights)))
+
+
+def grid_sup_norm(u: GridFunction) -> float:
+    """Sup of |u| over the grid values and both tails."""
+    return max(float(np.max(np.abs(u.values))), abs(u.tails[0]), abs(u.tails[1]))
+
+
+def ladder_errors(result: ConvergenceResult) -> list[float]:
+    """e_n of every ladder row that ran without an error."""
+    return [r.e_n for r in result.rows if r.error is None]
 
 
 def grid_lipschitz(u: GridFunction) -> float:

@@ -19,7 +19,7 @@ from annihilate import levelset as L
 from annihilate import measures as M
 from annihilate.integrator import IntegratorConfig, evolve
 from annihilate.particles import ParticleState, net_charge, same_sign_gap
-from reference import grid_lipschitz, near_field_quadrature
+from reference import grid_lipschitz, grid_sup_norm, ladder_errors, near_field_quadrature
 
 
 def criterion(num, desc, passed, detail=""):
@@ -274,14 +274,14 @@ def test_criterion_08_scheme_properties():
         u = _random_compact_profile(rng, xs)
         bump = Hn._mollifier((xs - c2) / 0.5)
         w = H.GridFunction(xs=xs, values=u.values + amp * bump, tails=u.tails)
-        sup, lip = u.sup_norm(), grid_lipschitz(u)
+        sup, lip = grid_sup_norm(u), grid_lipschitz(u)
         for _ in range(10):
             dt = min(H.step_hj(u, cfg).time - u.time, H.step_hj(w, cfg).time - w.time)
             u = H.step_hj(u, cfg, dt=dt)
             w = H.step_hj(w, cfg, dt=dt)
             worst_order = min(worst_order, float(np.min(w.values - u.values)))
-            norms_ok &= u.sup_norm() <= sup + 1e-12 and grid_lipschitz(u) <= lip + 1e-9
-            sup, lip = u.sup_norm(), grid_lipschitz(u)
+            norms_ok &= grid_sup_norm(u) <= sup + 1e-12 and grid_lipschitz(u) <= lip + 1e-9
+            sup, lip = grid_sup_norm(u), grid_lipschitz(u)
     const = H.GridFunction.from_callable(lambda x: np.full_like(x, 0.3), cfg)
     const_ok = np.array_equal(H.step_hj(const, cfg, dt=1e-3).values, const.values)
     ok = worst_order >= -1e-12 and norms_ok and const_ok
@@ -331,7 +331,7 @@ def test_criterion_10_convergence_ladder(ladders):
     details = []
     ok = True
     for name, res in ladders.items():
-        errs = res.errors()
+        errs = ladder_errors(res)
         mono = all(b <= 1.1 * a for a, b in zip(errs[:-1], errs[1:]))
         ratio = errs[-1] <= errs[0] / 3.0
         ok &= mono and ratio and all(r.error is None for r in res.rows)

@@ -36,7 +36,7 @@ def pair_config(tmp_path, d0=0.8, n=2):
         tmp_path,
         {
             "simulate": {"positions": [0.0, d0], "charges": [1, -1]},
-            "integrator": {"t_end": round(n * d0 * d0 / 4 * 1.5, 6), "n_samples": 6},
+            "integrator": {"t_end": round(n * d0 * d0 / 4 * 1.5, 6)},
         },
     )
 
@@ -89,11 +89,10 @@ class TestSimulate:
         assert not out.exists()
 
     def test_null_optional_values_take_the_default(self, tmp_path):
-        # `coupling: null` and `cluster_gap: null` are the fields' own defaults
+        # `coupling: null` is the field's own default
         plain = {"simulate": {"positions": [0.0, 0.8], "charges": [1, -1]},
                  "integrator": {"t_end": 0.5}}
-        nulls = {"simulate": {**plain["simulate"], "coupling": None},
-                 "integrator": {**plain["integrator"], "cluster_gap": None}}
+        nulls = {**plain, "simulate": {**plain["simulate"], "coupling": None}}
         runs = []
         for name, payload in (("plain", plain), ("null", nulls)):
             out = tmp_path / name
@@ -149,7 +148,6 @@ class TestOtherCommands:
                     "ns": [8, 16],
                     "t_end": 0.1,
                     "ref_h": 1 / 64,
-                    "ref_rho": 1 / 8,
                 }
             },
         )
@@ -247,14 +245,9 @@ class TestConfigSchema:
             ("measure", {"measure": {"ns": [2.5]}}),
             ("measure", {"measure": {"ns": [True]}}),
             ("measure", {"measure": {"ns": []}}),
-            ("measure", {"measure": {"threshold": float("nan")}}),
-            ("measure", {"measure": {"threshold": float("inf")}}),
-            ("measure", {"measure": {"threshold": -0.1}}),
             ("converge", {"experiment": {"ns": [8, 16.5]}}),
             ("verify", {"verify": {"runs": 2.5}}),
             ("hj", {"hj": {"snapshots": True}}),
-            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
-                          "integrator": {"n_samples": 5.5}}),
             ("moments", {"moments": {"positions": "foo"}}),
             ("moments", {"moments": {"positions": []}}),
             ("moments", {"moments": {"positions": [[1, 2], [3, 4]]}}),
@@ -266,9 +259,6 @@ class TestConfigSchema:
                                        "coupling": True}}),
             ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
                           "integrator": {"t_end": True}}),
-            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
-                          "integrator": {"cluster_gap": True}}),
-            ("measure", {"measure": {"threshold": True}}),
             ("converge", {"experiment": {"t_end": True}}),
             ("verify", {"verify": {"runs": -1}}),
             ("hj", {"hj": {"snapshots": -3}}),
@@ -288,25 +278,38 @@ class TestConfigSchema:
             ("moments", {"moments": {"positions": [1.0]}, "simulate": {}}),
             ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
                                        "coupling": -1}}),
+            ("converge", {"experiment": {"scan_points": 1}}),
+            ("converge", {"experiment": {"scan_points": 0}}),
+            ("converge", {"experiment": {"ns": []}}),
+            # values for keys that are constants now: refused as unknown keys
+            ("measure", {"measure": {"threshold": float("nan")}}),
+            ("measure", {"measure": {"threshold": float("inf")}}),
+            ("measure", {"measure": {"threshold": -0.1}}),
+            ("measure", {"measure": {"threshold": True}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
+                          "integrator": {"n_samples": 5.5}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
+                          "integrator": {"cluster_gap": True}}),
         ],
         ids=[
             "ns-string", "ns-zero", "ref_h-zero", "h-zero", "rel_tol-negative", "sizes-one",
             "measure-ns-string", "measure-ns-zero", "measure-family", "datum", "hj-initial",
             "simulate-out-of-order", "simulate-charge-two", "simulate-positions-string",
             "measure-ns-fraction", "measure-ns-bool", "measure-ns-empty",
-            "measure-threshold-nan", "measure-threshold-inf", "measure-threshold-negative",
             "converge-ns-fraction", "verify-runs-fraction", "hj-snapshots-bool",
-            "n_samples-fraction",
             "moments-positions-string", "moments-positions-empty", "moments-positions-nested",
             "moments-positions-nan", "moments-positions-bool", "simulate-charge-fraction",
             "simulate-charge-bool", "simulate-coupling-bool", "integrator-t_end-bool",
-            "integrator-cluster_gap-bool", "measure-threshold-bool", "experiment-t_end-bool",
+            "experiment-t_end-bool",
             "verify-runs-negative", "hj-snapshots-negative", "hj-snapshots-one",
             "experiment-offset-above-one", "simulate-missing-charges", "moments-missing-positions",
             "converge-reads-no-scheme", "converge-reads-no-integrator",
             "simulate-reads-no-scheme", "simulate-reads-no-experiment", "hj-reads-no-integrator",
             "verify-reads-no-measure", "measure-reads-no-moments", "moments-reads-no-simulate",
             "simulate-coupling-minus-one",
+            "experiment-scan_points-one", "experiment-scan_points-zero", "experiment-ns-empty",
+            "measure-threshold-nan", "measure-threshold-inf", "measure-threshold-negative",
+            "measure-threshold-bool", "n_samples-fraction", "integrator-cluster_gap-bool",
         ],
     )
     def test_bad_value_exits_2_without_outputs(self, tmp_path, capsys, command, payload):
@@ -330,10 +333,11 @@ class TestConfigSchema:
             ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
                           "integrator": {"safety": 0.5}}),
             ("hj", {"scheme": {"cfl": 0.8}}),
+            ("converge", {"experiment": {"ref_rho": 1 / 16}}),
         ],
         ids=["boundary_margin_cells", "store_steps", "experiment-abs_tol", "experiment-rel_tol",
              "experiment-ref_L", "experiment-ref_cfl", "experiment-n_snapshots",
-             "integrator-safety", "scheme-cfl"],
+             "integrator-safety", "scheme-cfl", "experiment-ref_rho"],
     )
     def test_dataclass_field_outside_schema_exits_2(self, tmp_path, command, payload):
         out = tmp_path / "out"
@@ -341,24 +345,22 @@ class TestConfigSchema:
         assert not out.exists()
 
     def test_whole_floats_convert_to_int(self):
-        assert _typed(_measure_args, {"ns": [4.0, 8], "threshold": 0}) == {
-            "ns": (4, 8), "threshold": 0.0,
+        assert _typed(harness.ExperimentSpec, {"ns": [4.0, 8], "offset": 0}) == {
+            "ns": (4, 8), "offset": 0.0,
         }
 
     def test_schema_keys(self):
         # the schema is read from the config dataclasses: a new field must
         # not become a config key unnoticed
-        assert _SCHEMA["integrator"] == {
-            "t_end", "abs_tol", "rel_tol", "cluster_gap", "n_samples",
-        }
+        assert _SCHEMA["integrator"] == {"t_end", "abs_tol", "rel_tol"}
         assert _SCHEMA["scheme"] == {"L", "h", "rho", "t_end"}
         assert _SCHEMA["experiment"] == {
-            "datum", "ns", "offset", "t_end", "ref_h", "ref_rho", "scan_points", "seed",
+            "datum", "ns", "offset", "t_end", "ref_h", "scan_points", "seed",
         }
         assert _SCHEMA["simulate"] == {"positions", "charges", "coupling"}
         assert _SCHEMA["hj"] == {"initial", "snapshots"}
         assert _SCHEMA["verify"] == {"seed", "sizes", "runs", "t_end"}
-        assert _SCHEMA["measure"] == {"family", "ns", "threshold"}
+        assert _SCHEMA["measure"] == {"family", "ns"}
         assert _SCHEMA["moments"] == {"positions"}
         assert len(_SCHEMA) == 8
 
@@ -388,6 +390,15 @@ class TestFormatsDoc:
             section, _, keys = (c.strip() for c in line.strip("|").split("|"))
             rows[section.strip("`")] = set(re.findall(r"`([^`]+)`", keys))
         assert rows == _SCHEMA
+
+    def test_every_named_key_is_in_the_schema(self):
+        # the prose names keys as `section.key`, and module constants in
+        # upper case as `module.NAME`; no key named may be a removed one
+        text = (ROOT / "docs" / "formats.md").read_text()
+        named = {(sec, key) for sec, key in re.findall(r"`(\w+)\.([a-z_]\w*)", text)
+                 if sec in _SCHEMA}
+        assert named
+        assert {f"{sec}.{key}" for sec, key in named if key not in _SCHEMA[sec]} == set()
 
 
 class TestShippedConfigs:

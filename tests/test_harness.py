@@ -16,7 +16,9 @@ from reference import (
     check_net_charge_loop,
     check_opposite_gap_loop,
     check_slopes_loop,
+    ladder_errors,
     sample_particles_loop,
+    semicircle,
 )
 
 
@@ -112,28 +114,22 @@ class TestSampler:
 
 class TestConvergence:
     def test_small_ladder_monotone(self):
-        spec = Hn.ExperimentSpec(
-            datum="sigmoid", ns=(8, 16, 32), t_end=0.2, ref_h=1 / 64, ref_rho=1 / 8
-        )
+        spec = Hn.ExperimentSpec(datum="sigmoid", ns=(8, 16, 32), t_end=0.2, ref_h=1 / 64)
         res = Hn.run_convergence(spec)
-        errs = res.errors()
+        errs = ladder_errors(res)
         assert res.monotone
         assert errs[-1] < errs[0]
         assert all(r.error is None for r in res.rows)
 
     def test_deterministic_tables(self):
-        spec = Hn.ExperimentSpec(
-            datum="sigmoid", ns=(8, 16), t_end=0.1, ref_h=1 / 64, ref_rho=1 / 8
-        )
+        spec = Hn.ExperimentSpec(datum="sigmoid", ns=(8, 16), t_end=0.1, ref_h=1 / 64)
         r1 = Hn.run_convergence(spec)
         r2 = Hn.run_convergence(spec)
         for a, b in zip(r1.rows, r2.rows):
             assert (a.n, a.e_n, a.events) == (b.n, b.e_n, b.events)
 
     def test_constant_datum_has_zero_error(self):
-        spec = Hn.ExperimentSpec(
-            datum="constant", ns=(4, 16), t_end=0.1, ref_h=1 / 64, ref_rho=1 / 8
-        )
+        spec = Hn.ExperimentSpec(datum="constant", ns=(4, 16), t_end=0.1, ref_h=1 / 64)
         res = Hn.run_convergence(spec)
         assert all(r.e_n == 0.0 and r.events == 0 for r in res.rows)
 
@@ -148,11 +144,27 @@ class TestConvergence:
 
     def test_sampling_error_floor(self):
         # at t=0 the error is exactly the quantization gap, below 1/n
-        spec = Hn.ExperimentSpec(
-            datum="sigmoid", ns=(8,), t_end=0.05, ref_h=1 / 64, ref_rho=1 / 8
-        )
+        spec = Hn.ExperimentSpec(datum="sigmoid", ns=(8,), t_end=0.05, ref_h=1 / 64)
         res = Hn.run_convergence(spec)
         assert res.rows[0].e_n <= 1.0 / 8 + 0.02
+
+    def test_semicircle_ladder_halves_per_doubling(self):
+        # against the exact semicircle solution, with no annihilation, the
+        # error is level quantization, e_n ~ C / n: each doubling of n
+        # divides it by 2 (the bound is that rate, fixed before measuring)
+        spec = Hn.ExperimentSpec()
+        L = spec.scheme_config().L
+        grid = np.linspace(-L, L, 2001)
+        times = spec.snapshot_times()
+
+        def exact(k, u_n):
+            return grid, semicircle(times[k], grid)
+
+        rows = [Hn._ladder_row(spec, n, lambda x: semicircle(0.0, x), (-L, L), 0.0, exact)
+                for n in (8, 16, 32, 64, 128)]
+        assert all(r.error is None and r.events == 0 for r in rows), rows
+        ratios = [a.e_n / b.e_n for a, b in zip(rows[:-1], rows[1:])]
+        assert all(1.9 <= q <= 2.1 for q in ratios), ratios
 
 
 class TestPropertySuite:

@@ -71,10 +71,9 @@ class TestStep:
 
     def test_underflow_detected(self):
         s = make([0.0, 1e-13], [1, -1], gamma=0.5)
-        cfg = IntegratorConfig(t_end=1.0, cluster_gap=1e-300)
         with pytest.raises(StepSizeUnderflow):
             for _ in range(200):
-                s, _ = step(s, 1.0, cfg)
+                s, _ = step(s, 1.0, CFG)
 
 
 class TestDetect:
@@ -234,10 +233,10 @@ class TestEvolve:
         # clustering disabled: the pair integrates into the singularity
         # until dt underflows, and the partial trajectory comes back attached
         monkeypatch.setattr(integrator, "MAX_STEPS", 500)
+        monkeypatch.setattr(integrator, "CLUSTER_GAP", 1e-300)
         s = make([0.0, 2e-5, 1.0], [1, -1, 1], gamma=0.5)
-        cfg = IntegratorConfig(t_end=1.0, cluster_gap=1e-300)
         with pytest.raises(EvolveError) as exc_info:
-            evolve(s, cfg)
+            evolve(s, IntegratorConfig(t_end=1.0))
         assert len(exc_info.value.trajectory.times) > 1
 
     def test_charges_piecewise_constant(self):
@@ -257,16 +256,14 @@ class TestEvolve:
         drift = np.abs(traj.positions.sum(axis=1) - m0).max()
         assert drift <= 1e-9 * (1 + abs(m0))
 
-    def test_resolution_insensitive_to_cluster_gap(self):
+    def test_resolution_insensitive_to_cluster_gap(self, monkeypatch):
         # the extrapolated (tau, y) makes the outcome independent of the
         # threshold at which a generic collapse is resolved
         s = make([-0.6, -0.22, 0.4, 0.75], [1, -1, 1, -1])
         runs = []
         for gap in (1e-5, 1e-7):
-            traj = evolve(
-                s, IntegratorConfig(t_end=1.0, cluster_gap=gap, sample_times=(1.0,))
-            )
-            runs.append(traj)
+            monkeypatch.setattr(integrator, "CLUSTER_GAP", gap / s.spread())
+            runs.append(evolve(s, IntegratorConfig(t_end=1.0, sample_times=(1.0,))))
         assert len(runs[0].events) == len(runs[1].events) == 2
         for ea, eb in zip(runs[0].events, runs[1].events):
             assert ea.cluster == eb.cluster
@@ -449,8 +446,8 @@ def degenerate_states(draw):
     A background of 2..7 particles (any charges, gaps 0.05..1) gets one of:
     a +-+ or -+- triple, symmetric up to a relative 1e-9 and sometimes
     alone among neutrals, whose isolated collision time d^2 / gamma lies in
-    [0.01, 2]; or an opposite pair whose gap is within 2x of the default
-    cluster_gap (1e-7 x spread).  The coupling gamma goes down to 1e-12.
+    [0.01, 2]; or an opposite pair whose gap is within 2x of the
+    clustering gap (CLUSTER_GAP x spread).  The coupling gamma goes down to 1e-12.
     """
     coupling = 10.0 ** draw(st.floats(-12.0, 0.0))
     n = draw(st.integers(2, 7))

@@ -161,7 +161,7 @@ class TestTrajectoryDiagnostics:
             assert all(b <= a + 1e-15 for a, b in zip(masses[:-1], masses[1:]))
             assert masses[-1] == 0.0
 
-    def test_time_dependent_sampling_uniformity(self):
+    def test_time_dependent_sampling_uniformity(self, monkeypatch):
         # kappa_n(t_n) for t_n -> t keeps a common modulus: the defects of
         # the time-sampled family stay bounded by those at fixed time
         eps_ns = (8, 16, 32)
@@ -174,6 +174,7 @@ class TestTrajectoryDiagnostics:
             mus.append(M.from_state(traj.state_at(t_n)))
         # modulus of the limit CDF (constant zero) is 0; defects equal the
         # largest interval mass = 1/n here, which decays
-        s, ok = M.aec_modulus(mus, omega=lambda r: 0.5 * abs(r), threshold=0.2)
+        monkeypatch.setattr(M, "AEC_THRESHOLD", 0.2)
+        s, ok = M.aec_modulus(mus, omega=lambda r: 0.5 * abs(r))
         assert ok
         assert all(y <= x for x, y in zip(s[:-1], s[1:]))
