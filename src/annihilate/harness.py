@@ -3,8 +3,9 @@
 Particles are sampled from continuous initial data, which act elementwise
 on arrays, as level crossings at heights eps (Z + a), all bisected at
 once.  They are evolved with coupling gamma = eps = 1/n, turned back into
-step functions, and compared in sup norm against the grid solution of the
-limit equation.  The property suite drives randomized ensembles through
+step functions, and compared in sup norm against the limit equation's
+exact solution where the datum has one, its grid solution otherwise.
+The property suite drives randomized ensembles through
 every quantitative invariant the theory provides.  Its per-run checks are
 array expressions over a trajectory's times, positions and charges: M1
 and the net charge are row sums, and the checks that need a fixed charged
@@ -16,7 +17,8 @@ from __future__ import annotations
 import json
 import math
 import time as _time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -28,7 +30,6 @@ from .particles import EventRecord, ParticleState, energy, net_charge, same_sign
 __all__ = [
     "InitialDatum",
     "CATALOG",
-    "pair_bump",
     "odd_lattice",
     "DegenerateCrossing",
     "sample_particles",
@@ -54,14 +55,16 @@ class DegenerateCrossing(ValueError):
 
 @dataclass(frozen=True)
 class InitialDatum:
-    """Catalog entry: bounded uniformly continuous, constant outside window.
+    """Catalog entry: bounded uniformly continuous initial data.
 
     u0 acts elementwise: it takes an array of points and returns the
-    values there, an array of the same shape.
+    values there, an array of the same shape.  exact(t, x), where known,
+    is the solution of the limit equation at time t, elementwise in x,
+    and exact(0, x) is u0(x).
     """
 
     u0: Callable[[np.ndarray], np.ndarray]
-    window: tuple[float, float]
+    exact: Callable[[float, np.ndarray], np.ndarray] | None = None
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:
@@ -80,24 +83,29 @@ def _double_bump(x: np.ndarray) -> np.ndarray:
     return 0.62 * (_mollifier((x + 1.05) / 0.85) + _mollifier((x - 1.05) / 0.85))
 
 
+def _semicircle(t: float, x: np.ndarray) -> np.ndarray:
+    """Exact solution u(t, x) = Phi(x / R(t)) of u_t = I[u] |u_x|, R(t)^2 = 1 + 4t.
+
+    Phi(s) = 1/2 + (s sqrt(1 - s^2) + arcsin s) / pi, clipped to |s| <= 1,
+    is the CDF of the semicircle density of radius 1, whose Hilbert
+    transform is linear inside its support; the profile keeps its shape
+    and spreads self-similarly (Biler, Karch and Monneau, Comm. Math.
+    Phys. 294, 2010).
+    """
+    s = np.clip(np.asarray(x, dtype=float) / math.sqrt(1.0 + 4.0 * t), -1.0, 1.0)
+    return 0.5 + (s * np.sqrt(1.0 - s * s) + np.arcsin(s)) / math.pi
+
+
 CATALOG: dict[str, InitialDatum] = {
     # monotone ramp 0 -> 1; all charges +1, no annihilation ever
-    "sigmoid": InitialDatum(u0=_smoothstep, window=(-1.0, 1.0)),
+    "sigmoid": InitialDatum(u0=_smoothstep),
     # two separated bumps; inner opposite pairs annihilate
-    "double_bump": InitialDatum(u0=_double_bump, window=(-1.9, 1.9)),
+    "double_bump": InitialDatum(u0=_double_bump),
     # no level crossings, no particles; the error is zero
-    "constant": InitialDatum(u0=lambda x: np.full(np.shape(x), 0.25), window=(-1.0, 1.0)),
+    "constant": InitialDatum(u0=lambda x: np.full(np.shape(x), 0.25)),
+    # monotone ramp 0 -> 1 that spreads self-similarly; the exact solution is known
+    "semicircle": InitialDatum(u0=lambda x: _semicircle(0.0, x), exact=_semicircle),
 }
-
-
-def pair_bump(eps: float) -> InitialDatum:
-    """Height-eps Lorentzian bump: the closed-form two-particle family.
-
-    Sampling at any offset a in (0, 1) yields one +- pair at +-sqrt(1/a-1)
-    whose trajectories are +-sqrt(x0^2 - eps t); the exact solution is
-    u(t, x) = u0(sqrt(x^2 + eps t)).
-    """
-    return InitialDatum(u0=lambda x: eps / (x * x + 1.0), window=(-8.0, 8.0))
 
 
 def odd_lattice(n: int) -> ParticleState:
@@ -198,10 +206,8 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.datum != "pair_bump" and self.datum not in CATALOG:
-            raise ValueError(
-                f"unknown datum {self.datum!r}; choose from {sorted(CATALOG)} or 'pair_bump'"
-            )
+        if self.datum not in CATALOG:
+            raise ValueError(f"unknown datum {self.datum!r}; choose from {sorted(CATALOG)}")
         if not self.ns or not all(n >= 1 for n in self.ns):
             raise ValueError(f"ns must be a non-empty list of positive sizes, got {list(self.ns)}")
         if self.scan_points < 2:
@@ -257,21 +263,21 @@ def _comparison_points(spec: ExperimentSpec, ref: hjsolver.GridFunction,
 
 
 def _ladder_row(spec: ExperimentSpec, n: int, u0: Callable[[np.ndarray], np.ndarray],
-                window: tuple[float, float], u_left: float,
-                reference: Callable[[int, levelset.StepFunction], tuple]) -> ConvergenceRow:
-    """Sample u0 at level spacing 1/n in window, evolve, and measure e_n.
+                frames: list[hjsolver.GridFunction], values: list[Callable]) -> ConvergenceRow:
+    """Sample u0 at level spacing 1/n on [-L, L], evolve, and measure e_n.
 
-    u_left is the datum's value left of all crossings; the step functions
-    start at the sampling level just below it.  reference(k, u_n) returns
-    the comparison points and the reference values there at snapshot k of
-    spec.snapshot_times(), given the particle step function u_n then.
+    At snapshot k of spec.snapshot_times() the reference is frames[k] on
+    the grid and values[k] at any points.  The step functions start at
+    the sampling level just below frames[0]'s left tail, the datum's
+    value left of all crossings.
     """
     t0 = _time.perf_counter()
     try:
         eps = 1.0 / n
-        state = sample_particles(u0, n, spec.offset, window=window,
+        L = spec.scheme_config().L
+        state = sample_particles(u0, n, spec.offset, window=(-L, L),
                                  scan_points=spec.scan_points)
-        times = spec.snapshot_times()
+        times, u_left = spec.snapshot_times(), frames[0].tails[0]
         if state is None:
             # no crossings: the constant datum is represented exactly
             flat = levelset.StepFunction(np.empty(0), np.empty(0, dtype=int), eps, base=u_left)
@@ -283,8 +289,8 @@ def _ladder_row(spec: ExperimentSpec, n: int, u0: Callable[[np.ndarray], np.ndar
             events = len(traj.events)
         e_n = 0.0
         for k, u_n in enumerate(steps):
-            pts, ref = reference(k, u_n)
-            e_n = max(e_n, float(np.max(np.abs(u_n(pts) - ref))))
+            pts = _comparison_points(spec, frames[k], u_n)
+            e_n = max(e_n, float(np.max(np.abs(u_n(pts) - values[k](pts)))))
         return ConvergenceRow(n=n, e_n=e_n, events=events,
                               runtime_s=_time.perf_counter() - t0)
     except (EvolveError, DegenerateCrossing, ValueError) as exc:
@@ -297,41 +303,28 @@ def run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
 
     Rows come out sorted by n; a failing row carries its error message and
     the others continue.  e_n is the max over snapshot times of the sup
-    distance between the particle step function and the reference: the
-    linearly interpolated grid solution for catalog data (excluding two
-    reference cells at the boundary), or, for the pair_bump family, the
-    closed form u(t, x) = u0(sqrt(x^2 + eps t)) on a 2001-point grid.
+    distance between the particle step function and the reference (the
+    linearly interpolated grid solution, or the exact solution where the
+    datum has one) over the grid nodes, the cell midpoints and both sides
+    of every jump, leaving out two reference cells at either end.
     """
-    snap_times, scheme = spec.snapshot_times(), spec.scheme_config()
-    if spec.datum == "pair_bump":
-        frames = []
-        grid = np.linspace(-scheme.L, scheme.L, 2001)
-        rows = []
-        for n in sorted(spec.ns):
-            datum = pair_bump(1.0 / n)
-            exact = lambda k, u_n, eps=1.0 / n: (
-                grid, eps / (grid * grid + eps * snap_times[k] + 1.0))
-            rows.append(_ladder_row(spec, n, datum.u0, datum.window, 0.0, exact))
-    else:
-        datum = CATALOG[spec.datum]
+    datum, times, scheme = CATALOG[spec.datum], spec.snapshot_times(), spec.scheme_config()
+    if datum.exact is None:
         # one frame per snapshot time: they are sorted, distinct, and hold 0 and t_end
-        frames = hjsolver.solve_hj(datum.u0, scheme, snap_times)
-
-        def interpolated(k, u_n):
-            pts = _comparison_points(spec, frames[k], u_n)
-            return pts, frames[k].interp(pts)
-
-        # the reference's left tail is u0 at the window's left end
-        window, u_left = (-scheme.L, scheme.L), frames[0].tails[0]
-        rows = [_ladder_row(spec, n, datum.u0, window, u_left, interpolated)
-                for n in sorted(spec.ns)]
+        frames = hjsolver.solve_hj(datum.u0, scheme, times)
+        values = [fr.interp for fr in frames]
+    else:
+        values = [partial(datum.exact, t) for t in times]
+        frames = [replace(hjsolver.GridFunction.from_callable(v, scheme), time=float(t))
+                  for v, t in zip(values, times)]
+    rows = [_ladder_row(spec, n, datum.u0, frames, values) for n in sorted(spec.ns)]
     good = [r.e_n for r in rows if r.error is None]
     monotone = all(b <= 1.1 * a for a, b in zip(good[:-1], good[1:]))
     return ConvergenceResult(
         spec=spec,
         rows=rows,
         monotone=monotone,
-        ref_frames=[(float(t), fr) for t, fr in zip(snap_times, frames)],
+        ref_frames=[(float(t), fr) for t, fr in zip(times, frames)],
     )
 
 

@@ -51,8 +51,8 @@ class CFLViolation(ValueError):
 class SchemeConfig:
     """Grid and stepping parameters.
 
-    rho is the near/far split radius and is snapped to an integer number
-    of cells r = rho/h (at least 2).
+    h divides 2L into whole cells.  rho is the near/far split radius and
+    is snapped to an integer number of cells r = rho/h (at least 2).
     """
 
     L: float = 4.0
@@ -66,6 +66,9 @@ class SchemeConfig:
         r = int(round(self.rho / self.h))
         if r < 2 or abs(r * self.h - self.rho) > 1e-9 * self.h:
             raise ValueError("rho must be an integer multiple of h, at least 2h")
+        cells = round(2 * self.L / self.h)
+        if abs(cells * self.h - 2 * self.L) > 1e-9 * self.h:
+            raise ValueError(f"h must divide 2L = {2 * self.L!r} into whole cells, got {self.h!r}")
 
 
 @dataclass

@@ -17,9 +17,13 @@ time.  The other helpers serve only the tests: a single integrator step
 with no history, per-state velocities, the staircase quantization, the
 total variation and Lipschitz constant of a step or grid function, the
 sup norm of a grid function, the e_n of a ladder's good rows, the
-barrier bound on the limit equation, its exact semicircle solution, the
-tightness monitor of a measure, and the readers of the trajectory CSV
-and event JSONL formats.
+barrier bound on the limit equation, the tightness monitor of a measure,
+and the readers of the trajectory CSV and event JSONL formats.  Two
+exact particle solutions serve as oracles: `pair_bump`, the height-eps
+bump whose single +- pair is known in closed form, and
+`collision_profile`, the self-similar shape in which an isolated
+alternating cluster collapses onto one point.  The exact limit solution
+of the semicircle datum is not here: it is `CATALOG["semicircle"].exact`.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from annihilate import moments
-from annihilate.harness import SCAN_POINTS, ConvergenceResult
+from annihilate.harness import SCAN_POINTS, ConvergenceResult, InitialDatum
 from annihilate.hjsolver import GridFunction
 from annihilate.integrator import IntegratorConfig, StepStats, Trajectory, _Segment, _step_core
 from annihilate.levelset import StepFunction
@@ -183,17 +187,49 @@ def step(
                          time=state.time + dt), dt
 
 
-def semicircle(t: float, x: np.ndarray) -> np.ndarray:
-    """Exact solution u(t, x) = Phi(x / R(t)) of u_t = I[u] |u_x|, R(t)^2 = 1 + 4t.
+def pair_bump(eps: float) -> InitialDatum:
+    """Height-eps Lorentzian bump: the closed-form two-particle family.
 
-    Phi(s) = 1/2 + (s sqrt(1 - s^2) + arcsin s) / pi, clipped to |s| <= 1,
-    is the CDF of the semicircle density of radius 1, whose Hilbert
-    transform is linear inside its support; the profile keeps its shape
-    and spreads self-similarly (Biler, Karch and Monneau, Comm. Math.
-    Phys. 294, 2010).
+    Sampling at any offset a in (0, 1) yields one +- pair at +-sqrt(1/a-1)
+    whose trajectories are +-sqrt(x0^2 - eps t); the exact solution is
+    u(t, x) = u0(sqrt(x^2 + eps t)).
     """
-    s = np.clip(np.asarray(x, dtype=float) / math.sqrt(1.0 + 4.0 * t), -1.0, 1.0)
-    return 0.5 + (s * np.sqrt(1.0 - s * s) + np.arcsin(s)) / math.pi
+    return InitialDatum(u0=lambda x: eps / (x * x + 1.0),
+                        exact=lambda t, x: eps / (x * x + eps * t + 1.0))
+
+
+def profile_equation(b, xi: np.ndarray) -> np.ndarray:
+    """xi_i / 2 + sum_{j != i} b_i b_j / (xi_i - xi_j) for every i; zero at a collision profile."""
+    b = np.asarray(b, dtype=float)
+    d = xi[:, None] - xi[None, :] + np.eye(xi.size)  # 1 on the diagonal, where bb is 0
+    bb = np.outer(b, b) - np.diag(b * b)
+    return xi / 2.0 + np.sum(bb / d, axis=1)
+
+
+def collision_profile(b) -> np.ndarray:
+    """Self-similar collapse profile xi of an isolated cluster with charges b.
+
+    x_i(t) = y + xi_i sqrt(gamma (tau - t)) solves the particle system at
+    coupling gamma, colliding at (tau, y), iff `profile_equation` is zero;
+    summing it over i gives sum xi = 0.  Newton's method from equispaced
+    points scaled to the second moment sum xi^2 = m - q^2 (m charges of
+    net charge q), stopped when a step moves no coordinate by more than
+    1e-15 of the largest.
+    """
+    b = np.asarray(b, dtype=float)
+    m, q = b.size, float(b.sum())
+    xi = np.linspace(-1.0, 1.0, m)
+    xi *= math.sqrt((m - q * q) / float(np.sum(xi * xi)))
+    bb = np.outer(b, b) - np.diag(b * b)
+    for _ in range(100):
+        d = xi[:, None] - xi[None, :] + np.eye(m)
+        jac = bb / (d * d)
+        jac[np.diag_indices(m)] = 0.5 - jac.sum(axis=1)
+        step = np.linalg.solve(jac, profile_equation(b, xi))
+        xi = xi - step
+        if np.max(np.abs(step)) <= 1e-15 * np.max(np.abs(xi)):
+            break
+    return xi
 
 
 def velocities(state: ParticleState) -> np.ndarray:

@@ -281,6 +281,7 @@ class TestConfigSchema:
             ("converge", {"experiment": {"scan_points": 1}}),
             ("converge", {"experiment": {"scan_points": 0}}),
             ("converge", {"experiment": {"ns": []}}),
+            ("hj", {"scheme": {"L": 1.0, "h": 0.3, "rho": 0.6, "t_end": 0.01}}),
             # values for keys that are constants now: refused as unknown keys
             ("measure", {"measure": {"threshold": float("nan")}}),
             ("measure", {"measure": {"threshold": float("inf")}}),
@@ -308,6 +309,7 @@ class TestConfigSchema:
             "verify-reads-no-measure", "measure-reads-no-moments", "moments-reads-no-simulate",
             "simulate-coupling-minus-one",
             "experiment-scan_points-one", "experiment-scan_points-zero", "experiment-ns-empty",
+            "scheme-h-not-dividing-2L",
             "measure-threshold-nan", "measure-threshold-inf", "measure-threshold-negative",
             "measure-threshold-bool", "n_samples-fraction", "integrator-cluster_gap-bool",
         ],
@@ -400,11 +402,18 @@ class TestFormatsDoc:
         assert named
         assert {f"{sec}.{key}" for sec, key in named if key not in _SCHEMA[sec]} == set()
 
+    def test_datum_choices_are_the_catalog(self):
+        # the sentence that lists the `experiment.datum` choices names every
+        # catalog entry, in sorted order, and nothing else
+        text = (ROOT / "docs" / "formats.md").read_text()
+        choices = re.search(r"`experiment\.datum` choices: ([^.]*)\.", text).group(1)
+        assert re.findall(r"`(\w+)`", choices) == sorted(harness.CATALOG)
+
 
 class TestShippedConfigs:
     def test_configs_found(self):
         assert {p.name for p in CONFIGS} >= {
-            "pair.yaml", "measure-dipole.yaml", "converge-pair.yaml",
+            "pair.yaml", "measure-dipole.yaml", "converge-semicircle.yaml",
             "converge-sigmoid.yaml", "verify-quick.yaml",
         }
 
@@ -415,6 +424,7 @@ class TestShippedConfigs:
     @pytest.mark.parametrize("command, name, written", [
         ("simulate", "pair.yaml", "events.jsonl"),
         ("measure", "measure-dipole.yaml", "measure_report.json"),
+        ("converge", "converge-semicircle.yaml", "reference_006.csv"),
     ])
     def test_runs_to_exit_0(self, tmp_path, command, name, written):
         out = tmp_path / "out"

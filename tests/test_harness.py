@@ -17,8 +17,8 @@ from reference import (
     check_opposite_gap_loop,
     check_slopes_loop,
     ladder_errors,
+    pair_bump,
     sample_particles_loop,
-    semicircle,
 )
 
 
@@ -26,7 +26,7 @@ class TestSampler:
     def test_pair_bump_crossings(self):
         eps = 1 / 8
         a = 0.3
-        st = Hn.sample_particles(Hn.pair_bump(eps).u0, 8, a)
+        st = Hn.sample_particles(pair_bump(eps).u0, 8, a)
         x0 = math.sqrt(1.0 / a - 1.0)
         assert st.n == 2
         assert st.positions == pytest.approx([-x0, x0], abs=1e-10)
@@ -92,7 +92,7 @@ class TestSampler:
         # the array bisection stops each crossing where the scalar one does
         offsets = [0.25, 0.5, *np.random.default_rng(10).uniform(0.0, 1.0, 2)]
         for n in (8, 32, 128):
-            u0 = (Hn.pair_bump(1.0 / n) if name == "pair_bump" else Hn.CATALOG[name]).u0
+            u0 = (pair_bump(1.0 / n) if name == "pair_bump" else Hn.CATALOG[name]).u0
             for a in offsets:
                 st = Hn.sample_particles(u0, n, a, scan_points=2**12)
                 want = sample_particles_loop(u0, n, a, scan_points=2**12)
@@ -133,14 +133,18 @@ class TestConvergence:
         res = Hn.run_convergence(spec)
         assert all(r.e_n == 0.0 and r.events == 0 for r in res.rows)
 
-    def test_pair_bump_ladder_is_exactly_quantization(self):
-        # against the closed-form solution the error is the level gap 1/n
-        spec = Hn.ExperimentSpec(datum="pair_bump", ns=(4, 8, 16), t_end=0.5)
-        res = Hn.run_convergence(spec)
-        for row in res.rows:
+    def test_pair_bump_ladder_is_exactly_quantization(self, monkeypatch):
+        # against the closed-form solution the error is the level gap 1/n;
+        # each n has its own datum, run as a catalog entry through the exact path
+        rows = []
+        for n in (4, 8, 16):
+            monkeypatch.setitem(Hn.CATALOG, "pair_bump", pair_bump(1.0 / n))
+            res = Hn.run_convergence(Hn.ExperimentSpec(datum="pair_bump", ns=(n,), t_end=0.5))
+            rows += res.rows
+        for row in rows:
             assert row.error is None
             assert row.e_n == pytest.approx(1.0 / row.n, rel=1e-9)
-        assert res.monotone
+        assert all(b.e_n <= 1.1 * a.e_n for a, b in zip(rows[:-1], rows[1:]))
 
     def test_sampling_error_floor(self):
         # at t=0 the error is exactly the quantization gap, below 1/n
@@ -152,19 +156,15 @@ class TestConvergence:
         # against the exact semicircle solution, with no annihilation, the
         # error is level quantization, e_n ~ C / n: each doubling of n
         # divides it by 2 (the bound is that rate, fixed before measuring)
-        spec = Hn.ExperimentSpec()
-        L = spec.scheme_config().L
-        grid = np.linspace(-L, L, 2001)
-        times = spec.snapshot_times()
-
-        def exact(k, u_n):
-            return grid, semicircle(times[k], grid)
-
-        rows = [Hn._ladder_row(spec, n, lambda x: semicircle(0.0, x), (-L, L), 0.0, exact)
-                for n in (8, 16, 32, 64, 128)]
+        res = Hn.run_convergence(Hn.ExperimentSpec(datum="semicircle", ns=(8, 16, 32, 64, 128)))
+        rows = res.rows
         assert all(r.error is None and r.events == 0 for r in rows), rows
         ratios = [a.e_n / b.e_n for a, b in zip(rows[:-1], rows[1:])]
         assert all(1.9 <= q <= 2.1 for q in ratios), ratios
+        # the reference frames are the exact solution on the grid
+        semicircle = Hn.CATALOG["semicircle"].exact
+        assert [t for t, _ in res.ref_frames] == list(res.spec.snapshot_times())
+        assert all(np.array_equal(fr.values, semicircle(t, fr.xs)) for t, fr in res.ref_frames)
 
 
 class TestPropertySuite:

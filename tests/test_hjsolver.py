@@ -13,7 +13,7 @@ from reference import (
     levy_operator,
     levy_operator_direct,
     near_field_quadrature,
-    semicircle,
+    pair_bump,
 )
 
 SIGMOID = CATALOG["sigmoid"].u0
@@ -230,13 +230,13 @@ class TestBarrier:
 
     def test_particle_run_under_barrier(self):
         # the eps-system analogue: a sampled pair stays below the barrier
-        from annihilate.harness import pair_bump, sample_particles
+        from annihilate.harness import sample_particles
         from annihilate.integrator import IntegratorConfig, evolve
         from annihilate.levelset import from_particles
 
         eps = 1 / 8
         datum = pair_bump(eps)
-        st = sample_particles(datum.u0, 8, 0.5, window=datum.window)
+        st = sample_particles(datum.u0, 8, 0.5, window=(-8.0, 8.0))
         ts = (0.5, 1.0)
         traj = evolve(st, IntegratorConfig(t_end=1.0, sample_times=ts))
         xs = np.linspace(-4, 4, 513)
@@ -252,11 +252,12 @@ class TestBarrier:
 class TestSemicircle:
     def test_first_order_against_the_exact_solution(self):
         # sup error at t = 0.25 over the nodes, h = 1/64, 1/128, 1/256
+        semicircle = CATALOG["semicircle"]
         errs = []
         for h in (1 / 64, 1 / 128, 1 / 256):
             cfg = H.SchemeConfig(L=4.0, h=h, rho=1 / 16, t_end=0.25)
-            u = H.solve_hj(lambda x: semicircle(0.0, x), cfg)[-1]
+            u = H.solve_hj(semicircle.u0, cfg)[-1]
             assert u.time == 0.25
-            errs.append(float(np.max(np.abs(u.values - semicircle(0.25, u.xs)))))
+            errs.append(float(np.max(np.abs(u.values - semicircle.exact(0.25, u.xs)))))
         assert all(a >= 1.6 * b for a, b in zip(errs[:-1], errs[1:])), errs
         assert errs[-1] <= 1e-3, errs

@@ -18,7 +18,7 @@ from annihilate.integrator import (
 from annihilate.particles import (
     InvalidState, ParticleState, net_charge, same_sign_gap, velocity_field,
 )
-from reference import step, velocities
+from reference import collision_profile, profile_equation, step, velocities
 
 
 def make(x, b, gamma=None, t=0.0):
@@ -529,3 +529,71 @@ class TestHermiteLattice:
         x = traj.final.positions
         assert traj.final.time == 1.0 and not traj.events
         assert np.max(np.abs(x - exact)) <= 1e-8 * np.max(np.abs(x))
+
+
+class TestCollisionProfiles:
+    """Isolated alternating clusters started on their self-similar collapse profile.
+
+    x_i = y + xi_i sqrt(gamma tau) collides at exactly (tau, y).  Profiles
+    of three or more charges are unstable, so only the +- profile is run
+    unperturbed; the +-+ profile is run with its middle particle shifted,
+    where the survivor's offset follows the linearization's Hölder law.
+    """
+
+    GAMMA, TAU, Y = 1e-3, 1.0, 0.25
+
+    @pytest.mark.parametrize("b, want", [
+        ((1, -1), (-1.0, 1.0)),
+        ((1, -1, 1), (-1.0, 0.0, 1.0)),
+        ((1, -1, 1, -1), (-1.38209252, -0.29970032, 0.29970032, 1.38209252)),
+        ((1, -1, 1, -1, 1), (-1.31607401, -0.51763809, 0.0, 0.51763809, 1.31607401)),
+    ], ids=["+-", "+-+", "+-+-", "+-+-+"])
+    def test_profile(self, b, want):
+        xi = collision_profile(b)
+        # the wanted values carry eight decimals
+        assert np.max(np.abs(xi - want)) <= 1e-8
+        assert np.max(np.abs(profile_equation(b, xi))) <= 1e-14
+        # the second-moment law: sum xi^2 = m - q^2
+        assert np.sum(xi * xi) == pytest.approx(len(b) - sum(b) ** 2, abs=1e-13)
+
+    def test_isolated_cluster_moment_identity(self):
+        # sum (x_i - y) v_i = gamma (q^2 - m) / 2 for any y, since the
+        # pairwise terms sum to gamma sum_{i != j} b_i b_j / 2
+        rng = np.random.default_rng(5)
+        for m in (2, 3, 4, 5):
+            for _ in range(20):
+                x = np.sort(rng.uniform(-1.0, 1.0, m))
+                b = rng.choice([-1, 1], m)
+                gamma, y = rng.uniform(1e-3, 1.0), rng.uniform(-1.0, 1.0)
+                v = velocity_field(x, b, gamma)
+                lhs = float(np.sum((x - y) * v))
+                want = gamma * (b.sum() ** 2 - m) / 2.0
+                # rounding: a few ulps of the largest term, relative
+                assert abs(lhs - want) <= 64 * np.finfo(float).eps * float(np.sum(np.abs((x - y) * v)))
+
+    def run(self, xi, b):
+        s = math.sqrt(self.GAMMA * self.TAU)
+        return evolve(make(self.Y + xi * s, b, self.GAMMA), IntegratorConfig(t_end=2.0))
+
+    def test_pair_collides_at_tau_and_y(self):
+        b = (1, -1)
+        (ev,) = self.run(collision_profile(b), b).events
+        assert abs(ev.tau - self.TAU) <= 1e-6 * self.TAU
+        assert abs(ev.y - self.Y) <= 1e-9
+
+    def test_perturbed_triple_survivor_follows_the_holder_law(self):
+        # the +-+ profile has growth rate 3.5 besides the trivial ones, so a
+        # shift delta of the middle charge moves the survivor by about
+        # C delta^(1/7): a factor 100^(1/7) per two decades of delta
+        b = (1, -1, 1)
+        s = math.sqrt(self.GAMMA * self.TAU)
+        offsets = []
+        for delta in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+            xi = collision_profile(b)
+            xi[1] += delta
+            traj = self.run(xi, b)
+            (survivor,) = traj.positions[-1][traj.charges[-1] != 0]
+            offsets.append(abs(survivor - self.Y) / s)
+        ratios = [a / c for a, c in zip(offsets[:-1], offsets[1:])]
+        want = 100.0 ** (1.0 / 7.0)
+        assert all(abs(q / want - 1.0) <= 0.05 for q in ratios), (offsets, ratios)

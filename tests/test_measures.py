@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from annihilate import measures as M
-from annihilate.harness import pair_bump, sample_particles
+from annihilate.harness import sample_particles
 from annihilate.integrator import IntegratorConfig, evolve
 from annihilate.levelset import from_particles
 from annihilate.particles import ParticleState, net_charge
-from reference import aec_defect_loop, mass_outside, measure_total_variation, narrow_proxy_loop
+from reference import (
+    aec_defect_loop, mass_outside, measure_total_variation, narrow_proxy_loop, pair_bump,
+)
 
 
 def dipole(n):
