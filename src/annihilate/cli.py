@@ -126,11 +126,10 @@ def _simulate_state(positions: tuple[float, ...], charges: tuple[int, ...],
 
 def _hj_args(initial: str = "sigmoid", snapshots: int = 5):
     """The `hj` section: the initial datum and the number of frames from 0 to t_end."""
-    if initial not in harness.CATALOG:
-        raise ValueError(f"unknown datum {initial!r}; choose from {sorted(harness.CATALOG)}")
+    datum = harness.catalog_datum(initial)
     if snapshots < 2:
         raise ValueError(f"snapshots must be at least 2, got {snapshots}")
-    return harness.CATALOG[initial].u0, snapshots
+    return datum.u0, snapshots
 
 
 def _moments_positions(positions: tuple[float, ...]) -> tuple[float, ...]:
@@ -209,8 +208,7 @@ def _measure_args(
     """The `measure` section's values with its defaults, checked before any output is made."""
     if family not in ("dipole", "lipschitz_cdf"):
         raise ValueError(f"family: unknown measure family {family!r}")
-    if not ns or not all(n >= 1 for n in ns):
-        raise ValueError("ns: must be a non-empty list of positive sizes")
+    harness.check_sizes(ns)
     return family, ns
 
 
@@ -252,10 +250,10 @@ def cmd_moments(args, cfg: dict) -> int:
     M = moments.moments(x)
     try:
         rec = moments.reconstruct_positions(M)
-    except moments.ComplexRoots as exc:
+    except moments.ReconstructionError as exc:
         return _fail(3, "moments", str(exc))
     err = float(np.max(np.abs(rec - np.sort(x))))
-    tol = 1e-8 * max(1.0, float(np.max(np.abs(x))))
+    tol = moments.ROUND_TRIP_TOL * max(1.0, float(np.max(np.abs(x))))
     if not err <= tol:
         return _fail(3, "moments", f"reconstruction error {err:.3e} exceeds {tol:.3e}")
     print(json.dumps({"moments": M.tolist(), "reconstructed": rec.tolist()}))

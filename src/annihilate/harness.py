@@ -30,6 +30,8 @@ from .particles import EventRecord, ParticleState, energy, net_charge, same_sign
 __all__ = [
     "InitialDatum",
     "CATALOG",
+    "catalog_datum",
+    "check_sizes",
     "odd_lattice",
     "DegenerateCrossing",
     "sample_particles",
@@ -106,6 +108,19 @@ CATALOG: dict[str, InitialDatum] = {
     # monotone ramp 0 -> 1 that spreads self-similarly; the exact solution is known
     "semicircle": InitialDatum(u0=lambda x: _semicircle(0.0, x), exact=_semicircle),
 }
+
+
+def catalog_datum(name: str) -> InitialDatum:
+    """The catalog entry called name; ValueError naming the choices for any other name."""
+    if name not in CATALOG:
+        raise ValueError(f"unknown datum {name!r}; choose from {sorted(CATALOG)}")
+    return CATALOG[name]
+
+
+def check_sizes(ns: Sequence[int]) -> None:
+    """ValueError unless ns is a non-empty list of positive sizes."""
+    if not ns or not all(n >= 1 for n in ns):
+        raise ValueError(f"ns must be a non-empty list of positive sizes, got {list(ns)}")
 
 
 def odd_lattice(n: int) -> ParticleState:
@@ -206,10 +221,8 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.datum not in CATALOG:
-            raise ValueError(f"unknown datum {self.datum!r}; choose from {sorted(CATALOG)}")
-        if not self.ns or not all(n >= 1 for n in self.ns):
-            raise ValueError(f"ns must be a non-empty list of positive sizes, got {list(self.ns)}")
+        catalog_datum(self.datum)
+        check_sizes(self.ns)
         if self.scan_points < 2:
             raise ValueError(f"scan_points must be at least 2, got {self.scan_points}")
         if not 0.0 <= self.offset < 1.0:
@@ -419,7 +432,11 @@ def stability_sweep(
     """sup_t d_M over 21 equispaced times in [0, t_end] between the base run and perturbed runs."""
     times = tuple(np.linspace(0.0, t_end, 21))
     cfg = IntegratorConfig(t_end=t_end, sample_times=times, store_steps=False)
-    ref = evolve(base_state, cfg)
+
+    def rows(traj: Trajectory) -> np.ndarray:
+        return np.array([traj.state_at(t).positions for t in times])
+
+    ref = rows(evolve(base_state, cfg))
     direction = rng.standard_normal(base_state.n)
     direction /= float(np.max(np.abs(direction)))
     sups = []
@@ -429,12 +446,7 @@ def stability_sweep(
             charges=base_state.charges,
             coupling=base_state.coupling,
         )
-        run = evolve(pert, cfg)
-        sup = max(
-            moments.d_M(ref.state_at(t).positions, run.state_at(t).positions)
-            for t in times
-        )
-        sups.append(sup)
+        sups.append(float(moments.d_M(ref, rows(evolve(pert, cfg))).max()))
     return sups
 
 
@@ -484,9 +496,7 @@ def run_property_suite(
             state = _random_state(rng, n)
         traj = evolve(state, IntegratorConfig(t_end=t_end, sample_times=sample_grid))
         events.append(len(traj.events))
-        # the residual check evolves the run again; the first runs suffice
-        fold([(name, check) for name, check in _PER_RUN.items()
-              if run_idx < _RESIDUAL_RUNS or check is not _check_ode_residual], traj)
+        fold(_PER_RUN.items(), traj)
     fold(_ONE_SHOT.items(), np.random.default_rng(seed + 1))
 
     return PropertyReport(
@@ -603,19 +613,15 @@ def _check_dm_lipschitz(traj):
     idx = np.flatnonzero(np.isin(traj.times, grid))  # the samples land exactly on their times
     if len(idx) < 3:
         return
-    xs, ts = traj.positions[idx], traj.times[idx].tolist()
-    c_adj = 0.0
-    for k in range(len(idx) - 1):
-        dt = ts[k + 1] - ts[k]
-        if dt > 1e-12:
-            c_adj = max(c_adj, moments.d_M(xs[k], xs[k + 1]) / dt)
+    xs, ts = traj.positions[idx], traj.times[idx]
+    # d_M / dt over every pair of samples a < b; times never decrease, so
+    # dt > 1e-12 also drops a >= b
+    dt = ts[None, :] - ts[:, None]
+    rate = np.divide(moments.d_M(xs[:, None], xs[None]), dt, out=np.zeros(dt.shape),
+                     where=dt > 1e-12)
+    c_adj = float(np.diagonal(rate, 1).max(initial=0.0))
     allowed = 1.01 * c_adj + 1e-9
-    worst = 0.0
-    for a in range(0, len(idx), 3):
-        for b in range(a + 1, len(idx)):
-            dt = ts[b] - ts[a]
-            if dt > 1e-12:
-                worst = max(worst, moments.d_M(xs[a], xs[b]) / dt)
+    worst = float(rate[::3].max(initial=0.0))
     yield worst <= allowed, allowed - worst, f"fit C={c_adj:.3e}, worst {worst:.3e}"
 
 
@@ -651,7 +657,8 @@ def _check_events(traj):
         yield good, 1.0 if good else -1.0, f"event at tau={ev.tau:.4f}"
 
 
-def _ode_residuals(traj: Trajectory, anchors: Iterable[float], trunc_limit: float = math.inf):
+def _ode_residuals(traj: Trajectory, anchors: Iterable[float], trunc_limit: float = math.inf,
+                   events: Sequence[EventRecord] = ()):
     """(t, i, |x_i'(t) - v_i(t)|) at the stored sample nearest each anchor.
 
     x_i' differences the stored samples on either side at their own,
@@ -659,7 +666,9 @@ def _ode_residuals(traj: Trajectory, anchors: Iterable[float], trunc_limit: floa
     x' ~ (h1 D- + h0 D+) / (h0 + h1), with D- and D+ the backward and
     forward quotients.  v is the force field at the middle sample.  An
     anchor at either end of the trajectory, or whose stencil holds an
-    event, is skipped.
+    event after its first sample, is skipped.  The events are the
+    trajectory's own and those passed in, such as the events of the run
+    that the trajectory is a window of.
 
     The stencil also misreads the approach to a collision.  A cluster of k
     charges with net charge q meeting at (tau, y) follows the collision law
@@ -671,7 +680,7 @@ def _ode_residuals(traj: Trajectory, anchors: Iterable[float], trunc_limit: floa
     integrator; a cluster's particles are skipped while that bound exceeds
     trunc_limit.
     """
-    times = traj.times
+    times, events = traj.times, [*traj.events, *events]
     for t in anchors:
         k = int(np.argmin(np.abs(times - t)))
         if k == 0 or k >= times.size - 1:
@@ -684,12 +693,13 @@ def _ode_residuals(traj: Trajectory, anchors: Iterable[float], trunc_limit: floa
         while hi < times.size - 1 and times[hi] - times[k] < span:
             hi += 1
         h0, h1 = times[k] - times[lo], times[hi] - times[k]
-        if min(h0, h1) < span or any(times[lo] <= ev.tau <= times[hi] for ev in traj.events):
+        # a stencil that starts on an event's row lies wholly after the event
+        if min(h0, h1) < span or any(times[lo] < ev.tau <= times[hi] for ev in events):
             continue
         x0, x1, x2 = traj.positions[[lo, k, hi]]
         h = max(h0, h1)
         colliding = set()
-        for ev in traj.events:
+        for ev in events:
             s = ev.tau - times[hi]
             if s <= 0:
                 continue
@@ -706,22 +716,27 @@ def _ode_residuals(traj: Trajectory, anchors: Iterable[float], trunc_limit: floa
 
 
 def _check_ode_residual(traj):
-    """Difference velocities of the run, evolved again around three anchors, vs the force field.
+    """Difference velocities in short windows of the run vs the force field.
 
-    Threshold 10 * (abs_tol + rel_tol * scale) / delta reflects how
-    position error propagates into a difference quotient at spacing delta;
-    the approach to a collision is skipped while its truncation bound
-    exceeds a tenth of the threshold.
+    For each anchor 0.3, 0.6 and 0.9 t_end, a window of length 2 delta
+    (delta = 1e-4 t_end) is evolved from the run's last stored row at or
+    before the anchor, with the run's own tolerances, and differenced
+    around its sample at delta.  Threshold 10 * (abs_tol + rel_tol * scale)
+    / delta reflects how position error propagates into a difference
+    quotient at spacing delta; the approach to any of the run's collisions
+    is skipped while its truncation bound exceeds a tenth of the threshold.
     """
-    state, t_end = traj.state(0), traj.config.t_end
+    cfg, t_end = traj.config, traj.config.t_end
     delta = 1e-4 * t_end
-    anchors = [0.3 * t_end, 0.6 * t_end, 0.9 * t_end]
-    times = sorted({t + k * delta for t in anchors for k in (-1, 0, 1)})
-    cfg = IntegratorConfig(t_end=t_end, sample_times=tuple(times), store_steps=False)
-    scale = max(1.0, float(np.max(np.abs(state.positions))))
+    scale = max(1.0, float(np.max(np.abs(traj.positions[0]))))
     thr = 10.0 * (cfg.abs_tol + cfg.rel_tol * scale) / delta + 1e-8
-    for t, i, res in _ode_residuals(evolve(state, cfg), anchors, 0.1 * thr):
-        yield res <= thr, thr - res, f"t={t:.3f} i={i}"
+    for anchor in (0.3 * t_end, 0.6 * t_end, 0.9 * t_end):
+        k = int(np.searchsorted(traj.times, anchor, side="right")) - 1
+        t0 = float(traj.times[k])
+        window = evolve(traj.state(k), replace(cfg, t_end=t0 + 2.0 * delta,
+                                               sample_times=(t0 + delta,), store_steps=False))
+        for t, i, res in _ode_residuals(window, [t0 + delta], 0.1 * thr, traj.events):
+            yield res <= thr, thr - res, f"t={t:.3f} i={i}"
 
 
 def _check_operator_identity(rng):
@@ -838,4 +853,3 @@ _ONE_SHOT = {
     "odd_lattice_rate": _check_odd_lattice,
     "stability_monotone": _check_stability,
 }
-_RESIDUAL_RUNS = 5  # the first runs, which _check_ode_residual evolves a second time

@@ -13,7 +13,8 @@ import numpy as np
 
 __all__ = [
     "LengthMismatch",
-    "ComplexRoots",
+    "ReconstructionError",
+    "ROUND_TRIP_TOL",
     "moments",
     "d_M",
     "moments_to_elementary",
@@ -25,44 +26,57 @@ class LengthMismatch(ValueError):
     """Moment vectors of different lengths cannot be compared."""
 
 
-class ComplexRoots(ArithmeticError):
-    """Reconstruction produced roots with non-negligible imaginary part."""
+class ReconstructionError(ArithmeticError):
+    """The moment vector does not give real positions to ROUND_TRIP_TOL in float64."""
+
+
+# error allowed in reconstructed positions, relative to max(1, max |x|)
+ROUND_TRIP_TOL = 1e-8
 
 
 def moments(positions) -> np.ndarray:
-    """Moment vector of length n: entry k (1-based) is (1/k) sum_i x_i^k.
+    """Moment vectors: entry k (1-based) of a row is (1/k) sum_i x_i^k.
 
-    Low orders are accumulated with exact float summation; from order 8 on
-    the powers span many magnitudes, so accumulation switches to extended
-    precision before rounding back.
+    positions holds one configuration per row, shape (n,) or (samples, n)
+    (or more leading axes); the result has the same shape.  Low orders are
+    accumulated with exact float summation; from order 8 on the powers span
+    many magnitudes, so accumulation switches to extended precision before
+    rounding back.  Each row comes out exactly as it would alone.
     """
     x = np.asarray(positions, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("positions must be a non-empty 1-d array")
-    n = x.size
-    out = np.empty(n)
-    xl = x.astype(np.longdouble)
+    if x.ndim < 1 or x.shape[-1] < 1:
+        raise ValueError("positions must be non-empty rows of an (n,) or (samples, n) array")
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)
+    out = np.empty(rows.shape)
+    xl = rows.astype(np.longdouble)
     pw = np.ones_like(xl)
     for k in range(1, n + 1):
         pw = pw * xl
         if k < 8:
-            out[k - 1] = math.fsum(pw.astype(float)) / k
+            out[:, k - 1] = [math.fsum(r) / k for r in pw.astype(float)]
         else:
-            out[k - 1] = float(pw.sum(dtype=np.longdouble) / k)
-    return out
+            out[:, k - 1] = pw.sum(axis=1, dtype=np.longdouble) / k
+    return out.reshape(x.shape)
 
 
-def d_M(x, y) -> float:
-    """Euclidean norm of the moment-vector difference.
+def d_M(x, y):
+    """Euclidean norm of the moment-vector difference, one per row.
 
-    Zero exactly when x and y agree as multisets; symmetric; satisfies the
-    triangle inequality (it is an l2 norm of a difference).
+    x and y are configurations of n positions, shape (n,), which give a
+    float, or stacks of rows that broadcast against each other, which give
+    an array over the broadcast leading axes: d_M(xs[:, None], xs[None])
+    is every pair of rows of xs.  Zero exactly when x and y agree as
+    multisets; symmetric; satisfies the triangle inequality (it is an l2
+    norm of a difference).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise LengthMismatch(f"length {x.size} vs {y.size}")
-    return float(np.linalg.norm(moments(x) - moments(y)))
+    mx, my = moments(x), moments(y)
+    if mx.shape[-1] != my.shape[-1]:
+        raise LengthMismatch(f"length {mx.shape[-1]} vs {my.shape[-1]}")
+    d = mx - my
+    # a dot product per row, as np.linalg.norm takes it, so rows equal 1-d calls
+    dist = np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
+    return float(dist) if d.ndim == 1 else dist
 
 
 def moments_to_elementary(M) -> np.ndarray:
@@ -83,21 +97,52 @@ def moments_to_elementary(M) -> np.ndarray:
     return e
 
 
+def _error_bound(x: np.ndarray, M: np.ndarray) -> float:
+    """A priori bound on the error of positions x reconstructed from the float64 moments M.
+
+    Entry k of M is rounded by at most 1.5 eps m_k, m_k = (1/k) sum_i
+    |x_i|^k, and no algorithm recovers what that rounding lost; the
+    Newton recursion and the rooting may add as much again each.  So the
+    bound is 4 eps || |J^-1| m ||_inf, with J_ki = x_i^(k-1) the Jacobian
+    dM_k/dx_i at x, and m taken at max(1, |x_i|): below unit scale the
+    rooting's error is absolute, as the round-trip tolerance is.  A
+    singular J gives inf, unless M is exactly zero: its roots are exact.
+    """
+    n = x.size
+    if not M.any():
+        return 0.0
+    k = np.arange(1, n + 1)
+    m = (np.maximum(1.0, np.abs(x)) ** k[:, None]).sum(axis=1) / k
+    try:
+        jinv = np.linalg.inv(np.vander(x, n, increasing=True).T)
+    except np.linalg.LinAlgError:
+        return math.inf
+    return 4.0 * np.finfo(float).eps * float(np.max(np.abs(jinv) @ m))
+
+
 def reconstruct_positions(M) -> np.ndarray:
     """Recover the sorted multiset of positions from its moment vector.
 
     The monic polynomial prod (z - x_i) = sum_k (-1)^k e_k z^(n-k) is
-    rooted via companion-matrix eigenvalues.  Raises ComplexRoots when the
-    imaginary parts exceed 1e-6 times the coefficient scale, which
-    signals a non-realizable or ill-conditioned moment vector.
+    rooted via companion-matrix eigenvalues.  Raises ReconstructionError
+    when the imaginary parts exceed 1e-6 times the coefficient scale, which
+    signals a non-realizable or ill-conditioned moment vector, and when the
+    a priori error bound (_error_bound) exceeds ROUND_TRIP_TOL * max(1,
+    max |x|): float64 moments cannot carry such positions.
     """
+    M = np.asarray(M, dtype=float)
     e = moments_to_elementary(M)
     n = e.size - 1
     coeffs = np.array([(-1.0) ** k * e[k] for k in range(n + 1)])
     roots = np.roots(coeffs)
     scale = max(1.0, float(np.max(np.abs(coeffs))))
     if np.max(np.abs(roots.imag)) > 1e-6 * scale:
-        raise ComplexRoots(
+        raise ReconstructionError(
             f"imaginary residue {np.max(np.abs(roots.imag)):.3e} exceeds tolerance"
         )
-    return np.sort(roots.real)
+    x = np.sort(roots.real)
+    bound = _error_bound(x, M)
+    tol = ROUND_TRIP_TOL * max(1.0, float(np.max(np.abs(x))))
+    if not bound <= tol:
+        raise ReconstructionError(f"error bound {bound:.3e} exceeds {tol:.3e}")
+    return x

@@ -224,6 +224,22 @@ class TestOtherCommands:
 
 
 class TestConfigSchema:
+    @pytest.mark.parametrize("first, second", [
+        (("hj", {"hj": {"initial": "nonsense"}}),
+         ("converge", {"experiment": {"datum": "nonsense"}})),
+        (("measure", {"measure": {"ns": []}}),
+         ("converge", {"experiment": {"ns": []}})),
+    ], ids=["datum", "ns"])
+    def test_one_rule_one_message(self, tmp_path, capsys, first, second):
+        # a rule two sections share refuses both with the same message,
+        # after the name of the function that refused it
+        messages = []
+        for k, (command, payload) in enumerate((first, second)):
+            cfg = write_cfg(tmp_path, payload)
+            assert main([command, "--config", cfg, "--out", str(tmp_path / f"o{k}")]) == 2
+            messages.append(json.loads(capsys.readouterr().out)["message"].split(": ", 1)[1])
+        assert messages[0] == messages[1]
+
     @pytest.mark.parametrize(
         "command, payload",
         [
@@ -401,6 +417,13 @@ class TestFormatsDoc:
                  if sec in _SCHEMA}
         assert named
         assert {f"{sec}.{key}" for sec, key in named if key not in _SCHEMA[sec]} == set()
+
+    def test_check_list_is_the_suite(self):
+        # the bulleted check names under properties.json are the suite's checks, in order
+        text = (ROOT / "docs" / "formats.md").read_text()
+        section = text.split("## properties.json", 1)[1].split("\n## ", 1)[0]
+        names = re.findall(r"^- `(\w+)`:", section, flags=re.M)
+        assert names == [*harness._PER_RUN, *harness._ONE_SHOT]
 
     def test_datum_choices_are_the_catalog(self):
         # the sentence that lists the `experiment.datum` choices names every

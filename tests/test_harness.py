@@ -201,6 +201,44 @@ class TestPropertySuite:
         failed = [c for c in cases if not c[0]]
         assert not failed, failed
 
+    def test_ode_residual_reaches_every_run(self, monkeypatch):
+        # more runs than the check ever needed at first: each run is differenced
+        # from its own stored states, not only the first few
+        runs, starts = [], []
+        real_evolve, real_residuals = Hn.evolve, Hn._ode_residuals
+
+        def evolve_spy(state, cfg):
+            traj = real_evolve(state, cfg)
+            if cfg.store_steps and cfg.t_end == 0.5:
+                runs.append(traj)
+            return traj
+
+        def residuals_spy(traj, *args):
+            starts.append((traj.times[0], traj.positions[0]))
+            return real_residuals(traj, *args)
+
+        monkeypatch.setattr(Hn, "evolve", evolve_spy)
+        monkeypatch.setattr(Hn, "_ode_residuals", residuals_spy)
+        Hn.run_property_suite(seed=4, sizes=(4, 6), runs=7, t_end=0.5)
+        assert len(runs) == 8  # the seven draws and the all-neutral run
+
+        def reached(traj):
+            return any(t > 0 and np.array_equal(traj.positions[k], x)
+                       for t, x in starts for k in np.flatnonzero(traj.times == t))
+
+        assert all(reached(traj) for traj in runs)
+
+    def test_window_from_an_event_row_yields_cases(self):
+        # the pair collides near t = 0.23; the lone survivor then moves in one
+        # step to t_end, so the last stored row before every anchor is the
+        # event's, and each window starts on it
+        st = ParticleState(positions=np.array([-0.06, 0.06, 5.0]), charges=np.array([1, -1, 1]),
+                           coupling=1.0 / 64)
+        traj = evolve(st, IntegratorConfig(t_end=1.0))
+        assert len(traj.events) == 1 and traj.times[-2] == traj.events[0].tau < 0.3
+        cases = list(Hn._check_ode_residual(traj))
+        assert len(cases) == 9 and all(passed for passed, _, _ in cases)
+
     def test_ode_residual_can_fail(self, monkeypatch):
         # a force field off by 1e-3 relative shows in the residual check
         exact = Hn.particles.velocity_field

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from annihilate import moments as mm
 from annihilate.moments import (
-    ComplexRoots,
+    ReconstructionError,
     LengthMismatch,
     d_M,
     moments,
@@ -68,6 +69,40 @@ class TestMetric:
         assert eucs[-1] < 1e-1 * eucs[0]
 
 
+class TestRows:
+    # sizes past 8 use the extended-precision sum, and past 128 its blocks
+    SIZES = (1, 2, 7, 8, 9, 16, 33, 130)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_moments_rows_equal_single_calls(self, n):
+        xs = np.random.default_rng(n).uniform(-1.5, 1.5, (6, n))
+        block = moments(xs)
+        assert block.shape == xs.shape
+        assert all(np.array_equal(block[r], moments(xs[r])) for r in range(6))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_d_M_rows_and_pairs_equal_single_calls(self, n):
+        rng = np.random.default_rng(100 + n)
+        xs, ys = rng.uniform(-1.5, 1.5, (2, 5, n))
+        rows = d_M(xs, ys)
+        assert rows.shape == (5,)
+        assert all(rows[r] == d_M(xs[r], ys[r]) for r in range(5))
+        pairs = d_M(xs[:, None], xs[None])
+        assert pairs.shape == (5, 5)
+        assert all(pairs[a, b] == d_M(xs[a], xs[b]) for a in range(5) for b in range(5))
+
+    def test_single_call_is_the_norm_of_the_difference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 25))
+            x, y = rng.uniform(-2, 2, (2, n))
+            assert d_M(x, y) == float(np.linalg.norm(moments(x) - moments(y)))
+
+    def test_row_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            d_M(np.zeros((3, 4)), np.zeros((3, 5)))
+
+
 class TestNewton:
     def test_two_points(self):
         e = moments_to_elementary(moments([1.0, 2.0]))
@@ -105,5 +140,41 @@ class TestReconstruct:
 
     def test_unrealizable_moments_raise(self):
         # moment vector of the complex pair +-i: monic z^2 + 1
-        with pytest.raises(ComplexRoots):
+        with pytest.raises(ReconstructionError):
             reconstruct_positions(np.array([0.0, -1.0]))
+
+    @pytest.mark.parametrize("n", [24, 28, 32])
+    def test_lost_precision_is_refused(self, n):
+        # float64 moments of these points returned them 2.9e-8, 1.0e-6 and
+        # 3.9e-6 off, past the round-trip tolerance 1e-8
+        with pytest.raises(ReconstructionError, match="error bound"):
+            reconstruct_positions(moments(np.linspace(-1.0, 1.0, n)))
+
+    def test_eight_points_round_trip(self):
+        x = np.linspace(-1.0, 1.0, 8)
+        assert np.max(np.abs(reconstruct_positions(moments(x)) - x)) <= mm.ROUND_TRIP_TOL
+
+    def test_bound_covers_the_error_wherever_accepted(self):
+        # uniform points, Hermite nodes and random draws, n = 4..32: each
+        # family is refused somewhere, and wherever it is accepted the bound
+        # is at least the true error, which is then within the tolerance
+        rng = np.random.default_rng(2)
+        families = {
+            "uniform": lambda n: np.linspace(-1.0, 1.0, n),
+            "hermite": lambda n: np.polynomial.hermite.hermgauss(n)[0] / np.sqrt(n),
+            "random": lambda n: np.sort(rng.uniform(-5.0, 5.0, n)),
+        }
+        for name, make in families.items():
+            accepted = 0
+            for n in range(4, 33):
+                x = make(n)
+                M = moments(x)
+                try:
+                    rec = reconstruct_positions(M)
+                except ReconstructionError:
+                    continue
+                accepted += 1
+                err = float(np.max(np.abs(rec - x)))
+                assert mm._error_bound(rec, M) >= err, (name, n)
+                assert err <= mm.ROUND_TRIP_TOL * max(1.0, float(np.max(np.abs(x)))), (name, n)
+            assert 4 <= accepted < 29, name
