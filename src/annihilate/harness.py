@@ -657,8 +657,7 @@ def _check_events(traj):
         yield good, 1.0 if good else -1.0, f"event at tau={ev.tau:.4f}"
 
 
-def _ode_residuals(traj: Trajectory, anchors: Iterable[float], trunc_limit: float = math.inf,
-                   events: Sequence[EventRecord] = ()):
+def _ode_residuals(traj: Trajectory, anchors: Iterable[float], trunc_limit: float = math.inf):
     """(t, i, |x_i'(t) - v_i(t)|) at the stored sample nearest each anchor.
 
     x_i' differences the stored samples on either side at their own,
@@ -666,9 +665,7 @@ def _ode_residuals(traj: Trajectory, anchors: Iterable[float], trunc_limit: floa
     x' ~ (h1 D- + h0 D+) / (h0 + h1), with D- and D+ the backward and
     forward quotients.  v is the force field at the middle sample.  An
     anchor at either end of the trajectory, or whose stencil holds an
-    event after its first sample, is skipped.  The events are the
-    trajectory's own and those passed in, such as the events of the run
-    that the trajectory is a window of.
+    event, is skipped.
 
     The stencil also misreads the approach to a collision.  A cluster of k
     charges with net charge q meeting at (tau, y) follows the collision law
@@ -680,7 +677,7 @@ def _ode_residuals(traj: Trajectory, anchors: Iterable[float], trunc_limit: floa
     integrator; a cluster's particles are skipped while that bound exceeds
     trunc_limit.
     """
-    times, events = traj.times, [*traj.events, *events]
+    times = traj.times
     for t in anchors:
         k = int(np.argmin(np.abs(times - t)))
         if k == 0 or k >= times.size - 1:
@@ -693,13 +690,12 @@ def _ode_residuals(traj: Trajectory, anchors: Iterable[float], trunc_limit: floa
         while hi < times.size - 1 and times[hi] - times[k] < span:
             hi += 1
         h0, h1 = times[k] - times[lo], times[hi] - times[k]
-        # a stencil that starts on an event's row lies wholly after the event
-        if min(h0, h1) < span or any(times[lo] < ev.tau <= times[hi] for ev in events):
+        if min(h0, h1) < span or any(times[lo] <= ev.tau <= times[hi] for ev in traj.events):
             continue
         x0, x1, x2 = traj.positions[[lo, k, hi]]
         h = max(h0, h1)
         colliding = set()
-        for ev in events:
+        for ev in traj.events:
             s = ev.tau - times[hi]
             if s <= 0:
                 continue
@@ -721,10 +717,14 @@ def _check_ode_residual(traj):
     For each anchor 0.3, 0.6 and 0.9 t_end, a window of length 2 delta
     (delta = 1e-4 t_end) is evolved from the run's last stored row at or
     before the anchor, with the run's own tolerances, and differenced
-    around its sample at delta.  Threshold 10 * (abs_tol + rel_tol * scale)
-    / delta reflects how position error propagates into a difference
-    quotient at spacing delta; the approach to any of the run's collisions
-    is skipped while its truncation bound exceeds a tenth of the threshold.
+    around its sample at delta.  A window that holds one of the run's
+    collisions is not evolved: its stencil would hold the event, and the
+    window's clustering gap, set from its own starting spread, may be too
+    small to detect the collision at all.  Threshold 10 * (abs_tol +
+    rel_tol * scale) / delta reflects how position error propagates into a
+    difference quotient at spacing delta; the approach to any of the run's
+    collisions is skipped while its truncation bound exceeds a tenth of the
+    threshold.
     """
     cfg, t_end = traj.config, traj.config.t_end
     delta = 1e-4 * t_end
@@ -733,9 +733,16 @@ def _check_ode_residual(traj):
     for anchor in (0.3 * t_end, 0.6 * t_end, 0.9 * t_end):
         k = int(np.searchsorted(traj.times, anchor, side="right")) - 1
         t0 = float(traj.times[k])
-        window = evolve(traj.state(k), replace(cfg, t_end=t0 + 2.0 * delta,
-                                               sample_times=(t0 + delta,), store_steps=False))
-        for t, i, res in _ode_residuals(window, [t0 + delta], 0.1 * thr, traj.events):
+        t1 = t0 + 2.0 * delta
+        if any(t0 < ev.tau <= t1 for ev in traj.events):
+            continue
+        window = evolve(traj.state(k), replace(cfg, t_end=t1, sample_times=(t0 + delta,),
+                                               store_steps=False))
+        # the run's later collisions, which the window never reaches, set the
+        # truncation skip
+        later = [ev for ev in traj.events if ev.tau > t1]
+        window = replace(window, events=[*window.events, *later])
+        for t, i, res in _ode_residuals(window, [t0 + delta], 0.1 * thr):
             yield res <= thr, thr - res, f"t={t:.3f} i={i}"
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from annihilate import harness, hjsolver
+from annihilate import harness, hjsolver, moments
 from annihilate.cli import (
     _COMMANDS, _SCHEMA, _build, _hj_args, _integrator_config, _load_config, _measure_args,
     _moments_positions, _simulate_state, _typed, main,
@@ -210,6 +210,17 @@ class TestOtherCommands:
         cfg = write_cfg(tmp_path, {"moments": {"positions": x}})
         assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert json.loads(capsys.readouterr().out)["error"] == "moments"
+
+    @pytest.mark.parametrize("n, code", [(22, 0), (24, 3)])
+    def test_moments_judges_refused_roots_by_round_trip(self, tmp_path, capsys, n, code):
+        # reconstruct_positions refuses both; the command knows the input, and
+        # n = 22 comes back 9.4e-10 off, within the tolerance, n = 24 2.9e-8 off
+        x = np.linspace(-1.0, 1.0, n)
+        with pytest.raises(moments.ReconstructionError):
+            moments.reconstruct_positions(moments.moments(x))
+        cfg = write_cfg(tmp_path, {"moments": {"positions": x.tolist()}})
+        assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        capsys.readouterr()
 
     def test_moments_subcommand(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"moments": {"positions": [1.0, 2.0, 3.0]}})

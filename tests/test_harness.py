@@ -239,6 +239,20 @@ class TestPropertySuite:
         cases = list(Hn._check_ode_residual(traj))
         assert len(cases) == 9 and all(passed for passed, _, _ in cases)
 
+    def test_window_holding_a_collision_is_not_evolved(self):
+        # the pair collides at g^2 / (4 gamma) = 0.3001, inside the first
+        # window (0.3, 0.3002]; evolved from the pair's own small spread the
+        # window could not detect the collision and ran into step underflow
+        gamma = 1.0 / 64
+        g = np.sqrt(4.0 * gamma * 0.3001)
+        st = ParticleState(positions=np.array([-g / 2, g / 2]), charges=np.array([1, -1]),
+                           coupling=gamma)
+        traj = evolve(st, IntegratorConfig(t_end=1.0))
+        assert len(traj.events) == 1 and 0.3 < traj.events[0].tau <= 0.3002
+        cases = list(Hn._check_ode_residual(traj))
+        # the two later anchors, one case per (neutral) particle each
+        assert len(cases) == 4 and all(passed for passed, _, _ in cases)
+
     def test_ode_residual_can_fail(self, monkeypatch):
         # a force field off by 1e-3 relative shows in the residual check
         exact = Hn.particles.velocity_field
