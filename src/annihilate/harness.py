@@ -400,16 +400,20 @@ def _random_state(rng: np.random.Generator, n: int) -> ParticleState:
 def fit_collision_exponent(traj: Trajectory, event: EventRecord) -> float | None:
     """Log-log slope of the cluster diameter against time-to-collision.
 
-    Uses stored pre-collision snapshots whose time-to-collision lies in
-    the last two available decades; returns None when fewer than five
-    points exist (no fit).
+    Uses the stored pre-collision snapshots of the event's last
+    inter-event segment (rows whose charges all equal those of the last
+    row before tau: earlier rows follow another ODE) whose time-to-collision
+    lies in the last two available decades; returns None when fewer than
+    five points exist (no fit).
     """
-    before = traj.times < event.tau  # the times never decrease
-    cl = list(event.cluster)
-    xs = traj.positions[before][:, cl]
+    before = np.flatnonzero(traj.times < event.tau)  # the times never decrease
+    if not before.size:
+        return None
+    charges = traj.charges[before]
+    xs = traj.positions[before][:, list(event.cluster)]
     ds = xs.max(axis=1) - xs.min(axis=1)
     dts = event.tau - traj.times[before]
-    keep = (traj.charges[before][:, cl] != 0).all(axis=1) & (ds > 0) & (dts > 0)
+    keep = (charges == charges[-1]).all(axis=1) & (ds > 0) & (dts > 0)
     ds, dts = ds[keep], dts[keep]
     if len(ds) < 5:
         return None
@@ -718,13 +722,14 @@ def _check_ode_residual(traj):
     (delta = 1e-4 t_end) is evolved from the run's last stored row at or
     before the anchor, with the run's own tolerances, and differenced
     around its sample at delta.  A window that holds one of the run's
-    collisions is not evolved: its stencil would hold the event, and the
-    window's clustering gap, set from its own starting spread, may be too
-    small to detect the collision at all.  Threshold 10 * (abs_tol +
-    rel_tol * scale) / delta reflects how position error propagates into a
-    difference quotient at spacing delta; the approach to any of the run's
-    collisions is skipped while its truncation bound exceeds a tenth of the
-    threshold.
+    collisions is not evolved: its stencil would hold the event.  (A pair
+    collision inside it would be found, since a pair is committed on
+    isolation; a cluster of three or more might not, because the window's
+    clustering gap is set from its own starting spread.)  Threshold
+    10 * (abs_tol + rel_tol * scale) / delta reflects how position error
+    propagates into a difference quotient at spacing delta; the approach to
+    any of the run's collisions is skipped while its truncation bound
+    exceeds a tenth of the threshold.
     """
     cfg, t_end = traj.config, traj.config.t_end
     delta = 1e-4 * t_end

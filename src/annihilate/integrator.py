@@ -6,24 +6,49 @@ Solving Ordinary Differential Equations I, section II.4).  The last stage
 of an accepted step is evaluated at the new solution, so it is reused as
 the first stage of the next step (first same as last, FSAL): an attempt
 costs at most six force evaluations, and the field is recomputed from
-scratch only after an annihilation event.  The step size follows a PI
-controller (Gustafsson 1991, ACM TOMS 17), dt_new = dt * 0.9 err^(-0.7/5)
-err_prev^(0.4/5), which does not grow the step right after a rejection
-and restarts after every event.  The step size is capped by
-sigma * g^2 / (4 gamma), where g is the smallest opposite-sign neighbor
-gap: an isolated attracting pair obeys d(t)^2 = d0^2 - 4 gamma t exactly,
-so no pair can cross zero within that horizon.  When a group of charged
-particles falls below the clustering gap (CLUSTER_GAP times the initial
-charged spread) while mutually approaching, it is resolved into an
-annihilation event, at its extrapolated collision time, instead of being
-integrated into the singularity.
+scratch only when the charges of the integrated field change.  The step
+size follows a PI controller (Gustafsson 1991, ACM TOMS 17), dt_new = dt *
+0.9 err^(-0.7/5) err_prev^(0.4/5), which does not grow the step right
+after a rejection and restarts after every resolved cluster.  The step
+size is capped by sigma * g^2 / (4 gamma), where g is the smallest
+opposite-sign neighbor gap: an isolated attracting pair obeys d(t)^2 = d0^2
+- 4 gamma t exactly, so no pair can cross zero within that horizon.
 
-The charges change only at those events, so between them evolve() carries
-the positions, the charges and the clock as plain arrays and a float, and
-works out the charged particles and their opposite-sign neighbors once per
-inter-event segment.  A ParticleState is built only after an event, which
-validates every post-event state.  The Trajectory stores its samples as
-arrays too: times (K,), positions (K, n) and charges (K, n).
+Collisions are resolved in closed form by resolve_annihilation, under two
+triggers.
+
+* Pairs, on isolation.  An approaching +- pair of neighbors with gap d is
+  committed once d < PAIR_ISOLATION * D, D the distance from the pair to
+  the nearest other integrated charge.  Its collision (tau, y) is then
+  fixed: tau = t + d^2 / (4 gamma), y the pair's mean.  The pair leaves the
+  integrated field; every other particle is integrated up to tau, where
+  the event takes place, and rows stored before tau place the two members
+  by the two-body law d(t)^2 = 4 gamma (tau - t) about y.  To first order
+  in d / D, with F the field sum_k b_k / (x - x_k) of the other charges at
+  y: the outside field moves the pair's d^2 at the rate 4 gamma d |F|
+  against its own 4 gamma, so the remaining time tau - t is off by about
+  (2/3) d |F| relative, or F d^3 / (6 gamma) absolute; the mean drifts by
+  about |F'| d^3 / 12, (d / D)^2 relative to d; and leaving out the
+  pair's dipole field moves a charge at distance r >= D by at most
+  d^3 / (6 r^2) over [t, tau].  At PAIR_ISOLATION = 1e-3 that is at most
+  1.7e-10 D, against the default rel_tol of 1e-9.  A committed (tau, y)
+  depends on neither the horizon nor the sample times, and a state stored
+  near a pair's collision evolves on from where it is.
+* Clusters of three or more charges, on length.  When a group of charged
+  particles falls below the clustering gap (CLUSTER_GAP times the
+  initial charged spread) while mutually approaching, it is resolved at
+  its extrapolated collision time once that falls by the next stop, and
+  the clock moves to it.  Such clusters stay on this path because their
+  collapse profiles are unstable, so the closed form is exact only on the
+  profile.  A pair that falls below the clustering gap before it is
+  isolated is committed as above.
+
+The charges change only at events and commits, so between them evolve()
+carries the positions, the charges and the clock as plain arrays and a
+float, and works out the charged particles and their opposite-sign
+neighbors once per segment.  A ParticleState is built only after an
+event, which validates every post-event state.  The Trajectory stores its
+samples as arrays too: times (K,), positions (K, n) and charges (K, n).
 """
 from __future__ import annotations
 
@@ -54,6 +79,9 @@ COLLISION_SAFETY = 0.5
 # clustering gap as a fraction of the initial charged spread; it must stay
 # well below the smallest initial charged gap
 CLUSTER_GAP = 1e-7
+# an approaching +- pair is committed once its gap is below this fraction of
+# the distance to the nearest other charge (error bounds in the docstring)
+PAIR_ISOLATION = 1e-3
 # accepted steps after which evolve() gives up with StepSizeUnderflow
 MAX_STEPS = 500_000
 
@@ -107,12 +135,21 @@ class StepStats:
     one step with no force evaluation); rejected_error and rejected_order
     count attempts discarded for the error estimate and for a broken
     charged ordering; force_evals counts velocity_field evaluations.
+    cap_bound counts accepted steps whose first trial dt was set by the
+    collision cap, and target_clipped those that end on a stop (a sample
+    time, t_end or a committed pair's collision time); dt_min and dt_max
+    bound the accepted step sizes; events counts the annihilation events.
     """
 
     accepted: int = 0
     rejected_error: int = 0
     rejected_order: int = 0
     force_evals: int = 0
+    cap_bound: int = 0
+    target_clipped: int = 0
+    dt_min: float = math.inf
+    dt_max: float = 0.0
+    events: int = 0
 
 
 @dataclass
@@ -218,6 +255,7 @@ def _step_core(
         cap = COLLISION_SAFETY * g * g / (4.0 * gamma)
     internal_cap = min(cap, seg.hint)
     dt = min(dt_max, internal_cap)
+    stats.cap_bound += cap <= seg.hint and cap < dt_max
     target_bound = dt_max <= internal_cap
     rejected = False
     k = np.empty((7, x.size))
@@ -260,6 +298,18 @@ def _step_core(
         dt *= 0.5
         target_bound = False
         rejected = True
+
+
+def _isolated_pairs(x: np.ndarray, v: np.ndarray, seg: _Segment) -> list[list[int]]:
+    """Approaching opposite-sign neighbors of seg's charges, positions x and velocities v,
+    whose gap is below PAIR_ISOLATION times the distance to the nearest other charge."""
+    c = seg.charged
+    if c.size < 2:
+        return []
+    g = np.diff(x[c])
+    outer = np.minimum(np.append(np.inf, g[:-1]), np.append(g[1:], np.inf))
+    due = seg.opposite & (np.diff(v[c]) < 0.0) & (g < PAIR_ISOLATION * outer)
+    return [[int(c[k]), int(c[k + 1])] for k in np.flatnonzero(due)]
 
 
 def detect_clusters(x: np.ndarray, b: np.ndarray, v: np.ndarray, gap: float) -> list[list[int]]:
@@ -349,68 +399,116 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
 
     Deterministic given (initial, config).  Between events the positions,
     the charges and the clock are plain values; a ParticleState is built
-    after each resolution, so every post-event state is validated.
-    Samples are stored at every accepted step (if store_steps), once per
-    resolution, and exactly at the configured sample times and t_end.  A
-    detected cluster is resolved once its extrapolated collision time falls
-    at or before the next of those; until then it is stepped like the rest.
+    after each event, so every post-event state is validated.  Samples are
+    stored at every accepted step (if store_steps), and exactly at the
+    configured sample times, at t_end and at every event time, where the
+    row holds the state after the event.  A committed pair collides at its
+    own tau whatever the stops; a detected cluster of three or more
+    charges is resolved once its extrapolated collision time falls at or
+    before the next stop, and until then it is stepped like the rest.
     Integration failures propagate as EvolveError with the trajectory so
     far attached.
     """
     # a fraction of the INITIAL spread, so the threshold does not shrink
-    # with a collapsing pair
+    # with a collapsing cluster
     gap = CLUSTER_GAP * max(initial.spread(), np.finfo(float).tiny)
     x, b, t, gamma = initial.positions, initial.charges, initial.time, initial.coupling
+    flow = b  # the charges of the integrated field: b less the committed pairs
+    pending: list[EventRecord] = []  # the committed pairs, in tau order
     times, xs, bs, events = [t], [x], [b], []
     stats = StepStats()
 
     def record(force_keep: bool = False):
         if config.store_steps or force_keep:
+            row = x
+            if pending:
+                # a committed pair's members are frozen in x; the row places
+                # them by the two-body law d(t)^2 = 4 gamma (tau - t)
+                row = x.copy()
+                for ev in pending:
+                    half = math.sqrt(gamma * (ev.tau - t))
+                    row[list(ev.cluster)] = (ev.y - half, ev.y + half)
             times.append(t)
-            xs.append(x)
+            xs.append(row)
             bs.append(b)
 
     def forces() -> np.ndarray:
         stats.force_evals += 1
-        return velocity_field(x, b, gamma)
+        return velocity_field(x, flow, gamma)
 
     def trajectory() -> Trajectory:
         return Trajectory(times=np.array(times), positions=np.array(xs), charges=np.array(bs),
                           coupling=gamma, events=events, config=config, stats=stats)
+
+    def commit(pairs: list[list[int]]) -> bool:
+        """Fix the collisions of pairs and take them out of the integrated field."""
+        nonlocal flow, pending, v, seg
+        if not pairs:
+            return False
+        *_, committed = resolve_annihilation(x, flow, t, gamma, pairs)
+        pending = sorted(pending + committed, key=lambda ev: ev.tau)
+        flow = flow.copy()
+        flow[[i for ev in committed for i in ev.cluster]] = 0
+        v = forces()
+        seg = _Segment(flow, gamma)
+        return True
+
+    def collide(resolved: list[EventRecord]) -> bool:
+        """Apply resolved and the committed pairs due by t; False when there are none."""
+        nonlocal x, b, flow, pending
+        due = sum(ev.tau <= t for ev in pending)
+        resolved = sorted(resolved + pending[:due], key=lambda ev: ev.tau)
+        pending = pending[due:]
+        if not resolved:
+            return False
+        x, b, flow = x.copy(), b.copy(), flow.copy()
+        for ev in resolved:
+            cl = list(ev.cluster)
+            x[cl] = ev.y
+            b[cl] = flow[cl] = ev.post_charges
+        ParticleState(positions=x, charges=b, coupling=gamma, time=t)
+        events.extend(resolved)
+        stats.events += len(resolved)
+        return True
 
     targets = [config.t_end]
     if config.sample_times:
         targets = sorted(set(s for s in config.sample_times if s <= config.t_end) | {config.t_end})
     targets = [s for s in targets if s > t]
 
-    # f(x) and the segment stay valid until the next annihilation
+    # f(x) and the segment stay valid until the integrated charges change
     v = forces()
-    seg = _Segment(b, gamma)
+    seg = _Segment(flow, gamma)
     try:
         for target in targets:
             while t < target:
                 if stats.accepted > MAX_STEPS:
                     raise StepSizeUnderflow(f"exceeded {MAX_STEPS} steps at t={t:.6e}")
-                clusters = detect_clusters(x, b, v, gap)
+                commit(_isolated_pairs(x, v, seg))
+                clusters = detect_clusters(x, flow, v, gap)
+                if commit([c for c in clusters if len(c) == 2]):
+                    continue  # the clusters left are found again without the pairs
+                stop = min(target, pending[0].tau) if pending else target
                 if clusters:
-                    x_new, b_new, t_new, resolved = resolve_annihilation(
-                        x, b, t, gamma, clusters, until=target)
+                    _, _, t_new, resolved = resolve_annihilation(x, flow, t, gamma, clusters,
+                                                                 until=stop)
                     if resolved:
-                        state = ParticleState(positions=x_new, charges=b_new,
-                                              coupling=gamma, time=t_new)
-                        x, b, t = state.positions, state.charges, state.time
-                        events.extend(resolved)
+                        t = t_new
+                        collide(resolved)
                         record(force_keep=True)
                         v = forces()
-                        seg = _Segment(b, gamma)  # post-collision field, start afresh
+                        seg = _Segment(flow, gamma)  # post-collision field, start afresh
                         continue
-                x, dt, v = _step_core(x, t, target - t, seg, config, v, stats)
+                x, dt, v = _step_core(x, t, stop - t, seg, config, v, stats)
                 t += dt
                 stats.accepted += 1
-                # snap onto the target when only fp residue remains
-                if abs(t - target) <= 4e-15 * max(1.0, abs(target)):
-                    t = target
-                record(force_keep=(t >= target))
+                stats.dt_min, stats.dt_max = min(stats.dt_min, dt), max(stats.dt_max, dt)
+                # snap onto the stop when only fp residue remains
+                if abs(t - stop) <= 4e-15 * max(1.0, abs(stop)):
+                    t = stop
+                stats.target_clipped += t == stop
+                collided = collide([])
+                record(force_keep=collided or t >= target)
     except (StepSizeUnderflow, NonAlternatingCluster, NetChargeTooLarge) as exc:
         raise EvolveError(str(exc), trajectory()) from exc
     return trajectory()

@@ -485,10 +485,10 @@ def check_opposite_gap_loop(traj):
 
 def fit_collision_exponent_loop(traj: Trajectory, event: EventRecord) -> float | None:
     ds, dts = [], []
-    for t, st in zip(traj.times.tolist(), _states(traj)):
-        if t >= event.tau:
-            break
-        if any(st.charges[i] == 0 for i in event.cluster):
+    rows = [st for t, st in zip(traj.times.tolist(), _states(traj)) if t < event.tau]
+    for t, st in zip(traj.times.tolist(), rows):
+        # only the last inter-event segment: the charges of the last row before tau
+        if st.charges.tolist() != rows[-1].charges.tolist():
             continue
         xs = st.positions[list(event.cluster)]
         d = float(xs.max() - xs.min())

@@ -1,12 +1,15 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from annihilate import harness as Hn
-from annihilate.integrator import IntegratorConfig, evolve
+from annihilate.integrator import IntegratorConfig, Trajectory, evolve
 from annihilate.levelset import from_particles
-from annihilate.particles import ParticleState
+from annihilate.particles import EventRecord, ParticleState
 from reference import (
     check_dm_lipschitz_loop,
     check_energy_loop,
@@ -16,10 +19,13 @@ from reference import (
     check_net_charge_loop,
     check_opposite_gap_loop,
     check_slopes_loop,
+    fit_collision_exponent_loop,
     ladder_errors,
     pair_bump,
     sample_particles_loop,
 )
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
 
 
 class TestSampler:
@@ -166,6 +172,23 @@ class TestConvergence:
         assert [t for t, _ in res.ref_frames] == list(res.spec.snapshot_times())
         assert all(np.array_equal(fr.values, semicircle(t, fr.xs)) for t, fr in res.ref_frames)
 
+    def test_benchmark_ladder_rows(self, monkeypatch):
+        # the benchmark's gate on the seed-0 double_bump ladder, read from
+        # its own module: every row keeps its event count exactly and its
+        # e_n within LADDER_E_RTOL of the recorded value (n <= 32 here)
+        spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS)
+        wl = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, wl)  # its dataclasses look it up
+        spec.loader.exec_module(wl)
+        ns = (8, 16, 32)
+        res = Hn.run_convergence(Hn.ExperimentSpec(
+            datum="double_bump", ns=ns, offset=wl.ladder_offset(0),
+            ref_h=wl.LADDER_REF_H["full"], scan_points=wl.LADDER_SCAN["full"]))
+        assert [r.n for r in res.rows] == list(ns)
+        for row, (events, e_n) in zip(res.rows, wl.LADDER_SEED0["full"]):
+            assert row.error is None and row.events == events
+            assert abs(row.e_n - e_n) <= wl.LADDER_E_RTOL * e_n
+
 
 class TestPropertySuite:
     def test_small_suite_passes(self):
@@ -241,13 +264,13 @@ class TestPropertySuite:
 
     def test_window_holding_a_collision_is_not_evolved(self):
         # the pair collides at g^2 / (4 gamma) = 0.3001, inside the first
-        # window (0.3, 0.3002]; evolved from the pair's own small spread the
-        # window could not detect the collision and ran into step underflow
+        # window (0.3, 0.3002], which starts on the sample at 0.3: its
+        # stencil would hold the event
         gamma = 1.0 / 64
         g = np.sqrt(4.0 * gamma * 0.3001)
         st = ParticleState(positions=np.array([-g / 2, g / 2]), charges=np.array([1, -1]),
                            coupling=gamma)
-        traj = evolve(st, IntegratorConfig(t_end=1.0))
+        traj = evolve(st, IntegratorConfig(t_end=1.0, sample_times=(0.3,)))
         assert len(traj.events) == 1 and 0.3 < traj.events[0].tau <= 0.3002
         cases = list(Hn._check_ode_residual(traj))
         # the two later anchors, one case per (neutral) particle each
@@ -360,3 +383,17 @@ class TestVectorizedChecks:
             assert fast == list(_CHECK_ORACLES[name](tr))
             total += len(fast)
         assert total > 0
+
+    def test_collision_fit_reads_the_last_segment_only(self):
+        # the cluster (0, 1) collides at tau = 1, after the pair (2, 3) did at
+        # 0.5; before that event the diameter follows another law (three
+        # times the collision law here), which must stay out of the fit
+        times = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95])
+        d = np.sqrt(1.0 - times) * np.where(times < 0.5, 3.0, 1.0)
+        positions = np.stack([-d / 2, d / 2, np.full_like(d, 5.0), np.full_like(d, 6.0)], axis=1)
+        charges = np.array([[1, -1, 1, -1] if t < 0.5 else [1, -1, 0, 0] for t in times])
+        events = [EventRecord(0.5, 5.5, (2, 3), (1, -1), (0, 0)),
+                  EventRecord(1.0, 0.0, (0, 1), (1, -1), (0, 0))]
+        traj = Trajectory(times, positions, charges, 0.25, events, IntegratorConfig(t_end=1.0))
+        assert Hn.fit_collision_exponent(traj, events[1]) == pytest.approx(0.5, abs=1e-12)
+        assert fit_collision_exponent_loop(traj, events[1]) == pytest.approx(0.5, abs=1e-12)

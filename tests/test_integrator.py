@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -181,9 +182,9 @@ class TestEvolve:
         assert {ev.cluster for ev in traj.events} == {(0, 1), (2, 3)}
         assert all(b.tau >= a.tau for a, b in zip(traj.events[:-1], traj.events[1:]))
 
-    # two pairs detected together at t = 0 (both gaps are below the default
-    # clustering gap of ~1e-6): at coupling 1e-12 the near pair collides at
-    # 2.5e-7 and the far one, gap d = 9e-8, at d^2 / (4 gamma) = 2.025e-3
+    # two pairs, both committed at t = 0 (each gap is far below the distance
+    # 10 between them): at coupling 1e-12 the near pair collides at 2.5e-7
+    # and the far one, gap d = 9e-8, at d^2 / (4 gamma) = 2.025e-3
     TWO_PAIRS = make([0.0, 1e-9, 10.0, 10.0 + 9e-8], [1, -1, 1, -1], gamma=1e-12)
 
     def test_cluster_due_after_t_end_stays_charged(self):
@@ -198,6 +199,41 @@ class TestEvolve:
         # d as stored: 10 + 9e-8 is 9e-8 only to about 1e-8 relative
         d = self.TWO_PAIRS.positions[3] - self.TWO_PAIRS.positions[2]
         assert traj.events[1].tau == pytest.approx(d * d / 4e-12, rel=1e-12)
+
+    def test_pair_collision_ignores_the_sample_times(self):
+        # both pairs are isolated at t = 0, where their collisions are fixed,
+        # so a sample time between the two taus cannot move the far one; the
+        # bound is the rounding of one closed-form evaluation
+        plain = evolve(self.TWO_PAIRS, IntegratorConfig(t_end=1.0))
+        sampled = evolve(self.TWO_PAIRS, IntegratorConfig(t_end=1.0, sample_times=(1e-3,)))
+        tau, tau_sampled = plain.events[1].tau, sampled.events[1].tau
+        assert abs(tau_sampled - tau) <= 1e-12 * tau
+
+    def test_restart_next_to_a_pair_collision(self):
+        # a lone +- pair colliding at 0.3001, evolved again from its stored
+        # row at 0.3, reaches t_end through the same collision; the bound is
+        # the rounding of the stored row and of the clock at 0.3
+        gamma = 0.5
+        g = math.sqrt(4.0 * gamma * 0.3001)
+        run = evolve(make([-g / 2, g / 2], [1, -1], gamma),
+                     IntegratorConfig(t_end=1.0, sample_times=(0.3,)))
+        again = evolve(run.state_at(0.3), IntegratorConfig(t_end=1.0))
+        assert again.final.time == 1.0
+        (ev,) = again.events
+        assert abs(ev.tau - run.events[0].tau) <= 1e-12 * run.events[0].tau
+
+    def test_close_pair_that_is_not_isolated_is_committed(self):
+        # the pair (1, 2), gap d = 1e-8, has the charge 3 about 2e-6 away, so
+        # it is not isolated, but it is below the clustering gap (1e-7 x
+        # spread) at t = 0, where its collision is fixed at d^2 / (4 gamma);
+        # the receding charge 3 stays charged
+        s = make([0.0, 1.0, 1.0 + 1e-8, 1.0 + 2e-6], [1, 1, -1, 1], gamma=1e-12)
+        traj = evolve(s, IntegratorConfig(t_end=1e-4))
+        d = s.positions[2] - s.positions[1]
+        (ev,) = traj.events
+        assert ev.cluster == (1, 2)
+        assert ev.tau == pytest.approx(d * d / 4e-12, rel=1e-12)
+        assert traj.final.charges.tolist() == [1, 0, 0, 1]
 
     def test_single_charged_among_neutrals(self):
         s = make([0.0, 0.5, 1.0], [0, 1, 0])
@@ -230,10 +266,12 @@ class TestEvolve:
         assert np.array_equal(t1.positions, t2.positions)
 
     def test_error_carries_trajectory(self, monkeypatch):
-        # clustering disabled: the pair integrates into the singularity
-        # until dt underflows, and the partial trajectory comes back attached
+        # clustering and pair commits disabled: the pair integrates into the
+        # singularity until dt underflows, and the partial trajectory comes
+        # back attached
         monkeypatch.setattr(integrator, "MAX_STEPS", 500)
         monkeypatch.setattr(integrator, "CLUSTER_GAP", 1e-300)
+        monkeypatch.setattr(integrator, "PAIR_ISOLATION", 1e-300)
         s = make([0.0, 2e-5, 1.0], [1, -1, 1], gamma=0.5)
         with pytest.raises(EvolveError) as exc_info:
             evolve(s, IntegratorConfig(t_end=1.0))
@@ -258,11 +296,13 @@ class TestEvolve:
 
     def test_resolution_insensitive_to_cluster_gap(self, monkeypatch):
         # the extrapolated (tau, y) makes the outcome independent of the
-        # threshold at which a generic collapse is resolved
+        # thresholds at which a generic collapse is resolved: these pairs
+        # are committed on isolation
         s = make([-0.6, -0.22, 0.4, 0.75], [1, -1, 1, -1])
         runs = []
-        for gap in (1e-5, 1e-7):
+        for gap, isolation in ((1e-5, 1e-3), (1e-7, 1e-4)):
             monkeypatch.setattr(integrator, "CLUSTER_GAP", gap / s.spread())
+            monkeypatch.setattr(integrator, "PAIR_ISOLATION", isolation)
             runs.append(evolve(s, IntegratorConfig(t_end=1.0, sample_times=(1.0,))))
         assert len(runs[0].events) == len(runs[1].events) == 2
         for ea, eb in zip(runs[0].events, runs[1].events):
@@ -348,17 +388,19 @@ class TestUnderflowFloor:
     @pytest.mark.parametrize("variant", ["sample_time", "t_end"])
     def test_event_just_before_a_target(self, variant):
         # the inner pair annihilates 1e-15 before the target; the step left
-        # to the target is far below the floor of the outer pair's time
-        # scale, and is short only because the target is near
-        s = make([-5.0, -0.7, 0.7, 5.0], [1, 1, -1, -1], gamma=0.5)
-        tau = 0.7183731454671466
-        target = tau + 1e-15
+        # to the target is far below the floor of the repelling outer pair's
+        # time scale, and is short only because the target is near.  The
+        # pair is committed long before the target, so its tau is the one
+        # of a run without it
+        s = make([-5.0, -0.7, 0.7, 5.0], [1, 1, -1, 1], gamma=0.5)
+        (ev,) = evolve(s, IntegratorConfig(t_end=1.0)).events
+        target = ev.tau + 1e-15
         if variant == "t_end":
             cfg = IntegratorConfig(t_end=target)
         else:
             cfg = IntegratorConfig(t_end=1.0, sample_times=(target,))
         traj = evolve(s, cfg)
-        assert [ev.tau for ev in traj.events] == [tau]
+        assert traj.events == [ev]
         assert traj.state_at(target).time == target
         assert np.flatnonzero(traj.state_at(target).charges).tolist() == [0, 3]
 
@@ -388,7 +430,8 @@ class TestStats:
         ids=["odd9", "random16"],
     )
     def test_evaluation_budget(self, make_state, has_events):
-        # DP5 with FSAL: one evaluation to start and one after each event,
+        # DP5 with FSAL: one evaluation to start and one after each pair
+        # commit or resolved cluster (all of which end in an event here),
         # then at most six per attempt
         traj = evolve(make_state(), IntegratorConfig(t_end=1.0))
         assert bool(traj.events) == has_events
@@ -396,8 +439,11 @@ class TestStats:
         attempts = st.accepted + st.rejected_error + st.rejected_order
         assert st.accepted > 0
         assert st.force_evals <= 1 + len(traj.events) + 6 * attempts
-        # store_steps: one snapshot per accepted step and one per event
-        assert st.accepted == len(traj.times) - 1 - len(traj.events)
+        # store_steps: one snapshot per accepted step, where a step that ends
+        # on a pair's collision stores the state after it, and one per
+        # cluster of three or more, which is resolved without a step
+        clustered = sum(len(ev.cluster) > 2 for ev in traj.events)
+        assert st.accepted == len(traj.times) - 1 - clustered
 
     def test_force_evals_counts_every_evaluation(self, monkeypatch):
         import annihilate.integrator as integ
@@ -412,6 +458,43 @@ class TestStats:
         monkeypatch.setattr(integ, "velocity_field", counting)
         traj = integ.evolve(_random_16(), IntegratorConfig(t_end=1.0))
         assert traj.stats.force_evals == len(calls)
+
+    def test_step_counters_on_the_ladder_rung(self, monkeypatch):
+        # the seed-0 double_bump rung at n = 16, every step stored
+        from annihilate import harness
+
+        spec = harness.ExperimentSpec(datum="double_bump", ns=(16,), offset=0.5)
+        L = spec.scheme_config().L
+        state = harness.sample_particles(harness.CATALOG["double_bump"].u0, 16, spec.offset,
+                                         window=(-L, L), scan_points=spec.scan_points)
+        cfg = dataclasses.replace(spec.integrator_config(), store_steps=True)
+        # a step is cap-bound when the collision cap is below both its stop
+        # and the controller's hint, worked out here before each step
+        capped = []
+        real = integrator._step_core
+
+        def spy(x, t, dt_max, seg, config, k0, stats):
+            xc = x[seg.charged]
+            if seg.opposite.any():
+                g = float(np.diff(xc)[seg.opposite].min())
+                cap = COLLISION_SAFETY * g * g / (4.0 * seg.gamma)
+                capped.append(cap <= seg.hint and cap < dt_max)
+            return real(x, t, dt_max, seg, config, k0, stats)
+
+        monkeypatch.setattr(integrator, "_step_core", spy)
+        traj = evolve(state, cfg)
+        st = traj.stats
+        assert st.events == len(traj.events) == 8
+        assert all(len(ev.cluster) == 2 for ev in traj.events)
+        assert 0 < st.cap_bound == sum(capped) < st.accepted
+        # each stop (sample time, t_end or collision time) ends exactly one
+        # step, and with pairs only every row after the first is a step's
+        stops = {*cfg.sample_times, cfg.t_end, *(ev.tau for ev in traj.events)} - {0.0}
+        assert st.target_clipped == len(stops)
+        steps = np.diff(traj.times)
+        assert steps.size == st.accepted
+        clock = 4 * np.spacing(cfg.t_end)  # the rounding of t + dt
+        assert abs(st.dt_min - steps.min()) <= clock and abs(st.dt_max - steps.max()) <= clock
 
     def test_detect_clusters_accepts_given_velocities(self):
         s = make([0.0, 1e-9, 1.0], [1, -1, 1])
