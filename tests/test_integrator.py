@@ -424,6 +424,17 @@ def _random_16():
     return make(x - x.mean(), b)
 
 
+def _ladder_rung_16():
+    """The seed-0 double_bump ladder rung at n = 16 and its config, every step stored."""
+    from annihilate import harness
+
+    spec = harness.ExperimentSpec(datum="double_bump", ns=(16,), offset=0.5)
+    L = spec.scheme_config().L
+    state = harness.sample_particles(harness.CATALOG["double_bump"].u0, 16, spec.offset,
+                                     window=(-L, L), scan_points=spec.scan_points)
+    return state, dataclasses.replace(spec.integrator_config(), store_steps=True)
+
+
 class TestStats:
     @pytest.mark.parametrize(
         "make_state, has_events", [(_odd_lattice, False), (_random_16, True)],
@@ -460,14 +471,7 @@ class TestStats:
         assert traj.stats.force_evals == len(calls)
 
     def test_step_counters_on_the_ladder_rung(self, monkeypatch):
-        # the seed-0 double_bump rung at n = 16, every step stored
-        from annihilate import harness
-
-        spec = harness.ExperimentSpec(datum="double_bump", ns=(16,), offset=0.5)
-        L = spec.scheme_config().L
-        state = harness.sample_particles(harness.CATALOG["double_bump"].u0, 16, spec.offset,
-                                         window=(-L, L), scan_points=spec.scan_points)
-        cfg = dataclasses.replace(spec.integrator_config(), store_steps=True)
+        state, cfg = _ladder_rung_16()
         # a step is cap-bound when the collision cap is below both its stop
         # and the controller's hint, worked out here before each step
         capped = []
@@ -495,6 +499,32 @@ class TestStats:
         assert steps.size == st.accepted
         clock = 4 * np.spacing(cfg.t_end)  # the rounding of t + dt
         assert abs(st.dt_min - steps.min()) <= clock and abs(st.dt_max - steps.max()) <= clock
+
+    def test_step_control_budget_on_the_ladder_rung(self):
+        # while a collision approaches, the step the error allows shrinks
+        # from step to step; the predictive factor follows that trend, where
+        # the PI factor alone (121 rejections on 210 steps, 1,998 force
+        # evaluations) has about every other step rejected once
+        state, cfg = _ladder_rung_16()
+        st = evolve(state, cfg).stats
+        assert st.events == 8
+        assert st.rejected_error <= st.accepted / 3
+        assert st.force_evals <= 1800
+
+    def test_default_tolerances_track_a_tight_run(self):
+        # step control changes where the steps fall, not what they converge
+        # to: the events and the final state agree with a run at far
+        # tighter tolerances
+        s, t_end = _random_16(), 1.0
+        loose = evolve(s, IntegratorConfig(t_end=t_end))
+        tight = evolve(s, IntegratorConfig(t_end=t_end, abs_tol=1e-14, rel_tol=1e-12))
+        assert len(loose.events) == len(tight.events) == 7
+        for a, b in zip(loose.events, tight.events):
+            assert (a.cluster, a.pre_charges, a.post_charges) == (b.cluster, b.pre_charges,
+                                                                  b.post_charges)
+            assert a.tau == pytest.approx(b.tau, rel=1e-6)
+        np.testing.assert_array_equal(loose.final.charges, tight.final.charges)
+        np.testing.assert_allclose(loose.final.positions, tight.final.positions, rtol=0, atol=1e-9)
 
     def test_detect_clusters_accepts_given_velocities(self):
         s = make([0.0, 1e-9, 1.0], [1, -1, 1])
