@@ -22,34 +22,39 @@ The step size is capped by sigma * g^2 / (4 gamma), where g is the smallest
 opposite-sign neighbor gap: an isolated attracting pair obeys d(t)^2 = d0^2
 - 4 gamma t exactly, so no pair can cross zero within that horizon.
 
-Collisions are resolved in closed form by resolve_annihilation, under two
-triggers.
+Collisions are resolved in closed form by resolve_annihilation, through
+one mechanism under two triggers.  A cluster of alternating charges is
+committed: its collision (tau, y) is fixed from the positions at the
+commit time t_c, exactly for an isolated cluster.  The members leave the
+integrated field and stay frozen in the positions; every other particle
+is integrated up to tau, where the event takes place, and rows stored
+before tau shrink the members uniformly about y, x_i(t) = y + (x_i(t_c) -
+y) sqrt((tau - t) / (tau - t_c)).  That keeps the first moment and the
+second-moment law exact for every shape, and for a pair it is the
+two-body law d(t)^2 = 4 gamma (tau - t).  A committed (tau, y) depends on
+neither the horizon nor the sample times, and a state stored before tau
+evolves on through the same (tau, y).  Leaving a committed cluster of net
+charge q out of the field over [t_c, tau] moves a charge at distance >= D
+from it by at most gamma |q| (tau - t_c) / D (a pair's dipole by the
+bound below).
 
 * Pairs, on isolation.  An approaching +- pair of neighbors with gap d is
   committed once d < PAIR_ISOLATION * D, D the distance from the pair to
-  the nearest other integrated charge.  Its collision (tau, y) is then
-  fixed: tau = t + d^2 / (4 gamma), y the pair's mean.  The pair leaves the
-  integrated field; every other particle is integrated up to tau, where
-  the event takes place, and rows stored before tau place the two members
-  by the two-body law d(t)^2 = 4 gamma (tau - t) about y.  To first order
-  in d / D, with F the field sum_k b_k / (x - x_k) of the other charges at
-  y: the outside field moves the pair's d^2 at the rate 4 gamma d |F|
-  against its own 4 gamma, so the remaining time tau - t is off by about
-  (2/3) d |F| relative, or F d^3 / (6 gamma) absolute; the mean drifts by
-  about |F'| d^3 / 12, (d / D)^2 relative to d; and leaving out the
-  pair's dipole field moves a charge at distance r >= D by at most
+  the nearest other integrated charge: tau = t + d^2 / (4 gamma).  To
+  first order in d / D, with F the field sum_k b_k / (x - x_k) of the
+  other charges at y: the outside field moves the pair's d^2 at the rate
+  4 gamma d |F| against its own 4 gamma, so the remaining time tau - t is
+  off by about (2/3) d |F| relative, or F d^3 / (6 gamma) absolute; the
+  mean drifts by about |F'| d^3 / 12, (d / D)^2 relative to d; and leaving
+  out the pair's dipole field moves a charge at distance r >= D by at most
   d^3 / (6 r^2) over [t, tau].  At PAIR_ISOLATION = 1e-3 that is at most
-  1.7e-10 D, against the default rel_tol of 1e-9.  A committed (tau, y)
-  depends on neither the horizon nor the sample times, and a state stored
-  near a pair's collision evolves on from where it is.
-* Clusters of three or more charges, on length.  When a group of charged
-  particles falls below the clustering gap (CLUSTER_GAP times the
-  initial charged spread) while mutually approaching, it is resolved at
-  its extrapolated collision time once that falls by the next stop, and
-  the clock moves to it.  Such clusters stay on this path because their
-  collapse profiles are unstable, so the closed form is exact only on the
-  profile.  A pair that falls below the clustering gap before it is
-  isolated is committed as above.
+  1.7e-10 D, against the default rel_tol of 1e-9.
+* Any cluster, on length.  When a group of charged particles falls below
+  the clustering gap (CLUSTER_GAP times the initial charged spread) while
+  mutually approaching, it is committed whole: a pair that gets this close
+  before it is isolated, or three or more charges.  Collapse profiles of
+  three or more charges are unstable, so for them the closed form is exact
+  only on the profile.
 
 The charges change only at events and commits, so between them evolve()
 carries the positions, the charges and the clock as plain arrays and a
@@ -95,7 +100,7 @@ MAX_STEPS = 500_000
 
 
 class StepSizeUnderflow(ArithmeticError):
-    """dt fell below 1e-16 of the state's time scale without triggering clustering."""
+    """dt fell below 1e-16 of the state's time scale, or MAX_STEPS steps were taken."""
 
 
 class NonAlternatingCluster(ValueError):
@@ -145,7 +150,7 @@ class StepStats:
     charged ordering; force_evals counts velocity_field evaluations.
     cap_bound counts accepted steps whose first trial dt was set by the
     collision cap, and target_clipped those that end on a stop (a sample
-    time, t_end or a committed pair's collision time); dt_min and dt_max
+    time, t_end or a committed cluster's collision time); dt_min and dt_max
     bound the accepted step sizes; events counts the annihilation events.
     """
 
@@ -281,7 +286,7 @@ def _step_core(
     d = float(gaps.min())
     tiny = 1e-16 * max(abs(t), d * d / (4.0 * gamma))
     while True:
-        if dt < tiny and not target_bound:
+        if not dt > tiny and not target_bound:
             raise StepSizeUnderflow(f"dt={dt:.3e} at t={t:.6e}; pathological state")
         for s in range(1, 7):
             xs = x + dt * (_DP_A[s] @ k[:s])
@@ -373,10 +378,9 @@ def detect_clusters(x: np.ndarray, b: np.ndarray, v: np.ndarray, gap: float) -> 
 
 
 def resolve_annihilation(
-    x: np.ndarray, b: np.ndarray, t: float, gamma: float,
-    clusters: Sequence[Sequence[int]], until: float = math.inf,
-) -> tuple[np.ndarray, np.ndarray, float, list[EventRecord]]:
-    """Resolve every cluster of one detection that collides at or before until.
+    x: np.ndarray, b: np.ndarray, t: float, gamma: float, clusters: Sequence[Sequence[int]],
+) -> list[EventRecord]:
+    """The annihilation events of clusters, in tau order.
 
     x and b are the positions and charges at the detection time t; every
     cluster is resolved from that one snapshot.  A cluster of m charges
@@ -385,12 +389,8 @@ def resolve_annihilation(
     time extrapolates the cluster's second-moment law (m2_rate) to zero:
     tau = t + sum (x_i - y)^2 / (gamma (m - q^2)).  If q is +-1 the member
     of charge q nearest y survives (smallest index on ties); everyone else
-    is neutralized.  A cluster with tau after until is left as it is.
-
-    Returns (x, b, t_new, events): the events in tau order and t_new the
-    latest tau, or t when no cluster is due.
+    is neutralized.
     """
-    new_x, new_b = x.copy(), b.copy()
     events = []
     for cluster in clusters:
         cluster = sorted(int(i) for i in cluster)
@@ -403,19 +403,14 @@ def resolve_annihilation(
         xc = x[cluster]
         y = float(np.mean(xc))
         tau = t + 0.5 * float(np.sum((xc - y) ** 2)) / -m2_rate(pre, gamma)
-        if tau > until:
-            continue
-        new_b[cluster] = 0
-        new_x[cluster] = y
+        post = [0] * len(cluster)
         if net != 0:
-            matching = [i for i in cluster if b[i] == net]
-            survivor = min(matching, key=lambda i: (abs(x[i] - y), i))
-            new_b[survivor] = net
-        post = tuple(int(new_b[i]) for i in cluster)
+            matching = [k for k, i in enumerate(cluster) if b[i] == net]
+            post[min(matching, key=lambda k: (abs(xc[k] - y), k))] = net
         events.append(EventRecord(tau=tau, y=y, cluster=tuple(cluster),
-                                  pre_charges=pre, post_charges=post))
+                                  pre_charges=pre, post_charges=tuple(post)))
     events.sort(key=lambda ev: ev.tau)
-    return new_x, new_b, max((ev.tau for ev in events), default=t), events
+    return events
 
 
 def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
@@ -426,19 +421,20 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
     after each event, so every post-event state is validated.  Samples are
     stored at every accepted step (if store_steps), and exactly at the
     configured sample times, at t_end and at every event time, where the
-    row holds the state after the event.  A committed pair collides at its
-    own tau whatever the stops; a detected cluster of three or more
-    charges is resolved once its extrapolated collision time falls at or
-    before the next stop, and until then it is stepped like the rest.
-    Integration failures propagate as EvolveError with the trajectory so
-    far attached.
+    row holds the state after the event.  Each iteration commits the
+    isolated pairs and the detected clusters, then takes one step, which
+    ends at the next stop: a sample time, t_end or the next committed
+    collision.  A committed cluster collides at its own tau whatever the
+    stops.  Integration failures propagate as EvolveError with the
+    trajectory so far attached.
     """
     # a fraction of the INITIAL spread, so the threshold does not shrink
     # with a collapsing cluster
     gap = CLUSTER_GAP * max(initial.spread(), np.finfo(float).tiny)
     x, b, t, gamma = initial.positions, initial.charges, initial.time, initial.coupling
-    flow = b  # the charges of the integrated field: b less the committed pairs
-    pending: list[EventRecord] = []  # the committed pairs, in tau order
+    flow = b  # the charges of the integrated field: b less the committed clusters
+    # the committed clusters' events and commit times, in tau order
+    pending: list[tuple[EventRecord, float]] = []
     times, xs, bs, events = [t], [x], [b], []
     stats = StepStats()
 
@@ -446,12 +442,12 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
         if config.store_steps or force_keep:
             row = x
             if pending:
-                # a committed pair's members are frozen in x; the row places
-                # them by the two-body law d(t)^2 = 4 gamma (tau - t)
+                # a committed cluster's members are frozen in x at their
+                # commit positions; the row shrinks them uniformly about y
                 row = x.copy()
-                for ev in pending:
-                    half = math.sqrt(gamma * (ev.tau - t))
-                    row[list(ev.cluster)] = (ev.y - half, ev.y + half)
+                for ev, t_c in pending:
+                    cl = list(ev.cluster)
+                    row[cl] = ev.y + (x[cl] - ev.y) * math.sqrt((ev.tau - t) / (ev.tau - t_c))
             times.append(t)
             xs.append(row)
             bs.append(b)
@@ -464,35 +460,37 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
         return Trajectory(times=np.array(times), positions=np.array(xs), charges=np.array(bs),
                           coupling=gamma, events=events, config=config, stats=stats)
 
-    def commit(pairs: list[list[int]]) -> bool:
-        """Fix the collisions of pairs and take them out of the integrated field."""
+    def commit(clusters: list[list[int]]):
+        """Fix the collisions of clusters and take them out of the integrated field."""
         nonlocal flow, pending, v, seg
-        if not pairs:
-            return False
-        *_, committed = resolve_annihilation(x, flow, t, gamma, pairs)
-        pending = sorted(pending + committed, key=lambda ev: ev.tau)
+        if not clusters:
+            return
+        committed = resolve_annihilation(x, flow, t, gamma, clusters)
+        pending = sorted(pending + [(ev, t) for ev in committed], key=lambda p: p[0].tau)
         flow = flow.copy()
         flow[[i for ev in committed for i in ev.cluster]] = 0
         v = forces()
         seg = _Segment(flow, gamma)
-        return True
 
-    def collide(resolved: list[EventRecord]) -> bool:
-        """Apply resolved and the committed pairs due by t; False when there are none."""
-        nonlocal x, b, flow, pending
-        due = sum(ev.tau <= t for ev in pending)
-        resolved = sorted(resolved + pending[:due], key=lambda ev: ev.tau)
-        pending = pending[due:]
-        if not resolved:
+    def collide() -> bool:
+        """Apply the committed collisions due by t; False when there are none."""
+        nonlocal x, b, flow, pending, v, seg
+        due = [ev for ev, _ in pending if ev.tau <= t]
+        if not due:
             return False
+        pending = pending[len(due):]
         x, b, flow = x.copy(), b.copy(), flow.copy()
-        for ev in resolved:
+        for ev in due:
             cl = list(ev.cluster)
             x[cl] = ev.y
             b[cl] = flow[cl] = ev.post_charges
         ParticleState(positions=x, charges=b, coupling=gamma, time=t)
-        events.extend(resolved)
-        stats.events += len(resolved)
+        events.extend(due)
+        stats.events += len(due)
+        if any(any(ev.post_charges) for ev in due):
+            # a survivor rejoins the integrated field
+            v = forces()
+            seg = _Segment(flow, gamma)
         return True
 
     targets = [config.t_end]
@@ -509,20 +507,8 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
                 if stats.accepted > MAX_STEPS:
                     raise StepSizeUnderflow(f"exceeded {MAX_STEPS} steps at t={t:.6e}")
                 commit(_isolated_pairs(x, v, seg))
-                clusters = detect_clusters(x, flow, v, gap)
-                if commit([c for c in clusters if len(c) == 2]):
-                    continue  # the clusters left are found again without the pairs
-                stop = min(target, pending[0].tau) if pending else target
-                if clusters:
-                    _, _, t_new, resolved = resolve_annihilation(x, flow, t, gamma, clusters,
-                                                                 until=stop)
-                    if resolved:
-                        t = t_new
-                        collide(resolved)
-                        record(force_keep=True)
-                        v = forces()
-                        seg = _Segment(flow, gamma)  # post-collision field, start afresh
-                        continue
+                commit(detect_clusters(x, flow, v, gap))
+                stop = min(target, pending[0][0].tau) if pending else target
                 x, dt, v = _step_core(x, t, stop - t, seg, config, v, stats)
                 t += dt
                 stats.accepted += 1
@@ -531,7 +517,7 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
                 if abs(t - stop) <= 4e-15 * max(1.0, abs(stop)):
                     t = stop
                 stats.target_clipped += t == stop
-                collided = collide([])
+                collided = collide()
                 record(force_keep=collided or t >= target)
     except (StepSizeUnderflow, NonAlternatingCluster, NetChargeTooLarge) as exc:
         raise EvolveError(str(exc), trajectory()) from exc

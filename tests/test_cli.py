@@ -104,6 +104,14 @@ class TestSimulate:
         for a, b in zip(runs[0][1:], runs[1][1:]):
             assert np.array_equal(a, b)
 
+    def test_underflowing_time_scale_exits_3(self, tmp_path, capsys):
+        # gaps of 1e-200 have a time scale d^2 / (4 gamma) that underflows to
+        # 0, so no step can advance: a runtime failure, not a traceback
+        cfg = write_cfg(tmp_path, {"simulate": {"positions": [-1e-200, 0.0, 1e-200],
+                                                "charges": [1, -1, 1]}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "simulation"
+
     def test_trajectory_roundtrip_bit_exact(self, tmp_path):
         cfg = pair_config(tmp_path)
         out = tmp_path / "out"

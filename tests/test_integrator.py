@@ -36,8 +36,10 @@ CFG = IntegratorConfig(t_end=1.0)
 
 def resolve(s, cluster):
     """The state after resolving one cluster of s, and its event."""
-    x, b, t, (ev,) = resolve_annihilation(s.positions, s.charges, s.time, s.coupling, [cluster])
-    return make(x, b, s.coupling, t), ev
+    (ev,) = resolve_annihilation(s.positions, s.charges, s.time, s.coupling, [cluster])
+    x, b, cl = s.positions.copy(), s.charges.copy(), list(ev.cluster)
+    x[cl], b[cl] = ev.y, ev.post_charges
+    return make(x, b, s.coupling, ev.tau), ev
 
 
 class TestStep:
@@ -435,15 +437,54 @@ def _ladder_rung_16():
     return state, dataclasses.replace(spec.integrator_config(), store_steps=True)
 
 
+# -1 charges at 0..6, then a -+- triple at 7, 7.000001 and 7.000002, coupling
+# 1e-12: the triple falls below the clustering gap near t = 0.5, where its
+# collision is committed at tau = 1.0000000018, just past t = 1
+MPM = make(np.r_[np.arange(8.0), 7.000001, 7.000002], [-1] * 8 + [1, -1], gamma=1e-12)
+
+
+class TestCommittedCluster:
+    def test_events_do_not_depend_on_the_horizon(self):
+        short = evolve(MPM, IntegratorConfig(t_end=1.0))
+        long = evolve(MPM, IntegratorConfig(t_end=2.0))
+        assert [ev.cluster for ev in long.events] == [(7, 8, 9)]
+        assert short.events == [ev for ev in long.events if ev.tau <= 1.0]
+
+    @pytest.mark.parametrize("sample", [0.8, 0.95, 0.999])
+    def test_collision_ignores_the_sample_times(self, sample):
+        (ev,) = evolve(MPM, IntegratorConfig(t_end=2.0)).events
+        (got,) = evolve(MPM, IntegratorConfig(t_end=2.0, sample_times=(sample,))).events
+        assert got.cluster == ev.cluster
+        assert abs(got.tau - ev.tau) <= 1e-12 * ev.tau
+
+    def test_restart_from_a_row_before_the_collision(self):
+        # the row at 0.999 holds the triple shrunk uniformly about y, so a
+        # run from it commits the same (tau, y) up to rounding
+        run = evolve(MPM, IntegratorConfig(t_end=2.0, sample_times=(0.999,)))
+        (ev,) = evolve(run.state_at(0.999), IntegratorConfig(t_end=2.0)).events
+        assert ev.cluster == run.events[0].cluster == (7, 8, 9)
+        assert abs(ev.tau - run.events[0].tau) <= 1e-9 * run.events[0].tau
+
+    def test_bystanders_follow_the_net_charge(self):
+        # seen from distance D >= 1 the triple is one -1 charge at its mean;
+        # leaving it out of the field over [t_c, tau] moves a bystander by at
+        # most gamma |q| tau / D = 1e-12
+        tight = dict(t_end=2.0, rel_tol=1e-12, abs_tol=1e-16)
+        ref = evolve(make(np.r_[np.arange(7.0), 7.000001], [-1] * 8, gamma=1e-12),
+                     IntegratorConfig(**tight))
+        traj = evolve(MPM, IntegratorConfig(t_end=2.0))
+        assert np.abs(traj.final.positions[:7] - ref.final.positions[:7]).max() <= 1e-12
+
+
 class TestStats:
     @pytest.mark.parametrize(
         "make_state, has_events", [(_odd_lattice, False), (_random_16, True)],
         ids=["odd9", "random16"],
     )
     def test_evaluation_budget(self, make_state, has_events):
-        # DP5 with FSAL: one evaluation to start and one after each pair
-        # commit or resolved cluster (all of which end in an event here),
-        # then at most six per attempt
+        # DP5 with FSAL: one evaluation to start, one after each commit (each
+        # ends in a pair event here) and one after each event with a
+        # survivor (none here), then at most six per attempt
         traj = evolve(make_state(), IntegratorConfig(t_end=1.0))
         assert bool(traj.events) == has_events
         st = traj.stats
@@ -451,10 +492,8 @@ class TestStats:
         assert st.accepted > 0
         assert st.force_evals <= 1 + len(traj.events) + 6 * attempts
         # store_steps: one snapshot per accepted step, where a step that ends
-        # on a pair's collision stores the state after it, and one per
-        # cluster of three or more, which is resolved without a step
-        clustered = sum(len(ev.cluster) > 2 for ev in traj.events)
-        assert st.accepted == len(traj.times) - 1 - clustered
+        # on a collision stores the state after it
+        assert st.accepted == len(traj.times) - 1
 
     def test_force_evals_counts_every_evaluation(self, monkeypatch):
         import annihilate.integrator as integ
@@ -535,7 +574,7 @@ class TestStats:
 
     def test_states_are_built_only_at_events(self, monkeypatch):
         # between events evolve steps on arrays; it validates a state only
-        # around each resolved cluster (the state before it and the one after)
+        # after a step that ends on one or more collisions
         import annihilate.integrator as integ
 
         built = []
@@ -549,7 +588,22 @@ class TestStats:
         traj = integ.evolve(_random_16(), IntegratorConfig(t_end=1.0))
         count = len(built)
         assert traj.events and traj.stats.accepted > 10 * (2 * len(traj.events) + 1)
-        assert count <= 2 * len(traj.events) + 1
+        assert count <= len(traj.events)
+
+    @pytest.mark.parametrize("make_run", [_ladder_rung_16, lambda: (MPM, IntegratorConfig())],
+                             ids=["rung16", "-+-"])
+    def test_one_cluster_detection_per_accepted_step(self, make_run, monkeypatch):
+        # benchmarks/layers.py counts accepted steps through these calls
+        calls = []
+        real = integrator.detect_clusters
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(integrator, "detect_clusters", counting)
+        traj = evolve(*make_run())
+        assert traj.stats.accepted == len(calls) > 0
 
 
 @st.composite
@@ -588,7 +642,10 @@ class TestDegenerateFuzz:
     @given(degenerate_states())
     # a -+- triple at coupling 1e-12 is detected long before it collides, and
     # its extrapolated collision time lies 1.8e-9 past t_end
-    @example(make(np.r_[np.arange(8.0), 7.000001, 7.000002], [-1] * 8 + [1, -1], gamma=1e-12))
+    @example(MPM)
+    # the time scale d^2 / (4 gamma) of gaps d = 1e-200 underflows to 0, so
+    # the step size floor is 0 too and no step can advance
+    @example(make([-1e-200, 0.0, 1e-200], [1, -1, 1]))
     @settings(max_examples=100, deadline=None)
     def test_only_typed_errors_escape(self, s):
         try:
