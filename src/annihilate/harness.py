@@ -722,14 +722,12 @@ def _check_ode_residual(traj):
     (delta = 1e-4 t_end) is evolved from the run's last stored row at or
     before the anchor, with the run's own tolerances, and differenced
     around its sample at delta.  A window that holds one of the run's
-    collisions is not evolved: its stencil would hold the event.  (A pair
-    collision inside it would be found, since a pair is committed on
-    isolation; a cluster of three or more might not, because the window's
-    clustering gap is set from its own starting spread.)  Threshold
-    10 * (abs_tol + rel_tol * scale) / delta reflects how position error
-    propagates into a difference quotient at spacing delta; the approach to
-    any of the run's collisions is skipped while its truncation bound
-    exceeds a tenth of the threshold.
+    collisions is not evolved: its stencil would hold the event.  (The
+    window would still find the collision, since detection reads only the
+    state.)  Threshold 10 * (abs_tol + rel_tol * scale) / delta reflects
+    how position error propagates into a difference quotient at spacing
+    delta; the approach to any of the run's collisions is skipped while its
+    truncation bound exceeds a tenth of the threshold.
     """
     cfg, t_end = traj.config, traj.config.t_end
     delta = 1e-4 * t_end

@@ -22,21 +22,24 @@ The step size is capped by sigma * g^2 / (4 gamma), where g is the smallest
 opposite-sign neighbor gap: an isolated attracting pair obeys d(t)^2 = d0^2
 - 4 gamma t exactly, so no pair can cross zero within that horizon.
 
-Collisions are resolved in closed form by resolve_annihilation, through
-one mechanism under two triggers.  A cluster of alternating charges is
-committed: its collision (tau, y) is fixed from the positions at the
-commit time t_c, exactly for an isolated cluster.  The members leave the
-integrated field and stay frozen in the positions; every other particle
-is integrated up to tau, where the event takes place, and rows stored
-before tau shrink the members uniformly about y, x_i(t) = y + (x_i(t_c) -
-y) sqrt((tau - t) / (tau - t_c)).  That keeps the first moment and the
-second-moment law exact for every shape, and for a pair it is the
-two-body law d(t)^2 = 4 gamma (tau - t).  A committed (tau, y) depends on
-neither the horizon nor the sample times, and a state stored before tau
-evolves on through the same (tau, y).  Leaving a committed cluster of net
-charge q out of the field over [t_c, tau] moves a charge at distance >= D
-from it by at most gamma |q| (tau - t_c) / D (a pair's dipole by the
-bound below).
+Collisions are resolved in closed form by resolve_annihilation.  A
+cluster of alternating charges is committed: its collision (tau, y) is
+fixed from the positions at the commit time t_c, exactly for an isolated
+cluster.  The members leave the integrated field and stay frozen in the
+positions; every other particle is integrated up to tau, where the event
+takes place, and rows stored before tau shrink the members uniformly
+about y, x_i(t) = y + (x_i(t_c) - y) sqrt((tau - t) / (tau - t_c)).  That
+keeps the first moment and the second-moment law exact for every shape,
+and for a pair it is the two-body law d(t)^2 = 4 gamma (tau - t).  A
+committed (tau, y) depends on neither the horizon nor the sample times,
+and a state stored before tau evolves on through the same (tau, y).
+Leaving a committed cluster of net charge q out of the field over [t_c,
+tau] moves a charge at distance >= D from it by at most gamma |q| (tau -
+t_c) / D (a pair's dipole by the bound below).
+
+One detector, detect_clusters, decides what is committed, from the
+current state alone.  Only opposite-sign charged neighbors whose gap
+closes are linked, and two criteria apply in turn:
 
 * Pairs, on isolation.  An approaching +- pair of neighbors with gap d is
   committed once d < PAIR_ISOLATION * D, D the distance from the pair to
@@ -49,12 +52,13 @@ bound below).
   out the pair's dipole field moves a charge at distance r >= D by at most
   d^3 / (6 r^2) over [t, tau].  At PAIR_ISOLATION = 1e-3 that is at most
   1.7e-10 D, against the default rel_tol of 1e-9.
-* Any cluster, on length.  When a group of charged particles falls below
-  the clustering gap (CLUSTER_GAP times the initial charged spread) while
-  mutually approaching, it is committed whole: a pair that gets this close
-  before it is isolated, or three or more charges.  Collapse profiles of
-  three or more charges are unstable, so for them the closed form is exact
-  only on the profile.
+* Any cluster, on length.  When no pair is isolated, closing links below
+  the clustering gap CLUSTER_GAP * L, L the larger of the charged span and
+  sqrt(gamma |t|), are joined into runs, each committed whole: a pair that
+  gets this close before it is isolated, or three or more charges.  L is
+  a length of the state, so a run restarted from a stored row commits what
+  the run would have.  Collapse profiles of three or more charges are
+  unstable, so for them the closed form is exact only on the profile.
 
 The charges change only at events and commits, so between them evolve()
 carries the positions, the charges and the clock as plain arrays and a
@@ -78,7 +82,6 @@ __all__ = [
     "Trajectory",
     "StepStats",
     "StepSizeUnderflow",
-    "NonAlternatingCluster",
     "NetChargeTooLarge",
     "EvolveError",
     "detect_clusters",
@@ -89,8 +92,8 @@ __all__ = [
 
 # sigma of the collision cap sigma * g^2 / (4 gamma) on the step size
 COLLISION_SAFETY = 0.5
-# clustering gap as a fraction of the initial charged spread; it must stay
-# well below the smallest initial charged gap
+# clustering gap as a fraction of the state's length scale, the larger of
+# the charged span and sqrt(gamma |t|) (bounds in detect_clusters)
 CLUSTER_GAP = 1e-7
 # an approaching +- pair is committed once its gap is below this fraction of
 # the distance to the nearest other charge (error bounds in the docstring)
@@ -101,10 +104,6 @@ MAX_STEPS = 500_000
 
 class StepSizeUnderflow(ArithmeticError):
     """dt fell below 1e-16 of the state's time scale, or MAX_STEPS steps were taken."""
-
-
-class NonAlternatingCluster(ValueError):
-    """A detected cluster has non-alternating signs: the clustering gap is too large."""
 
 
 class NetChargeTooLarge(ValueError):
@@ -131,10 +130,11 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("t_end", "abs_tol", "rel_tol"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if not value > 0:
                 raise ValueError(f"{name} must be positive")
-        if not math.isfinite(self.t_end):
-            raise ValueError("t_end must be finite")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.sample_times is not None:
             ts = tuple(sorted(float(t) for t in self.sample_times))
             object.__setattr__(self, "sample_times", ts)
@@ -325,55 +325,49 @@ def _step_core(
         rejected = True
 
 
-def _isolated_pairs(x: np.ndarray, v: np.ndarray, seg: _Segment) -> list[list[int]]:
-    """Approaching opposite-sign neighbors of seg's charges, positions x and velocities v,
-    whose gap is below PAIR_ISOLATION times the distance to the nearest other charge."""
-    c = seg.charged
+def detect_clusters(
+    x: np.ndarray, b: np.ndarray, v: np.ndarray, t: float, gamma: float,
+) -> list[list[int]]:
+    """The groups of charged particles ripe for annihilation, from the state alone.
+
+    A closing link joins two adjacent charged neighbors (positions x,
+    charges b) of opposite sign whose gap g shrinks under the velocities v.
+    If any closing link has g < PAIR_ISOLATION times the nearer of its
+    outer gaps (an end pair has only one), exactly those pairs are
+    returned.  Otherwise closing links with g < CLUSTER_GAP * L are joined
+    into maximal runs, L = max(span of the charged x, sqrt(gamma |t|)).
+
+    Bounds, stated before measuring: a link below CLUSTER_GAP sqrt(gamma
+    |t|) closes within g^2 / (4 gamma) < 2.5e-15 |t|, so the collision cap
+    of the last step before the commit is still about 12 times the step
+    floor 1e-16 |t|, and a lone collapse is committed before the floor
+    stops it.  A committed run of m charges is off by at most its own
+    diameter, below (m - 1) CLUSTER_GAP L.  The rule reads only (x, b, v,
+    t, gamma), so a run restarted from its own state detects what it
+    would have, and it is invariant under translation, reflection, charge
+    flip and the scaling x -> lambda x, t -> lambda^2 t.
+    """
+    c = np.flatnonzero(b)
     if c.size < 2:
         return []
-    xc, vc = x[c], v[c]
-    g = xc[1:] - xc[:-1]
-    # the nearer of the two outer gaps; an end pair has only one
+    xc, bc = x[c], b[c]
+    g = np.diff(xc)
+    closing = (bc[:-1] != bc[1:]) & (np.diff(v[c]) < 0.0)
+    if not closing.any():
+        return []
     outer = np.full_like(g, np.inf)
     outer[1:] = g[:-1]
     np.minimum(outer[:-1], g[1:], out=outer[:-1])
-    due = seg.opposite & (vc[1:] < vc[:-1]) & (g < PAIR_ISOLATION * outer)
-    return [[int(c[k]), int(c[k + 1])] for k in np.flatnonzero(due)]
-
-
-def detect_clusters(x: np.ndarray, b: np.ndarray, v: np.ndarray, gap: float) -> list[list[int]]:
-    """Maximal groups of charged particles ripe for annihilation.
-
-    Adjacent charged particles (positions x, charges b) are linked when
-    their gap is below the clustering threshold gap AND it is shrinking
-    under the velocities v; groups are the transitive closures, singletons
-    dropped.  Every returned cluster must alternate in sign: equal-sign
-    neighbors repel, so a non-alternating cluster means the threshold was
-    set too large.
-    """
-    charged = np.flatnonzero(b)
-    if charged.size < 2:
-        return []
-    linked = (np.diff(x[charged]) < gap) & (np.diff(v[charged]) < 0.0)
-    if not linked.any():
-        return []
+    isolated = closing & (g < PAIR_ISOLATION * outer)
+    if isolated.any():
+        return [[int(c[k]), int(c[k + 1])] for k in np.flatnonzero(isolated)]
+    linked = closing & (g < CLUSTER_GAP * max(float(xc[-1] - xc[0]), math.sqrt(gamma * abs(t))))
     clusters: list[list[int]] = []
-    current = [int(charged[0])]
-    for c, link in zip(charged[1:], linked):
-        if link:
-            current.append(int(c))
+    for k in np.flatnonzero(linked):
+        if clusters and clusters[-1][-1] == c[k]:
+            clusters[-1].append(int(c[k + 1]))
         else:
-            if len(current) > 1:
-                clusters.append(current)
-            current = [int(c)]
-    if len(current) > 1:
-        clusters.append(current)
-    for cl in clusters:
-        signs = b[cl]
-        if np.any(signs[1:] * signs[:-1] != -1):
-            raise NonAlternatingCluster(
-                f"cluster {cl} has signs {signs.tolist()}; the clustering gap is too large"
-            )
+            clusters.append([int(c[k]), int(c[k + 1])])
     return clusters
 
 
@@ -421,16 +415,13 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
     after each event, so every post-event state is validated.  Samples are
     stored at every accepted step (if store_steps), and exactly at the
     configured sample times, at t_end and at every event time, where the
-    row holds the state after the event.  Each iteration commits the
-    isolated pairs and the detected clusters, then takes one step, which
-    ends at the next stop: a sample time, t_end or the next committed
+    row holds the state after the event.  Each iteration commits what
+    detect_clusters finds until it finds nothing, then takes one step,
+    which ends at the next stop: a sample time, t_end or the next committed
     collision.  A committed cluster collides at its own tau whatever the
     stops.  Integration failures propagate as EvolveError with the
     trajectory so far attached.
     """
-    # a fraction of the INITIAL spread, so the threshold does not shrink
-    # with a collapsing cluster
-    gap = CLUSTER_GAP * max(initial.spread(), np.finfo(float).tiny)
     x, b, t, gamma = initial.positions, initial.charges, initial.time, initial.coupling
     flow = b  # the charges of the integrated field: b less the committed clusters
     # the committed clusters' events and commit times, in tau order
@@ -463,8 +454,6 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
     def commit(clusters: list[list[int]]):
         """Fix the collisions of clusters and take them out of the integrated field."""
         nonlocal flow, pending, v, seg
-        if not clusters:
-            return
         committed = resolve_annihilation(x, flow, t, gamma, clusters)
         pending = sorted(pending + [(ev, t) for ev in committed], key=lambda p: p[0].tau)
         flow = flow.copy()
@@ -506,8 +495,8 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
             while t < target:
                 if stats.accepted > MAX_STEPS:
                     raise StepSizeUnderflow(f"exceeded {MAX_STEPS} steps at t={t:.6e}")
-                commit(_isolated_pairs(x, v, seg))
-                commit(detect_clusters(x, flow, v, gap))
+                while clusters := detect_clusters(x, flow, v, t, gamma):
+                    commit(clusters)
                 stop = min(target, pending[0][0].tau) if pending else target
                 x, dt, v = _step_core(x, t, stop - t, seg, config, v, stats)
                 t += dt
@@ -519,6 +508,6 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
                 stats.target_clipped += t == stop
                 collided = collide()
                 record(force_keep=collided or t >= target)
-    except (StepSizeUnderflow, NonAlternatingCluster, NetChargeTooLarge) as exc:
+    except (StepSizeUnderflow, NetChargeTooLarge) as exc:
         raise EvolveError(str(exc), trajectory()) from exc
     return trajectory()

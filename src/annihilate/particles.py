@@ -88,13 +88,6 @@ class ParticleState:
     def n(self) -> int:
         return self.positions.size
 
-    def spread(self) -> float:
-        """Diameter of the charged configuration (full range if all neutral)."""
-        x = self.positions[self.charges != 0]
-        if x.size < 2:
-            x = self.positions
-        return float(x.max() - x.min())
-
 
 @dataclass(frozen=True)
 class EventRecord:

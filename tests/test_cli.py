@@ -64,6 +64,16 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert read_events_jsonl(out / "events.jsonl") == []
 
+    def test_closing_equal_charges_no_events(self, tmp_path):
+        # the gap 1e-8 closes for a while under the push of the charge 1e-10
+        # away; equal charges never collide
+        x = [0.0, 1.0, 1.0 + 1e-8, 1.0 + 1e-8 + 1e-10]
+        cfg = write_cfg(tmp_path, {"simulate": {"positions": x, "charges": [1, 1, 1, 1],
+                                                "coupling": 0.25}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert read_events_jsonl(out / "events.jsonl") == []
+
     def test_malformed_config_exits_2_without_outputs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"simulate": {"positions": [0, 1], "bogus_key": 3}})
         out = tmp_path / "out"
@@ -294,6 +304,10 @@ class TestConfigSchema:
                                        "coupling": True}}),
             ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
                           "integrator": {"t_end": True}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
+                          "integrator": {"rel_tol": float("inf")}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
+                          "integrator": {"abs_tol": float("inf")}}),
             ("converge", {"experiment": {"t_end": True}}),
             ("verify", {"verify": {"runs": -1}}),
             ("hj", {"hj": {"snapshots": -3}}),
@@ -336,6 +350,7 @@ class TestConfigSchema:
             "moments-positions-string", "moments-positions-empty", "moments-positions-nested",
             "moments-positions-nan", "moments-positions-bool", "simulate-charge-fraction",
             "simulate-charge-bool", "simulate-coupling-bool", "integrator-t_end-bool",
+            "integrator-rel_tol-inf", "integrator-abs_tol-inf",
             "experiment-t_end-bool",
             "verify-runs-negative", "hj-snapshots-negative", "hj-snapshots-one",
             "experiment-offset-above-one", "simulate-missing-charges", "moments-missing-positions",

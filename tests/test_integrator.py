@@ -10,7 +10,6 @@ from annihilate.integrator import (
     COLLISION_SAFETY,
     EvolveError,
     IntegratorConfig,
-    NonAlternatingCluster,
     StepSizeUnderflow,
     detect_clusters,
     evolve,
@@ -79,26 +78,64 @@ class TestStep:
                 s, _ = step(s, 1.0, CFG)
 
 
+def detect(s, v=None):
+    """detect_clusters on state s, with its own velocities unless v is given."""
+    return detect_clusters(s.positions, s.charges, velocities(s) if v is None else v,
+                           s.time, s.coupling)
+
+
 class TestDetect:
     def test_close_pair_detected(self):
         s = make([0.0, 1e-9, 1.0], [1, -1, 1])
-        assert detect_clusters(s.positions, s.charges, velocities(s), 1e-7) == [[0, 1]]
+        assert detect(s) == [[0, 1]]
 
     def test_symmetric_triple(self):
-        s = make([-1e-9, 0.0, 1e-9], [1, -1, 1])
-        assert detect_clusters(s.positions, s.charges, velocities(s), 1e-7) == [[0, 1, 2]]
+        # at t = 0 a lone triple's only length is its own span; at t = 1 it
+        # is sqrt(gamma t), far above it
+        s = make([-1e-9, 0.0, 1e-9], [1, -1, 1], t=1.0)
+        assert detect(s) == [[0, 1, 2]]
 
     def test_equal_sign_pair_not_clustered(self):
         # equal charges repel, so the gap is growing and no cluster forms
         s = make([0.0, 1e-9], [1, 1])
-        assert detect_clusters(s.positions, s.charges, velocities(s), 1e-7) == []
+        assert detect(s) == []
 
-    def test_non_alternating_raises(self):
-        # equal-sign neighbors cannot approach under the true dynamics, so
-        # the alternation guard is exercised with an injected velocity field
+    def test_approaching_equal_sign_neighbors_are_not_linked(self):
+        # a third charge can close an equal-sign gap; only opposite signs link
         s = make([0.0, 1e-9], [1, 1])
-        with pytest.raises(NonAlternatingCluster):
-            detect_clusters(s.positions, s.charges, np.array([1.0, -1.0]), 1e-7)
+        assert detect(s, np.array([1.0, -1.0])) == []
+
+    # (state, its clusters): an isolated pair; a pair below the clustering
+    # gap but not isolated; a triple linked at t = 1 by sqrt(gamma t); and a
+    # triple far from collision.  Every position is dyadic, so the
+    # translation and the scalings below are exact
+    SYMMETRY_STATES = [
+        (make([0.5, 0.5 + 2.0**-30, 1.5, 3.0], [1, -1, 1, -1], 0.25), [[0, 1]]),
+        (make([0.0, 1.0, 1.0 + 2.0**-27, 1.0 + 2.0**-19], [1, 1, -1, 1], 2.0**-40), [[1, 2]]),
+        (make([-(2.0**-30), 0.0, 2.0**-30], [1, -1, 1], 0.25, t=1.0), [[0, 1, 2]]),
+        (make([-0.5, 0.0, 0.5], [1, -1, 1], 0.25), []),
+    ]
+
+    @pytest.mark.parametrize("transform", ["translate", "reflect", "flip", "scale-up",
+                                           "scale-down"])
+    def test_symmetries(self, transform):
+        # the rule reads lengths and times of the state only, so it commutes
+        # with the symmetries of the ODE
+        for s, want in self.SYMMETRY_STATES:
+            x, b, v, t, n = s.positions, s.charges, velocities(s), s.time, s.n
+            assert detect(s, v) == want
+            index = list(range(n))
+            if transform == "translate":
+                x = x + 2.0**10
+            elif transform == "reflect":
+                x, b, v, index = -x[::-1], b[::-1], -v[::-1], index[::-1]
+            elif transform == "flip":
+                b = -b
+            else:
+                k = 5 if transform == "scale-up" else -5
+                x, v, t = x * 2.0**k, v / 2.0**k, t * 4.0**k
+            got = detect_clusters(x, b, v, t, s.coupling)
+            assert sorted(sorted(index[i] for i in cl) for cl in got) == want
 
 
 class TestResolve:
@@ -237,6 +274,15 @@ class TestEvolve:
         assert ev.tau == pytest.approx(d * d / 4e-12, rel=1e-12)
         assert traj.final.charges.tolist() == [1, 0, 0, 1]
 
+    def test_approaching_equal_charges_are_integrated(self):
+        # the charge at 1 + 1e-8 is pushed left by its neighbour 1e-10 away,
+        # faster than the one at 1, so an equal-sign gap closes for a while
+        s = make([0.0, 1.0, 1.0 + 1e-8, 1.0 + 1e-8 + 1e-10], [1, 1, 1, 1], gamma=0.25)
+        traj = evolve(s, IntegratorConfig(t_end=1.0))
+        tight = evolve(s, IntegratorConfig(t_end=1.0, rel_tol=1e-12, abs_tol=1e-15))
+        assert not traj.events and traj.final.time == 1.0
+        assert np.abs(traj.final.positions - tight.final.positions).max() <= 1e-9
+
     def test_single_charged_among_neutrals(self):
         s = make([0.0, 0.5, 1.0], [0, 1, 0])
         traj = evolve(s, IntegratorConfig(t_end=2.0))
@@ -301,9 +347,10 @@ class TestEvolve:
         # thresholds at which a generic collapse is resolved: these pairs
         # are committed on isolation
         s = make([-0.6, -0.22, 0.4, 0.75], [1, -1, 1, -1])
+        span = np.ptp(s.positions[s.charges != 0])
         runs = []
         for gap, isolation in ((1e-5, 1e-3), (1e-7, 1e-4)):
-            monkeypatch.setattr(integrator, "CLUSTER_GAP", gap / s.spread())
+            monkeypatch.setattr(integrator, "CLUSTER_GAP", gap / span)
             monkeypatch.setattr(integrator, "PAIR_ISOLATION", isolation)
             runs.append(evolve(s, IntegratorConfig(t_end=1.0, sample_times=(1.0,))))
         assert len(runs[0].events) == len(runs[1].events) == 2
@@ -438,8 +485,9 @@ def _ladder_rung_16():
 
 
 # -1 charges at 0..6, then a -+- triple at 7, 7.000001 and 7.000002, coupling
-# 1e-12: the triple falls below the clustering gap near t = 0.5, where its
-# collision is committed at tau = 1.0000000018, just past t = 1
+# 1e-12: the triple falls below the clustering gap (CLUSTER_GAP x the charged
+# span, 7) near t = 0.5, where its collision is committed at tau =
+# 1.0000000018, just past t = 1
 MPM = make(np.r_[np.arange(8.0), 7.000001, 7.000002], [-1] * 8 + [1, -1], gamma=1e-12)
 
 
@@ -568,9 +616,9 @@ class TestStats:
     def test_detect_clusters_accepts_given_velocities(self):
         s = make([0.0, 1e-9, 1.0], [1, -1, 1])
         v = velocities(s)
-        assert detect_clusters(s.positions, s.charges, v, 1e-7) == [[0, 1]]
+        assert detect(s, v) == [[0, 1]]
         # the given field decides: an opening pair is not a cluster
-        assert detect_clusters(s.positions, s.charges, -v, 1e-7) == []
+        assert detect(s, -v) == []
 
     def test_states_are_built_only_at_events(self, monkeypatch):
         # between events evolve steps on arrays; it validates a state only
@@ -592,18 +640,20 @@ class TestStats:
 
     @pytest.mark.parametrize("make_run", [_ladder_rung_16, lambda: (MPM, IntegratorConfig())],
                              ids=["rung16", "-+-"])
-    def test_one_cluster_detection_per_accepted_step(self, make_run, monkeypatch):
-        # benchmarks/layers.py counts accepted steps through these calls
-        calls = []
+    def test_one_empty_detection_per_accepted_step(self, make_run, monkeypatch):
+        # benchmarks/layers.py counts accepted steps as the detections that
+        # find nothing: each iteration commits until one does, then steps
+        empty = []
         real = integrator.detect_clusters
 
         def counting(*args):
-            calls.append(1)
-            return real(*args)
+            clusters = real(*args)
+            empty.append(not clusters)
+            return clusters
 
         monkeypatch.setattr(integrator, "detect_clusters", counting)
         traj = evolve(*make_run())
-        assert traj.stats.accepted == len(calls) > 0
+        assert traj.stats.accepted == sum(empty) > 0
 
 
 @st.composite
@@ -614,7 +664,8 @@ def degenerate_states(draw):
     a +-+ or -+- triple, symmetric up to a relative 1e-9 and sometimes
     alone among neutrals, whose isolated collision time d^2 / gamma lies in
     [0.01, 2]; or an opposite pair whose gap is within 2x of the
-    clustering gap (CLUSTER_GAP x spread).  The coupling gamma goes down to 1e-12.
+    clustering gap at t = 0 (CLUSTER_GAP x the charged span).  The coupling
+    gamma goes down to 1e-12.
     """
     coupling = 10.0 ** draw(st.floats(-12.0, 0.0))
     n = draw(st.integers(2, 7))
@@ -750,6 +801,18 @@ class TestCollisionProfiles:
         (ev,) = self.run(collision_profile(b), b).events
         assert abs(ev.tau - self.TAU) <= 1e-6 * self.TAU
         assert abs(ev.y - self.Y) <= 1e-9
+
+    @pytest.mark.parametrize("restart", [0.99, 0.999, 0.9999])
+    def test_triple_restarts_from_its_rows(self, restart):
+        # the clustering gap is a length of the state, so a run restarted from
+        # a row close to the collision commits the triple as the run does
+        b = (1, -1, 1)
+        s = make(np.array([-1.0, 0.0, 1.0]) * math.sqrt(self.GAMMA * self.TAU), b, self.GAMMA)
+        (ev,) = evolve(s, IntegratorConfig(t_end=2.0)).events
+        run = evolve(s, IntegratorConfig(t_end=2.0, sample_times=(restart,)))
+        (got,) = evolve(run.state_at(restart), IntegratorConfig(t_end=2.0)).events
+        assert ev.cluster == got.cluster == (0, 1, 2)
+        assert abs(got.tau - ev.tau) <= 1e-9 * ev.tau
 
     def test_perturbed_triple_survivor_follows_the_holder_law(self):
         # the +-+ profile has growth rate 3.5 besides the trivial ones, so a

@@ -4,8 +4,9 @@
 such as `harness.evolve`; moving a function out of a module breaks the
 tracer without breaking any call inside the package.  Its counters read
 the call sites too: `evolve` must call `velocity_field` and
-`detect_clusters` through the `integrator` module, once per evaluation
-and once per step.
+`detect_clusters` through the `integrator` module, and make one
+`velocity_field` call per evaluation and one detection that finds nothing
+per accepted step.
 """
 import importlib
 import importlib.util
@@ -15,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import annihilate
+from annihilate.integrator import IntegratorConfig
+from test_integrator import MPM
 
 LAYERS = Path(__file__).resolve().parents[1] / "benchmarks" / "layers.py"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(annihilate.__path__))
@@ -49,7 +52,8 @@ def test_every_module_is_checked():
 
 
 def test_trace_counters_equal_integrator_counters(monkeypatch):
-    # the n = 16 rung of the double_bump ladder, evolved under the tracer
+    # the n = 16 rung of the double_bump ladder, then the -+- triple, which
+    # commits a group, at two horizons, evolved under the tracer
     layers = _layers()
     for attr in _traced_attributes():
         mod, name = attr.rsplit(".", 1)
@@ -63,9 +67,16 @@ def test_trace_counters_equal_integrator_counters(monkeypatch):
     L = spec.scheme_config().L
     state = harness.sample_particles(harness.CATALOG["double_bump"].u0, 16, spec.offset,
                                      window=(-L, L), scan_points=spec.scan_points)
-    traj = harness.evolve(state, spec.integrator_config())
-    metrics = tracer.layer_metrics()
-    assert traj.events and traj.stats.accepted > 0
-    assert tracer.counts["step_evals"] == traj.stats.force_evals
-    assert metrics["integrator.accepted_steps"] == traj.stats.accepted
-    assert metrics["integrator.events"] == len(traj.events)
+    runs = [(state, spec.integrator_config()),
+            (MPM, IntegratorConfig(t_end=1.0)), (MPM, IntegratorConfig(t_end=2.0))]
+    accepted = force_evals = events = 0
+    for initial, config in runs:
+        traj = harness.evolve(initial, config)
+        accepted += traj.stats.accepted
+        force_evals += traj.stats.force_evals
+        events += len(traj.events)
+        metrics = tracer.layer_metrics()
+        assert tracer.counts["step_evals"] == force_evals
+        assert metrics["integrator.accepted_steps"] == accepted
+        assert metrics["integrator.events"] == events
+    assert traj.events and accepted > 0
