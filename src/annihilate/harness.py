@@ -661,73 +661,25 @@ def _check_events(traj):
         yield good, 1.0 if good else -1.0, f"event at tau={ev.tau:.4f}"
 
 
-def _ode_residuals(traj: Trajectory, anchors: Iterable[float], trunc_limit: float = math.inf):
-    """(t, i, |x_i'(t) - v_i(t)|) at the stored sample nearest each anchor.
-
-    x_i' differences the stored samples on either side at their own,
-    possibly non-uniform, spacings h0 and h1, to second order:
-    x' ~ (h1 D- + h0 D+) / (h0 + h1), with D- and D+ the backward and
-    forward quotients.  v is the force field at the middle sample.  An
-    anchor at either end of the trajectory, or whose stencil holds an
-    event, is skipped.
-
-    The stencil also misreads the approach to a collision.  A cluster of k
-    charges with net charge q meeting at (tau, y) follows the collision law
-    x_i - y ~ xi_i sqrt(gamma s), s = tau - t, whose profile satisfies
-    sum_i xi_i^2 = k - q^2 (the cluster's M2 rate is -(k - q^2) gamma / 2).  The
-    difference then carries the truncation error h^2 / 6 * max |x_i'''|
-    <= sqrt((k - q^2) gamma) h^2 / (16 s^(5/2)), h = max(h0, h1) and s
-    taken at the stencil's right end, which has nothing to do with the
-    integrator; a cluster's particles are skipped while that bound exceeds
-    trunc_limit.
-    """
-    times = traj.times
-    for t in anchors:
-        k = int(np.argmin(np.abs(times - t)))
-        if k == 0 or k >= times.size - 1:
-            continue
-        # samples stored twice (events, snapped targets) give no spacing
-        span = 1e-10 * max(1.0, abs(times[k]))
-        lo, hi = k - 1, k + 1
-        while lo > 0 and times[k] - times[lo] < span:
-            lo -= 1
-        while hi < times.size - 1 and times[hi] - times[k] < span:
-            hi += 1
-        h0, h1 = times[k] - times[lo], times[hi] - times[k]
-        if min(h0, h1) < span or any(times[lo] <= ev.tau <= times[hi] for ev in traj.events):
-            continue
-        x0, x1, x2 = traj.positions[[lo, k, hi]]
-        h = max(h0, h1)
-        colliding = set()
-        for ev in traj.events:
-            s = ev.tau - times[hi]
-            if s <= 0:
-                continue
-            root = math.sqrt(-2.0 * particles.m2_rate(ev.pre_charges, traj.coupling))
-            if root * h**2 / (16.0 * s**2.5) > trunc_limit:
-                colliding.update(ev.cluster)
-        back = (x1 - x0) / h0
-        fwd = (x2 - x1) / h1
-        res = np.abs((h1 * back + h0 * fwd) / (h0 + h1)
-                     - particles.velocity_field(x1, traj.charges[k], traj.coupling))
-        for i in range(res.size):
-            if i not in colliding:
-                yield float(times[k]), i, float(res[i])
-
-
 def _check_ode_residual(traj):
     """Difference velocities in short windows of the run vs the force field.
 
     For each anchor 0.3, 0.6 and 0.9 t_end, a window of length 2 delta
     (delta = 1e-4 t_end) is evolved from the run's last stored row at or
-    before the anchor, with the run's own tolerances, and differenced
-    around its sample at delta.  A window that holds one of the run's
-    collisions is not evolved: its stencil would hold the event.  (The
-    window would still find the collision, since detection reads only the
-    state.)  Threshold 10 * (abs_tol + rel_tol * scale) / delta reflects
-    how position error propagates into a difference quotient at spacing
-    delta; the approach to any of the run's collisions is skipped while its
-    truncation bound exceeds a tenth of the threshold.
+    before the anchor, with the run's tolerances, unless it would hold one
+    of the run's collisions.  Its three rows, spaced h0 and h1, give
+    x' ~ (h1 D- + h0 D+) / (h0 + h1), D- and D+ the backward and forward
+    quotients, at the middle row; a window that finds a collision of its
+    own is skipped.  The threshold 10 (abs_tol + rel_tol scale) / delta is
+    the position tolerance propagated into a quotient at spacing delta.
+
+    Near a collision the difference also carries truncation error.  A
+    cluster of k charges with net charge q meeting at (tau, y) follows
+    x_i - y ~ xi_i sqrt(gamma s), s = tau - t, with sum_i xi_i^2 = k - q^2
+    (its M2 rate is -(k - q^2) gamma / 2), so the error is at most
+    sqrt((k - q^2) gamma) h^2 / (16 s^(5/2)), h = max(h0, h1) and s taken
+    at the window's end.  The members of the run's later collisions are
+    skipped while that bound exceeds a tenth of the threshold.
     """
     cfg, t_end = traj.config, traj.config.t_end
     delta = 1e-4 * t_end
@@ -741,12 +693,18 @@ def _check_ode_residual(traj):
             continue
         window = evolve(traj.state(k), replace(cfg, t_end=t1, sample_times=(t0 + delta,),
                                                store_steps=False))
-        # the run's later collisions, which the window never reaches, set the
-        # truncation skip
-        later = [ev for ev in traj.events if ev.tau > t1]
-        window = replace(window, events=[*window.events, *later])
-        for t, i, res in _ode_residuals(window, [t0 + delta], 0.1 * thr):
-            yield res <= thr, thr - res, f"t={t:.3f} i={i}"
+        if window.events:
+            continue
+        (ta, tm, tb), (x0, x1, x2) = window.times, window.positions
+        h0, h1 = tm - ta, tb - tm
+        colliding = {i for ev in traj.events if ev.tau > tb for i in ev.cluster
+                     if math.sqrt(-2.0 * particles.m2_rate(ev.pre_charges, traj.coupling))
+                     * max(h0, h1)**2 / (16.0 * (ev.tau - tb)**2.5) > 0.1 * thr}
+        diff = (h1 * ((x1 - x0) / h0) + h0 * ((x2 - x1) / h1)) / (h0 + h1)
+        res = np.abs(diff - particles.velocity_field(x1, window.charges[1], traj.coupling))
+        for i, r in enumerate(res.tolist()):
+            if i not in colliding:
+                yield r <= thr, thr - r, f"t={tm:.3f} i={i}"
 
 
 def _check_operator_identity(rng):

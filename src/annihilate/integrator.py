@@ -107,7 +107,7 @@ class StepSizeUnderflow(ArithmeticError):
 
 
 class NetChargeTooLarge(ValueError):
-    """|sum of cluster charges| > 1; impossible when alternation holds."""
+    """resolve_annihilation refuses a cluster, passed in directly, whose |net charge| > 1."""
 
 
 class EvolveError(RuntimeError):
@@ -433,12 +433,13 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
         if config.store_steps or force_keep:
             row = x
             if pending:
-                # a committed cluster's members are frozen in x at their
-                # commit positions; the row shrinks them uniformly about y
+                # a committed cluster's members are frozen in x at their commit
+                # positions; the row shrinks them uniformly about y if tau is finite
                 row = x.copy()
                 for ev, t_c in pending:
-                    cl = list(ev.cluster)
-                    row[cl] = ev.y + (x[cl] - ev.y) * math.sqrt((ev.tau - t) / (ev.tau - t_c))
+                    if ev.tau < math.inf:
+                        cl = list(ev.cluster)
+                        row[cl] = ev.y + (x[cl] - ev.y) * math.sqrt((ev.tau - t) / (ev.tau - t_c))
             times.append(t)
             xs.append(row)
             bs.append(b)
@@ -508,6 +509,6 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
                 stats.target_clipped += t == stop
                 collided = collide()
                 record(force_keep=collided or t >= target)
-    except (StepSizeUnderflow, NetChargeTooLarge) as exc:
+    except StepSizeUnderflow as exc:
         raise EvolveError(str(exc), trajectory()) from exc
     return trajectory()

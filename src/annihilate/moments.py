@@ -30,7 +30,7 @@ class ReconstructionError(ArithmeticError):
     """The moment vector does not give real positions to ROUND_TRIP_TOL in float64.
 
     positions holds the real roots when only the error estimate refused
-    them, and is None when the roots are complex.
+    them, and is None when the roots are complex or M is not finite.
     """
 
     def __init__(self, message: str, positions: np.ndarray | None = None):
@@ -40,6 +40,14 @@ class ReconstructionError(ArithmeticError):
 
 # error allowed in reconstructed positions, relative to max(1, max |x|)
 ROUND_TRIP_TOL = 1e-8
+
+
+def _fsum(row: list[float]) -> float:
+    """math.fsum, or the plain sum (+-inf or nan) for a moment past float64."""
+    try:
+        return math.fsum(row)
+    except (OverflowError, ValueError):  # a finite sum past float64, or inf - inf
+        return sum(row)
 
 
 def moments(positions) -> np.ndarray:
@@ -62,7 +70,7 @@ def moments(positions) -> np.ndarray:
     for k in range(1, n + 1):
         pw = pw * xl
         if k < 8:
-            out[:, k - 1] = [math.fsum(r) / k for r in pw.astype(float)]
+            out[:, k - 1] = [_fsum(r) / k for r in pw.astype(float).tolist()]
         else:
             out[:, k - 1] = pw.sum(axis=1, dtype=np.longdouble) / k
     return out.reshape(x.shape)
@@ -136,13 +144,16 @@ def reconstruct_positions(M) -> np.ndarray:
 
     The monic polynomial prod (z - x_i) = sum_k (-1)^k e_k z^(n-k) is
     rooted via companion-matrix eigenvalues.  Raises ReconstructionError
-    when the imaginary parts exceed 1e-6 times the coefficient scale, which
-    signals a non-realizable or ill-conditioned moment vector, and when the
-    error estimate (_error_estimate) exceeds ROUND_TRIP_TOL * max(1,
-    max |x|): float64 moments do not carry such positions.  The error then
-    holds the roots, for a caller that knows the true positions.
+    when M is not finite, when the imaginary parts exceed 1e-6 times the
+    coefficient scale, which signals a non-realizable or ill-conditioned
+    moment vector, and when the error estimate (_error_estimate) exceeds
+    ROUND_TRIP_TOL * max(1, max |x|): float64 moments do not carry such
+    positions.  The error then holds the roots, for a caller that knows
+    the true positions.
     """
     M = np.asarray(M, dtype=float)
+    if not np.isfinite(M).all():
+        raise ReconstructionError("moment vector is not finite")
     e = moments_to_elementary(M)
     n = e.size - 1
     coeffs = np.array([(-1.0) ** k * e[k] for k in range(n + 1)])

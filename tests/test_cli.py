@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+import annihilate
 from annihilate import harness, hjsolver, moments
 from annihilate.cli import (
     _COMMANDS, _SCHEMA, _build, _hj_args, _integrator_config, _load_config, _measure_args,
@@ -225,6 +227,14 @@ class TestOtherCommands:
     def test_moments_complex_roots_exits_3(self, tmp_path, capsys):
         # 40 spread-out points: the Newton-identity polynomial has complex roots
         x = np.random.default_rng(0).uniform(-1.0, 1.0, 40).tolist()
+        cfg = write_cfg(tmp_path, {"moments": {"positions": x}})
+        assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "moments"
+
+    @pytest.mark.parametrize("x", [[1.0e200, 2.0e200], [1.0e160, -1.0e160, 3.0]],
+                             ids=["inf-moment", "inf-minus-inf"])
+    def test_moments_past_float64_exits_3(self, tmp_path, capsys, x):
+        # M_2 overflows float64; the second also sums +-inf in M_3
         cfg = write_cfg(tmp_path, {"moments": {"positions": x}})
         assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert json.loads(capsys.readouterr().out)["error"] == "moments"
@@ -444,13 +454,22 @@ class TestFormatsDoc:
         assert rows == _SCHEMA
 
     def test_every_named_key_is_in_the_schema(self):
-        # the prose names keys as `section.key`, and module constants in
-        # upper case as `module.NAME`; no key named may be a removed one
-        text = (ROOT / "docs" / "formats.md").read_text()
-        named = {(sec, key) for sec, key in re.findall(r"`(\w+)\.([a-z_]\w*)", text)
-                 if sec in _SCHEMA}
-        assert named
-        assert {f"{sec}.{key}" for sec, key in named if key not in _SCHEMA[sec]} == set()
+        # the docs name config keys as `section.key` and package attributes
+        # (constants, functions, classes) as `module.name`; no name may be a
+        # removed one
+        modules = {m.name for m in pkgutil.iter_modules(annihilate.__path__)}
+        text = (ROOT / "docs" / "formats.md").read_text() + (ROOT / "README.md").read_text()
+        named = {f"{a}.{b}" for a, b in re.findall(r"`(\w+)\.(\w+)", text)
+                 if a in _SCHEMA or a in modules}
+        assert {"integrator.CLUSTER_GAP", "hjsolver.CFL", "moments.ROUND_TRIP_TOL",
+                "particles.same_sign_gap", "moments.positions", "scheme.L"} <= named
+
+        def resolves(name):
+            a, b = name.split(".")
+            return b in _SCHEMA.get(a, ()) or (
+                a in modules and hasattr(importlib.import_module(f"annihilate.{a}"), b))
+
+        assert {name for name in named if not resolves(name)} == set()
 
     def test_check_list_is_the_suite(self):
         # the bulleted check names under properties.json are the suite's checks, in order

@@ -10,6 +10,7 @@ from annihilate.integrator import (
     COLLISION_SAFETY,
     EvolveError,
     IntegratorConfig,
+    NetChargeTooLarge,
     StepSizeUnderflow,
     detect_clusters,
     evolve,
@@ -165,6 +166,17 @@ class TestResolve:
         m0 = s.positions.sum()
         new, _ = resolve(s, [0, 1, 2])
         assert new.positions.sum() == pytest.approx(m0, abs=1e-22)
+
+    def test_net_charge_above_one_refused(self):
+        # detect_clusters never links equal charges; a direct caller can
+        s = make([0.0, 1e-9], [1, 1])
+        with pytest.raises(NetChargeTooLarge, match="net charge 2"):
+            resolve(s, [0, 1])
+
+    def test_neutral_member_refused(self):
+        s = make([0.0, 1e-9, 2e-9], [1, 0, -1])
+        with pytest.raises(InvalidState, match="neutral"):
+            resolve(s, [0, 1, 2])
 
 
 class TestEvolve:
@@ -697,6 +709,9 @@ class TestDegenerateFuzz:
     # the time scale d^2 / (4 gamma) of gaps d = 1e-200 underflows to 0, so
     # the step size floor is 0 too and no step can advance
     @example(make([-1e-200, 0.0, 1e-200], [1, -1, 1]))
+    # a gap of 1e300 squares to inf, so the committed pair's tau is inf and
+    # its members stay where they were committed
+    @example(make([-1e300, 1e300], [1, -1]))
     @settings(max_examples=100, deadline=None)
     def test_only_typed_errors_escape(self, s):
         try:
@@ -705,7 +720,7 @@ class TestDegenerateFuzz:
             return
         final = traj.final
         assert final.time == 1.0
-        assert np.isfinite(final.positions).all()
+        assert np.isfinite(traj.positions).all()
         assert net_charge(final) == net_charge(s)
         pos, neg = int((s.charges == 1).sum()), int((s.charges == -1).sum())
         assert len(traj.events) <= min(pos, neg)
