@@ -17,7 +17,6 @@ import json
 import logging
 import os
 import sys
-import types
 import typing
 from dataclasses import replace
 from pathlib import Path
@@ -31,12 +30,10 @@ from .particles import ParticleState
 
 log = logging.getLogger("annihilate")
 
-_HIDDEN = {"sample_times", "store_steps"}
-
 
 def _keys(target) -> set[str]:
-    """A section's keys: the parameters of the callable it is built with, less _HIDDEN fields."""
-    return set(inspect.signature(target).parameters) - _HIDDEN
+    """A section's keys: the parameters of the callable it is built with."""
+    return set(inspect.signature(target).parameters)
 
 
 class ConfigError(ValueError):
@@ -70,20 +67,16 @@ def _load_config(path: str | None, sections: set[str]) -> dict:
 
 
 def _convert(tp, value):
-    """value as the annotated type tp: a scalar type, X | None, or a tuple or sequence of X.
+    """value as the annotated type tp: a scalar type, or a tuple or sequence of X.
 
-    None passes through for X | None.  A bool is never a number and a
-    fraction never an int: both are refused, not converted.
+    A bool is never a number and a fraction never an int: both are
+    refused, not converted.
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (tuple, collections.abc.Sequence):
         if not isinstance(value, (list, tuple)):
             raise TypeError(f"expected a list, got {value!r}")
         return tuple(_convert(args[0], v) for v in value)
-    if origin is types.UnionType:
-        if value is None:
-            return None
-        tp = args[0]
     if isinstance(value, bool) and tp is not bool:
         raise TypeError(f"expected {tp.__name__}, got {value!r}")
     if tp is int and isinstance(value, float) and not value.is_integer():
@@ -103,25 +96,19 @@ def _typed(target, section: dict) -> dict:
     return out
 
 
-def _build(target, section: dict, **defaults):
-    """target called with the section over the defaults; whatever it refuses is a ConfigError."""
-    kwargs = {**defaults, **_typed(target, section)}
+def _build(target, section: dict):
+    """target called with the section; whatever it refuses is a ConfigError."""
     try:
-        return target(**kwargs)
+        return target(**_typed(target, section))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{target.__name__}: {exc}") from exc
 
 
-def _integrator_config(section: dict) -> IntegratorConfig:
-    """IntegratorConfig sampled at the nonzero points of linspace(0, t_end, 11)."""
-    cfg = _build(IntegratorConfig, section)
-    return replace(cfg, sample_times=tuple(np.linspace(0.0, cfg.t_end, 11)[1:]))
-
-
-def _simulate_state(positions: tuple[float, ...], charges: tuple[int, ...],
-                    coupling: float | None = None):
-    """The `simulate` section's initial state; no coupling stands for 1/n."""
-    return ParticleState(positions=positions, charges=charges, coupling=coupling)
+def _simulate_args(positions: tuple[float, ...], charges: tuple[int, ...], t_end: float = 1.0):
+    """The `simulate` section: the state at coupling 1/n, sampled at linspace(0, t_end, 11)[1:]."""
+    state = ParticleState(positions=positions, charges=charges)
+    config = IntegratorConfig(t_end=t_end)  # refuses a bad t_end before linspace sees it
+    return state, replace(config, sample_times=tuple(np.linspace(0.0, t_end, 11)[1:]))
 
 
 def _hj_args(initial: str = "sigmoid", snapshots: int = 5):
@@ -151,8 +138,7 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 
 def cmd_simulate(args, cfg: dict) -> int:
-    icfg = _integrator_config(cfg.get("integrator", {}))
-    state = _build(_simulate_state, cfg.get("simulate", {}))
+    state, icfg = _build(_simulate_args, cfg.get("simulate", {}))
     out = _out_dir(args)
     chash = io.config_hash(cfg)
     try:
@@ -177,7 +163,7 @@ def cmd_hj(args, cfg: dict) -> int:
 
 
 def cmd_converge(args, cfg: dict) -> int:
-    spec = _build(harness.ExperimentSpec, cfg.get("experiment", {}), seed=args.seed)
+    spec = _build(harness.ExperimentSpec, cfg.get("experiment", {}))
     out = _out_dir(args)
     chash = io.config_hash(cfg)
     try:
@@ -194,7 +180,7 @@ def cmd_converge(args, cfg: dict) -> int:
 
 
 def cmd_verify(args, cfg: dict) -> int:
-    report = _build(harness.run_property_suite, cfg.get("verify", {}), seed=args.seed)
+    report = _build(harness.run_property_suite, cfg.get("verify", {}))
     out = _out_dir(args)
     (out / "properties.json").write_text(report.to_json() + "\n")
     for name, chk in sorted(report.checks.items()):
@@ -265,10 +251,9 @@ def cmd_moments(args, cfg: dict) -> int:
 
 
 _SCHEMA: dict[str, set[str]] = {
-    "integrator": _keys(IntegratorConfig),
     "scheme": _keys(hjsolver.SchemeConfig),
     "experiment": _keys(harness.ExperimentSpec),
-    "simulate": _keys(_simulate_state),
+    "simulate": _keys(_simulate_args),
     "hj": _keys(_hj_args),
     "verify": _keys(harness.run_property_suite),
     "measure": _keys(_measure_args),
@@ -277,7 +262,7 @@ _SCHEMA: dict[str, set[str]] = {
 
 # each command with the only config sections it reads
 _COMMANDS = {
-    "simulate": (cmd_simulate, {"simulate", "integrator"}),
+    "simulate": (cmd_simulate, {"simulate"}),
     "hj": (cmd_hj, {"hj", "scheme"}),
     "converge": (cmd_converge, {"experiment"}),
     "verify": (cmd_verify, {"verify"}),
@@ -291,7 +276,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", default=None, help="YAML config path")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--version", action="version", version=__version__)
     args = parser.parse_args(argv)
 

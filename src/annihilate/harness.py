@@ -298,7 +298,7 @@ def _ladder_row(spec: ExperimentSpec, n: int, u0: Callable[[np.ndarray], np.ndar
         else:
             traj = evolve(state, spec.integrator_config())
             base = quantized_level_below(u_left, eps, spec.offset)
-            steps = [levelset.from_particles(traj.state_at(t), eps=eps, base=base) for t in times]
+            steps = [levelset.from_particles(traj.state_at(t), base=base) for t in times]
             events = len(traj.events)
         e_n = 0.0
         for k, u_n in enumerate(steps):
@@ -763,7 +763,7 @@ def _check_measures(rng):
         st = _random_state(rng, int(rng.integers(2, 12)))
         mu = measures.from_state(st)
         u_m = measures.cdf(mu)
-        u_p = levelset.from_particles(st, eps=1.0 / st.n)
+        u_p = levelset.from_particles(st)
         xs = np.concatenate([u_p.locations, rng.uniform(-2, 2, 50)])
         ok &= bool(np.array_equal(u_m(xs), u_p(xs)))
         ok &= abs(mu.total_mass() - net_charge(st) / st.n) < 1e-15

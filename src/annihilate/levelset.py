@@ -98,20 +98,15 @@ class StepFunction:
         return self.base + self.eps * self._prefix
 
 
-def from_particles(state: particles.ParticleState, eps: float | None = None, base: float = 0.0) -> StepFunction:
+def from_particles(state: particles.ParticleState, base: float = 0.0) -> StepFunction:
     """Step function of a particle state: one eps-jump per charged particle.
 
-    eps defaults to the state's coupling (level spacing equals coupling in
-    both the classic 1/n system and the rescaled one).  Jump r is the r-th
-    charged particle by index, which is also its place by position.
+    eps is the state's coupling (level spacing equals coupling in both the
+    classic 1/n system and the rescaled one).  Jump r is the r-th charged
+    particle by index, which is also its place by position.
     """
     mask = state.charges != 0
-    return StepFunction(
-        locations=state.positions[mask],
-        signs=state.charges[mask],
-        eps=state.coupling if eps is None else eps,
-        base=base,
-    )
+    return StepFunction(state.positions[mask], state.charges[mask], state.coupling, base=base)
 
 
 def nonlocal_operator_closed_form(u: StepFunction) -> np.ndarray:

@@ -67,12 +67,13 @@ def moments(positions) -> np.ndarray:
     out = np.empty(rows.shape)
     xl = rows.astype(np.longdouble)
     pw = np.ones_like(xl)
-    for k in range(1, n + 1):
-        pw = pw * xl
-        if k < 8:
-            out[:, k - 1] = [_fsum(r) / k for r in pw.astype(float).tolist()]
-        else:
-            out[:, k - 1] = pw.sum(axis=1, dtype=np.longdouble) / k
+    with np.errstate(over="ignore"):  # a moment past float64 is inf, for the caller to judge
+        for k in range(1, n + 1):
+            pw = pw * xl
+            if k < 8:
+                out[:, k - 1] = [_fsum(r) / k for r in pw.astype(float).tolist()]
+            else:
+                out[:, k - 1] = pw.sum(axis=1, dtype=np.longdouble) / k
     return out.reshape(x.shape)
 
 

@@ -315,7 +315,7 @@ def test_criterion_09_example_pair_family():
                 abs(s.positions[0] + pred),
                 abs(s.positions[1] - pred),
             )
-            u_n = L.from_particles(s, eps=eps, base=base)
+            u_n = L.from_particles(s, base=base)
             exact = datum.exact(t, grid)
             worst_sup = max(worst_sup, float(np.max(np.abs(u_n(grid) - exact))) - eps)
     ok = worst_pos <= 1e-6 and worst_sup <= 1e-6

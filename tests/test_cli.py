@@ -6,6 +6,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,8 @@ import yaml
 import annihilate
 from annihilate import harness, hjsolver, moments
 from annihilate.cli import (
-    _COMMANDS, _SCHEMA, _build, _hj_args, _integrator_config, _load_config, _measure_args,
-    _moments_positions, _simulate_state, _typed, main,
+    _COMMANDS, _SCHEMA, _build, _hj_args, _load_config, _measure_args, _moments_positions,
+    _simulate_args, _typed, main,
 )
 from reference import read_events_jsonl, read_trajectory_csv
 
@@ -36,10 +37,8 @@ def write_cfg(tmp_path, payload):
 def pair_config(tmp_path, d0=0.8, n=2):
     return write_cfg(
         tmp_path,
-        {
-            "simulate": {"positions": [0.0, d0], "charges": [1, -1]},
-            "integrator": {"t_end": round(n * d0 * d0 / 4 * 1.5, 6)},
-        },
+        {"simulate": {"positions": [0.0, d0], "charges": [1, -1],
+                      "t_end": round(n * d0 * d0 / 4 * 1.5, 6)}},
     )
 
 
@@ -57,10 +56,7 @@ class TestSimulate:
     def test_equal_charges_no_events(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
-            {
-                "simulate": {"positions": [0.0, 1.0], "charges": [1, 1]},
-                "integrator": {"t_end": 0.5},
-            },
+            {"simulate": {"positions": [0.0, 1.0], "charges": [1, 1], "t_end": 0.5}},
         )
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
@@ -68,10 +64,9 @@ class TestSimulate:
 
     def test_closing_equal_charges_no_events(self, tmp_path):
         # the gap 1e-8 closes for a while under the push of the charge 1e-10
-        # away; equal charges never collide
+        # away (coupling 1/4); equal charges never collide
         x = [0.0, 1.0, 1.0 + 1e-8, 1.0 + 1e-8 + 1e-10]
-        cfg = write_cfg(tmp_path, {"simulate": {"positions": x, "charges": [1, 1, 1, 1],
-                                                "coupling": 0.25}})
+        cfg = write_cfg(tmp_path, {"simulate": {"positions": x, "charges": [1, 1, 1, 1]}})
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert read_events_jsonl(out / "events.jsonl") == []
@@ -88,10 +83,7 @@ class TestSimulate:
         # an inadmissible initial state is a rejected config value
         cfg = write_cfg(
             tmp_path,
-            {
-                "simulate": {"positions": [1.0, 0.0], "charges": [1, -1]},
-                "integrator": {"t_end": 0.1},
-            },
+            {"simulate": {"positions": [1.0, 0.0], "charges": [1, -1], "t_end": 0.1}},
         )
         out = tmp_path / "o"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
@@ -100,21 +92,28 @@ class TestSimulate:
         assert "out of order" in payload["message"]
         assert not out.exists()
 
-    def test_null_optional_values_take_the_default(self, tmp_path):
-        # `coupling: null` is the field's own default
-        plain = {"simulate": {"positions": [0.0, 0.8], "charges": [1, -1]},
-                 "integrator": {"t_end": 0.5}}
-        nulls = {**plain, "simulate": {**plain["simulate"], "coupling": None}}
-        runs = []
-        for name, payload in (("plain", plain), ("null", nulls)):
-            out = tmp_path / name
-            cfg = write_cfg(tmp_path, payload)
+    def test_far_pair_stays_put_without_warnings(self, tmp_path):
+        # the gap 2e300 squares to inf, so the committed pair's tau is inf:
+        # no event, finite rows and no overflow warning
+        cfg = write_cfg(tmp_path, {"simulate": {"positions": [-1.0e300, 1.0e300],
+                                                "charges": [1, -1]}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-            runs.append((read_events_jsonl(out / "events.jsonl"),
-                         *read_trajectory_csv(out / "trajectory.csv")))
-        assert len(runs[0][0]) == 1 and runs[1][0] == runs[0][0]
-        for a, b in zip(runs[0][1:], runs[1][1:]):
-            assert np.array_equal(a, b)
+        assert read_events_jsonl(out / "events.jsonl") == []
+        times, xs, bs = read_trajectory_csv(out / "trajectory.csv")
+        assert np.isfinite(xs).all() and (xs == [-1.0e300, 1.0e300]).all()
+
+    def test_lopsided_triple_collides_near_0(self, tmp_path):
+        # 0 and 1 both round to -5e19 about the span's midpoint, so a state
+        # this lopsided is integrated where it stands: one pair event, exit 0
+        cfg = write_cfg(tmp_path, {"simulate": {"positions": [0.0, 1.0, 1e20],
+                                                "charges": [1, -1, 1]}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        (ev,) = read_events_jsonl(out / "events.jsonl")
+        assert ev["cluster"] == [0, 1] and ev["y"] == 0.5
 
     def test_underflowing_time_scale_exits_3(self, tmp_path, capsys):
         # gaps of 1e-200 have a time scale d^2 / (4 gamma) that underflows to
@@ -231,12 +230,17 @@ class TestOtherCommands:
         assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert json.loads(capsys.readouterr().out)["error"] == "moments"
 
-    @pytest.mark.parametrize("x", [[1.0e200, 2.0e200], [1.0e160, -1.0e160, 3.0]],
-                             ids=["inf-moment", "inf-minus-inf"])
+    @pytest.mark.parametrize("x", [[1.0e200, 2.0e200], [1.0e160, -1.0e160, 3.0],
+                                   [1.0e40] * 7 + [2.0e40]],
+                             ids=["inf-moment", "inf-minus-inf", "inf-extended-moment"])
     def test_moments_past_float64_exits_3(self, tmp_path, capsys, x):
-        # M_2 overflows float64; the second also sums +-inf in M_3
+        # M_2 overflows float64; the second also sums +-inf in M_3; the third
+        # overflows only M_8, summed in extended precision.  A documented
+        # outcome prints no warning
         cfg = write_cfg(tmp_path, {"moments": {"positions": x}})
-        assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert json.loads(capsys.readouterr().out)["error"] == "moments"
 
     @pytest.mark.parametrize("n, code", [(22, 0), (24, 3)])
@@ -286,8 +290,6 @@ class TestConfigSchema:
             ("converge", {"experiment": {"ns": [0, 8]}}),
             ("converge", {"experiment": {"ref_h": 0}}),
             ("hj", {"scheme": {"h": 0}}),
-            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
-                          "integrator": {"rel_tol": -1}}),
             ("verify", {"verify": {"sizes": [1]}}),
             ("measure", {"measure": {"ns": "foo"}}),
             ("measure", {"measure": {"ns": [0, 8]}}),
@@ -311,13 +313,7 @@ class TestConfigSchema:
             ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1.5, -1]}}),
             ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [True, -1]}}),
             ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
-                                       "coupling": True}}),
-            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
-                          "integrator": {"t_end": True}}),
-            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
-                          "integrator": {"rel_tol": float("inf")}}),
-            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
-                          "integrator": {"abs_tol": float("inf")}}),
+                                       "t_end": True}}),
             ("converge", {"experiment": {"t_end": True}}),
             ("verify", {"verify": {"runs": -1}}),
             ("hj", {"hj": {"snapshots": -3}}),
@@ -335,8 +331,6 @@ class TestConfigSchema:
             ("verify", {"verify": {"runs": 1}, "measure": {"ns": [4]}}),
             ("measure", {"measure": {"ns": [4]}, "moments": {"positions": [1.0]}}),
             ("moments", {"moments": {"positions": [1.0]}, "simulate": {}}),
-            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
-                                       "coupling": -1}}),
             ("converge", {"experiment": {"scan_points": 1}}),
             ("converge", {"experiment": {"scan_points": 0}}),
             ("converge", {"experiment": {"ns": []}}),
@@ -346,32 +340,51 @@ class TestConfigSchema:
             ("measure", {"measure": {"threshold": float("inf")}}),
             ("measure", {"measure": {"threshold": -0.1}}),
             ("measure", {"measure": {"threshold": True}}),
-            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
-                          "integrator": {"n_samples": 5.5}}),
-            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
-                          "integrator": {"cluster_gap": True}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
+                                       "n_samples": 5.5}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
+                                       "cluster_gap": True}}),
+            # values for keys that are Python-only now: refused as unknown keys
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
+                                       "rel_tol": -1}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
+                                       "coupling": True}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
+                                       "rel_tol": float("inf")}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
+                                       "abs_tol": float("inf")}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
+                                       "coupling": -1}}),
+            # `null` is never a value, and the horizon must be positive and finite
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
+                                       "t_end": -1}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
+                                       "t_end": float("inf")}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
+                                       "t_end": None}}),
         ],
         ids=[
-            "ns-string", "ns-zero", "ref_h-zero", "h-zero", "rel_tol-negative", "sizes-one",
+            "ns-string", "ns-zero", "ref_h-zero", "h-zero", "sizes-one",
             "measure-ns-string", "measure-ns-zero", "measure-family", "datum", "hj-initial",
             "simulate-out-of-order", "simulate-charge-two", "simulate-positions-string",
             "measure-ns-fraction", "measure-ns-bool", "measure-ns-empty",
             "converge-ns-fraction", "verify-runs-fraction", "hj-snapshots-bool",
             "moments-positions-string", "moments-positions-empty", "moments-positions-nested",
             "moments-positions-nan", "moments-positions-bool", "simulate-charge-fraction",
-            "simulate-charge-bool", "simulate-coupling-bool", "integrator-t_end-bool",
-            "integrator-rel_tol-inf", "integrator-abs_tol-inf",
+            "simulate-charge-bool", "integrator-t_end-bool",
             "experiment-t_end-bool",
             "verify-runs-negative", "hj-snapshots-negative", "hj-snapshots-one",
             "experiment-offset-above-one", "simulate-missing-charges", "moments-missing-positions",
             "converge-reads-no-scheme", "converge-reads-no-integrator",
             "simulate-reads-no-scheme", "simulate-reads-no-experiment", "hj-reads-no-integrator",
             "verify-reads-no-measure", "measure-reads-no-moments", "moments-reads-no-simulate",
-            "simulate-coupling-minus-one",
             "experiment-scan_points-one", "experiment-scan_points-zero", "experiment-ns-empty",
             "scheme-h-not-dividing-2L",
             "measure-threshold-nan", "measure-threshold-inf", "measure-threshold-negative",
             "measure-threshold-bool", "n_samples-fraction", "integrator-cluster_gap-bool",
+            "rel_tol-negative", "simulate-coupling-bool", "integrator-rel_tol-inf",
+            "integrator-abs_tol-inf", "simulate-coupling-minus-one",
+            "simulate-t_end-negative", "simulate-t_end-inf", "simulate-t_end-null",
         ],
     )
     def test_bad_value_exits_2_without_outputs(self, tmp_path, capsys, command, payload):
@@ -384,22 +397,29 @@ class TestConfigSchema:
         "command, payload",
         [
             ("converge", {"experiment": {"boundary_margin_cells": 3}}),
-            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
-                          "integrator": {"store_steps": False}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
+                                       "store_steps": False}}),
             # settings that are constants, not keys
             ("converge", {"experiment": {"abs_tol": 1e-12}}),
             ("converge", {"experiment": {"rel_tol": 1e-9}}),
             ("converge", {"experiment": {"ref_L": 4.0}}),
             ("converge", {"experiment": {"ref_cfl": 0.8}}),
             ("converge", {"experiment": {"n_snapshots": 6}}),
-            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
-                          "integrator": {"safety": 0.5}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
+                                       "safety": 0.5}}),
             ("hj", {"scheme": {"cfl": 0.8}}),
             ("converge", {"experiment": {"ref_rho": 1 / 16}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
+                                       "abs_tol": 1e-12}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
+                                       "rel_tol": 1e-9}}),
+            ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
+                                       "coupling": 0.5}}),
         ],
         ids=["boundary_margin_cells", "store_steps", "experiment-abs_tol", "experiment-rel_tol",
              "experiment-ref_L", "experiment-ref_cfl", "experiment-n_snapshots",
-             "integrator-safety", "scheme-cfl", "experiment-ref_rho"],
+             "integrator-safety", "scheme-cfl", "experiment-ref_rho", "simulate-abs_tol",
+             "simulate-rel_tol", "simulate-coupling"],
     )
     def test_dataclass_field_outside_schema_exits_2(self, tmp_path, command, payload):
         out = tmp_path / "out"
@@ -414,17 +434,17 @@ class TestConfigSchema:
     def test_schema_keys(self):
         # the schema is read from the config dataclasses: a new field must
         # not become a config key unnoticed
-        assert _SCHEMA["integrator"] == {"t_end", "abs_tol", "rel_tol"}
         assert _SCHEMA["scheme"] == {"L", "h", "rho", "t_end"}
         assert _SCHEMA["experiment"] == {
             "datum", "ns", "offset", "t_end", "ref_h", "scan_points", "seed",
         }
-        assert _SCHEMA["simulate"] == {"positions", "charges", "coupling"}
+        assert _SCHEMA["simulate"] == {"positions", "charges", "t_end"}
         assert _SCHEMA["hj"] == {"initial", "snapshots"}
         assert _SCHEMA["verify"] == {"seed", "sizes", "runs", "t_end"}
         assert _SCHEMA["measure"] == {"family", "ns"}
         assert _SCHEMA["moments"] == {"positions"}
-        assert len(_SCHEMA) == 8
+        assert len(_SCHEMA) == 7
+        assert sum(map(len, _SCHEMA.values())) == 23
 
     def test_converge_defaults_come_from_the_spec(self, tmp_path, monkeypatch):
         seen = []
@@ -435,9 +455,8 @@ class TestConfigSchema:
 
         monkeypatch.setattr(harness, "run_convergence", capture)
         cfg = write_cfg(tmp_path, {"experiment": None})
-        argv = ["converge", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "7"]
-        assert main(argv) == 3
-        assert seen == [harness.ExperimentSpec(datum="sigmoid", seed=7)]
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert seen == [harness.ExperimentSpec(datum="sigmoid", seed=0)]
 
 
 class TestFormatsDoc:
@@ -470,6 +489,15 @@ class TestFormatsDoc:
                 a in modules and hasattr(importlib.import_module(f"annihilate.{a}"), b))
 
         assert {name for name in named if not resolves(name)} == set()
+
+    def test_usage_line_names_the_parser_options(self, capsys):
+        # a flag removed from the parser must leave README's usage line with it
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        usage = capsys.readouterr().out.split("\n\n", 1)[0]
+        readme = (ROOT / "README.md").read_text()
+        line = re.search(r"^annihilate <command> .*$", readme, flags=re.M).group(0)
+        assert set(re.findall(r"--\w+", line)) == set(re.findall(r"--\w+", usage))
 
     def test_check_list_is_the_suite(self):
         # the bulleted check names under properties.json are the suite's checks, in order
@@ -536,10 +564,9 @@ WORKLOADS = _workloads()
 
 # each section's build, short of running anything: the suite's arguments are only bound
 SECTION_BUILDS = {
-    "integrator": _integrator_config,
     "scheme": lambda sec: _build(hjsolver.SchemeConfig, sec),
     "experiment": lambda sec: _build(harness.ExperimentSpec, sec),
-    "simulate": lambda sec: _build(_simulate_state, sec),
+    "simulate": lambda sec: _build(_simulate_args, sec),
     "hj": lambda sec: _build(_hj_args, sec),
     "verify": lambda sec: inspect.signature(harness.run_property_suite).bind(
         **_typed(harness.run_property_suite, sec)),

@@ -60,7 +60,7 @@ class TestSampler:
         for n in (8, 16, 32):
             st = Hn.sample_particles(u0, n, 0.5, window=(-4, 4))
             base = Hn.quantized_level_below(u0(-4.0), 1.0 / n, 0.5)
-            u_n = from_particles(st, eps=1.0 / n, base=base)
+            u_n = from_particles(st, base=base)
             xs = np.linspace(-4, 4, 4001)
             diff = u0(xs) - u_n(xs)
             assert np.min(diff) >= -1e-12

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from annihilate import integrator
+from annihilate import harness, integrator
 from annihilate.integrator import (
     COLLISION_SAFETY,
     EvolveError,
@@ -184,6 +184,14 @@ class TestEvolve:
         # evolve would step towards an infinite horizon without end
         with pytest.raises(ValueError, match="finite"):
             IntegratorConfig(t_end=np.inf)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("rel_tol", -1.0, "positive"), ("abs_tol", 0.0, "positive"),
+        ("rel_tol", np.inf, "finite"), ("abs_tol", np.inf, "finite"),
+    ])
+    def test_tolerances_must_be_positive_and_finite(self, field, value, match):
+        with pytest.raises(ValueError, match=f"{field} must be {match}"):
+            IntegratorConfig(**{field: value})
 
     def test_pair_annihilation_time(self):
         a = 0.6
@@ -712,6 +720,10 @@ class TestDegenerateFuzz:
     # a gap of 1e300 squares to inf, so the committed pair's tau is inf and
     # its members stay where they were committed
     @example(make([-1e300, 1e300], [1, -1]))
+    # about the charged span's midpoint 5e19, 0 and 1 would coincide
+    @example(make([0.0, 1.0, 1e20], [1, -1, 1]))
+    # a neutral shifted by the charged span's midpoint 1.25e308 would be -inf
+    @example(make([-1e308, 1e308, 1.5e308], [0, 1, -1]))
     @settings(max_examples=100, deadline=None)
     def test_only_typed_errors_escape(self, s):
         try:
@@ -845,3 +857,83 @@ class TestCollisionProfiles:
         ratios = [a / c for a, c in zip(offsets[:-1], offsets[1:])]
         want = 100.0 ** (1.0 / 7.0)
         assert all(abs(q / want - 1.0) <= 0.05 for q in ratios), (offsets, ratios)
+
+
+class TestSymmetries:
+    """evolve() commutes with translation, reflection and charge flip of the ODE.
+
+    On 20 random n = 8 states, whose lengths and times are O(1), sampled at
+    0.1, 0.2, ..., 1.0.  A translated run is integrated from the midpoint of
+    its charged span, so it differs from the plain run only by the rounding
+    of x + c, a few ulp(c).
+    """
+
+    CFG = IntegratorConfig(t_end=1.0, sample_times=tuple(np.linspace(0.0, 1.0, 11)[1:]),
+                           store_steps=False)
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        rng = np.random.default_rng(1)
+        states = [harness._random_state(rng, 8) for _ in range(20)]
+        return [(s, evolve(s, self.CFG)) for s in states]
+
+    @pytest.mark.parametrize("k, ulps", [(20, 8), (30, 8), (40, 64)])
+    def test_translation(self, runs, k, ulps):
+        c = 2.0**k
+        bound = ulps * np.spacing(c)
+        for s, base in runs:
+            moved = evolve(make(s.positions + c, s.charges), self.CFG)
+            assert [(ev.cluster, ev.post_charges) for ev in moved.events] == [
+                (ev.cluster, ev.post_charges) for ev in base.events]
+            for ev, ref in zip(moved.events, base.events):
+                assert abs(ev.tau - ref.tau) <= bound and abs(ev.y - c - ref.y) <= bound
+            assert np.abs(moved.final.positions - c - base.final.positions).max() <= bound
+
+    def test_translated_triple_at_1e15_collides(self):
+        # gaps of 2 ulps of 1e15: integrated about 0, the steps no longer round away
+        x = 1e15 + np.array([0.0, 0.25, 0.5])
+        traj = evolve(make(x, [1, -1, 1]), CFG)
+        assert traj.positions[0].tolist() == x.tolist()
+        (ev,) = traj.events
+        assert ev.cluster == (0, 1, 2)
+        assert ev.tau == pytest.approx(0.1875, rel=1e-8)
+        assert ev.y == x[1]
+
+    def test_lopsided_state_keeps_its_precision_near_0(self):
+        # the span [0, 1e10] is not centred: about 5e9 the gap 1e-3 would be
+        # held to 1e-6, and tau = g^2 / (4 gamma) off by 2e-3 relative
+        traj = evolve(make([0.0, 1e-3, 1e10], [1, -1, 1]), CFG)
+        (ev,) = traj.events
+        assert ev.cluster == (0, 1)
+        assert ev.tau == pytest.approx(1e-6 / (4 / 3), rel=1e-9)
+        assert ev.y == pytest.approx(5e-4, abs=1e-18)
+
+    @pytest.mark.parametrize("x, b", [
+        ([0.1, 1e15, 1e15 + 0.25], [0, 1, -1]),
+        ([-1e308, 1e308, 1.5e308], [0, 1, -1]),
+    ])
+    def test_neutrals_keep_their_input_positions(self, x, b):
+        traj = evolve(make(x, b), CFG)
+        assert (traj.positions[:, 0] == x[0]).all()
+        assert np.isfinite(traj.positions).all()
+
+    def test_reflection(self, runs):
+        for s, base in runs:
+            r = evolve(make(-s.positions[::-1], s.charges[::-1]), self.CFG)
+            n = s.n
+            assert [tuple(sorted(n - 1 - i for i in ev.cluster)) for ev in r.events] == [
+                ev.cluster for ev in base.events]
+            for ev, ref in zip(r.events, base.events):
+                assert abs(ev.tau - ref.tau) <= 1e-13 and abs(ev.y + ref.y) <= 1e-13
+            assert np.abs(r.times - base.times).max() <= 1e-13
+            assert np.abs(-r.positions[:, ::-1] - base.positions).max() <= 1e-13
+            assert np.array_equal(r.charges[:, ::-1], base.charges)
+
+    def test_charge_flip(self, runs):
+        for s, base in runs:
+            f = evolve(make(s.positions, -s.charges), self.CFG)
+            assert [(ev.tau, ev.y, ev.cluster) for ev in f.events] == [
+                (ev.tau, ev.y, ev.cluster) for ev in base.events]
+            assert np.array_equal(f.times, base.times)
+            assert np.array_equal(f.positions, base.positions)
+            assert np.array_equal(f.charges, -base.charges)

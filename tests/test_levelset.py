@@ -25,7 +25,7 @@ class TestFromParticles:
         assert u(2.0) == 0.0
 
     def test_all_neutral_is_constant(self):
-        u = L.from_particles(make([0.0, 1.0], [0, 0]), eps=0.5, base=0.25)
+        u = L.from_particles(make([0.0, 1.0], [0, 0]), base=0.25)
         xs = np.linspace(-2, 2, 11)
         assert np.all(u(xs) == 0.25)
 

@@ -63,7 +63,7 @@ class TestCdf:
             b = rng.choice([-1, 1], n)
             st = ParticleState(positions=x, charges=b)
             u_m = M.cdf(M.from_state(st))
-            u_p = from_particles(st, eps=1.0 / n)
+            u_p = from_particles(st)
             pts = np.concatenate([x, rng.uniform(-3, 3, 60)])
             assert np.array_equal(u_m(pts), u_p(pts))
 

@@ -44,6 +44,11 @@ class TestValidate:
         with pytest.raises(InvalidState):
             make([0.0, 1.0], [2, -1])
 
+    @pytest.mark.parametrize("coupling", [-1.0, 0.0, np.inf, np.nan])
+    def test_coupling_must_be_positive_and_finite(self, coupling):
+        with pytest.raises(InvalidState, match="coupling must be positive"):
+            make([0.0, 1.0], [1, -1], coupling)
+
     def test_needs_two_particles(self):
         with pytest.raises(InvalidState):
             ParticleState(positions=np.array([0.0]), charges=np.array([1]))
