@@ -62,9 +62,13 @@ closes are linked, and two criteria apply in turn:
 
 The charges change only at events and commits, so between them evolve()
 carries the positions, the charges and the clock as plain arrays and a
-float, and works out the charged particles and their opposite-sign
-neighbors once per segment.  A ParticleState is built only after an
-event, which validates every post-event state.  The Trajectory stores its
+float, and works out once per segment the charged particles, their int
+and float charges, gamma times the charges, their opposite-sign neighbors
+and the force kernel's m x m scratch.  _step_core steps only the charged
+positions, m of the n particles; neutral particles and committed members
+do not move, so each accepted step writes the charged positions into a
+copy of the full row.  A ParticleState is built only after an event,
+which validates every post-event state.  The Trajectory stores its
 samples as arrays too: times (K,), positions (K, n) and charges (K, n).
 """
 from __future__ import annotations
@@ -75,7 +79,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .particles import EventRecord, InvalidState, ParticleState, m2_rate, velocity_field
+from .particles import (
+    EventRecord, ForceWorkspace, InvalidState, ParticleState, m2_rate, velocity_field,
+)
 
 __all__ = [
     "IntegratorConfig",
@@ -238,13 +244,20 @@ _GUS_EXP = 1 / 5
 
 
 class _Segment:
-    """The fixed charges and the step-size memory of one inter-event segment of evolve()."""
+    """The fixed charges and the step-size memory of one inter-event segment of evolve().
+
+    Built from the integrated field's charges b over all n particles:
+    charged lists the m particles that carry one, bc their int charges and
+    bf their float copy, and work is the force kernel's workspace for them.
+    """
 
     def __init__(self, b: np.ndarray, gamma: float):
-        self.b, self.gamma = b, gamma
+        self.n, self.gamma = b.size, gamma
         self.charged = np.flatnonzero(b)
-        bc = b[self.charged]
-        self.opposite = bc[:-1] != bc[1:]  # adjacent charged pairs of opposite sign
+        self.bc = b[self.charged]
+        self.bf = self.bc.astype(float)
+        self.work = ForceWorkspace(self.bf, gamma)
+        self.opposite = self.bc[:-1] != self.bc[1:]  # adjacent charged pairs of opposite sign
         self.hint = math.inf  # first dt to try
         # error norm and size of the last controller-updated step; the error
         # is floored at 1e-4 and starts at the floor, and the first step of a
@@ -262,20 +275,20 @@ def _step_core(
     k0: np.ndarray,
     stats: StepStats,
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """One accepted embedded RK step from positions x at time t; returns (new x, dt taken, f(new x)).
+    """One accepted RK step of the charged positions x from t; returns (new x, dt taken, f(new x)).
 
-    k0 is f(x).  dt starts from min(dt_max, collision cap, seg.hint) and
-    shrinks until the local error estimate passes the tolerances and every
-    stage keeps the charged particles strictly ordered;
-    seg's step-size memory is updated for the next step.  Fewer than two
-    charges advance by dt_max exactly.
+    x holds seg's m charged particles in order and k0 is f(x).  dt starts
+    from min(dt_max, collision cap, seg.hint) and shrinks until the local
+    error estimate passes the tolerances and every stage keeps x strictly
+    increasing; seg's step-size memory is updated for the next step.  The
+    error norm is the RMS over all seg.n particles, whose other entries are
+    exactly 0.  Fewer than two charges advance by dt_max exactly.
     """
-    b, gamma, charged = seg.b, seg.gamma, seg.charged
-    if charged.size < 2:
+    gamma = seg.gamma
+    if x.size < 2:
         return x, dt_max, k0
 
-    xc = x[charged]
-    gaps = xc[1:] - xc[:-1]
+    gaps = x[1:] - x[:-1]
     cap = math.inf
     if seg.opposite.any():
         g = float(gaps[seg.opposite].min())
@@ -297,16 +310,15 @@ def _step_core(
             raise StepSizeUnderflow(f"dt={dt:.3e} at t={t:.6e}; pathological state")
         for s in range(1, 7):
             xs = x + dt * (_DP_A[s] @ k[:s])
-            xc = xs[charged]
-            if not (xc[1:] > xc[:-1]).all():
+            if not (xs[1:] > xs[:-1]).all():
                 break
-            k[s] = velocity_field(xs, b, gamma)
+            k[s] = velocity_field(xs, seg.bf, gamma, work=seg.work)
             stats.force_evals += 1
         else:
             # xs is now the 5th-order solution x5 and k[6] = f(x5)
             scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(x), np.abs(xs))
             r = dt * (_DP_E @ k) / scale
-            err = math.sqrt(r @ r / r.size)  # RMS of the scaled error estimate
+            err = math.sqrt(r @ r / seg.n)  # RMS of the scaled error estimate
             if err <= 1.0:
                 if not target_bound:
                     # a step clipped by the requested horizon says nothing
@@ -358,8 +370,9 @@ def detect_clusters(
     if c.size < 2:
         return []
     xc, bc = x[c], b[c]
-    g = np.diff(xc)
-    closing = (bc[:-1] != bc[1:]) & (np.diff(v[c]) < 0.0)
+    vc = v[c]
+    g = xc[1:] - xc[:-1]
+    closing = (bc[:-1] != bc[1:]) & (vc[1:] - vc[:-1] < 0.0)
     if not closing.any():
         return []
     outer = np.full_like(g, np.inf)
@@ -460,9 +473,13 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
             xs.append(row)
             bs.append(b)
 
-    def forces() -> np.ndarray:
+    def begin_segment():
+        """Build the segment of the integrated charges flow and f at the current x."""
+        nonlocal seg, xc, vc
+        seg = _Segment(flow, gamma)
+        xc = x[seg.charged]
         stats.force_evals += 1
-        return velocity_field(x, flow, gamma)
+        vc = velocity_field(xc, seg.bf, gamma, work=seg.work)
 
     def trajectory() -> Trajectory:
         positions = np.array(xs)
@@ -473,17 +490,16 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
 
     def commit(clusters: list[list[int]]):
         """Fix the collisions of clusters and take them out of the integrated field."""
-        nonlocal flow, pending, v, seg
+        nonlocal flow, pending
         committed = resolve_annihilation(x, flow, t, gamma, clusters)
         pending = sorted(pending + [(ev, t) for ev in committed], key=lambda p: p[0].tau)
         flow = flow.copy()
         flow[[i for ev in committed for i in ev.cluster]] = 0
-        v = forces()
-        seg = _Segment(flow, gamma)
+        begin_segment()
 
     def collide() -> bool:
         """Apply the committed collisions due by t; False when there are none."""
-        nonlocal x, b, flow, pending, v, seg
+        nonlocal x, b, flow, pending
         due = [ev for ev, _ in pending if ev.tau <= t]
         if not due:
             return False
@@ -498,8 +514,7 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
         stats.events += len(due)
         if any(any(ev.post_charges) for ev in due):
             # a survivor rejoins the integrated field
-            v = forces()
-            seg = _Segment(flow, gamma)
+            begin_segment()
         return True
 
     targets = [config.t_end]
@@ -507,18 +522,23 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
         targets = sorted(set(s for s in config.sample_times if s <= config.t_end) | {config.t_end})
     targets = [s for s in targets if s > t]
 
-    # f(x) and the segment stay valid until the integrated charges change
-    v = forces()
-    seg = _Segment(flow, gamma)
+    # between events only the segment's charged positions xc move, with
+    # velocities vc = f(xc); the segment stays valid until the integrated
+    # charges change
+    seg, xc, vc = None, None, None
+    begin_segment()
     try:
         for target in targets:
             while t < target:
                 if stats.accepted > MAX_STEPS:
                     raise StepSizeUnderflow(f"exceeded {MAX_STEPS} steps at t={t:.6e}")
-                while clusters := detect_clusters(x, flow, v, t, gamma):
-                    commit(clusters)
+                while clusters := detect_clusters(xc, seg.bc, vc, t, gamma):
+                    commit([seg.charged[cl].tolist() for cl in clusters])
                 stop = min(target, pending[0][0].tau) if pending else target
-                x, dt, v = _step_core(x, t, stop - t, seg, config, v, stats)
+                xc, dt, vc = _step_core(xc, t, stop - t, seg, config, vc, stats)
+                # stored rows are kept by reference, so the step writes a new one
+                x = x.copy()
+                x[seg.charged] = xc
                 t += dt
                 stats.accepted += 1
                 stats.dt_min, stats.dt_max = min(stats.dt_min, dt), max(stats.dt_max, dt)

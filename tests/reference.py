@@ -180,9 +180,12 @@ def step(
     state: ParticleState, dt_max: float, config: IntegratorConfig
 ) -> tuple[ParticleState, float]:
     """Single accepted integrator step with no history: the hint starts unconstrained."""
-    k0 = velocity_field(state.positions, state.charges, state.coupling)
     seg = _Segment(state.charges, state.coupling)
-    x, dt, _ = _step_core(state.positions, state.time, dt_max, seg, config, k0, StepStats())
+    xc = state.positions[seg.charged]
+    k0 = velocity_field(xc, seg.bf, state.coupling, work=seg.work)
+    xc, dt, _ = _step_core(xc, state.time, dt_max, seg, config, k0, StepStats())
+    x = state.positions.copy()
+    x[seg.charged] = xc
     return ParticleState(positions=x, charges=state.charges, coupling=state.coupling,
                          time=state.time + dt), dt
 

@@ -569,9 +569,9 @@ class TestStats:
         calls = []
         real = integ.velocity_field
 
-        def counting(x, b, g):
+        def counting(x, b, g, **kw):
             calls.append(1)
-            return real(x, b, g)
+            return real(x, b, g, **kw)
 
         monkeypatch.setattr(integ, "velocity_field", counting)
         traj = integ.evolve(_random_16(), IntegratorConfig(t_end=1.0))
@@ -585,9 +585,8 @@ class TestStats:
         real = integrator._step_core
 
         def spy(x, t, dt_max, seg, config, k0, stats):
-            xc = x[seg.charged]
             if seg.opposite.any():
-                g = float(np.diff(xc)[seg.opposite].min())
+                g = float(np.diff(x)[seg.opposite].min())
                 cap = COLLISION_SAFETY * g * g / (4.0 * seg.gamma)
                 capped.append(cap <= seg.hint and cap < dt_max)
             return real(x, t, dt_max, seg, config, k0, stats)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from annihilate.particles import (
     EventRecord,
+    ForceWorkspace,
     InvalidState,
     NonFiniteForce,
     ParticleState,
@@ -83,11 +84,23 @@ class TestForce:
             assert v[i] == pytest.approx(force(s, i), rel=1e-13, abs=1e-15)
 
 
+def _workspace_field(x, b, gamma):
+    """velocity_field's workspace path on the charged sub-vector, scattered back to all n."""
+    c = np.flatnonzero(b)
+    bf = b[c].astype(float)
+    v = np.zeros(x.size)
+    v[c] = velocity_field(x[c], bf, gamma, work=ForceWorkspace(bf, gamma))
+    return v
+
+
 class TestKernelAccuracy:
     """velocity_field against an exactly rounded sum at the sizes the ladder runs."""
 
-    @pytest.mark.parametrize("n", [64, 128, 316])
-    def test_matches_fsum_with_near_collision(self, n):
+    @pytest.mark.parametrize("n, kernel", [
+        *(pytest.param(n, velocity_field, id=str(n)) for n in (64, 128, 316)),
+        *(pytest.param(n, _workspace_field, id=f"workspace-{n}") for n in (64, 128, 316)),
+    ])
+    def test_matches_fsum_with_near_collision(self, n, kernel):
         rng = np.random.default_rng(n)
         x = np.sort(rng.uniform(-1.0, 1.0, n))
         b = rng.choice([-1, 1], n)
@@ -95,7 +108,7 @@ class TestKernelAccuracy:
         b[k], b[k + 1] = 1, -1
         x[k + 1] = x[k] + 1e-7 * (x[-1] - x[0])
         gamma = 1.0 / n
-        v = velocity_field(x, b, gamma)
+        v = kernel(x, b, gamma)
         eps = np.finfo(float).eps
         for i in range(n):
             terms = [b[i] * b[j] / (x[i] - x[j]) for j in range(n) if j != i]
@@ -103,6 +116,21 @@ class TestKernelAccuracy:
             bound = 4.0 * eps * gamma * math.fsum(abs(t) for t in terms)
             assert abs(v[i] - exact) <= bound, (i, v[i] - exact, bound)
         assert abs(math.fsum(v)) <= 1e-12 * np.max(np.abs(v))
+
+    def test_workspace_path_is_bit_identical(self):
+        # the workspace path does the same divisions and row sums as the
+        # public one: sizes 2..200, scales 1e-6..1e6, neutral particles
+        # among the charges and one near-collision pair
+        rng = np.random.default_rng(2)
+        for _ in range(600):
+            n = int(rng.integers(2, 201))
+            x = np.sort(rng.uniform(-1.0, 1.0, n)) * 10.0 ** rng.uniform(-6.0, 6.0)
+            b = rng.choice([-1, 0, 1], n)
+            k = int(rng.integers(0, n - 1))
+            b[k], b[k + 1] = rng.choice([-1, 1], 2)
+            x[k + 1] = x[k] + 1e-9 * (x[-1] - x[0])
+            gamma = 10.0 ** rng.uniform(-3.0, 0.0)
+            assert np.array_equal(_workspace_field(x, b, gamma), velocity_field(x, b, gamma))
 
 
 coords = st.lists(

@@ -5,14 +5,15 @@ such as `harness.evolve`; moving a function out of a module breaks the
 tracer without breaking any call inside the package.  Its counters read
 the call sites too: `evolve` must call `velocity_field` and
 `detect_clusters` through the `integrator` module, and make one
-`velocity_field` call per evaluation and one detection that finds nothing
-per accepted step.
+`velocity_field` call per evaluation, with the charges it sums over as the
+second argument, and one detection that finds nothing per accepted step.
 """
 import importlib
 import importlib.util
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import annihilate
@@ -59,6 +60,18 @@ def test_trace_counters_equal_integrator_counters(monkeypatch):
         mod, name = attr.rsplit(".", 1)
         module = importlib.import_module(f"annihilate.{mod}")
         monkeypatch.setattr(module, name, getattr(module, name))  # undone after the test
+    # the pairs each kernel call sums over, from the rows it computes
+    from annihilate import integrator
+
+    pairs = []
+    kernel = integrator.velocity_field
+
+    def spy(x, b, coupling, *, work=None):
+        m = x.size if work is not None else int(np.count_nonzero(b))
+        pairs.append(m * (m - 1))
+        return kernel(x, b, coupling, work=work)
+
+    monkeypatch.setattr(integrator, "velocity_field", spy)
     tracer = layers.Tracer()
     tracer.install()
     from annihilate import harness
@@ -76,7 +89,8 @@ def test_trace_counters_equal_integrator_counters(monkeypatch):
         force_evals += traj.stats.force_evals
         events += len(traj.events)
         metrics = tracer.layer_metrics()
-        assert tracer.counts["step_evals"] == force_evals
+        assert tracer.counts["step_evals"] == force_evals == len(pairs)
+        assert metrics["particles.velocity_field.pairs"] == sum(pairs)
         assert metrics["integrator.accepted_steps"] == accepted
         assert metrics["integrator.events"] == events
     assert traj.events and accepted > 0
