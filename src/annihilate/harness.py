@@ -401,19 +401,17 @@ def fit_collision_exponent(traj: Trajectory, event: EventRecord) -> float | None
     """Log-log slope of the cluster diameter against time-to-collision.
 
     Uses the stored pre-collision snapshots of the event's last
-    inter-event segment (rows whose charges all equal those of the last
-    row before tau: earlier rows follow another ODE) whose time-to-collision
+    inter-event segment (the run of equal charges holding the last row
+    before tau: earlier rows follow another ODE) whose time-to-collision
     lies in the last two available decades; returns None when fewer than
     five points exist (no fit).
     """
-    before = np.flatnonzero(traj.times < event.tau)  # the times never decrease
-    if not before.size:
-        return None
-    charges = traj.charges[before]
-    xs = traj.positions[before][:, list(event.cluster)]
+    k = int(np.searchsorted(traj.times, event.tau))  # the first row at or after tau
+    start = next((lo for lo, hi in _charge_runs(traj) if lo < k <= hi), k)
+    xs = traj.positions[start:k, list(event.cluster)]
     ds = xs.max(axis=1) - xs.min(axis=1)
-    dts = event.tau - traj.times[before]
-    keep = (charges == charges[-1]).all(axis=1) & (ds > 0) & (dts > 0)
+    dts = event.tau - traj.times[start:k]
+    keep = (ds > 0) & (dts > 0)
     ds, dts = ds[keep], dts[keep]
     if len(ds) < 5:
         return None
@@ -516,7 +514,10 @@ def run_property_suite(
 
 
 def _charge_runs(traj: Trajectory) -> list[tuple[int, int]]:
-    """Row ranges [lo, hi) of the trajectory over which the charges stay equal, in order."""
+    """Row ranges [lo, hi) of equal charges, in order: the inter-event segments.
+
+    evolve stores a row at every event time, holding the charges after it.
+    """
     b = traj.charges
     cuts = np.flatnonzero((b[1:] != b[:-1]).any(axis=1)) + 1
     edges = [0, *cuts.tolist(), len(b)]
@@ -541,16 +542,11 @@ def _m2(x: np.ndarray) -> float:
 
 
 def _check_m2(traj):
-    """Between events M2 moves at the constant rate gamma/2 ((sum b)^2 - sum b^2)."""
+    """On each run of equal charges M2 moves at the rate gamma/2 ((sum b)^2 - sum b^2)."""
     rel_tol = 1e-6
-    times = traj.times
-    for a, b in traj.segments():
-        inside = np.flatnonzero(((a + 1e-13 < times) & (times < b - 1e-13))
-                                | ((a == times[0]) & (times == a)))
-        if len(inside) < 2:
-            continue
-        k0, k1 = inside[0], inside[-1]
-        dt = times[k1] - times[k0]
+    for k0, end in _charge_runs(traj):
+        k1 = end - 1
+        dt = traj.times[k1] - traj.times[k0]
         # difference quotients over short spans amplify the integrator's
         # position error past the 1e-6 relative target; skip them
         if dt <= 0.05:
@@ -630,22 +626,12 @@ def _check_dm_lipschitz(traj):
 
 
 def _check_energy(traj):
-    """Between events the energy of each sample is at most its predecessor's, to 1e-9 relative.
-
-    A sample at an event time starts afresh, and so does a pair of samples
-    with an event strictly between them.
-    """
-    times = traj.times
-    taus = np.array([ev.tau for ev in traj.events])
-    e = np.concatenate([energy(traj.positions[lo:hi], traj.charges[lo])
-                        for lo, hi in _charge_runs(traj)])
-    at_event = (np.abs(times[:, None] - taus[None, :]) < 1e-13).any(axis=1)
-    between = ((times[:-1, None] < taus[None, :]) & (taus[None, :] < times[1:, None])).any(axis=1)
-    pairs = np.flatnonzero(~at_event[1:] & ~at_event[:-1] & ~between) + 1
-    prev = e[pairs - 1]
-    tol = 1e-9 * (1.0 + np.abs(prev))
-    for t, ek, lim in zip(times[pairs].tolist(), e[pairs].tolist(), (prev + tol).tolist()):
-        yield ek <= lim, lim - ek, f"t={t:.3f}"
+    """Within a run of equal charges no row's energy exceeds the row before's, to 1e-9 relative."""
+    for lo, hi in _charge_runs(traj):
+        e = energy(traj.positions[lo:hi], traj.charges[lo])
+        lim = e[:-1] + 1e-9 * (1.0 + np.abs(e[:-1]))
+        for t, ek, lk in zip(traj.times[lo + 1:hi].tolist(), e[1:].tolist(), lim.tolist()):
+            yield ek <= lk, lk - ek, f"t={t:.3f}"
 
 
 def _check_events(traj):

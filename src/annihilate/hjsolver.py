@@ -52,7 +52,7 @@ class SchemeConfig:
     """Grid and stepping parameters.
 
     h divides 2L into whole cells.  rho is the near/far split radius and
-    is snapped to an integer number of cells r = rho/h (at least 2).
+    is snapped to an integer number of cells r = rho/h, from 2 to 2L/h.
     """
 
     L: float = 4.0
@@ -63,12 +63,12 @@ class SchemeConfig:
     def __post_init__(self):
         if not (0 < self.L < math.inf and self.h > 0 and 0 < self.t_end < math.inf):
             raise ValueError("L and t_end must be positive and finite, h positive")
-        r = int(round(self.rho / self.h))
-        if r < 2 or abs(r * self.h - self.rho) > 1e-9 * self.h:
-            raise ValueError("rho must be an integer multiple of h, at least 2h")
         cells = round(2 * self.L / self.h)
         if abs(cells * self.h - 2 * self.L) > 1e-9 * self.h:
             raise ValueError(f"h must divide 2L = {2 * self.L!r} into whole cells, got {self.h!r}")
+        r = int(round(self.rho / self.h))
+        if not 2 <= r <= cells or abs(r * self.h - self.rho) > 1e-9 * self.h:
+            raise ValueError("rho must be an integer multiple of h, from 2h to 2L")
 
 
 @dataclass

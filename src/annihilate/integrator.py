@@ -62,14 +62,15 @@ closes are linked, and two criteria apply in turn:
 
 The charges change only at events and commits, so between them evolve()
 carries the positions, the charges and the clock as plain arrays and a
-float, and works out once per segment the charged particles, their int
-and float charges, gamma times the charges, their opposite-sign neighbors
-and the force kernel's m x m scratch.  _step_core steps only the charged
-positions, m of the n particles; neutral particles and committed members
-do not move, so each accepted step writes the charged positions into a
-copy of the full row.  A ParticleState is built only after an event,
-which validates every post-event state.  The Trajectory stores its
-samples as arrays too: times (K,), positions (K, n) and charges (K, n).
+float, and works out once per segment, from b less the committed
+clusters, the charged particles, their charges and the force workspace.
+_step_core, velocity_field and detect_clusters see only those m of the n
+particles; neutral particles and committed members do not move, so each
+accepted step writes the charged positions into a copy of the full row.
+A ParticleState is built only after an event, which validates every
+post-event state.  The Trajectory stores times (K,), positions (K, n)
+and charges (K, n), with a row at every event time holding the charges
+after it: the inter-event segments are the runs of equal charges.
 """
 from __future__ import annotations
 
@@ -210,11 +211,6 @@ class Trajectory:
             raise KeyError(f"no stored sample at t={t}")
         return self.state(int(hits[0]))
 
-    def segments(self) -> list[tuple[float, float]]:
-        """Inter-event intervals covering [t0, t_end]."""
-        cuts = [self.times[0]] + [ev.tau for ev in self.events] + [self.times[-1]]
-        return [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
-
 
 # Dormand-Prince 5(4) tableau.  The last stage point is the 5th-order
 # solution (A[6] equals the 5th-order weights), so k[6] = f(x5) is the
@@ -349,8 +345,10 @@ def detect_clusters(
 ) -> list[list[int]]:
     """The groups of charged particles ripe for annihilation, from the state alone.
 
-    A closing link joins two adjacent charged neighbors (positions x,
-    charges b) of opposite sign whose gap g shrinks under the velocities v.
+    x, b and v are the positions, charges and velocities of the charged
+    particles only, in order, and the groups are lists of indices into
+    them; a zero charge raises InvalidState.  A closing link joins two
+    adjacent neighbors of opposite sign whose gap g shrinks under v.
     If any closing link has g < PAIR_ISOLATION times the nearer of its
     outer gaps (an end pair has only one), exactly those pairs are
     returned.  Otherwise closing links with g < CLUSTER_GAP * L are joined
@@ -366,13 +364,10 @@ def detect_clusters(
     would have, and it is invariant under translation, reflection, charge
     flip and the scaling x -> lambda x, t -> lambda^2 t.
     """
-    c = np.flatnonzero(b)
-    if c.size < 2:
-        return []
-    xc, bc = x[c], b[c]
-    vc = v[c]
-    g = xc[1:] - xc[:-1]
-    closing = (bc[:-1] != bc[1:]) & (vc[1:] - vc[:-1] < 0.0)
+    if not b.all():
+        raise InvalidState("detect_clusters takes the charged particles only")
+    g = x[1:] - x[:-1]
+    closing = (b[:-1] != b[1:]) & (v[1:] - v[:-1] < 0.0)
     if not closing.any():
         return []
     outer = np.full_like(g, np.inf)
@@ -380,14 +375,14 @@ def detect_clusters(
     np.minimum(outer[:-1], g[1:], out=outer[:-1])
     isolated = closing & (g < PAIR_ISOLATION * outer)
     if isolated.any():
-        return [[int(c[k]), int(c[k + 1])] for k in np.flatnonzero(isolated)]
-    linked = closing & (g < CLUSTER_GAP * max(float(xc[-1] - xc[0]), math.sqrt(gamma * abs(t))))
+        return [[k, k + 1] for k in np.flatnonzero(isolated).tolist()]
+    linked = closing & (g < CLUSTER_GAP * max(float(x[-1] - x[0]), math.sqrt(gamma * abs(t))))
     clusters: list[list[int]] = []
-    for k in np.flatnonzero(linked):
-        if clusters and clusters[-1][-1] == c[k]:
-            clusters[-1].append(int(c[k + 1]))
+    for k in np.flatnonzero(linked).tolist():
+        if clusters and clusters[-1][-1] == k:
+            clusters[-1].append(k + 1)
         else:
-            clusters.append([int(c[k]), int(c[k + 1])])
+            clusters.append([k, k + 1])
     return clusters
 
 
@@ -451,7 +446,6 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
     lo, hi = (float(x[moving][0]), float(x[moving][-1])) if moving.any() else (0.0, 0.0)
     c0 = 0.5 * lo + 0.5 * hi if 0 < lo and hi <= 2 * lo or hi < 0 and lo >= 2 * hi else 0.0
     shift = np.where(moving, c0, 0.0)
-    flow = b  # the charges of the integrated field: b less the committed clusters
     # the committed clusters' events and commit times, in tau order
     pending: list[tuple[EventRecord, float]] = []
     times, xs, bs, events = [t], [x], [b], []
@@ -474,8 +468,10 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
             bs.append(b)
 
     def begin_segment():
-        """Build the segment of the integrated charges flow and f at the current x."""
+        """Build the segment of the integrated field, b less the committed clusters, and f at x."""
         nonlocal seg, xc, vc
+        flow = b.copy()
+        flow[[i for ev, _ in pending for i in ev.cluster]] = 0
         seg = _Segment(flow, gamma)
         xc = x[seg.charged]
         stats.force_evals += 1
@@ -490,25 +486,23 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
 
     def commit(clusters: list[list[int]]):
         """Fix the collisions of clusters and take them out of the integrated field."""
-        nonlocal flow, pending
-        committed = resolve_annihilation(x, flow, t, gamma, clusters)
+        nonlocal pending
+        committed = resolve_annihilation(x, b, t, gamma, clusters)
         pending = sorted(pending + [(ev, t) for ev in committed], key=lambda p: p[0].tau)
-        flow = flow.copy()
-        flow[[i for ev in committed for i in ev.cluster]] = 0
         begin_segment()
 
     def collide() -> bool:
         """Apply the committed collisions due by t; False when there are none."""
-        nonlocal x, b, flow, pending
+        nonlocal x, b, pending
         due = [ev for ev, _ in pending if ev.tau <= t]
         if not due:
             return False
         pending = pending[len(due):]
-        x, b, flow = x.copy(), b.copy(), flow.copy()
+        x, b = x.copy(), b.copy()
         for ev in due:
             cl = list(ev.cluster)
             x[cl] = ev.y
-            b[cl] = flow[cl] = ev.post_charges
+            b[cl] = ev.post_charges
         ParticleState(positions=x, charges=b, coupling=gamma, time=t)
         events.extend(due)
         stats.events += len(due)

@@ -44,17 +44,17 @@ class StepFunction:
 
     def __post_init__(self):
         loc = np.asarray(self.locations, dtype=float)
-        sg = np.asarray(self.signs, dtype=np.int64)
+        sg = np.asarray(self.signs)
         if loc.shape != sg.shape or loc.ndim != 1:
             raise ValueError("locations and signs must be matching 1-d arrays")
         if loc.size and np.any(np.diff(loc) <= 0):
             raise ValueError("jump locations must be strictly increasing")
         if loc.size and not np.isin(sg, (-1, 1)).all():
             raise ValueError("jump signs must be +-1")
+        sg = sg.astype(np.int64)
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        loc = loc.copy()
-        sg = sg.copy()
+        loc = loc.copy()  # astype has copied sg
         loc.flags.writeable = False
         sg.flags.writeable = False
         object.__setattr__(self, "locations", loc)

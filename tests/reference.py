@@ -424,16 +424,19 @@ def check_net_charge_loop(traj):
     yield dev == 0, float(-dev), f"max integer deviation {dev}"
 
 
+def _run_starts(states: list[ParticleState]) -> list[int]:
+    """Row 0 and every row whose charges differ from the row before: where each run starts."""
+    return [k for k, st in enumerate(states)
+            if k == 0 or st.charges.tolist() != states[k - 1].charges.tolist()]
+
+
 def check_m2_loop(traj):
     rel_tol = 1e-6
     states, times = _states(traj), traj.times.tolist()
     m2 = lambda st: 0.5 * float(np.sum(st.positions**2))
-    for a, b in traj.segments():
-        inside = [k for k, t in enumerate(times)
-                  if a + 1e-13 < t < b - 1e-13 or (a == times[0] and t == a)]
-        if len(inside) < 2:
-            continue
-        k0, k1 = inside[0], inside[-1]
+    starts = _run_starts(states)
+    for k0, end in zip(starts, starts[1:] + [len(states)]):
+        k1 = end - 1
         dt = times[k1] - times[k0]
         if dt <= 0.05:
             continue
@@ -544,14 +547,12 @@ def check_dm_lipschitz_loop(traj):
 
 
 def check_energy_loop(traj):
-    taus = [ev.tau for ev in traj.events]
-    prev_t, prev_e = None, None
-    for t, st in zip(traj.times.tolist(), _states(traj)):
-        if any(abs(t - tau) < 1e-13 for tau in taus):
-            prev_t, prev_e = None, None
-            continue
+    states = _states(traj)
+    starts = set(_run_starts(states))
+    prev_e = None
+    for k, (t, st) in enumerate(zip(traj.times.tolist(), states)):
         e = _energy(st)
-        if prev_e is not None and not any(prev_t < tau < t for tau in taus):
+        if k not in starts:
             tol = 1e-9 * (1.0 + abs(prev_e))
             yield e <= prev_e + tol, prev_e + tol - e, f"t={t:.3f}"
-        prev_t, prev_e = t, e
+        prev_e = e

@@ -335,6 +335,7 @@ class TestConfigSchema:
             ("converge", {"experiment": {"scan_points": 0}}),
             ("converge", {"experiment": {"ns": []}}),
             ("hj", {"scheme": {"L": 1.0, "h": 0.3, "rho": 0.6, "t_end": 0.01}}),
+            ("hj", {"scheme": {"L": 1.0, "h": 0.5, "rho": 4.0}}),
             # values for keys that are constants now: refused as unknown keys
             ("measure", {"measure": {"threshold": float("nan")}}),
             ("measure", {"measure": {"threshold": float("inf")}}),
@@ -379,7 +380,7 @@ class TestConfigSchema:
             "simulate-reads-no-scheme", "simulate-reads-no-experiment", "hj-reads-no-integrator",
             "verify-reads-no-measure", "measure-reads-no-moments", "moments-reads-no-simulate",
             "experiment-scan_points-one", "experiment-scan_points-zero", "experiment-ns-empty",
-            "scheme-h-not-dividing-2L",
+            "scheme-h-not-dividing-2L", "scheme-rho-above-2L",
             "measure-threshold-nan", "measure-threshold-inf", "measure-threshold-negative",
             "measure-threshold-bool", "n_samples-fraction", "integrator-cluster_gap-bool",
             "rel_tol-negative", "simulate-coupling-bool", "integrator-rel_tol-inf",

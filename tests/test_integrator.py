@@ -106,6 +106,11 @@ class TestDetect:
         s = make([0.0, 1e-9], [1, 1])
         assert detect(s, np.array([1.0, -1.0])) == []
 
+    def test_neutral_refused(self):
+        # the groups index the particles passed in, which must all be charged
+        with pytest.raises(InvalidState, match="charged particles only"):
+            detect_clusters(np.array([0.0, 1e-9, 1.0]), np.array([1, 0, -1]), np.zeros(3), 0.0, 0.5)
+
     # (state, its clusters): an isolated pair; a pair below the clustering
     # gap but not isolated; a triple linked at t = 1 by sqrt(gamma t); and a
     # triple far from collision.  Every position is dyadic, so the
@@ -428,6 +433,31 @@ class TestEvolve:
         traj = evolve(s, IntegratorConfig(t_end=1.0, sample_times=ts))
         for t in ts:
             assert traj.state_at(t).time == t
+
+    @pytest.mark.parametrize("store_steps", [True, False])
+    def test_every_event_starts_a_run_of_rows(self, store_steps):
+        # the property suite reads each inter-event segment as a run of rows
+        # with equal charges: every event has a row at exactly its tau, with
+        # the charges after it, and the row before holds other charges.
+        # Random suite states at n = 4..32, and their positions as a neutral
+        # background of a mirror-symmetric +-+ triple colliding at t = 0.5
+        rng = np.random.default_rng(25)
+        cfg = IntegratorConfig(t_end=1.0, sample_times=tuple(np.linspace(0.0, 1.0, 21)),
+                               store_steps=store_steps)
+        sizes = []
+        for n in (4, 8, 16, 32):
+            s = harness._random_state(rng, n)
+            triple = np.sqrt(0.5 / (n + 3)) * np.array([-1.0, 0.0, 1.0])
+            grouped = make(np.r_[s.positions, triple], np.r_[np.zeros(n, int), 1, -1, 1])
+            for state in (s, grouped):
+                traj = evolve(state, cfg)
+                for ev in traj.events:
+                    k = int(np.searchsorted(traj.times, ev.tau))
+                    assert traj.times[k] == ev.tau
+                    assert tuple(traj.charges[k, list(ev.cluster)]) == ev.post_charges
+                    assert (traj.charges[k - 1] != traj.charges[k]).any()
+                    sizes.append(len(ev.cluster))
+        assert sizes.count(3) == 4 and sizes.count(2) > 20
 
 
 # isolated collisions far below t = 1: (state, t_end, tau, surviving charge)

@@ -39,6 +39,11 @@ class TestFromParticles:
         u = L.from_particles(make([0.0, 1.0, 2.0], [1, -1, 0]))
         assert total_variation(u) == pytest.approx(2 / 3)
 
+    def test_fractional_signs_rejected(self):
+        # a cast to int would store the signs [1, -1]
+        with pytest.raises(ValueError, match="jump signs must be"):
+            L.StepFunction(locations=np.array([0.0, 1.0]), signs=[1.9, -1.2], eps=0.5)
+
 
 class TestStaircase:
     def test_upper_example(self):

@@ -45,6 +45,11 @@ class TestValidate:
         with pytest.raises(InvalidState):
             make([0.0, 1.0], [2, -1])
 
+    def test_fractional_charge_rejected(self):
+        # a cast to int would turn 0.7 into a neutral
+        with pytest.raises(InvalidState, match="charges must lie"):
+            ParticleState(positions=np.array([0.0, 1.0, 2.0]), charges=[1.5, 0.7, -1])
+
     @pytest.mark.parametrize("coupling", [-1.0, 0.0, np.inf, np.nan])
     def test_coupling_must_be_positive_and_finite(self, coupling):
         with pytest.raises(InvalidState, match="coupling must be positive"):
