@@ -156,7 +156,10 @@ def cmd_hj(args, cfg: dict) -> int:
     u0, snapshots = _build(_hj_args, cfg.get("hj", {}))
     out = _out_dir(args)
     chash = io.config_hash(cfg)
-    frames = hjsolver.solve_hj(u0, scheme, np.linspace(0.0, scheme.t_end, snapshots))
+    try:
+        frames = hjsolver.solve_hj(u0, scheme, np.linspace(0.0, scheme.t_end, snapshots))
+    except hjsolver.StepBudgetExceeded as exc:
+        return _fail(3, "hj", str(exc))
     for k, fr in enumerate(frames):
         io.write_xy_csv(out / f"hj_{k:03d}.csv", fr.xs, fr.values, chash)
     return 0
@@ -168,7 +171,7 @@ def cmd_converge(args, cfg: dict) -> int:
     chash = io.config_hash(cfg)
     try:
         result = harness.run_convergence(spec)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, hjsolver.StepBudgetExceeded) as exc:
         return _fail(3, "converge", str(exc))
     io.write_convergence_csv(out / "convergence.csv", result, chash)
     for k, (t, fr) in enumerate(result.ref_frames):

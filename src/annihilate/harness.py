@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time as _time
 from dataclasses import dataclass, field, asdict, replace
 from functools import partial
@@ -474,10 +475,14 @@ def run_property_suite(
     1/n, and aggregates worst-case margins per named check.  Margins are
     positive iff the check passed with room.  Raises ValueError before
     drawing anything when sizes is empty or holds a size below 2, which
-    cannot carry both signs, or when runs is negative.
+    cannot carry both signs, when runs is negative, or when t_end is below
+    the smallest normal float, where the ode_residual window 1e-4 t_end
+    rounds to zero.
     """
     if not sizes or min(sizes) < 2 or runs < 0:
         raise ValueError(f"need sizes >= 2 and runs >= 0, got sizes={list(sizes)}, runs={runs}")
+    if not t_end >= sys.float_info.min:
+        raise ValueError(f"t_end must be at least {sys.float_info.min!r}, got {t_end!r}")
     rng = np.random.default_rng(seed)
     found: dict[str, CheckResult | None] = dict.fromkeys([*_PER_RUN, *_ONE_SHOT])
     events: list[int] = []

@@ -32,6 +32,7 @@ __all__ = [
     "SchemeConfig",
     "GridFunction",
     "CFLViolation",
+    "StepBudgetExceeded",
     "levy_operator_all",
     "step_hj",
     "solve_hj",
@@ -41,10 +42,16 @@ __all__ = [
 FFT_NODES = 600
 # fraction of the computed stability bound each step takes
 CFL = 0.8
+# steps one solve_hj call may take before it gives up
+MAX_STEPS = 500_000
 
 
 class CFLViolation(ValueError):
     """Requested time step exceeds the monotonicity bound."""
+
+
+class StepBudgetExceeded(RuntimeError):
+    """solve_hj took MAX_STEPS steps without reaching t_end."""
 
 
 @dataclass(frozen=True)
@@ -211,10 +218,8 @@ def _godunov_gradient(u: GridFunction, v: np.ndarray) -> np.ndarray:
     differences swap.  Either way the update is nondecreasing in the
     neighboring values.
     """
-    h = u.h
-    U = _padded(u, 1)
-    dm = (U[1:-1] - U[:-2]) / h
-    dp = (U[2:] - U[1:-1]) / h
+    d = np.diff(_padded(u, 1)) / u.h
+    dm, dp = d[:-1], d[1:]
     rising = np.maximum(np.maximum(-dm, dp), 0.0)
     falling = np.maximum(np.maximum(dm, -dp), 0.0)
     return np.where(v >= 0.0, rising, falling)
@@ -224,8 +229,9 @@ def step_hj(u: GridFunction, config: SchemeConfig, dt: float | None = None) -> G
     """One forward-Euler step of u_t = I[u] |u_x| with Godunov upwinding.
 
     dt defaults to CFL times the monotonicity bound, cut short to end at
-    config.t_end; passing a larger value raises CFLViolation.  Tails
-    never change.
+    config.t_end; passing a larger value raises CFLViolation.  Once
+    u.time has reached config.t_end, the default is the full stable step,
+    so repeated calls keep marching past t_end.  Tails never change.
     """
     kern = _kernel_for(u, config.rho)
     v = levy_operator_all(u, config.rho, kern)
@@ -250,17 +256,25 @@ def solve_hj(
     """March u0, sampled on the grid, to t_end; the snapshots always include t=0 and t_end.
 
     Snapshot times are hit exactly: each step_hj runs with t_end set to
-    the next snapshot time, which clips the stable step there.  A crude
-    self-convergence probe is available by re-running with h halved.
+    the next snapshot time, which clips the stable step there.  Raises
+    StepBudgetExceeded once MAX_STEPS steps in all have not reached
+    t_end.  A crude self-convergence probe is available by re-running
+    with h halved.
     """
     u = GridFunction.from_callable(u0, config)
     extra = [] if snapshot_times is None else [float(t) for t in snapshot_times]
     wanted = sorted(set([0.0, config.t_end] + extra))
     wanted = [t for t in wanted if t <= config.t_end + 1e-15]
     out = [u]  # the frame at t=0, the first of wanted
+    steps = 0
     for target in wanted[1:]:
         leg = replace(config, t_end=target)
         while u.time < target - 1e-14:
+            if steps == MAX_STEPS:
+                raise StepBudgetExceeded(
+                    f"{MAX_STEPS} steps reached t={u.time:.6e} of t_end={config.t_end:.6e}"
+                )
             u = step_hj(u, leg)
+            steps += 1
         out.append(u)
     return out

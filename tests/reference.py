@@ -18,11 +18,13 @@ with no history, per-state velocities, the staircase quantization, the
 total variation and Lipschitz constant of a step or grid function, the
 sup norm of a grid function, the e_n of a ladder's good rows, the
 barrier bound on the limit equation, the tightness monitor of a measure,
-and the readers of the trajectory CSV and event JSONL formats.  Two
-exact particle solutions serve as oracles: `pair_bump`, the height-eps
-bump whose single +- pair is known in closed form, and
-`collision_profile`, the self-similar shape in which an isolated
-alternating cluster collapses onto one point.  The exact limit solution
+and the readers of the trajectory CSV and event JSONL formats.  The
+`*_csv_text` functions are the oracles of the `io` CSV writers: each
+renders a file value by value, a float as `format(float(x), ".17g")` and
+an integer as `str`.  Two exact particle solutions serve as oracles:
+`pair_bump`, the height-eps bump whose single +- pair is known in closed
+form, and `collision_profile`, the self-similar shape in which an
+isolated alternating cluster collapses onto one point.  The exact limit solution
 of the semicircle datum is not here: it is `CATALOG["semicircle"].exact`.
 """
 from __future__ import annotations
@@ -38,6 +40,7 @@ from annihilate import moments
 from annihilate.harness import SCAN_POINTS, ConvergenceResult, InitialDatum
 from annihilate.hjsolver import GridFunction
 from annihilate.integrator import IntegratorConfig, StepStats, Trajectory, _Segment, _step_core
+from annihilate.io import provenance_line
 from annihilate.levelset import StepFunction
 from annihilate.measures import SignedAtomicMeasure
 from annihilate.particles import EventRecord, NonFiniteForce, ParticleState, velocity_field
@@ -290,6 +293,34 @@ def read_trajectory_csv(path):
     xs = np.array([[float(v) for v in r[1 : 1 + n]] for r in rows])
     bs = np.array([[int(v) for v in r[1 + n :]] for r in rows])
     return times, xs, bs
+
+
+def _fmt(x) -> str:
+    return format(float(x), ".17g")
+
+
+def _csv_text(cfg_hash: str, header: list[str], rows: Iterable[list[str]]) -> str:
+    lines = [provenance_line(cfg_hash), ",".join(header)] + [",".join(r) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def trajectory_csv_text(times, positions, charges, cfg_hash: str) -> str:
+    n = positions.shape[1]
+    header = ["t"] + [f"x_{i + 1}" for i in range(n)] + [f"b_{i + 1}" for i in range(n)]
+    rows = ([_fmt(t)] + [_fmt(v) for v in x] + [str(c) for c in b]
+            for t, x, b in zip(times.tolist(), positions.tolist(), charges.tolist()))
+    return _csv_text(cfg_hash, header, rows)
+
+
+def xy_csv_text(xs, ys, cfg_hash: str, names=("x", "u")) -> str:
+    return _csv_text(cfg_hash, list(names), ([_fmt(x), _fmt(y)] for x, y in zip(xs, ys)))
+
+
+def convergence_csv_text(result: ConvergenceResult, cfg_hash: str) -> str:
+    header = ["n", "e_n", "events", "runtime_s", "monotone", "error"]
+    rows = ([str(r.n), _fmt(r.e_n), str(r.events), _fmt(r.runtime_s),
+             str(int(result.monotone)), r.error or ""] for r in result.rows)
+    return _csv_text(cfg_hash, header, rows)
 
 
 def read_events_jsonl(path) -> list[dict]:

@@ -158,6 +158,22 @@ class TestOtherCommands:
         assert len(files) == 3
         assert files[0].read_text().startswith("# annihilate v")
 
+    @pytest.mark.parametrize("command, payload", [
+        ("hj", {"scheme": {"h": 0.25, "rho": 0.5, "t_end": 1.0e300}}),
+        ("converge", {"experiment": {"ns": [8], "t_end": 1.0e300, "ref_h": 1 / 32}}),
+    ])
+    def test_grid_solve_out_of_steps_exits_3(self, tmp_path, capsys, monkeypatch,
+                                             command, payload):
+        # the horizon is out of reach: the solve gives up at its step budget,
+        # lowered here from 500000 to keep the test short
+        monkeypatch.setattr(hjsolver, "MAX_STEPS", 200)
+        out = tmp_path / "out"
+        assert main([command, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 3
+        failure = json.loads(capsys.readouterr().out)
+        assert failure["error"] == command
+        assert failure["message"].startswith("200 steps reached t=")
+        assert list(out.iterdir()) == []
+
     def test_converge_writes_monotone_table(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -316,6 +332,7 @@ class TestConfigSchema:
                                        "t_end": True}}),
             ("converge", {"experiment": {"t_end": True}}),
             ("verify", {"verify": {"runs": -1}}),
+            ("verify", {"verify": {"t_end": 1.0e-320}}),
             ("hj", {"hj": {"snapshots": -3}}),
             ("hj", {"hj": {"snapshots": 1}}),
             ("converge", {"experiment": {"offset": 1.5}}),
@@ -374,7 +391,8 @@ class TestConfigSchema:
             "moments-positions-nan", "moments-positions-bool", "simulate-charge-fraction",
             "simulate-charge-bool", "integrator-t_end-bool",
             "experiment-t_end-bool",
-            "verify-runs-negative", "hj-snapshots-negative", "hj-snapshots-one",
+            "verify-runs-negative", "verify-t_end-subnormal", "hj-snapshots-negative",
+            "hj-snapshots-one",
             "experiment-offset-above-one", "simulate-missing-charges", "moments-missing-positions",
             "converge-reads-no-scheme", "converge-reads-no-integrator",
             "simulate-reads-no-scheme", "simulate-reads-no-experiment", "hj-reads-no-integrator",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,6 +187,28 @@ class TestStep:
         shifted = np.concatenate([[0.0], a.values[:-1]])
         assert np.array_equal(shifted[1:], b.values[1:])
 
+    def test_default_step_past_t_end_is_full_stable_step(self, small_cfg):
+        # at or past t_end nothing is left to clip to: the step is the one
+        # an unreached horizon gives
+        u = H.GridFunction.from_callable(SIGMOID, small_cfg)
+        for time in (small_cfg.t_end, 2 * small_cfg.t_end):
+            at = u.copy_with(u.values, time)
+            past = H.step_hj(at, small_cfg)
+            free = H.step_hj(at, replace(small_cfg, t_end=1e6))
+            assert past.time == free.time > time
+            assert np.array_equal(past.values, free.values)
+
+    def test_godunov_gradient_against_one_sided_differences(self, small_cfg):
+        u = H.GridFunction.from_callable(lambda x: np.sin(3 * x), small_cfg)
+        v = H.levy_operator_all(u, small_cfg.rho)
+        U = np.concatenate([[u.tails[0]], u.values, [u.tails[1]]])
+        dm = (U[1:-1] - U[:-2]) / u.h
+        dp = (U[2:] - U[1:-1]) / u.h
+        want = np.where(v >= 0.0, np.maximum(np.maximum(-dm, dp), 0.0),
+                        np.maximum(np.maximum(dm, -dp), 0.0))
+        # bit for bit, sign bits of zeros included
+        assert H._godunov_gradient(u, v).tobytes() == want.tobytes()
+
 
 class TestSolve:
     def test_constant_snapshots_identical(self, small_cfg):
@@ -198,6 +221,21 @@ class TestSolve:
         frames = H.solve_hj(u0, small_cfg, [0.05, 0.1])
         for fr in frames:
             assert np.max(np.abs(fr.values + fr.values[::-1])) < 1e-13
+
+    def test_step_budget(self, small_cfg, monkeypatch):
+        # a solve that needs k steps runs with a budget of k and gives up at k - 1
+        calls = []
+        step = H.step_hj
+        monkeypatch.setattr(H, "step_hj", lambda *a: calls.append(1) or step(*a))
+        want = H.solve_hj(SIGMOID, small_cfg, [0.05])
+        k = len(calls)
+        monkeypatch.setattr(H, "MAX_STEPS", k)
+        got = H.solve_hj(SIGMOID, small_cfg, [0.05])
+        assert [fr.time for fr in got] == [fr.time for fr in want]
+        assert np.array_equal(got[-1].values, want[-1].values)
+        monkeypatch.setattr(H, "MAX_STEPS", k - 1)
+        with pytest.raises(H.StepBudgetExceeded):
+            H.solve_hj(SIGMOID, small_cfg, [0.05])
 
     def test_self_convergence(self):
         # roughly first order on a smooth monotone datum
