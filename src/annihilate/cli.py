@@ -1,17 +1,20 @@
 """Command-line driver: simulate, hj, converge, verify, measure, moments.
 
 Configuration is one YAML file of sections, each built by one callable
-whose parameters give the section's keys, types and defaults.  Each
-command reads only its own sections (`_COMMANDS`).  An unknown or missing
-key, a section the command does not read, or a bad value exits 2 before
-any output exists.  Runtime failures exit 3 with a machine-readable error
-JSON on stdout; `verify` exits 1 when an invariant fails.  Formats are in
-docs/formats.md.
+whose parameters give the section's keys, types and defaults.  `_COMMANDS`
+names each command's sections and their builders; `main` builds every
+section a command reads before the command runs, and the command gets
+only those sections, its output path and the config hash.  An unknown or
+missing key, a section the command does not read, or a bad value exits 2
+before any output exists.  Runtime failures exit 3 with a
+machine-readable error JSON on stdout; `verify` exits 1 when an invariant
+fails.  Formats are in docs/formats.md.
 """
 from __future__ import annotations
 
 import argparse
 import collections.abc
+import functools
 import inspect
 import json
 import logging
@@ -40,8 +43,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path: str | None, sections: set[str]) -> dict:
-    """The YAML config at path, holding no section outside `sections`: those the command reads."""
+def _load_config(path: str | None, sections: dict) -> dict:
+    """The YAML config at path, holding no section or key outside `sections`: section -> builder."""
     if path is None:
         return {}
     try:
@@ -60,7 +63,7 @@ def _load_config(path: str | None, sections: set[str]) -> dict:
             continue
         if not isinstance(content, dict):
             raise ConfigError(f"section {section!r} must be a mapping")
-        unknown = set(content) - _SCHEMA[section]
+        unknown = set(content) - _keys(sections[section])
         if unknown:
             raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
     return raw
@@ -126,21 +129,14 @@ def _moments_positions(positions: tuple[float, ...]) -> tuple[float, ...]:
     return positions
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _fail(code: int, kind: str, message: str) -> int:
     print(json.dumps({"error": kind, "message": message}))
     return code
 
 
-def cmd_simulate(args, cfg: dict) -> int:
-    state, icfg = _build(_simulate_args, cfg.get("simulate", {}))
-    out = _out_dir(args)
-    chash = io.config_hash(cfg)
+def cmd_simulate(out: Path, chash: str, simulate) -> int:
+    state, icfg = simulate
+    out.mkdir(parents=True, exist_ok=True)
     try:
         traj = evolve(state, icfg)
     except (EvolveError, ValueError) as exc:
@@ -151,11 +147,9 @@ def cmd_simulate(args, cfg: dict) -> int:
     return 0
 
 
-def cmd_hj(args, cfg: dict) -> int:
-    scheme = _build(hjsolver.SchemeConfig, cfg.get("scheme", {}))
-    u0, snapshots = _build(_hj_args, cfg.get("hj", {}))
-    out = _out_dir(args)
-    chash = io.config_hash(cfg)
+def cmd_hj(out: Path, chash: str, scheme: hjsolver.SchemeConfig, hj) -> int:
+    u0, snapshots = hj
+    out.mkdir(parents=True, exist_ok=True)
     try:
         frames = hjsolver.solve_hj(u0, scheme, np.linspace(0.0, scheme.t_end, snapshots))
     except hjsolver.StepBudgetExceeded as exc:
@@ -165,16 +159,14 @@ def cmd_hj(args, cfg: dict) -> int:
     return 0
 
 
-def cmd_converge(args, cfg: dict) -> int:
-    spec = _build(harness.ExperimentSpec, cfg.get("experiment", {}))
-    out = _out_dir(args)
-    chash = io.config_hash(cfg)
+def cmd_converge(out: Path, chash: str, spec: harness.ExperimentSpec) -> int:
+    out.mkdir(parents=True, exist_ok=True)
     try:
         result = harness.run_convergence(spec)
     except (KeyError, ValueError, hjsolver.StepBudgetExceeded) as exc:
         return _fail(3, "converge", str(exc))
     io.write_convergence_csv(out / "convergence.csv", result, chash)
-    for k, (t, fr) in enumerate(result.ref_frames):
+    for k, fr in enumerate(result.ref_frames):
         io.write_xy_csv(out / f"reference_{k:03d}.csv", fr.xs, fr.values, chash)
     bad = [r for r in result.rows if r.error]
     if bad:
@@ -182,9 +174,16 @@ def cmd_converge(args, cfg: dict) -> int:
     return 0
 
 
-def cmd_verify(args, cfg: dict) -> int:
-    report = _build(harness.run_property_suite, cfg.get("verify", {}))
-    out = _out_dir(args)
+# the `verify` section's builder runs the suite: `harness.run_property_suite`,
+# looked up per call, so a wrapper put on it after import (a tracer, a
+# test) sees the run
+@functools.wraps(harness.run_property_suite)
+def _run_suite(**section):
+    return harness.run_property_suite(**section)
+
+
+def cmd_verify(out: Path, chash: str, report: harness.PropertyReport) -> int:
+    out.mkdir(parents=True, exist_ok=True)
     (out / "properties.json").write_text(report.to_json() + "\n")
     for name, chk in sorted(report.checks.items()):
         log.info("%-28s %s margin=%.3e", name, "PASS" if chk.passed else "FAIL", chk.margin)
@@ -201,10 +200,9 @@ def _measure_args(
     return family, ns
 
 
-def cmd_measure(args, cfg: dict) -> int:
-    family, ns = _build(_measure_args, cfg.get("measure", {}))
-    out = _out_dir(args)
-    chash = io.config_hash(cfg)
+def cmd_measure(out: Path, chash: str, measure) -> int:
+    family, ns = measure
+    out.mkdir(parents=True, exist_ok=True)
     empty = measures.SignedAtomicMeasure(locations=np.empty(0), weights=np.empty(0))
     mus = []
     for n in ns:
@@ -234,8 +232,7 @@ def cmd_measure(args, cfg: dict) -> int:
     return 0
 
 
-def cmd_moments(args, cfg: dict) -> int:
-    x = _build(_moments_positions, cfg.get("moments", {}))
+def cmd_moments(out: Path, chash: str, x: tuple[float, ...]) -> int:
     M = moments.moments(x)
     try:
         rec = moments.reconstruct_positions(M)
@@ -253,24 +250,15 @@ def cmd_moments(args, cfg: dict) -> int:
     return 0
 
 
-_SCHEMA: dict[str, set[str]] = {
-    "scheme": _keys(hjsolver.SchemeConfig),
-    "experiment": _keys(harness.ExperimentSpec),
-    "simulate": _keys(_simulate_args),
-    "hj": _keys(_hj_args),
-    "verify": _keys(harness.run_property_suite),
-    "measure": _keys(_measure_args),
-    "moments": _keys(_moments_positions),
-}
-
-# each command with the only config sections it reads
+# each command with the only config sections it reads, each with its
+# builder, in the order they are built and passed to the command
 _COMMANDS = {
-    "simulate": (cmd_simulate, {"simulate"}),
-    "hj": (cmd_hj, {"hj", "scheme"}),
-    "converge": (cmd_converge, {"experiment"}),
-    "verify": (cmd_verify, {"verify"}),
-    "measure": (cmd_measure, {"measure"}),
-    "moments": (cmd_moments, {"moments"}),
+    "simulate": (cmd_simulate, {"simulate": _simulate_args}),
+    "hj": (cmd_hj, {"scheme": hjsolver.SchemeConfig, "hj": _hj_args}),
+    "converge": (cmd_converge, {"experiment": harness.ExperimentSpec}),
+    "verify": (cmd_verify, {"verify": _run_suite}),
+    "measure": (cmd_measure, {"measure": _measure_args}),
+    "moments": (cmd_moments, {"moments": _moments_positions}),
 }
 
 
@@ -288,9 +276,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     command, sections = _COMMANDS[args.command]
     try:
-        return command(args, _load_config(args.config, sections))
+        cfg = _load_config(args.config, sections)
+        built = [_build(builder, cfg.get(section, {})) for section, builder in sections.items()]
     except ConfigError as exc:
         return _fail(2, "config", str(exc))
+    return command(Path(args.out), io.config_hash(cfg), *built)
 
 
 if __name__ == "__main__":

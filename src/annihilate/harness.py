@@ -228,8 +228,11 @@ class ExperimentSpec:
             raise ValueError(f"scan_points must be at least 2, got {self.scan_points}")
         if not 0.0 <= self.offset < 1.0:
             raise ValueError(f"offset must lie in [0, 1), got {self.offset!r}")
-        # both configs check their own fields
-        self.scheme_config()
+        # both configs check their own fields; the grid's refusal names the keys that set it
+        try:
+            self.scheme_config()
+        except ValueError as exc:
+            raise ValueError(f"grid of ref_h={self.ref_h!r}, t_end={self.t_end!r}: {exc}") from exc
         self.integrator_config()
 
     def scheme_config(self) -> hjsolver.SchemeConfig:
@@ -259,7 +262,7 @@ class ConvergenceResult:
     spec: ExperimentSpec
     rows: list[ConvergenceRow]
     monotone: bool
-    ref_frames: list = field(default_factory=list)  # (time, GridFunction) plot data
+    ref_frames: list[hjsolver.GridFunction] = field(default_factory=list)  # one per snapshot
 
 
 def _comparison_points(spec: ExperimentSpec, ref: hjsolver.GridFunction,
@@ -338,7 +341,7 @@ def run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
         spec=spec,
         rows=rows,
         monotone=monotone,
-        ref_frames=[(float(t), fr) for t, fr in zip(times, frames)],
+        ref_frames=frames,
     )
 
 

@@ -229,7 +229,8 @@ def step_hj(u: GridFunction, config: SchemeConfig, dt: float | None = None) -> G
     """One forward-Euler step of u_t = I[u] |u_x| with Godunov upwinding.
 
     dt defaults to CFL times the monotonicity bound, cut short to end at
-    config.t_end; passing a larger value raises CFLViolation.  Once
+    config.t_end; passing a larger value raises CFLViolation.  A step of
+    dt = config.t_end - u.time ends at exactly config.t_end.  Once
     u.time has reached config.t_end, the default is the full stable step,
     so repeated calls keep marching past t_end.  Tails never change.
     """
@@ -245,7 +246,7 @@ def step_hj(u: GridFunction, config: SchemeConfig, dt: float | None = None) -> G
     elif dt > dt_max * (1 + 1e-12):
         raise CFLViolation(f"dt={dt} exceeds stability bound {dt_max:.3e}")
     new_vals = u.values + dt * v * grad
-    return u.copy_with(new_vals, u.time + dt)
+    return u.copy_with(new_vals, config.t_end if dt == config.t_end - u.time else u.time + dt)
 
 
 def solve_hj(
@@ -264,12 +265,12 @@ def solve_hj(
     u = GridFunction.from_callable(u0, config)
     extra = [] if snapshot_times is None else [float(t) for t in snapshot_times]
     wanted = sorted(set([0.0, config.t_end] + extra))
-    wanted = [t for t in wanted if t <= config.t_end + 1e-15]
+    wanted = [t for t in wanted if t <= config.t_end]
     out = [u]  # the frame at t=0, the first of wanted
     steps = 0
     for target in wanted[1:]:
         leg = replace(config, t_end=target)
-        while u.time < target - 1e-14:
+        while u.time < target:
             if steps == MAX_STEPS:
                 raise StepBudgetExceeded(
                     f"{MAX_STEPS} steps reached t={u.time:.6e} of t_end={config.t_end:.6e}"

@@ -56,14 +56,15 @@ def moments(positions) -> np.ndarray:
     positions holds one configuration per row, shape (n,) or (samples, n)
     (or more leading axes); the result has the same shape.  Low orders are
     accumulated with exact float summation; from order 8 on the powers span
-    many magnitudes, so accumulation switches to extended precision before
-    rounding back.  Each row comes out exactly as it would alone.
+    many magnitudes, so accumulation switches to extended precision, over
+    the sorted row, before rounding back.  Each row comes out exactly as it
+    would alone, and in any order of its positions.
     """
     x = np.asarray(positions, dtype=float)
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ValueError("positions must be non-empty rows of an (n,) or (samples, n) array")
     n = x.shape[-1]
-    rows = x.reshape(-1, n)
+    rows = np.sort(x.reshape(-1, n), axis=1)
     out = np.empty(rows.shape)
     xl = rows.astype(np.longdouble)
     pw = np.ones_like(xl)

@@ -16,7 +16,7 @@ import yaml
 import annihilate
 from annihilate import harness, hjsolver, moments
 from annihilate.cli import (
-    _COMMANDS, _SCHEMA, _build, _hj_args, _load_config, _measure_args, _moments_positions,
+    _COMMANDS, _build, _hj_args, _keys, _load_config, _measure_args, _moments_positions,
     _simulate_args, _typed, main,
 )
 from reference import read_events_jsonl, read_trajectory_csv
@@ -26,6 +26,10 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.yaml"))
 WORKLOADS_PY = ROOT / "benchmarks" / "workloads.py"
+
+# every config section with its builder, and its keys, from the command table
+BUILDERS = {s: b for _, sections in _COMMANDS.values() for s, b in sections.items()}
+SCHEMA = {s: _keys(b) for s, b in BUILDERS.items()}
 
 
 def write_cfg(tmp_path, payload):
@@ -282,6 +286,15 @@ class TestOtherCommands:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+# what the refusal of some bad values must name: the key at fault, or the
+# section built first
+NAMED_IN_MESSAGE = {
+    "ref_h-coarse": "ref_h=0.0625",
+    "experiment-t_end-inf": "t_end=inf",
+    "hj-scheme-built-first": "SchemeConfig: ",
+}
+
+
 class TestConfigSchema:
     @pytest.mark.parametrize("first, second", [
         (("hj", {"hj": {"initial": "nonsense"}}),
@@ -305,6 +318,9 @@ class TestConfigSchema:
             ("converge", {"experiment": {"ns": "foo"}}),
             ("converge", {"experiment": {"ns": [0, 8]}}),
             ("converge", {"experiment": {"ref_h": 0}}),
+            ("converge", {"experiment": {"ref_h": 0.0625}}),
+            ("converge", {"experiment": {"t_end": float("inf")}}),
+            ("hj", {"scheme": {"h": 0}, "hj": {"snapshots": 1}}),
             ("hj", {"scheme": {"h": 0}}),
             ("verify", {"verify": {"sizes": [1]}}),
             ("measure", {"measure": {"ns": "foo"}}),
@@ -382,7 +398,8 @@ class TestConfigSchema:
                                        "t_end": None}}),
         ],
         ids=[
-            "ns-string", "ns-zero", "ref_h-zero", "h-zero", "sizes-one",
+            "ns-string", "ns-zero", "ref_h-zero", "ref_h-coarse", "experiment-t_end-inf",
+            "hj-scheme-built-first", "h-zero", "sizes-one",
             "measure-ns-string", "measure-ns-zero", "measure-family", "datum", "hj-initial",
             "simulate-out-of-order", "simulate-charge-two", "simulate-positions-string",
             "measure-ns-fraction", "measure-ns-bool", "measure-ns-empty",
@@ -406,10 +423,12 @@ class TestConfigSchema:
             "simulate-t_end-negative", "simulate-t_end-inf", "simulate-t_end-null",
         ],
     )
-    def test_bad_value_exits_2_without_outputs(self, tmp_path, capsys, command, payload):
+    def test_bad_value_exits_2_without_outputs(self, tmp_path, capsys, request, command, payload):
         out = tmp_path / "out"
         assert main([command, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 2
-        assert json.loads(capsys.readouterr().out)["error"] == "config"
+        failure = json.loads(capsys.readouterr().out)
+        assert failure["error"] == "config"
+        assert NAMED_IN_MESSAGE.get(request.node.callspec.id, "") in failure["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -453,17 +472,17 @@ class TestConfigSchema:
     def test_schema_keys(self):
         # the schema is read from the config dataclasses: a new field must
         # not become a config key unnoticed
-        assert _SCHEMA["scheme"] == {"L", "h", "rho", "t_end"}
-        assert _SCHEMA["experiment"] == {
+        assert SCHEMA["scheme"] == {"L", "h", "rho", "t_end"}
+        assert SCHEMA["experiment"] == {
             "datum", "ns", "offset", "t_end", "ref_h", "scan_points", "seed",
         }
-        assert _SCHEMA["simulate"] == {"positions", "charges", "t_end"}
-        assert _SCHEMA["hj"] == {"initial", "snapshots"}
-        assert _SCHEMA["verify"] == {"seed", "sizes", "runs", "t_end"}
-        assert _SCHEMA["measure"] == {"family", "ns"}
-        assert _SCHEMA["moments"] == {"positions"}
-        assert len(_SCHEMA) == 7
-        assert sum(map(len, _SCHEMA.values())) == 23
+        assert SCHEMA["simulate"] == {"positions", "charges", "t_end"}
+        assert SCHEMA["hj"] == {"initial", "snapshots"}
+        assert SCHEMA["verify"] == {"seed", "sizes", "runs", "t_end"}
+        assert SCHEMA["measure"] == {"family", "ns"}
+        assert SCHEMA["moments"] == {"positions"}
+        assert len(SCHEMA) == 7
+        assert sum(map(len, SCHEMA.values())) == 23
 
     def test_converge_defaults_come_from_the_spec(self, tmp_path, monkeypatch):
         seen = []
@@ -477,6 +496,20 @@ class TestConfigSchema:
         assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert seen == [harness.ExperimentSpec(datum="sigmoid", seed=0)]
 
+    def test_verify_runs_the_suite_looked_up_per_call(self, tmp_path, monkeypatch):
+        # a wrapper put on harness.run_property_suite after import, as the
+        # benchmark's tracer puts one, sees the command's run
+        seen = []
+
+        def capture(**kwargs):
+            seen.append(kwargs)
+            raise ValueError("stop before running the suite")
+
+        monkeypatch.setattr(harness, "run_property_suite", capture)
+        cfg = write_cfg(tmp_path, {"verify": {"runs": 3}})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert seen == [{"runs": 3}]
+
 
 class TestFormatsDoc:
     def test_section_table_lists_the_schema(self):
@@ -489,7 +522,7 @@ class TestFormatsDoc:
                 break
             section, _, keys = (c.strip() for c in line.strip("|").split("|"))
             rows[section.strip("`")] = set(re.findall(r"`([^`]+)`", keys))
-        assert rows == _SCHEMA
+        assert rows == SCHEMA
 
     def test_every_named_key_is_in_the_schema(self):
         # the docs name config keys as `section.key` and package attributes
@@ -498,13 +531,13 @@ class TestFormatsDoc:
         modules = {m.name for m in pkgutil.iter_modules(annihilate.__path__)}
         text = (ROOT / "docs" / "formats.md").read_text() + (ROOT / "README.md").read_text()
         named = {f"{a}.{b}" for a, b in re.findall(r"`(\w+)\.(\w+)", text)
-                 if a in _SCHEMA or a in modules}
+                 if a in SCHEMA or a in modules}
         assert {"integrator.CLUSTER_GAP", "hjsolver.CFL", "moments.ROUND_TRIP_TOL",
                 "particles.same_sign_gap", "moments.positions", "scheme.L"} <= named
 
         def resolves(name):
             a, b = name.split(".")
-            return b in _SCHEMA.get(a, ()) or (
+            return b in SCHEMA.get(a, ()) or (
                 a in modules and hasattr(importlib.import_module(f"annihilate.{a}"), b))
 
         assert {name for name in named if not resolves(name)} == set()
@@ -542,7 +575,7 @@ class TestShippedConfigs:
 
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
     def test_every_config_loads(self, path):
-        assert _load_config(str(path), set(_SCHEMA))
+        assert _load_config(str(path), BUILDERS)
 
     @pytest.mark.parametrize("command, name, written", [
         ("simulate", "pair.yaml", "events.jsonl"),
@@ -559,14 +592,18 @@ class TestShippedConfigs:
         ids=lambda p: p.stem,
     )
     def test_converge_configs_build(self, path):
-        spec = _build(harness.ExperimentSpec, _load_config(str(path), {"experiment"})["experiment"])
+        spec = _build(
+            harness.ExperimentSpec, _load_config(str(path), _COMMANDS["converge"][1])["experiment"]
+        )
         assert spec.ns
 
     @pytest.mark.parametrize(
         "path", [p for p in CONFIGS if p.stem.startswith("verify")], ids=lambda p: p.stem,
     )
     def test_verify_configs_build(self, path):
-        kwargs = _typed(harness.run_property_suite, _load_config(str(path), {"verify"})["verify"])
+        kwargs = _typed(
+            harness.run_property_suite, _load_config(str(path), _COMMANDS["verify"][1])["verify"]
+        )
         inspect.signature(harness.run_property_suite).bind(**kwargs)
 
 
@@ -596,7 +633,7 @@ SECTION_BUILDS = {
 
 class TestBenchmarkWorkloads:
     def test_every_section_has_a_build(self):
-        assert set(SECTION_BUILDS) == set(_SCHEMA)
+        assert set(SECTION_BUILDS) == set(SCHEMA)
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_tiny_calls_build(self, tmp_path, name):

@@ -222,6 +222,19 @@ class TestSolve:
         for fr in frames:
             assert np.max(np.abs(fr.values + fr.values[::-1])) < 1e-13
 
+    @pytest.mark.parametrize("times", [
+        # snapshot times far below any absolute slack are still stepped to
+        *(np.linspace(0.0, t_end, 5) for t_end in (1e-15, 1e-14, 3e-14, 1e-13)),
+        # the last step to 3.72e-283, added to its start, rounds one ulp past it
+        np.concatenate([[0.0], np.geomspace(3.718865243276547e-283 / 30,
+                                            3.718865243276547e-283, 4)]),
+    ], ids=["1e-15", "1e-14", "3e-14", "1e-13", "3.7e-283"])
+    def test_every_frame_lands_on_its_time(self, times):
+        cfg = H.SchemeConfig(h=0.25, rho=0.5, t_end=times[-1])
+        frames = H.solve_hj(SIGMOID, cfg, times)
+        assert [fr.time for fr in frames] == times.tolist()
+        assert not np.array_equal(frames[-1].values, frames[0].values)
+
     def test_step_budget(self, small_cfg, monkeypatch):
         # a solve that needs k steps runs with a budget of k and gives up at k - 1
         calls = []

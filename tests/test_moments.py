@@ -32,6 +32,17 @@ class TestMetric:
     def test_zero_on_permutations(self):
         assert d_M([3.0, 1.0, 2.0], [1.0, 2.0, 3.0]) == pytest.approx(0.0, abs=1e-13)
 
+    def test_exactly_zero_on_permutations(self):
+        # from order 8 on the sums are taken in extended precision, whose
+        # rounding depends on the order of the terms: unsorted, 3 of these
+        # 384 pairs gave a nonzero d_M, the first 1.2e27 at n = 32, scale 1e3
+        rng = np.random.default_rng(0)
+        for n in range(9, 41):
+            for scale in (1e-3, 1.0, 1e3):
+                x = scale * rng.uniform(-1.0, 1.0, n)
+                for _ in range(4):
+                    assert d_M(x, rng.permutation(x)) == 0.0
+
     def test_singletons(self):
         assert d_M([0.0], [1.0]) == 1.0
 

@@ -11,6 +11,7 @@ second argument, and one detection that finds nothing per accepted step.
 import importlib
 import importlib.util
 import pkgutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,3 +95,15 @@ def test_trace_counters_equal_integrator_counters(monkeypatch):
         assert metrics["integrator.accepted_steps"] == accepted
         assert metrics["integrator.events"] == events
     assert traj.events and accepted > 0
+
+
+def test_version_has_one_source():
+    # pyproject.toml reads the version from the package, never a second literal
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools calls its [tool.setuptools] table beta
+        project = read_configuration(pyproject)["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == annihilate.__version__
