@@ -8,7 +8,7 @@ only those sections, its output path and the config hash.  An unknown or
 missing key, a section the command does not read, or a bad value exits 2
 before any output exists.  Runtime failures exit 3 with a
 machine-readable error JSON on stdout; `verify` exits 1 when an invariant
-fails.  Formats are in docs/formats.md.
+fails, and 3 when its moments pass float64.  Formats are in docs/formats.md.
 """
 from __future__ import annotations
 
@@ -280,6 +280,8 @@ def main(argv: list[str] | None = None) -> int:
         built = [_build(builder, cfg.get(section, {})) for section, builder in sections.items()]
     except ConfigError as exc:
         return _fail(2, "config", str(exc))
+    except moments.NonFiniteMoments as exc:  # raised by the suite that builds `verify`
+        return _fail(3, args.command, str(exc))
     return command(Path(args.out), io.config_hash(cfg), *built)
 
 

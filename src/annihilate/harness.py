@@ -50,6 +50,7 @@ __all__ = [
 
 # points of the grid on which sample_particles looks for level crossings
 SCAN_POINTS = 2**15
+MAX_SUITE_SIZE = 256  # largest state the property suite draws; its d_M passes float64 at |x| ~ 4
 
 
 class DegenerateCrossing(ValueError):
@@ -478,12 +479,13 @@ def run_property_suite(
     1/n, and aggregates worst-case margins per named check.  Margins are
     positive iff the check passed with room.  Raises ValueError before
     drawing anything when sizes is empty or holds a size below 2, which
-    cannot carry both signs, when runs is negative, or when t_end is below
-    the smallest normal float, where the ode_residual window 1e-4 t_end
-    rounds to zero.
+    cannot carry both signs, or above MAX_SUITE_SIZE, when runs is
+    negative, or when t_end is below the smallest normal float, where the
+    ode_residual window 1e-4 t_end rounds to zero.  A t_end so far that
+    the moments pass float64 ends in moments.NonFiniteMoments.
     """
-    if not sizes or min(sizes) < 2 or runs < 0:
-        raise ValueError(f"need sizes >= 2 and runs >= 0, got sizes={list(sizes)}, runs={runs}")
+    if not sizes or not 2 <= min(sizes) <= max(sizes) <= MAX_SUITE_SIZE or runs < 0:
+        raise ValueError(f"need sizes in 2..{MAX_SUITE_SIZE}, runs >= 0, got {list(sizes)}, {runs}")
     if not t_end >= sys.float_info.min:
         raise ValueError(f"t_end must be at least {sys.float_info.min!r}, got {t_end!r}")
     rng = np.random.default_rng(seed)

@@ -10,15 +10,17 @@ principle holds nodewise, exactly.
 
 On the grid the operator is one discrete convolution with symmetric
 weights G.  Below FFT_NODES nodes it runs as a direct `np.convolve` of
-the tail-padded values, whose exact shift structure keeps translated
-and mirrored data exactly translated and mirrored.  From FFT_NODES on,
+the tail-padded values, at most about twice the FFT's cost there, whose
+exact shift structure keeps translated and mirrored data exactly
+translated and mirrored; the FFT's rounding does not.  From FFT_NODES on,
 the sum splits into a Toeplitz product of the grid values alone, done
 as a circulant product with a kernel spectrum cached per grid
 (Golub-Van Loan, Matrix Computations, section 4.7), plus each tail times
 the cached total weight of the padding beyond its end.  A step then
 costs one numpy.fft rfft/irfft pair, of the smallest power-of-two length
-at least 2n - 2, and two axpys.  An initial datum acts elementwise on an
-array of points; `GridFunction.from_callable` calls it once on all nodes.
+at least 2n - 2, into buffers its kernel holds, and a fixed few passes
+over the n nodes.  An initial datum acts elementwise on an array of
+points; `GridFunction.from_callable` calls it once on all nodes.
 """
 from __future__ import annotations
 
@@ -105,10 +107,19 @@ class GridFunction:
         return GridFunction(xs=self.xs, values=values, tails=self.tails, time=time)
 
 
-def _padded(u: GridFunction, pad: int) -> np.ndarray:
-    return np.concatenate(
-        [np.full(pad, u.tails[0]), u.values, np.full(pad, u.tails[1])]
-    )
+def _weights(half: int, h: float, r: int) -> np.ndarray:
+    """G over lags -(half+1)..half+1, each weight's terms summed in the quadrature's order: the
+    near-field trapezoid, then each far cell's exact weight int dz/z^2 halved over its ends."""
+    grad_w = 1.0 / (2.0 * h)
+    k = np.arange(1, half + 1)
+    near = np.where(k[:r] == r, 0.5, 1.0) / (k[:r] * k[:r] * h)
+    far = 0.5 * (1.0 / (h * k[r - 1 :] * (k[r - 1 :] + 1)))  # k = r..half
+    side = np.concatenate([[grad_w], np.zeros(half)])  # lags 1..half+1
+    side[:r] += near
+    side[r:] += far
+    side[r - 1 : half] += far
+    terms = np.concatenate([[grad_w, grad_w], np.repeat(near, 2), np.repeat(far, 4)])
+    return np.concatenate([side[::-1], [-np.add.accumulate(terms, out=terms)[-1]], side])
 
 
 class _Kernel:
@@ -129,72 +140,53 @@ class _Kernel:
     left_i = sum_{m < -i} G_m and right_i = sum_{m > n-1-i} G_m are the
     weights of the padding beyond each end, each accumulated by a cumsum
     from its far end: G_0 is in neither, and no difference of partial sums
-    cancels against it.  Below FFT_NODES the direct convolution stays: it
-    costs at most about twice the FFT there, and its exact shift structure
-    steps translated and mirrored data exactly translated and mirrored,
-    which the FFT's rounding does not.
+    cancels against it.  An application is an rfft/irfft pair through two
+    held buffers (one caller at a time), then a few passes over the nodes.
     """
 
-    def __init__(self, n_nodes: int, h: float, r: int):
-        half = n_nodes  # explicit cells reach one full domain width
-        G = np.zeros(2 * half + 3)
+    def __init__(self, n: int, h: float, r: int):
+        self.half = half = n  # explicit cells reach one full domain width
+        self.G = G = _weights(half, h, r)
         mid = half + 1
-
-        def add(m, w):
-            G[mid + m] += w
-            G[mid] -= w
-
-        # near field: trapezoid over |z| <= r h of the bounded integrand;
-        # the centered-gradient contributions cancel by symmetry and are
-        # dropped identically.
-        add(+1, 1.0 / (2.0 * h))
-        add(-1, 1.0 / (2.0 * h))
-        for k in range(1, r + 1):
-            w = (0.5 if k == r else 1.0) / (k * k * h)
-            add(+k, w)
-            add(-k, w)
-        # far field: exact cell weights int_{kh}^{(k+1)h} dz/z^2 = c_k,
-        # cell value approximated by the endpoint average.
-        for k in range(r, half + 1):
-            c = 1.0 / (h * k * (k + 1))
-            for s in (+1, -1):
-                add(s * k, 0.5 * c)
-                add(s * (k + 1), 0.5 * c)
-        self.G = G
-        self.half = half
-        # analytic tails beyond the explicit cells
-        self.tail_cut = (half + 1) * h
+        self.tail_cut = mid * h  # analytic tails beyond the explicit cells
         self.W = float(-G[mid] + 2.0 / self.tail_cut)
-        if n_nodes >= FFT_NODES:
-            n = n_nodes
+        if n >= FFT_NODES:
             self.size = 1 << (2 * n - 3).bit_length()
             # lag m at index m mod size
-            wrapped = np.zeros(self.size)
-            wrapped[:n] = G[mid : mid + n]
-            wrapped[self.size - n + 1 :] = G[mid - n + 1 : mid]
-            self.spectrum = np.fft.rfft(wrapped)
+            self._work = np.zeros(self.size)
+            self._work[:n] = G[mid : mid + n]
+            self._work[self.size - n + 1 :] = G[mid - n + 1 : mid]
+            self.spectrum = np.fft.rfft(self._work)
+            self._spec = np.empty_like(self.spectrum)
             self.left = np.cumsum(G)[n:0:-1]
             self.right = np.cumsum(G[::-1])[1 : n + 1]
 
     def apply(self, u: GridFunction) -> np.ndarray:
         n = u.values.size
-        if n >= FFT_NODES:
-            out = np.fft.irfft(np.fft.rfft(u.values, self.size) * self.spectrum, self.size)[:n]
-            out += u.tails[0] * self.left
-            out += u.tails[1] * self.right
-        else:
-            out = np.convolve(_padded(u, self.half + 1), self.G[::-1], mode="valid")
-        tail = (u.tails[0] + u.tails[1]) / self.tail_cut
-        return out + tail - 2.0 * u.values / self.tail_cut
+        if n < FFT_NODES:
+            pad = self.half + 1
+            padded = np.concatenate([np.full(pad, u.tails[0]), u.values, np.full(pad, u.tails[1])])
+            out = np.convolve(padded, self.G[::-1], mode="valid")
+            return out + (u.tails[0] + u.tails[1]) / self.tail_cut - 2.0 * u.values / self.tail_cut
+        self._work[:n], self._work[n:] = u.values, 0.0
+        np.fft.rfft(self._work, out=self._spec)
+        self._spec *= self.spectrum
+        np.fft.irfft(self._spec, self.size, out=self._work)
+        out = np.add(self._work[:n], u.tails[0] * self.left)
+        out += u.tails[1] * self.right
+        out += (u.tails[0] + u.tails[1]) / self.tail_cut
+        return np.subtract(out, u.values / (0.5 * self.tail_cut), out=out)  # (2 u) / tail_cut
 
 
 _kernels: dict[tuple[int, float, int], _Kernel] = {}
 
 
 def _kernel_for(u: GridFunction, rho: float) -> _Kernel:
-    """The cached kernel of u's grid, split at r = rho/h cells."""
+    """The cached kernel of u's grid, split at r = rho/h cells, at least one."""
     h = u.h
     key = (u.values.size, round(h, 14), int(round(rho / h)))
+    if key[2] < 1:
+        raise ValueError(f"rho = {rho!r} is below half the grid step {h!r}")
     if key not in _kernels:
         _kernels[key] = _Kernel(u.values.size, h, key[2])
     return _kernels[key]
@@ -218,11 +210,14 @@ def _godunov_gradient(u: GridFunction, v: np.ndarray) -> np.ndarray:
     differences swap.  Either way the update is nondecreasing in the
     neighboring values.
     """
-    d = np.diff(_padded(u, 1)) / u.h
-    dm, dp = d[:-1], d[1:]
-    rising = np.maximum(np.maximum(-dm, dp), 0.0)
-    falling = np.maximum(np.maximum(dm, -dp), 0.0)
-    return np.where(v >= 0.0, rising, falling)
+    d = np.empty(u.values.size + 1)  # D^- u at node i is d[i], D^+ u is d[i + 1]
+    d[0], d[-1] = u.values[0] - u.tails[0], u.tails[1] - u.values[-1]
+    np.subtract(u.values[1:], u.values[:-1], out=d[1:-1])
+    d /= u.h
+    nd = -d
+    falling = np.maximum(d[:-1], nd[1:])
+    rising = np.maximum(nd[:-1], d[1:], out=nd[:-1])
+    return np.maximum(np.where(v >= 0.0, rising, falling), 0.0)
 
 
 def step_hj(u: GridFunction, config: SchemeConfig, dt: float | None = None) -> GridFunction:
@@ -237,7 +232,7 @@ def step_hj(u: GridFunction, config: SchemeConfig, dt: float | None = None) -> G
     kern = _kernel_for(u, config.rho)
     v = levy_operator_all(u, config.rho, kern)
     grad = _godunov_gradient(u, v)
-    denom = kern.W * float(np.max(grad, initial=0.0)) + float(np.max(np.abs(v), initial=0.0)) / u.h
+    denom = kern.W * float(grad.max()) + float(max(v.max(), -v.min())) / u.h
     dt_max = math.inf if denom == 0.0 else CFL / denom
     if dt is None:
         dt = min(dt_max, config.t_end - u.time)
@@ -245,8 +240,10 @@ def step_hj(u: GridFunction, config: SchemeConfig, dt: float | None = None) -> G
             dt = dt_max
     elif dt > dt_max * (1 + 1e-12):
         raise CFLViolation(f"dt={dt} exceeds stability bound {dt_max:.3e}")
-    new_vals = u.values + dt * v * grad
-    return u.copy_with(new_vals, config.t_end if dt == config.t_end - u.time else u.time + dt)
+    v *= dt  # u + (dt v) grad, in v's storage
+    v *= grad
+    v += u.values
+    return u.copy_with(v, config.t_end if dt == config.t_end - u.time else u.time + dt)
 
 
 def solve_hj(

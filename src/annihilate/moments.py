@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "LengthMismatch",
+    "NonFiniteMoments",
     "ReconstructionError",
     "ROUND_TRIP_TOL",
     "moments",
@@ -24,6 +25,10 @@ __all__ = [
 
 class LengthMismatch(ValueError):
     """Moment vectors of different lengths cannot be compared."""
+
+
+class NonFiniteMoments(ArithmeticError):
+    """d_M of configurations whose moments, or their distance, pass float64."""
 
 
 class ReconstructionError(ArithmeticError):
@@ -86,14 +91,17 @@ def d_M(x, y):
     an array over the broadcast leading axes: d_M(xs[:, None], xs[None])
     is every pair of rows of xs.  Zero exactly when x and y agree as
     multisets; symmetric; satisfies the triangle inequality (it is an l2
-    norm of a difference).
+    norm of a difference).  A distance past float64 raises NonFiniteMoments.
     """
     mx, my = moments(x), moments(y)
     if mx.shape[-1] != my.shape[-1]:
         raise LengthMismatch(f"length {mx.shape[-1]} vs {my.shape[-1]}")
-    d = mx - my
     # a dot product per row, as np.linalg.norm takes it, so rows equal 1-d calls
-    dist = np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = mx - my
+        dist = np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
+    if not np.isfinite(dist).all():
+        raise NonFiniteMoments("moment distance past float64: positions too far from 0")
     return float(dist) if d.ndim == 1 else dist
 
 

@@ -6,7 +6,9 @@ loop, independent of the vectorized code in `annihilate`:
 (near-field quadrature plus far field) is one node of
 `hjsolver.levy_operator_all`.  `levy_operator_direct` is that operator at
 every node by one direct convolution with the solver's own weights, the
-oracle of its FFT branch.  `aec_defect_loop` is one defect of
+oracle of its FFT branch, and `kernel_loop` builds those weights term by
+term in a scalar loop, the oracle of `hjsolver._Kernel`'s array build.
+`aec_defect_loop` is one defect of
 `measures.aec_modulus` by a scalar double loop over intervals, and
 `narrow_proxy_loop` is `measures.narrow_distance_proxy` by scalar sums
 over atoms with a scalar default dictionary.  `sample_particles_loop` is
@@ -136,6 +138,47 @@ def levy_operator_direct(u: GridFunction, G: np.ndarray, tail_cut: float) -> np.
     """
     out = np.convolve(_padded(u, (G.size - 1) // 2), G[::-1], mode="valid")
     return out + (u.tails[0] - u.values) / tail_cut + (u.tails[1] - u.values) / tail_cut
+
+
+def kernel_loop(n_nodes: int, h: float, r: int) -> dict:
+    """`hjsolver._Kernel`'s G, W, spectrum, left and right, G built one term at a time.
+
+    Each quadrature term adds its weight w at lag m and subtracts it from
+    lag 0, in the order: the centered gradient, the near field, then each
+    far cell's near and far end, + side before - side.
+    """
+    half = n_nodes
+    G = np.zeros(2 * half + 3)
+    mid = half + 1
+
+    def add(m, w):
+        G[mid + m] += w
+        G[mid] -= w
+
+    add(+1, 1.0 / (2.0 * h))
+    add(-1, 1.0 / (2.0 * h))
+    for k in range(1, r + 1):
+        w = (0.5 if k == r else 1.0) / (k * k * h)
+        add(+k, w)
+        add(-k, w)
+    for k in range(r, half + 1):
+        c = 1.0 / (h * k * (k + 1))
+        for s in (+1, -1):
+            add(s * k, 0.5 * c)
+            add(s * (k + 1), 0.5 * c)
+    tail_cut = (half + 1) * h
+    n = n_nodes
+    size = 1 << (2 * n - 3).bit_length()
+    wrapped = np.zeros(size)
+    wrapped[:n] = G[mid : mid + n]
+    wrapped[size - n + 1 :] = G[mid - n + 1 : mid]
+    return {
+        "G": G,
+        "W": float(-G[mid] + 2.0 / tail_cut),
+        "spectrum": np.fft.rfft(wrapped),
+        "left": np.cumsum(G)[n:0:-1],
+        "right": np.cumsum(G[::-1])[1 : n + 1],
+    }
 
 
 def _bisect(f: Callable, lo: float, hi: float, flo: float) -> float:

@@ -263,6 +263,19 @@ class TestOtherCommands:
             assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert json.loads(capsys.readouterr().out)["error"] == "moments"
 
+    def test_verify_past_float64_exits_3(self, tmp_path, capsys):
+        # at t_end = 1e300 the positions spread until their moments pass
+        # float64: a typed refusal, with no warning and no nan margin
+        cfg = write_cfg(tmp_path, {"verify": {"sizes": [4], "runs": 2, "t_end": 1.0e300}})
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+        failure = json.loads(capsys.readouterr().out)
+        assert failure["error"] == "verify"
+        assert "past float64" in failure["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("n, code", [(22, 0), (24, 3)])
     def test_moments_judges_refused_roots_by_round_trip(self, tmp_path, capsys, n, code):
         # reconstruct_positions refuses both; the command knows the input, and
@@ -292,6 +305,7 @@ NAMED_IN_MESSAGE = {
     "ref_h-coarse": "ref_h=0.0625",
     "experiment-t_end-inf": "t_end=inf",
     "hj-scheme-built-first": "SchemeConfig: ",
+    "verify-sizes-huge": "sizes in 2..256",
 }
 
 
@@ -396,6 +410,8 @@ class TestConfigSchema:
                                        "t_end": float("inf")}}),
             ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
                                        "t_end": None}}),
+            # refused before a 40e9-particle state is drawn
+            ("verify", {"verify": {"sizes": [40000000000], "runs": 1}}),
         ],
         ids=[
             "ns-string", "ns-zero", "ref_h-zero", "ref_h-coarse", "experiment-t_end-inf",
@@ -421,6 +437,7 @@ class TestConfigSchema:
             "rel_tol-negative", "simulate-coupling-bool", "integrator-rel_tol-inf",
             "integrator-abs_tol-inf", "simulate-coupling-minus-one",
             "simulate-t_end-negative", "simulate-t_end-inf", "simulate-t_end-null",
+            "verify-sizes-huge",
         ],
     )
     def test_bad_value_exits_2_without_outputs(self, tmp_path, capsys, request, command, payload):

@@ -11,6 +11,7 @@ from reference import (
     far_field_grid,
     grid_lipschitz,
     grid_sup_norm,
+    kernel_loop,
     levy_operator,
     levy_operator_direct,
     near_field_quadrature,
@@ -113,6 +114,31 @@ class TestOperator:
         want = levy_operator_direct(u, kern.G, kern.tail_cut)
         scale = float(np.max(np.abs(kern.G))) * max(float(np.max(np.abs(vals))), *map(abs, tails))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n, r", [(601, 2), (1025, 8), (2049, 16), (8193, 64)])
+    def test_kernel_build_matches_the_loop(self, n, r):
+        kern = H._Kernel(n, 8.0 / (n - 1), r)
+        want = kernel_loop(n, 8.0 / (n - 1), r)
+        for name in ("G", "spectrum", "left", "right"):
+            assert np.array_equal(getattr(kern, name), want[name]), name
+        assert kern.W == want["W"]
+
+    def test_fft_results_do_not_alias_the_kernel_buffers(self):
+        n = 8193
+        xs = np.linspace(-4.0, 4.0, n)
+        u = H.GridFunction(xs=xs, values=np.tanh(xs), tails=(-1.0, 1.0))
+        w = H.GridFunction(xs=xs, values=np.sin(xs), tails=(0.0, 0.5))
+        first = H.levy_operator_all(u, 4 * u.h)
+        kept = first.copy()
+        second = H.levy_operator_all(w, 4 * u.h)
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+
+    def test_split_below_half_a_cell_refused(self):
+        u = H.GridFunction(xs=np.linspace(-2.0, 2.0, 5), values=np.zeros(5), tails=(0.0, 0.0))
+        with pytest.raises(ValueError, match="below half the grid step"):
+            H.levy_operator_all(u, 0.25)
 
     def test_fft_branch_constant_maps_to_zero(self):
         n = 8193
@@ -249,6 +275,26 @@ class TestSolve:
         monkeypatch.setattr(H, "MAX_STEPS", k - 1)
         with pytest.raises(H.StepBudgetExceeded):
             H.solve_hj(SIGMOID, small_cfg, [0.05])
+
+    def test_one_operator_call_per_step(self, monkeypatch):
+        # solve_hj looks step_hj up on the module, and each step applies
+        # the operator once, through the module's levy_operator_all
+        calls = {"step": 0, "operator": 0}
+        step, operator = H.step_hj, H.levy_operator_all
+
+        def count(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(H, "step_hj", count("step", step))
+        monkeypatch.setattr(H, "levy_operator_all", count("operator", operator))
+        cfg = H.SchemeConfig(L=4.0, h=1 / 128, rho=1 / 16, t_end=0.01)
+        frames = H.solve_hj(SIGMOID, cfg, [0.005])
+        assert frames[0].values.size == 1025 >= H.FFT_NODES
+        assert calls["step"] > 2
+        assert calls["operator"] == calls["step"]
 
     def test_self_convergence(self):
         # roughly first order on a smooth monotone datum

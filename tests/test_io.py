@@ -88,6 +88,31 @@ class TestBytesAgainstOracle:
         io.write_xy_csv(path, np.array(EDGES), np.array(EDGES[::-1]), "cafe")
         assert path.read_bytes() == xy_csv_text(EDGES, EDGES[::-1], "cafe").encode()
 
+    @pytest.mark.parametrize("rows", [io.CHUNK_ROWS, 2 * io.CHUNK_ROWS, 8193],
+                             ids=["one-chunk", "two-chunks", "hj-frame"])
+    def test_xy_csv_streamed_in_chunks(self, tmp_path, rows):
+        xs = np.linspace(-4.0, 4.0, rows)
+        ys = np.sin(3 * xs) * np.exp(-xs * xs)
+        # the edge values at both ends of the file and across a chunk boundary
+        edges = [-0.0, np.inf, -np.inf, np.nan]
+        ys[:4] = ys[-4:] = edges
+        if rows > io.CHUNK_ROWS:
+            ys[io.CHUNK_ROWS - 2 : io.CHUNK_ROWS + 2] = edges
+        path = tmp_path / "xy.csv"
+        io.write_xy_csv(path, xs, ys, "cafe")
+        assert path.read_bytes() == xy_csv_text(xs, ys, "cafe").encode()
+
+    def test_trajectory_csv_streamed_in_chunks(self, tmp_path):
+        rows = 2 * io.CHUNK_ROWS + 1
+        rng = np.random.default_rng(0)
+        times = np.linspace(0.0, 1.0, rows)
+        positions = rng.standard_normal((rows, 3))
+        positions[io.CHUNK_ROWS] = [-0.0, np.inf, np.nan]
+        charges = np.tile([1, 0, -1], (rows, 1))
+        path = tmp_path / "traj.csv"
+        io.write_trajectory_csv(path, times, positions, charges, "cafe")
+        assert path.read_bytes() == trajectory_csv_text(times, positions, charges, "cafe").encode()
+
     def test_xy_csv_from_lists_and_ints(self, tmp_path):
         path = tmp_path / "xy.csv"
         xs, ys = [0, 2**60, -3], EDGES[:3]

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from annihilate import moments as mm
 from annihilate.moments import (
+    NonFiniteMoments,
     ReconstructionError,
     LengthMismatch,
     d_M,
@@ -49,6 +50,18 @@ class TestMetric:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             d_M([0.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("x, y", [
+        ([1.0e200, 2.0e200], [0.0, 1.0]),  # M_2 is inf
+        ([1.0e160, -1.0e160, 3.0], [1.0e160, -1.0e160, 4.0]),  # inf - inf in M_3
+        ([1.0e100, 0.0], [0.0, 1.0]),  # finite moments, the square of M_2 is inf
+    ], ids=["inf-moment", "inf-minus-inf", "inf-square"])
+    def test_past_float64_raises(self, x, y):
+        # a typed error, not a nan or a RuntimeWarning
+        with pytest.raises(NonFiniteMoments, match="past float64"):
+            d_M(x, y)
+        with pytest.raises(NonFiniteMoments):
+            d_M(np.array([x, y]), np.array([y, y]))  # one bad row in a stack
 
     @given(
         st.lists(st.floats(-5, 5), min_size=2, max_size=6),
