@@ -6,9 +6,9 @@ names each command's sections and their builders; `main` builds every
 section a command reads before the command runs, and the command gets
 only those sections, its output path and the config hash.  An unknown or
 missing key, a section the command does not read, or a bad value exits 2
-before any output exists.  Runtime failures exit 3 with a
-machine-readable error JSON on stdout; `verify` exits 1 when an invariant
-fails, and 3 when its moments pass float64.  Formats are in docs/formats.md.
+before any output exists, and a typed run failure of any layer exits 3;
+`main` alone turns an exception into an exit code, with an error JSON on
+stdout.  `verify` exits 1 when an invariant fails.  Formats are in docs/formats.md.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import yaml
 
 from . import __version__, harness, hjsolver, io, measures, moments
 from .integrator import EvolveError, IntegratorConfig, evolve
-from .particles import ParticleState
+from .particles import InvalidState, ParticleState
 
 log = logging.getLogger("annihilate")
 
@@ -41,6 +41,12 @@ def _keys(target) -> set[str]:
 
 class ConfigError(ValueError):
     pass
+
+
+_REFUSED = (TypeError, ValueError, OverflowError)  # a builder's refusals: type, range, float64
+# the layers' typed run failures, each an exit 3; InvalidState is evolve's post-event check
+_RUN_FAILURES = (EvolveError, InvalidState, hjsolver.StepBudgetExceeded,
+                 moments.NonFiniteMoments, moments.ReconstructionError)
 
 
 def _load_config(path: str | None, sections: dict) -> dict:
@@ -94,7 +100,7 @@ def _typed(target, section: dict) -> dict:
     for key, value in section.items():
         try:
             out[key] = _convert(hints[key], value)
-        except (TypeError, ValueError) as exc:
+        except _REFUSED as exc:
             raise ConfigError(f"{key}: {exc}") from exc
     return out
 
@@ -103,7 +109,7 @@ def _build(target, section: dict):
     """target called with the section; whatever it refuses is a ConfigError."""
     try:
         return target(**_typed(target, section))
-    except (TypeError, ValueError) as exc:
+    except _REFUSED as exc:
         raise ConfigError(f"{target.__name__}: {exc}") from exc
 
 
@@ -119,6 +125,8 @@ def _hj_args(initial: str = "sigmoid", snapshots: int = 5):
     datum = harness.catalog_datum(initial)
     if snapshots < 2:
         raise ValueError(f"snapshots must be at least 2, got {snapshots}")
+    if snapshots > hjsolver.MAX_STEPS + 1:  # each frame after the first ends a grid step
+        raise ValueError(f"snapshots must be at most {hjsolver.MAX_STEPS + 1}, got {snapshots}")
     return datum.u0, snapshots
 
 
@@ -137,10 +145,7 @@ def _fail(code: int, kind: str, message: str) -> int:
 def cmd_simulate(out: Path, chash: str, simulate) -> int:
     state, icfg = simulate
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        traj = evolve(state, icfg)
-    except (EvolveError, ValueError) as exc:
-        return _fail(3, "simulation", str(exc))
+    traj = evolve(state, icfg)
     io.write_trajectory_csv(out / "trajectory.csv", traj.times, traj.positions, traj.charges, chash)
     io.write_events_jsonl(out / "events.jsonl", traj.events, chash)
     log.info("wrote %s events to %s", len(traj.events), out)
@@ -150,10 +155,7 @@ def cmd_simulate(out: Path, chash: str, simulate) -> int:
 def cmd_hj(out: Path, chash: str, scheme: hjsolver.SchemeConfig, hj) -> int:
     u0, snapshots = hj
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        frames = hjsolver.solve_hj(u0, scheme, np.linspace(0.0, scheme.t_end, snapshots))
-    except hjsolver.StepBudgetExceeded as exc:
-        return _fail(3, "hj", str(exc))
+    frames = hjsolver.solve_hj(u0, scheme, np.linspace(0.0, scheme.t_end, snapshots))
     for k, fr in enumerate(frames):
         io.write_xy_csv(out / f"hj_{k:03d}.csv", fr.xs, fr.values, chash)
     return 0
@@ -161,10 +163,7 @@ def cmd_hj(out: Path, chash: str, scheme: hjsolver.SchemeConfig, hj) -> int:
 
 def cmd_converge(out: Path, chash: str, spec: harness.ExperimentSpec) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        result = harness.run_convergence(spec)
-    except (KeyError, ValueError, hjsolver.StepBudgetExceeded) as exc:
-        return _fail(3, "converge", str(exc))
+    result = harness.run_convergence(spec)
     io.write_convergence_csv(out / "convergence.csv", result, chash)
     for k, fr in enumerate(result.ref_frames):
         io.write_xy_csv(out / f"reference_{k:03d}.csv", fr.xs, fr.values, chash)
@@ -220,32 +219,29 @@ def cmd_measure(out: Path, chash: str, measure) -> int:
     s_list, aec_ok = measures.aec_modulus(mus, omega)
     proxies = [measures.narrow_distance_proxy(mu, empty) for mu in mus]
     sup_cdf = [measures.cdf(mu).sup_norm() for mu in mus]
-    payload = {
-        "family": family,
-        "ns": ns,
-        "aec_defects": s_list,
-        "aec_passed": aec_ok,
-        "narrow_proxy": proxies,
-        "cdf_sup": sup_cdf,
-    }
+    payload = {"family": family, "ns": ns, "aec_defects": s_list, "aec_passed": aec_ok,
+               "narrow_proxy": proxies, "cdf_sup": sup_cdf}
     (out / "measure_report.json").write_text(json.dumps(payload, indent=2) + "\n")
     return 0
 
 
+def _real_roots(M: np.ndarray) -> np.ndarray:
+    """reconstruct_positions(M), or the real roots that only its error estimate refused."""
+    try:
+        return moments.reconstruct_positions(M)
+    except moments.ReconstructionError as exc:
+        if exc.positions is None:
+            raise
+        return exc.positions
+
+
 def cmd_moments(out: Path, chash: str, x: tuple[float, ...]) -> int:
     M = moments.moments(x)
-    try:
-        rec = moments.reconstruct_positions(M)
-    except moments.ReconstructionError as exc:
-        # the input is known here, so real roots that the error estimate
-        # refused are judged by the exact round trip below
-        if exc.positions is None:
-            return _fail(3, "moments", str(exc))
-        rec = exc.positions
+    rec = _real_roots(M)
     err = float(np.max(np.abs(rec - np.sort(x))))
     tol = moments.ROUND_TRIP_TOL * max(1.0, float(np.max(np.abs(x))))
     if not err <= tol:
-        return _fail(3, "moments", f"reconstruction error {err:.3e} exceeds {tol:.3e}")
+        raise moments.ReconstructionError(f"reconstruction error {err:.3e} exceeds {tol:.3e}")
     print(json.dumps({"moments": M.tolist(), "reconstructed": rec.tolist()}))
     return 0
 
@@ -278,11 +274,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args.config, sections)
         built = [_build(builder, cfg.get(section, {})) for section, builder in sections.items()]
+        return command(Path(args.out), io.config_hash(cfg), *built)
     except ConfigError as exc:
         return _fail(2, "config", str(exc))
-    except moments.NonFiniteMoments as exc:  # raised by the suite that builds `verify`
+    except _RUN_FAILURES as exc:
         return _fail(3, args.command, str(exc))
-    return command(Path(args.out), io.config_hash(cfg), *built)
 
 
 if __name__ == "__main__":

@@ -60,8 +60,8 @@ class StepBudgetExceeded(RuntimeError):
 class SchemeConfig:
     """Grid and stepping parameters.
 
-    h divides 2L into whole cells.  rho is the near/far split radius and
-    is snapped to an integer number of cells r = rho/h, from 2 to 2L/h.
+    h divides 2L into whole cells, fewer than one float64 array holds.  rho
+    is the near/far split radius, snapped to r = rho/h whole cells, 2 to 2L/h.
     """
 
     L: float = 4.0
@@ -72,10 +72,12 @@ class SchemeConfig:
     def __post_init__(self):
         if not (0 < self.L < math.inf and self.h > 0 and 0 < self.t_end < math.inf):
             raise ValueError("L and t_end must be positive and finite, h positive")
+        if not 2 * self.L / self.h < np.iinfo(np.intp).max // 8:
+            raise ValueError(f"h = {self.h!r} gives more grid nodes than one float64 array holds")
         cells = round(2 * self.L / self.h)
         if abs(cells * self.h - 2 * self.L) > 1e-9 * self.h:
             raise ValueError(f"h must divide 2L = {2 * self.L!r} into whole cells, got {self.h!r}")
-        r = int(round(self.rho / self.h))
+        r = round(self.rho / self.h) if math.isfinite(self.rho / self.h) else 0
         if not 2 <= r <= cells or abs(r * self.h - self.rho) > 1e-9 * self.h:
             raise ValueError("rho must be an integer multiple of h, from 2h to 2L")
 

@@ -1,6 +1,7 @@
 import importlib.util
 import inspect
 import json
+import math
 import os
 import pkgutil
 import re
@@ -12,12 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import annihilate
 from annihilate import harness, hjsolver, moments
 from annihilate.cli import (
-    _COMMANDS, _build, _hj_args, _keys, _load_config, _measure_args, _moments_positions,
-    _simulate_args, _typed, main,
+    _COMMANDS, ConfigError, _build, _hj_args, _keys, _load_config, _measure_args,
+    _moments_positions, _simulate_args, _typed, main,
 )
 from reference import read_events_jsonl, read_trajectory_csv
 
@@ -125,7 +127,7 @@ class TestSimulate:
         cfg = write_cfg(tmp_path, {"simulate": {"positions": [-1e-200, 0.0, 1e-200],
                                                 "charges": [1, -1, 1]}})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-        assert json.loads(capsys.readouterr().out)["error"] == "simulation"
+        assert json.loads(capsys.readouterr().out)["error"] == "simulate"
 
     def test_trajectory_roundtrip_bit_exact(self, tmp_path):
         cfg = pair_config(tmp_path)
@@ -162,21 +164,34 @@ class TestOtherCommands:
         assert len(files) == 3
         assert files[0].read_text().startswith("# annihilate v")
 
-    @pytest.mark.parametrize("command, payload", [
-        ("hj", {"scheme": {"h": 0.25, "rho": 0.5, "t_end": 1.0e300}}),
-        ("converge", {"experiment": {"ns": [8], "t_end": 1.0e300, "ref_h": 1 / 32}}),
-    ])
-    def test_grid_solve_out_of_steps_exits_3(self, tmp_path, capsys, monkeypatch,
-                                             command, payload):
-        # the horizon is out of reach: the solve gives up at its step budget,
-        # lowered here from 500000 to keep the test short
+    @pytest.mark.parametrize("command, payload, message, made", [
+        # gaps whose time scale underflows: no step can advance
+        ("simulate", {"simulate": {"positions": [-1e-200, 0.0, 1e-200], "charges": [1, -1, 1]}},
+         "pathological state", True),
+        # horizons out of reach: the grid solve gives up at its step budget
+        ("hj", {"scheme": {"h": 0.25, "rho": 0.5, "t_end": 1.0e300}},
+         "200 steps reached t=", True),
+        ("converge", {"experiment": {"ns": [8], "t_end": 1.0e300, "ref_h": 1 / 32}},
+         "200 steps reached t=", True),
+        # the suite's positions spread until their moments pass float64
+        ("verify", {"verify": {"sizes": [4], "runs": 2, "t_end": 1.0e300}},
+         "past float64", False),
+        ("moments", {"moments": {"positions": [1.0e200, 2.0e200]}}, "not finite", False),
+    ], ids=["simulate", "hj", "converge", "verify", "moments"])
+    def test_run_failure_exits_3(self, tmp_path, capsys, monkeypatch, command, payload,
+                                 message, made):
+        # every run failure exits 3 with the command's name as its error kind;
+        # simulate, hj and converge have made their output directory by then and
+        # write nothing into it.  The grid solves' step budget is lowered from
+        # 500000 to keep the test short
         monkeypatch.setattr(hjsolver, "MAX_STEPS", 200)
         out = tmp_path / "out"
         assert main([command, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 3
         failure = json.loads(capsys.readouterr().out)
-        assert failure["error"] == command
-        assert failure["message"].startswith("200 steps reached t=")
-        assert list(out.iterdir()) == []
+        assert failure == {"error": command, "message": failure["message"]}
+        assert message in failure["message"]
+        assert out.exists() == made
+        assert not made or list(out.iterdir()) == []
 
     def test_converge_writes_monotone_table(self, tmp_path):
         cfg = write_cfg(
@@ -306,7 +321,22 @@ NAMED_IN_MESSAGE = {
     "experiment-t_end-inf": "t_end=inf",
     "hj-scheme-built-first": "SchemeConfig: ",
     "verify-sizes-huge": "sizes in 2..256",
+    "verify-t_end-huge-int": "t_end: int too large",
+    "scheme-rho-inf": "rho must be",
+    "scheme-rho-nan": "rho must be",
+    "hj-snapshots-huge": "at most 500001",
+    "scheme-h-past-array": "h = 7.46",
+    "experiment-ref_h-past-array": "ref_h=7.46",
 }
+
+# values no builder may let out as anything but a ConfigError
+HOSTILE_SCALARS = st.one_of(
+    st.sampled_from([10**400, -10**400, math.inf, -math.inf, math.nan, True, False, None,
+                     "foo", "", "1e400"]),
+    st.integers(-3, 40), st.floats(),
+)
+HOSTILE = st.one_of(HOSTILE_SCALARS, st.lists(HOSTILE_SCALARS, max_size=3),
+                    st.lists(st.lists(HOSTILE_SCALARS, max_size=2), max_size=2))
 
 
 class TestConfigSchema:
@@ -412,6 +442,15 @@ class TestConfigSchema:
                                        "t_end": None}}),
             # refused before a 40e9-particle state is drawn
             ("verify", {"verify": {"sizes": [40000000000], "runs": 1}}),
+            # past float64, refused as values, not left to a traceback
+            ("verify", {"verify": {"t_end": 10**400}}),
+            ("hj", {"scheme": {"rho": float("inf")}}),
+            ("hj", {"scheme": {"rho": float("nan")}}),
+            # more frames than the grid solve has steps
+            ("hj", {"hj": {"snapshots": 1000000000000}}),
+            # grids of 2**1000 cells: more nodes than one float64 array holds
+            ("hj", {"scheme": {"h": 2.0**-997}}),
+            ("converge", {"experiment": {"ref_h": 2.0**-997}}),
         ],
         ids=[
             "ns-string", "ns-zero", "ref_h-zero", "ref_h-coarse", "experiment-t_end-inf",
@@ -437,7 +476,8 @@ class TestConfigSchema:
             "rel_tol-negative", "simulate-coupling-bool", "integrator-rel_tol-inf",
             "integrator-abs_tol-inf", "simulate-coupling-minus-one",
             "simulate-t_end-negative", "simulate-t_end-inf", "simulate-t_end-null",
-            "verify-sizes-huge",
+            "verify-sizes-huge", "verify-t_end-huge-int", "scheme-rho-inf", "scheme-rho-nan",
+            "hj-snapshots-huge", "scheme-h-past-array", "experiment-ref_h-past-array",
         ],
     )
     def test_bad_value_exits_2_without_outputs(self, tmp_path, capsys, request, command, payload):
@@ -481,6 +521,20 @@ class TestConfigSchema:
         assert main([command, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_builders_refuse_only_with_config_error(self, data):
+        # building `verify` runs the suite, so only its values are converted
+        section = data.draw(st.sampled_from(sorted(BUILDERS)))
+        values = data.draw(st.dictionaries(st.sampled_from(sorted(SCHEMA[section])), HOSTILE))
+        try:
+            if section == "verify":
+                _typed(harness.run_property_suite, values)
+            else:
+                _build(BUILDERS[section], values)
+        except ConfigError:
+            pass
+
     def test_whole_floats_convert_to_int(self):
         assert _typed(harness.ExperimentSpec, {"ns": [4.0, 8], "offset": 0}) == {
             "ns": (4, 8), "offset": 0.0,
@@ -506,7 +560,7 @@ class TestConfigSchema:
 
         def capture(spec):
             seen.append(spec)
-            raise ValueError("stop after building the spec")
+            raise hjsolver.StepBudgetExceeded("stop after building the spec")
 
         monkeypatch.setattr(harness, "run_convergence", capture)
         cfg = write_cfg(tmp_path, {"experiment": None})
