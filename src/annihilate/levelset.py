@@ -113,7 +113,7 @@ def nonlocal_operator_closed_form(u: StepFunction) -> np.ndarray:
     """Closed form of the pv integral at every jump: -eps * sum_{j != i} s_j / (x_i - x_j).
 
     This is -s_i times the velocity of a particle at x_i with coupling eps,
-    so it is computed by the particle velocity field.
+    so it is computed by the particle velocity field on the jumps themselves.
     """
     return -u.signs * particles.velocity_field(u.locations, u.signs, u.eps)
 

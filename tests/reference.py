@@ -2,7 +2,7 @@
 
 Each evaluates one formula at one particle or grid node with an explicit
 loop, independent of the vectorized code in `annihilate`:
-`force` is one entry of `particles.velocity_field`, and `levy_operator`
+`force` is one entry of `velocities`, and `levy_operator`
 (near-field quadrature plus far field) is one node of
 `hjsolver.levy_operator_all`.  `levy_operator_direct` is that operator at
 every node by one direct convolution with the solver's own weights, the
@@ -16,7 +16,8 @@ over atoms with a scalar default dictionary.  `sample_particles_loop` is
 bisection per crossing.  The `*_loop` checks at the end are the property
 suite's per-run checks walking a trajectory one `ParticleState` at a
 time.  The other helpers serve only the tests: a single integrator step
-with no history, per-state velocities, the staircase quantization, the
+with no history, per-state velocities (`particles.velocity_field` on the
+charged particles, zero for the neutral ones), the staircase quantization, the
 total variation and Lipschitz constant of a step or grid function, the
 sup norm of a grid function, the e_n of a ladder's good rows, the
 barrier bound on the limit equation, the tightness monitor of a measure,
@@ -45,7 +46,7 @@ from annihilate.integrator import IntegratorConfig, StepStats, Trajectory, _Segm
 from annihilate.io import provenance_line
 from annihilate.levelset import StepFunction
 from annihilate.measures import SignedAtomicMeasure
-from annihilate.particles import EventRecord, NonFiniteForce, ParticleState, velocity_field
+from annihilate.particles import EventRecord, ParticleState, velocity_field
 
 
 def force(state: ParticleState, i: int) -> float:
@@ -66,7 +67,7 @@ def force(state: ParticleState, i: int) -> float:
             continue
         dx = x[i] - x[j]
         if dx == 0.0:
-            raise NonFiniteForce(f"charged particles {i} and {j} coincide at x={x[i]!r}")
+            raise ZeroDivisionError(f"charged particles {i} and {j} coincide at x={x[i]!r}")
         term = bi * b[j] / dx
         t = s + (term - c)
         c = (t - s) - (term - c)
@@ -282,7 +283,10 @@ def collision_profile(b) -> np.ndarray:
 
 
 def velocities(state: ParticleState) -> np.ndarray:
-    return velocity_field(state.positions, state.charges, state.coupling)
+    c = np.flatnonzero(state.charges)
+    v = np.zeros(state.n)
+    v[c] = velocity_field(state.positions[c], state.charges[c], state.coupling)
+    return v
 
 
 def staircase(alpha: float, eps: float, variant: str = "upper") -> float:
@@ -486,7 +490,9 @@ def _energy(state: ParticleState) -> float:
 def check_m1_loop(traj):
     states = _states(traj)
     m1_0 = float(states[0].positions.sum())
-    tol = 1e-9 * (1.0 + abs(m1_0))
+    floor = max(max(st.n * float(np.spacing(np.max(np.abs(st.positions)))) for st in states),
+                0.5 * math.fsum(float(np.sum(np.spacing(np.abs(st.positions)))) for st in states))
+    tol = max(1e-9 * (1.0 + abs(m1_0)), floor)
     worst = max(abs(float(st.positions.sum()) - m1_0) for st in states)
     yield worst <= tol, tol - worst, f"max drift {worst:.3e}"
 

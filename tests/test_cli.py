@@ -291,6 +291,14 @@ class TestOtherCommands:
         assert "past float64" in failure["message"]
         assert not out.exists()
 
+    def test_verify_far_horizon_exits_0(self, tmp_path):
+        # at t_end = 1e20 the positions spread to about 5e9, where float64
+        # holds M1 to about 1e-7 only: m1_conservation takes the float64 floor
+        cfg = write_cfg(tmp_path, {"verify": {"sizes": [4], "runs": 2, "t_end": 1.0e20}})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "properties.json").read_text())["all_passed"] is True
+
     @pytest.mark.parametrize("n, code", [(22, 0), (24, 3)])
     def test_moments_judges_refused_roots_by_round_trip(self, tmp_path, capsys, n, code):
         # reconstruct_positions refuses both; the command knows the input, and

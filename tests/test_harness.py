@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,20 @@ class TestConvergence:
         assert [fr.time for fr in res.ref_frames] == list(res.spec.snapshot_times())
         assert all(np.array_equal(fr.values, semicircle(fr.time, fr.xs)) for fr in res.ref_frames)
 
+    def test_only_typed_failures_make_a_failed_row(self, monkeypatch):
+        # one crossing cannot make a state: a typed refusal fails the row
+        spec = Hn.ExperimentSpec(datum="sigmoid", ns=(1,), t_end=0.05, ref_h=1 / 64)
+        (row,) = Hn.run_convergence(spec).rows
+        assert row.error == "need n >= 2 particles" and math.isnan(row.e_n)
+
+        # a plain ValueError is a fault, not a failed row
+        def broken(state, base=0.0):
+            raise ValueError("not a row failure")
+
+        monkeypatch.setattr(Hn.levelset, "from_particles", broken)
+        with pytest.raises(ValueError, match="not a row failure"):
+            Hn.run_convergence(replace(spec, ns=(8,)))
+
     def test_benchmark_ladder_rows(self, monkeypatch):
         # the benchmark's gate on the seed-0 double_bump ladder, read from
         # its own module: every row keeps its event count exactly and its
@@ -205,6 +220,21 @@ class TestPropertySuite:
         payload = json.loads(rep.to_json())
         assert payload["runs"] == 3
         assert set(payload["checks"]) == set(rep.checks)
+
+    def test_m1_drift_at_suite_scale_fails(self, monkeypatch):
+        # the float64 floor of m1_conservation is far below its fixed bound
+        # at the suite's scale: a drift of 1e-8 in one row still fails it
+        real = Hn.evolve
+
+        def drifting(state, config):
+            traj = real(state, config)
+            x = traj.positions.copy()
+            x[len(x) // 2, 0] += 1e-8
+            return replace(traj, positions=x)
+
+        monkeypatch.setattr(Hn, "evolve", drifting)
+        rep = Hn.run_property_suite(seed=4, sizes=(4,), runs=3, t_end=0.5)
+        assert not rep.checks["m1_conservation"].passed
 
     @pytest.mark.parametrize("sizes", [(1,), (4, 1), ()])
     def test_sizes_below_two_rejected(self, sizes):

@@ -160,6 +160,24 @@ class TestResolve:
         survivor = [i for i in ev.cluster if new.charges[i] != 0][0]
         assert new.positions[survivor] == ev.y
 
+    @pytest.mark.parametrize("units, survivor", [((0, 5, 9), 2), ((0, 4, 8), 0)],
+                             ids=["nearest", "tie"])
+    def test_survivor_is_nearest_y_then_smallest_index(self, units, survivor):
+        # a +-+ cluster far inside the state's length scale, committed at t = 0:
+        # the + nearest the meeting point y survives, on an exact tie (dyadic
+        # positions) the smaller index; evolve's event and trajectory agree
+        x, b = np.array([*(u * 2.0**-32 for u in units), 1.0]), np.array([1, -1, 1, -1])
+        want = tuple(int(k == survivor) for k in range(3))
+        (ev,) = resolve_annihilation(x, b, 0.0, 0.25, [[0, 1, 2]])
+        assert ev.post_charges == want
+        traj = evolve(make(x, b, 0.25), IntegratorConfig(t_end=0.5))
+        (ev,) = traj.events
+        assert ev.cluster == (0, 1, 2) and ev.post_charges == want
+        assert traj.charges[-1].tolist() == [*want, -1]
+        # the neutralized columns stay at y, the survivor's moves on
+        moved = traj.positions[-1, :3] != ev.y
+        assert moved.tolist() == [k == survivor for k in range(3)]
+
     def test_net_charge_preserved(self):
         s = make([-2e-9, -1e-9, 0.0, 1e-9, 2e-9], [-1, 1, -1, 1, -1])
         q0 = net_charge(s)

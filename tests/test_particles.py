@@ -8,7 +8,6 @@ from annihilate.particles import (
     EventRecord,
     ForceWorkspace,
     InvalidState,
-    NonFiniteForce,
     ParticleState,
     energy,
     velocity_field,
@@ -75,7 +74,7 @@ class TestForce:
 
     def test_coincident_charged_raises(self):
         # no ParticleState holds coincident charges; raw arrays still can
-        with pytest.raises(NonFiniteForce):
+        with pytest.raises(InvalidState):
             velocity_field(np.array([0.0, 0.0]), np.array([1, -1]), 0.5)
 
     def test_matches_vectorized(self):
@@ -123,9 +122,10 @@ class TestKernelAccuracy:
         assert abs(math.fsum(v)) <= 1e-12 * np.max(np.abs(v))
 
     def test_workspace_path_is_bit_identical(self):
-        # the workspace path does the same divisions and row sums as the
-        # public one: sizes 2..200, scales 1e-6..1e6, neutral particles
-        # among the charges and one near-collision pair
+        # a workspace built from float charges gives the bits of a fresh
+        # scratch from the state's int charges: sizes 2..200, scales
+        # 1e-6..1e6, neutral particles among the charges and one
+        # near-collision pair
         rng = np.random.default_rng(2)
         for _ in range(600):
             n = int(rng.integers(2, 201))
@@ -135,7 +135,7 @@ class TestKernelAccuracy:
             b[k], b[k + 1] = rng.choice([-1, 1], 2)
             x[k + 1] = x[k] + 1e-9 * (x[-1] - x[0])
             gamma = 10.0 ** rng.uniform(-3.0, 0.0)
-            assert np.array_equal(_workspace_field(x, b, gamma), velocity_field(x, b, gamma))
+            assert np.array_equal(_workspace_field(x, b, gamma), velocities(make(x, b, gamma)))
 
 
 coords = st.lists(

@@ -11,6 +11,7 @@ second argument, and one detection that finds nothing per accepted step.
 import importlib
 import importlib.util
 import pkgutil
+import re
 import warnings
 from pathlib import Path
 
@@ -46,6 +47,19 @@ def test_traced_attribute_resolves(attr):
 def test_exported_names_exist(mod):
     module = importlib.import_module(f"annihilate.{mod}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_every_exported_exception_is_raised():
+    # an exception class that no code in the package raises is dead API:
+    # a change that removes its last raise removes the class too
+    exported = []
+    for mod in MODULES:
+        module = importlib.import_module(f"annihilate.{mod}")
+        exported += [n for n in getattr(module, "__all__", ())
+                     if isinstance(obj := getattr(module, n), type) and issubclass(obj, BaseException)]
+    source = "\n".join(p.read_text() for p in Path(annihilate.__file__).parent.glob("*.py"))
+    assert {"InvalidState", "EvolveError", "DegenerateCrossing"} <= set(exported)
+    assert [n for n in exported if not re.search(rf"\braise (\w+\.)*{n}\(", source)] == []
 
 
 def test_every_module_is_checked():
