@@ -50,7 +50,36 @@ __all__ = [
 
 # points of the grid on which sample_particles looks for level crossings
 SCAN_POINTS = 2**15
+MAX_SCAN_POINTS = 2**20  # an 8 MiB scan grid; a build counts the crossings on it
 MAX_SUITE_SIZE = 256  # largest state the property suite draws; its d_M passes float64 at |x| ~ 4
+# largest particle count a size or a ladder rung may give: the m x m force
+# workspace (particles.ForceWorkspace) holds 8 m^2 bytes, 2 GiB at m = 16,384
+MAX_PARTICLES = 2**14
+
+LADDER_TOLERANCES = (1e-10, 1e-7)
+"""(abs_tol, rel_tol) at which `converge` evolves every rung.
+
+A rung is integrated only as accurately as e_n can see.  e_n is 0.0196
+or more on the benchmark rungs, and the `IntegratorConfig` defaults
+(1e-12, 1e-9) hold the ODE error about seven orders below it.  On the
+seed-0 `double_bump` ladder (n = 8..64, offset 0.5, ref_h = 1/256), with
+in-process CPU on a 2-core shared VM and the e_n move against the rows
+recorded at the defaults:
+
+    (abs_tol, rel_tol)     force evals   CPU      largest e_n move
+    (1e-12, 1e-9)          9,102         0.68 s   3.5e-10
+    (1e-11, 1e-8)          6,990         0.51 s   7.9e-9
+    (1e-10, 1e-7)          5,551         0.42 s   3.1e-7
+    (1e-9, 1e-6)           4,501         0.39 s   1.1e-5
+
+The events stay (5, 8, 15, 30) on every row.  At (1e-10, 1e-7) the ODE
+error stays at least 1e4 below e_n: over twelve ladders (n = 8..128 on
+`double_bump`, `sigmoid` and `semicircle` at four offsets) the events
+are equal and e_n moves by at most 7.5e-7 relative, far inside the 1e-4
+to which the benchmark pins the ladder's rows, for 37-47% fewer force
+evaluations.  The next pair already moves e_n by a tenth of that pin.
+`simulate`, `verify` and `evolve` keep the `IntegratorConfig` defaults.
+"""
 
 
 class DegenerateCrossing(ValueError):
@@ -120,9 +149,9 @@ def catalog_datum(name: str) -> InitialDatum:
 
 
 def check_sizes(ns: Sequence[int]) -> None:
-    """ValueError unless ns is a non-empty list of positive sizes."""
-    if not ns or not all(n >= 1 for n in ns):
-        raise ValueError(f"ns must be a non-empty list of positive sizes, got {list(ns)}")
+    """ValueError unless ns is a non-empty list of sizes in 1..MAX_PARTICLES."""
+    if not ns or not all(1 <= n <= MAX_PARTICLES for n in ns):
+        raise ValueError(f"ns must be a non-empty list of sizes in 1..{MAX_PARTICLES}, got {list(ns)}")
 
 
 def odd_lattice(n: int) -> ParticleState:
@@ -141,6 +170,40 @@ def quantized_level_below(value: float, eps: float, a: float) -> float:
     if level >= value:
         level -= eps
     return level
+
+
+def _crossings(vals: np.ndarray, n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """(interval, level) of every crossing of the scan values vals at heights (1/n)(Z + a).
+
+    Interval i runs from vals[i] to vals[i + 1].  Its candidate levels are
+    the levels k_lo..k_hi between min(vals) and max(vals) that lie within
+    2e-12 (1 + max |vals|) of its values: every level within the flatness
+    tolerance 1e-12, with room for the rounding of k = v n - a.  A
+    candidate is a crossing iff (vals[i] - level) (vals[i + 1] - level)
+    < 0, so a value equal to a level is not one.  The cost is
+    O(len(vals) + crossings).  Raises DegenerateCrossing, naming the
+    lowest such level, if two neighbouring values both lie within 1e-12
+    of a level.
+    """
+    eps = 1.0 / n
+    k_lo = math.ceil(float(vals.min()) / eps - a)
+    k_hi = math.floor(float(vals.max()) / eps - a)
+    pad = 2e-12 * (1.0 + float(np.abs(vals).max()))
+    v0, v1 = vals[:-1], vals[1:]
+    first = np.maximum(np.ceil((np.minimum(v0, v1) - pad) / eps - a), k_lo)
+    last = np.minimum(np.floor((np.maximum(v0, v1) + pad) / eps - a), k_hi)
+    counts = np.maximum(last - first + 1.0, 0.0).astype(np.intp)
+    some = np.flatnonzero(counts)
+    counts = counts[some]
+    idx = np.repeat(some, counts)
+    k = np.repeat(first[some] - (np.cumsum(counts) - counts), counts) + np.arange(idx.size)
+    level = eps * (k + a)
+    f0, f1 = vals[idx] - level, vals[idx + 1] - level
+    flat = (np.abs(f0) < 1e-12) & (np.abs(f1) < 1e-12)
+    if flat.any():
+        raise DegenerateCrossing(f"u0 is flat at level {float(level[flat].min())}")
+    cross = f0 * f1 < 0.0
+    return idx[cross], level[cross]
 
 
 def sample_particles(
@@ -162,22 +225,9 @@ def sample_particles(
     """
     if not (0.0 <= a < 1.0):
         raise ValueError("offset a must lie in [0, 1)")
-    eps = 1.0 / n
     xs = np.linspace(window[0], window[1], scan_points)
     vals = u0(xs)
-    k_lo = math.ceil(float(vals.min()) / eps - a)
-    k_hi = math.floor(float(vals.max()) / eps - a)
-
-    brackets, levels = [np.empty(0, dtype=int)], [np.empty(0)]  # empty when no level is crossed
-    for k in range(k_lo, k_hi + 1):
-        level = eps * (k + a)
-        f = vals - level
-        flat = np.abs(f) < 1e-12
-        if np.any(flat[:-1] & flat[1:]):
-            raise DegenerateCrossing(f"u0 is flat at level {level}")
-        brackets.append(np.flatnonzero(f[:-1] * f[1:] < 0.0))
-        levels.append(np.full(brackets[-1].size, level))
-    idx, level = np.concatenate(brackets), np.concatenate(levels)
+    idx, level = _crossings(vals, n, a)
     if not idx.size:
         return None
     lo, hi = xs[idx], xs[idx + 1]
@@ -197,7 +247,7 @@ def sample_particles(
     pos, chg = pos[order], chg[order]
     if np.any(np.diff(pos) <= 0):
         raise DegenerateCrossing("coincident crossings; raise scan_points or move a")
-    return ParticleState(positions=pos, charges=chg, coupling=eps)
+    return ParticleState(positions=pos, charges=chg, coupling=1.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +259,11 @@ class ExperimentSpec:
     """One discrete-to-continuum experiment.
 
     The reference grid spans the `SchemeConfig` default [-L, L] with its
-    default near-field radius rho, and the particles run at the
-    `IntegratorConfig` default tolerances.  seed changes no result: the
-    ladder draws no random numbers.
+    default near-field radius rho, and the particles run at
+    LADDER_TOLERANCES.  A rung may sample at most MAX_PARTICLES particles:
+    the build counts each rung's crossings on the scan grid, one u0 call
+    for all of them, and refuses a larger count.  seed changes no result:
+    the ladder draws no random numbers.
     """
 
     datum: str = "sigmoid"
@@ -225,24 +277,33 @@ class ExperimentSpec:
     def __post_init__(self):
         catalog_datum(self.datum)
         check_sizes(self.ns)
-        if self.scan_points < 2:
-            raise ValueError(f"scan_points must be at least 2, got {self.scan_points}")
+        if not 2 <= self.scan_points <= MAX_SCAN_POINTS:
+            raise ValueError(f"scan_points must lie in 2..{MAX_SCAN_POINTS}, got {self.scan_points}")
         if not 0.0 <= self.offset < 1.0:
             raise ValueError(f"offset must lie in [0, 1), got {self.offset!r}")
         # both configs check their own fields; the grid's refusal names the keys that set it
         try:
-            self.scheme_config()
+            L = self.scheme_config().L
         except ValueError as exc:
             raise ValueError(f"grid of ref_h={self.ref_h!r}, t_end={self.t_end!r}: {exc}") from exc
         self.integrator_config()
+        vals = CATALOG[self.datum].u0(np.linspace(-L, L, self.scan_points))
+        for n in self.ns:
+            try:
+                count = _crossings(vals, n, self.offset)[0].size
+            except DegenerateCrossing:
+                continue  # sampling refuses it again, and the rung fails as a row
+            if count > MAX_PARTICLES:
+                raise ValueError(f"ns: n={n} samples {count} particles from {self.datum}, "
+                                 f"more than {MAX_PARTICLES}")
 
     def scheme_config(self) -> hjsolver.SchemeConfig:
         return hjsolver.SchemeConfig(h=self.ref_h, t_end=self.t_end)
 
     def integrator_config(self) -> IntegratorConfig:
-        return IntegratorConfig(
-            t_end=self.t_end, sample_times=tuple(self.snapshot_times()), store_steps=False,
-        )
+        abs_tol, rel_tol = LADDER_TOLERANCES
+        return IntegratorConfig(t_end=self.t_end, abs_tol=abs_tol, rel_tol=rel_tol,
+                                sample_times=tuple(self.snapshot_times()), store_steps=False)
 
     def snapshot_times(self) -> np.ndarray:
         """0 and six times spaced geometrically from t_end / 30 to t_end, sorted and distinct."""

@@ -529,6 +529,36 @@ class TestConfigSchema:
         assert main([command, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, payload, named",
+        [
+            ("measure", {"measure": {"ns": [10**400]}}, "sizes in 1..16384"),
+            ("measure", {"measure": {"family": "lipschitz_cdf", "ns": [10000000000]}},
+             "sizes in 1..16384"),
+            ("converge", {"experiment": {"ns": [3000000]}}, "sizes in 1..16384"),
+            ("converge", {"experiment": {"datum": "double_bump", "ns": [8, 16384]}},
+             "n=16384 samples 40632 particles"),
+            ("converge", {"experiment": {"scan_points": 2**40}}, "scan_points must lie in"),
+        ],
+        ids=["measure-ns-overflow", "lipschitz_cdf-ns-huge", "experiment-ns-huge",
+             "experiment-rung-past-cap", "experiment-scan_points-huge"],
+    )
+    def test_size_past_a_cap_exits_2_at_once(self, tmp_path, command, payload, named):
+        # each used to make its output directory and then fail (an
+        # OverflowError, a 74.5 GiB array) or run on in the sampler or the
+        # force kernel; in a child process, so a run that goes on is cut
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "annihilate.cli", command,
+             "--config", write_cfg(tmp_path, payload), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        failure = json.loads(proc.stdout)
+        assert failure["error"] == "config" and named in failure["message"]
+        assert not out.exists()
+
     @given(data=st.data())
     @settings(max_examples=400, deadline=None)
     def test_builders_refuse_only_with_config_error(self, data):

@@ -109,6 +109,23 @@ class TestSampler:
                 assert np.array_equal(st.positions, want[0]), (n, a)
                 assert np.array_equal(st.charges, want[1]), (n, a)
 
+    def test_sizes_stop_at_the_particle_cap(self):
+        Hn.check_sizes([1, Hn.MAX_PARTICLES])
+        for ns in ([Hn.MAX_PARTICLES + 1], [10**400], [0], []):
+            with pytest.raises(ValueError, match="sizes in 1..16384"):
+                Hn.check_sizes(ns)
+
+    def test_ladder_refuses_a_rung_past_the_particle_cap(self):
+        # sigmoid crosses each of its n levels once: n = MAX_PARTICLES is
+        # the cap itself; double_bump crosses each of its levels four times
+        Hn.ExperimentSpec(datum="sigmoid", ns=(8, Hn.MAX_PARTICLES))
+        with pytest.raises(ValueError, match="n=16384 samples 40632 particles from double_bump"):
+            Hn.ExperimentSpec(datum="double_bump", ns=(8, Hn.MAX_PARTICLES))
+        # a rung the sampler refuses is left to fail as a row
+        spec = Hn.ExperimentSpec(datum="constant", ns=(4,), offset=0.0, ref_h=1 / 64, t_end=0.05)
+        (row,) = Hn.run_convergence(spec).rows
+        assert row.error == "u0 is flat at level 0.25"
+
     @pytest.mark.parametrize("name", list(Hn.CATALOG))
     def test_datum_is_elementwise(self, name):
         # one call on the grid gives, bit for bit, the values one point at a time
@@ -186,6 +203,24 @@ class TestConvergence:
         monkeypatch.setattr(Hn.levelset, "from_particles", broken)
         with pytest.raises(ValueError, match="not a row failure"):
             Hn.run_convergence(replace(spec, ns=(8,)))
+
+    @pytest.mark.parametrize("datum", ["double_bump", "sigmoid"])
+    def test_ladder_tolerances_move_no_event_and_no_visible_digit(self, datum, monkeypatch):
+        # the ladder evolves at LADDER_TOLERANCES: against the IntegratorConfig
+        # defaults every rung keeps its events and e_n moves by less than a
+        # tenth of the benchmark's 1e-4 pin
+        spec = Hn.ExperimentSpec(datum=datum, ns=(8, 16, 32), ref_h=1 / 64)
+        cfg = spec.integrator_config()
+        assert (cfg.abs_tol, cfg.rel_tol) == Hn.LADDER_TOLERANCES
+        assert Hn.LADDER_TOLERANCES != (IntegratorConfig.abs_tol, IntegratorConfig.rel_tol)
+        ladder = Hn.run_convergence(spec).rows
+        monkeypatch.setattr(Hn, "LADDER_TOLERANCES",
+                            (IntegratorConfig.abs_tol, IntegratorConfig.rel_tol))
+        default = Hn.run_convergence(spec).rows
+        for a, b in zip(ladder, default, strict=True):
+            assert a.error is None and b.error is None
+            assert a.events == b.events
+            assert abs(a.e_n - b.e_n) <= 1e-5 * b.e_n
 
     def test_benchmark_ladder_rows(self, monkeypatch):
         # the benchmark's gate on the seed-0 double_bump ladder, read from
