@@ -240,11 +240,16 @@ _GUS_EXP = 1 / 5
 
 
 class _Segment:
-    """The fixed charges and the step-size memory of one inter-event segment of evolve().
+    """The fixed charges, step-size memory and step buffers of one inter-event segment of evolve().
 
     Built from the integrated field's charges b over all n particles:
     charged lists the m particles that carry one, bc their int charges and
     bf their float copy, and work is the force kernel's workspace for them.
+    The segment also holds the stage matrix k (7, m) with its prefix views
+    ks[s] = k[:s], two position buffers that _step_core writes in turn,
+    and m-long scratch rows; a step allocates none of them.  An array that
+    _step_core returns is one of these buffers and valid only as long as
+    its docstring says.
     """
 
     def __init__(self, b: np.ndarray, gamma: float):
@@ -254,12 +259,20 @@ class _Segment:
         self.bf = self.bc.astype(float)
         self.work = ForceWorkspace(self.bf, gamma)
         self.opposite = self.bc[:-1] != self.bc[1:]  # adjacent charged pairs of opposite sign
+        self.any_opposite = bool(self.opposite.any())
         self.hint = math.inf  # first dt to try
         # error norm and size of the last controller-updated step; the error
         # is floored at 1e-4 and starts at the floor, and the first step of a
         # segment, with no dt_prev, is sized by the PI factor alone
         self.err_prev = 1e-4
         self.dt_prev: float | None = None
+        m = self.bc.size
+        self.k = np.empty((7, m))
+        self.ks = [self.k[:s] for s in range(7)]
+        self.pos = (np.empty(m), np.empty(m))
+        self.inc, self.scale = np.empty(m), np.empty(m)  # stage increment, error scale
+        self.gaps = np.empty(max(m - 1, 0))
+        self.ordered = np.empty(max(m - 1, 0), dtype=bool)
 
 
 def _step_core(
@@ -279,42 +292,58 @@ def _step_core(
     increasing; seg's step-size memory is updated for the next step.  The
     error norm is the RMS over all seg.n particles, whose other entries are
     exactly 0.  Fewer than two charges advance by dt_max exactly.
+
+    The new x and f(new x) are seg's buffers, not copies: the next call
+    reads f(new x) as its k0 and then overwrites it, and the second call
+    after this one overwrites the new x, so a caller that keeps either
+    copies it.  x may be the previous call's new x, never a buffer this
+    call writes.
     """
     gamma = seg.gamma
     if x.size < 2:
         return x, dt_max, k0
 
-    gaps = x[1:] - x[:-1]
+    gaps = np.subtract(x[1:], x[:-1], out=seg.gaps)
     cap = math.inf
-    if seg.opposite.any():
-        g = float(gaps[seg.opposite].min())
+    if seg.any_opposite:
+        g = float(np.minimum.reduce(gaps[seg.opposite]))
         cap = COLLISION_SAFETY * g * g / (4.0 * gamma)
     internal_cap = min(cap, seg.hint)
     dt = min(dt_max, internal_cap)
     stats.cap_bound += cap <= seg.hint and cap < dt_max
     target_bound = dt_max <= internal_cap
     rejected = False
-    k = np.empty((7, x.size))
+    k, ks, inc, scale, ordered = seg.k, seg.ks, seg.inc, seg.scale, seg.ordered
     k[0] = k0
+    xs = seg.pos[1] if x is seg.pos[0] else seg.pos[0]
     # the floor is relative to the state's own time scale: |t|, or the time
     # d^2 / (4 gamma) in which the closest charged pair (gap d) moves by ~d;
     # a step cut short only by a nearby target is not held to it
-    d = float(gaps.min())
+    d = float(np.minimum.reduce(gaps))
     tiny = 1e-16 * max(abs(t), d * d / (4.0 * gamma))
     while True:
         if not dt > tiny and not target_bound:
             raise StepSizeUnderflow(f"dt={dt:.3e} at t={t:.6e}; pathological state")
         for s in range(1, 7):
-            xs = x + dt * (_DP_A[s] @ k[:s])
-            if not (xs[1:] > xs[:-1]).all():
+            # xs = x + dt * (A[s] @ k[:s]), in that order
+            np.matmul(_DP_A[s], ks[s], out=inc)
+            np.multiply(dt, inc, out=inc)
+            np.add(x, inc, out=xs)
+            np.greater(xs[1:], xs[:-1], out=ordered)
+            if np.count_nonzero(ordered) != ordered.size:
                 break
-            k[s] = velocity_field(xs, seg.bf, gamma, work=seg.work)
+            velocity_field(xs, seg.bf, gamma, work=seg.work, out=k[s])
             stats.force_evals += 1
         else:
-            # xs is now the 5th-order solution x5 and k[6] = f(x5)
-            scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(x), np.abs(xs))
-            r = dt * (_DP_E @ k) / scale
-            err = math.sqrt(r @ r / seg.n)  # RMS of the scaled error estimate
+            # xs is now the 5th-order solution x5 and k[6] = f(x5); the
+            # scaled error is dt (E @ k) / (abs_tol + rel_tol max(|x|, |x5|))
+            np.maximum(np.abs(x, out=scale), np.abs(xs, out=inc), out=scale)
+            np.multiply(config.rel_tol, scale, out=scale)
+            np.add(config.abs_tol, scale, out=scale)
+            np.matmul(_DP_E, k, out=inc)
+            np.multiply(dt, inc, out=inc)
+            np.divide(inc, scale, out=inc)
+            err = math.sqrt(inc @ inc / seg.n)  # RMS of the scaled error estimate
             if err <= 1.0:
                 if not target_bound:
                     # a step clipped by the requested horizon says nothing
@@ -363,11 +392,28 @@ def detect_clusters(
     t, gamma), so a run restarted from its own state detects what it
     would have, and it is invariant under translation, reflection, charge
     flip and the scaling x -> lambda x, t -> lambda^2 t.
+
+    With three or more charges every link has an outer gap, and none
+    exceeds the largest gap, so when the smallest opposite-sign gap is at
+    least PAIR_ISOLATION times the largest gap and at least CLUSTER_GAP *
+    L, nothing can be returned and the links are not looked at.  A lone
+    pair has no outer gap and is isolated whenever it closes.
     """
-    if not b.all():
+    if np.count_nonzero(b) != b.size:
         raise InvalidState("detect_clusters takes the charged particles only")
+    if b.size < 2:
+        return []
     g = x[1:] - x[:-1]
-    closing = (b[:-1] != b[1:]) & (v[1:] - v[:-1] < 0.0)
+    opposite = b[:-1] != b[1:]
+    cut = CLUSTER_GAP * max(float(x[-1] - x[0]), math.sqrt(gamma * abs(t)))
+    if b.size >= 3:
+        g_opp = g[opposite]
+        if not g_opp.size:
+            return []
+        least = np.minimum.reduce(g_opp)
+        if least >= PAIR_ISOLATION * np.maximum.reduce(g) and least >= cut:
+            return []
+    closing = opposite & (v[1:] - v[:-1] < 0.0)
     if not closing.any():
         return []
     outer = np.full_like(g, np.inf)
@@ -376,7 +422,7 @@ def detect_clusters(
     isolated = closing & (g < PAIR_ISOLATION * outer)
     if isolated.any():
         return [[k, k + 1] for k in np.flatnonzero(isolated).tolist()]
-    linked = closing & (g < CLUSTER_GAP * max(float(x[-1] - x[0]), math.sqrt(gamma * abs(t))))
+    linked = closing & (g < cut)
     clusters: list[list[int]] = []
     for k in np.flatnonzero(linked).tolist():
         if clusters and clusters[-1][-1] == k:

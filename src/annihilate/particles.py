@@ -124,6 +124,7 @@ class ForceWorkspace:
 
 def velocity_field(
     x: np.ndarray, b: np.ndarray, coupling: float, *, work: ForceWorkspace | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Velocities of the m charged particles at x, charges b, all at once.
 
@@ -131,6 +132,7 @@ def velocity_field(
     StepFunction: a neutral particle neither exerts nor feels a force, so
     the caller leaves it out.  Without work, an unordered x raises
     InvalidState and the call builds its own ForceWorkspace(b, coupling).
+    The result is written into out, which is returned, if it is given.
 
     Row i sums b_j / (x_i - x_j) and is then multiplied by b_i, which is
     exact for b_i = +-1.  The pair matrix is exactly antisymmetric in IEEE
@@ -144,10 +146,12 @@ def velocity_field(
             raise InvalidState("velocity_field needs strictly increasing positions")
         work = ForceWorkspace(b, coupling)
     d = work.buf
-    np.subtract.outer(x, x, out=d)
+    np.subtract(x[:, None], x, out=d)
     work.diag.fill(np.inf)  # b_j / inf = 0: no self-interaction
     np.divide(b, d, out=d)
-    return work.gb * np.add.reduce(d, axis=1)
+    out = np.add.reduce(d, axis=1, out=out)
+    out *= work.gb
+    return out
 
 
 def energy(x: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,8 +15,13 @@ over atoms with a scalar default dictionary.  `sample_particles_loop` is
 `harness.sample_particles` with one u0 call per scan point and one scalar
 bisection per crossing.  The `*_loop` checks at the end are the property
 suite's per-run checks walking a trajectory one `ParticleState` at a
-time.  The other helpers serve only the tests: a single integrator step
-with no history, per-state velocities (`particles.velocity_field` on the
+time.  `step_core_fresh` is `integrator._step_core` with a fresh array
+for every stage point, error scale and stage matrix, and
+`detect_clusters_every_link` is `integrator.detect_clusters` without its
+early exit, building the outer gaps and the closing mask on every call:
+the oracles of the step's held buffers and of the exit, each of which
+must give the same bits.  The other helpers serve only the tests: a
+single integrator step with no history, per-state velocities (`particles.velocity_field` on the
 charged particles, zero for the neutral ones), the staircase quantization, the
 total variation and Lipschitz constant of a step or grid function, the
 sup norm of a grid function, the e_n of a ladder's good rows, the
@@ -42,11 +47,14 @@ import numpy as np
 from annihilate import moments
 from annihilate.harness import SCAN_POINTS, ConvergenceResult, InitialDatum
 from annihilate.hjsolver import GridFunction
-from annihilate.integrator import IntegratorConfig, StepStats, Trajectory, _Segment, _step_core
+from annihilate.integrator import (
+    _DP_A, _DP_E, _GUS_EXP, _PI_ALPHA, _PI_BETA, CLUSTER_GAP, COLLISION_SAFETY, PAIR_ISOLATION,
+    IntegratorConfig, StepSizeUnderflow, StepStats, Trajectory, _Segment, _step_core,
+)
 from annihilate.io import provenance_line
 from annihilate.levelset import StepFunction
 from annihilate.measures import SignedAtomicMeasure
-from annihilate.particles import EventRecord, ParticleState, velocity_field
+from annihilate.particles import EventRecord, InvalidState, ParticleState, velocity_field
 
 
 def force(state: ParticleState, i: int) -> float:
@@ -235,6 +243,107 @@ def step(
     x[seg.charged] = xc
     return ParticleState(positions=x, charges=state.charges, coupling=state.coupling,
                          time=state.time + dt), dt
+
+
+def step_core_fresh(
+    x: np.ndarray,
+    t: float,
+    dt_max: float,
+    seg: _Segment,
+    config: IntegratorConfig,
+    k0: np.ndarray,
+    stats: StepStats,
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """`integrator._step_core` as it was before the segment held the step's buffers.
+
+    Every attempt allocates its stage matrix, and every stage point, error
+    scale and error vector is a fresh array; the floating-point operations
+    and their order are the package's.  Returns fresh arrays.
+    """
+    gamma = seg.gamma
+    if x.size < 2:
+        return x, dt_max, k0
+
+    gaps = x[1:] - x[:-1]
+    cap = math.inf
+    if seg.opposite.any():
+        g = float(gaps[seg.opposite].min())
+        cap = COLLISION_SAFETY * g * g / (4.0 * gamma)
+    internal_cap = min(cap, seg.hint)
+    dt = min(dt_max, internal_cap)
+    stats.cap_bound += cap <= seg.hint and cap < dt_max
+    target_bound = dt_max <= internal_cap
+    rejected = False
+    k = np.empty((7, x.size))
+    k[0] = k0
+    # the floor is relative to the state's own time scale: |t|, or the time
+    # d^2 / (4 gamma) in which the closest charged pair (gap d) moves by ~d;
+    # a step cut short only by a nearby target is not held to it
+    d = float(gaps.min())
+    tiny = 1e-16 * max(abs(t), d * d / (4.0 * gamma))
+    while True:
+        if not dt > tiny and not target_bound:
+            raise StepSizeUnderflow(f"dt={dt:.3e} at t={t:.6e}; pathological state")
+        for s in range(1, 7):
+            xs = x + dt * (_DP_A[s] @ k[:s])
+            if not (xs[1:] > xs[:-1]).all():
+                break
+            k[s] = velocity_field(xs, seg.bf, gamma, work=seg.work)
+            stats.force_evals += 1
+        else:
+            # xs is now the 5th-order solution x5 and k[6] = f(x5)
+            scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(x), np.abs(xs))
+            r = dt * (_DP_E @ k) / scale
+            err = math.sqrt(r @ r / seg.n)  # RMS of the scaled error estimate
+            if err <= 1.0:
+                if not target_bound:
+                    # a step clipped by the requested horizon says nothing
+                    # about error capacity and leaves the controller as it is
+                    err = max(err, 1e-10)
+                    fac = 0.9 * err**-_PI_ALPHA * seg.err_prev**_PI_BETA
+                    if seg.dt_prev is not None:
+                        fac = min(fac, 0.9 * (dt / seg.dt_prev)
+                                  * (seg.err_prev / (err * err)) ** _GUS_EXP)
+                    fac = min(1.0 if rejected else 5.0, max(0.5, fac))
+                    seg.hint = dt * fac
+                    seg.err_prev = max(err, 1e-4)
+                    seg.dt_prev = dt
+                return xs, dt, k[6]
+            stats.rejected_error += 1
+            dt *= min(1.0, max(0.2, 0.9 * err**-0.2))
+            target_bound = False
+            rejected = True
+            continue
+        stats.rejected_order += 1
+        dt *= 0.5
+        target_bound = False
+        rejected = True
+
+
+def detect_clusters_every_link(
+    x: np.ndarray, b: np.ndarray, v: np.ndarray, t: float, gamma: float,
+) -> list[list[int]]:
+    """`integrator.detect_clusters` without its early exit: every link is looked at."""
+    if not b.all():
+        raise InvalidState("detect_clusters takes the charged particles only")
+    g = x[1:] - x[:-1]
+    closing = (b[:-1] != b[1:]) & (v[1:] - v[:-1] < 0.0)
+    if not closing.any():
+        return []
+    outer = np.full_like(g, np.inf)
+    outer[1:] = g[:-1]
+    np.minimum(outer[:-1], g[1:], out=outer[:-1])
+    isolated = closing & (g < PAIR_ISOLATION * outer)
+    if isolated.any():
+        return [[k, k + 1] for k in np.flatnonzero(isolated).tolist()]
+    linked = closing & (g < CLUSTER_GAP * max(float(x[-1] - x[0]), math.sqrt(gamma * abs(t))))
+    clusters: list[list[int]] = []
+    for k in np.flatnonzero(linked).tolist():
+        if clusters and clusters[-1][-1] == k:
+            clusters[-1].append(k + 1)
+        else:
+            clusters.append([k, k + 1])
+    return clusters
 
 
 def pair_bump(eps: float) -> InitialDatum:

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,6 +28,15 @@ from reference import (
 )
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+
+
+def _benchmark_workloads(monkeypatch):
+    """The benchmark's workloads module, loaded by path."""
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS)
+    wl = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, wl)  # its dataclasses look it up
+    spec.loader.exec_module(wl)
+    return wl
 
 
 class TestSampler:
@@ -226,10 +236,7 @@ class TestConvergence:
         # the benchmark's gate on the seed-0 double_bump ladder, read from
         # its own module: every row keeps its event count exactly and its
         # e_n within LADDER_E_RTOL of the recorded value (n <= 32 here)
-        spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS)
-        wl = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, wl)  # its dataclasses look it up
-        spec.loader.exec_module(wl)
+        wl = _benchmark_workloads(monkeypatch)
         ns = (8, 16, 32)
         res = Hn.run_convergence(Hn.ExperimentSpec(
             datum="double_bump", ns=ns, offset=wl.ladder_offset(0),
@@ -247,6 +254,28 @@ class TestPropertySuite:
             k: (c.margin, c.detail) for k, c in rep.checks.items() if not c.passed
         }
         assert rep.runs_with_events >= 6
+
+    def test_benchmark_suite_step_counters(self, monkeypatch):
+        # the benchmark's verify suite takes exactly these steps, summed over
+        # every evolve it makes (the ode_residual windows too): a change to
+        # the step that moves a trajectory moves a counter
+        wl = _benchmark_workloads(monkeypatch)
+        totals = Counter()
+        real = Hn.evolve
+
+        def summing(state, config):
+            traj = real(state, config)
+            st = traj.stats
+            totals.update(accepted=st.accepted, rejected_error=st.rejected_error,
+                          rejected_order=st.rejected_order, force_evals=st.force_evals,
+                          events=st.events)
+            return traj
+
+        monkeypatch.setattr(Hn, "evolve", summing)
+        rep = Hn.run_property_suite(seed=0, **wl.VERIFY_SUITE["full"])
+        assert rep.all_passed and rep.events_total == 61
+        assert totals == {"accepted": 3067, "rejected_error": 397, "rejected_order": 5,
+                          "force_evals": 19142, "events": 73}
 
     def test_report_serializes(self):
         import json

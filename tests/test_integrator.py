@@ -7,7 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from annihilate import harness, integrator
 from annihilate.integrator import (
+    CLUSTER_GAP,
     COLLISION_SAFETY,
+    PAIR_ISOLATION,
     EvolveError,
     IntegratorConfig,
     NetChargeTooLarge,
@@ -19,7 +21,10 @@ from annihilate.integrator import (
 from annihilate.particles import (
     InvalidState, ParticleState, net_charge, same_sign_gap, velocity_field,
 )
-from reference import collision_profile, profile_equation, step, velocities
+from reference import (
+    collision_profile, detect_clusters_every_link, profile_equation, step, step_core_fresh,
+    velocities,
+)
 
 
 def make(x, b, gamma=None, t=0.0):
@@ -85,7 +90,66 @@ def detect(s, v=None):
                            s.time, s.coupling)
 
 
+@st.composite
+def detector_cases(draw):
+    """Arguments (x, b, v, t, gamma) of detect_clusters: 2..12 charges with a closing +- link k.
+
+    Link k's gap d is drawn from 1e-12..2 or placed exactly, in floating
+    point, at a threshold: PAIR_ISOLATION times its nearer outer gap, or
+    CLUSTER_GAP L with L = sqrt(gamma t) or, at t = 0, the span.  At the
+    CLUSTER_GAP thresholds its outer gaps are about 9d or 10d, so the link
+    is not isolated.  The other gaps run from 1e-12 to 2 and the other
+    velocities are random, so other links open, close, isolate and cluster
+    too; t is 0 or drawn.  The state is reflected half the time.
+    """
+    m = draw(st.integers(2, 12))
+    b = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m)))
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    gaps = [draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 1.0])) * draw(st.floats(1.0, 2.0))
+            for _ in range(m - 1)]
+    gamma = draw(st.floats(1e-3, 1.0))
+    t = draw(st.sampled_from([0.0]) | st.floats(1e-6, 1.0))
+    place = draw(st.sampled_from(["drawn", "isolation", "cluster-time", "cluster-span"]))
+    k = 0 if place == "cluster-span" else draw(st.integers(0, m - 2))
+    b[k + 1], v[k], v[k + 1] = -b[k], 1.0, -1.0
+    # x[zero] = 0, so the gaps on either side of it are exact in x
+    zero = k + 1 if k + 2 < m else k
+    if place == "isolation" and m > 2:
+        outer = k + 1 if zero == k + 1 else k - 1
+        gaps[k] = PAIR_ISOLATION * gaps[outer]
+        if 0 <= 2 * k - outer < m - 1:  # the other outer gap is the larger
+            gaps[2 * k - outer] = max(gaps[2 * k - outer], 2.0 * gaps[outer])
+    elif place == "cluster-time":
+        t = draw(st.floats(1e3, 1e6)) / gamma  # sqrt(gamma t) is above any span here
+        gaps[k] = CLUSTER_GAP * math.sqrt(gamma * abs(t))
+        for j in (k - 1, k + 1):
+            if 0 <= j < m - 1:
+                gaps[j] = 10.0 * gaps[k]
+    x = np.zeros(m)
+    x[zero + 1:] = np.cumsum(gaps[zero:])
+    x[:zero] = -np.cumsum(gaps[:zero][::-1])[::-1]
+    if place == "cluster-span" and m > 3:
+        # x[0] = 0 and x[2:] do not depend on d = x[1], so d can be CLUSTER_GAP x[-1]
+        t, rest = 0.0, np.cumsum(gaps[2:])
+        x = np.concatenate([[0.0, 0.0], 1e-6 * rest[-1] + np.concatenate([[0.0], rest])])
+        x[1] = CLUSTER_GAP * x[-1]
+    if draw(st.booleans()):
+        x, b, v = -x[::-1], b[::-1].copy(), -v[::-1]
+    return x, b, v, t, gamma
+
+
 class TestDetect:
+    @given(detector_cases())
+    # a lone closing pair has no outer gap: isolated at any gap, even at t = 0
+    @example((np.array([0.0, 1.0]), np.array([1, -1]), np.array([1.0, -1.0]), 0.0, 0.5))
+    # an end pair of three charges exactly at PAIR_ISOLATION times its outer gap
+    @example((np.array([-1e-3, 0.0, 1.0]), np.array([1, -1, 1]), np.array([1.0, -1.0, 0.0]),
+              0.0, 0.5))
+    @settings(max_examples=300, deadline=None)
+    def test_early_exit_matches_every_link(self, case):
+        # the exit returns [] only where looking at every link finds nothing
+        assert detect_clusters(*case) == detect_clusters_every_link(*case)
+
     def test_close_pair_detected(self):
         s = make([0.0, 1e-9, 1.0], [1, -1, 1])
         assert detect(s) == [[0, 1]]
@@ -721,6 +785,51 @@ class TestStats:
         monkeypatch.setattr(integrator, "detect_clusters", counting)
         traj = evolve(*make_run())
         assert traj.stats.accepted == sum(empty) > 0
+
+
+def _verify_suite_run(k: int):
+    """Run k of the benchmark's verify suite (seed 0, n = 8, t_end 1) and its config."""
+    rng = np.random.default_rng(0)
+    for _ in range(k + 1):
+        state = harness._random_state(rng, int(rng.choice([8])))
+    return state, IntegratorConfig(t_end=1.0, sample_times=tuple(np.linspace(0.0, 1.0, 21)))
+
+
+class TestHeldBuffers:
+    @pytest.mark.parametrize(
+        "make_run",
+        [_ladder_rung_16, lambda: (MPM, IntegratorConfig(t_end=2.0)),
+         *(lambda k=k: _verify_suite_run(k) for k in range(4))],
+        ids=["rung16", "-+-", *(f"verify{k}" for k in range(4))],
+    )
+    def test_evolve_is_bit_identical_to_the_fresh_array_step(self, make_run, monkeypatch):
+        # the segment's held buffers and detect_clusters' early exit change
+        # no floating-point operation: every row, event and counter is equal
+        # to a run with a fresh array for every temporary and every link
+        # looked at
+        state, cfg = make_run()
+        held = evolve(state, cfg)
+        monkeypatch.setattr(integrator, "_step_core", step_core_fresh)
+        monkeypatch.setattr(integrator, "detect_clusters", detect_clusters_every_link)
+        fresh = evolve(state, cfg)
+        for name in ("times", "positions", "charges"):
+            assert getattr(held, name).tobytes() == getattr(fresh, name).tobytes()
+        assert held.events == fresh.events and held.stats == fresh.stats
+        assert held.stats.accepted > 0
+
+    def test_returned_buffers_alternate(self):
+        # a step writes the position buffer its input is not in, so the
+        # previous step's result stays intact while it is read
+        s = _random_16()
+        seg = integrator._Segment(s.charges, s.coupling)
+        x = s.positions.copy()
+        k0 = velocity_field(x, seg.bf, seg.gamma, work=seg.work)
+        stats = integrator.StepStats()
+        x1, _, k1 = integrator._step_core(x, 0.0, 1e-3, seg, CFG, k0, stats)
+        kept = x1.copy()
+        x2, _, _ = integrator._step_core(x1, 1e-3, 1e-3, seg, CFG, k1, stats)
+        assert x2 is not x1 and x1.tobytes() == kept.tobytes()
+        assert {id(x1), id(x2)} == {id(p) for p in seg.pos}
 
 
 @st.composite

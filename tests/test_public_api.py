@@ -81,10 +81,10 @@ def test_trace_counters_equal_integrator_counters(monkeypatch):
     pairs = []
     kernel = integrator.velocity_field
 
-    def spy(x, b, coupling, *, work=None):
+    def spy(x, b, coupling, *, work=None, out=None):
         m = x.size if work is not None else int(np.count_nonzero(b))
         pairs.append(m * (m - 1))
-        return kernel(x, b, coupling, work=work)
+        return kernel(x, b, coupling, work=work, out=out)
 
     monkeypatch.setattr(integrator, "velocity_field", spy)
     tracer = layers.Tracer()
