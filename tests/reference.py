@@ -15,7 +15,9 @@ over atoms with a scalar default dictionary.  `sample_particles_loop` is
 `harness.sample_particles` with one u0 call per scan point and one scalar
 bisection per crossing.  The `*_loop` checks at the end are the property
 suite's per-run checks walking a trajectory one `ParticleState` at a
-time.  `step_core_fresh` is `integrator._step_core` with a fresh array
+time.  `velocity_field_broadcast` is `particles.velocity_field` by
+numpy broadcasts over one m x m array, the oracle of its row blocks.
+`step_core_fresh` is `integrator._step_core` with a fresh array
 for every stage point, error scale and stage matrix, and
 `detect_clusters_every_link` is `integrator.detect_clusters` without its
 early exit, building the outer gaps and the closing mask on every call:
@@ -389,6 +391,23 @@ def collision_profile(b) -> np.ndarray:
         if np.max(np.abs(step)) <= 1e-15 * np.max(np.abs(xi)):
             break
     return xi
+
+
+def velocity_field_broadcast(x: np.ndarray, b: np.ndarray, coupling: float) -> np.ndarray:
+    """`particles.velocity_field` as numpy broadcasts: b / (x[:, None] - x) over one m x m array.
+
+    The oracle of the row-block kernel, which must give the same bits: the
+    same row sums of b_j / (x_i - x_j), with b_i / inf on the diagonal,
+    times coupling * b_i.
+    """
+    m = x.size
+    d = np.empty((m, m))
+    np.subtract(x[:, None], x, out=d)
+    d.reshape(-1)[:: m + 1] = np.inf  # b_i / inf: no self-interaction
+    np.divide(b, d, out=d)
+    out = np.add.reduce(d, axis=1)
+    out *= coupling * b
+    return out
 
 
 def velocities(state: ParticleState) -> np.ndarray:

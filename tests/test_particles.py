@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,13 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from annihilate.particles import (
     EventRecord,
+    ROW_BLOCK_BYTES,
     ForceWorkspace,
     InvalidState,
     ParticleState,
     energy,
     velocity_field,
 )
-from reference import force, velocities
+from annihilate.harness import MAX_PARTICLES
+from reference import force, velocities, velocity_field_broadcast
 
 
 def make(x, b, gamma=None):
@@ -76,6 +79,12 @@ class TestForce:
         # no ParticleState holds coincident charges; raw arrays still can
         with pytest.raises(InvalidState):
             velocity_field(np.array([0.0, 0.0]), np.array([1, -1]), 0.5)
+
+    def test_charges_must_be_unit(self):
+        # the kernel's exactness rests on |b| = 1
+        for b in ([1, 0], [1, -2], [0.5, -1.0]):
+            with pytest.raises(InvalidState, match="charges"):
+                velocity_field(np.array([0.0, 1.0]), np.array(b), 0.5)
 
     def test_matches_vectorized(self):
         rng = np.random.default_rng(3)
@@ -236,3 +245,67 @@ class TestEventRecord:
     def test_pair_annihilation_ok(self):
         ev = EventRecord(tau=1.0, y=0.0, cluster=(0, 1), pre_charges=(1, -1), post_charges=(0, 0))
         assert sum(ev.post_charges) == 0
+
+
+class TestRowBlocks:
+    """The row-block kernel against the broadcast kernel it replaced, bit for bit."""
+
+    @staticmethod
+    def _cases():
+        # each size unshifted with a pair 1e-12 apart, and shifted by +-1e6
+        # with a pair one ulp apart
+        rng = np.random.default_rng(34)
+        for m in (0, 1, 2, 3, 8, 20, 160, 316, 363, 636, 1276):
+            x = np.sort(rng.uniform(-1.0, 1.0, m))
+            b = rng.choice([-1, 1], m)
+            k = int(rng.integers(0, max(m - 1, 1)))
+            for shift in (0.0, 1e6, -1e6):
+                xs = x + shift
+                if m >= 2:
+                    xs[k + 1] = xs[k] + 1e-12 if shift == 0.0 else np.nextafter(xs[k], np.inf)
+                assert (xs[1:] > xs[:-1]).all()
+                yield m, xs, b
+
+    def test_bit_identical_to_broadcast(self):
+        for m, x, b in self._cases():
+            gamma = 1.0 / max(m, 1)
+            # int and float charges, and each sign of the lone charge at m = 1
+            for charges in (b, -b.astype(float)):
+                want = velocity_field_broadcast(x, charges, gamma)
+                work = ForceWorkspace(charges, gamma)
+                out = np.empty(m)
+                got = (
+                    velocity_field(x, charges, gamma),
+                    velocity_field(x, charges, gamma, work=work),
+                    velocity_field(x, charges, gamma, work=work, out=out),
+                )
+                assert got[2] is out
+                for v in got:
+                    assert v.tobytes() == want.tobytes(), (m, x[0], charges.dtype)
+                    assert np.array_equal(np.signbit(v), np.signbit(want))
+        # 363 is the first size the kernel splits into two blocks
+        assert len(ForceWorkspace(np.ones(362), 1.0).blocks) == 1
+        assert len(ForceWorkspace(np.ones(363), 1.0).blocks) == 2
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_tiny_sizes_warn_nothing(self, m):
+        # pyproject turns warnings into errors; say so here too
+        x = np.arange(float(m))
+        b = np.array([1, -1][:m])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = velocity_field(x, b, 0.5)
+        assert v.shape == (m,)
+        assert np.array_equal(v, velocity_field_broadcast(x, b, 0.5))
+
+    def test_scratch_is_one_block_at_the_cap(self):
+        # built without a kernel call: the pair matrix at this size is 2 GiB
+        m = MAX_PARTICLES
+        work = ForceWorkspace(np.ones(m), 1.0 / m)
+        assert work.buf.nbytes <= ROW_BLOCK_BYTES
+        rows = [work.gb, work.P, work.V, work.sums]
+        assert sum(a.nbytes for a in rows) <= 6 * 8 * m
+        # every per-block array is a view of one of those
+        owners = {id(a) for a in rows + [work.buf]}
+        assert all(id(view.base) in owners for block in work.blocks for view in block)
+        assert sum(block[1].shape[0] for block in work.blocks) == m
