@@ -186,7 +186,7 @@ _kernels: dict[tuple[int, float, int], _Kernel] = {}
 def _kernel_for(u: GridFunction, rho: float) -> _Kernel:
     """The cached kernel of u's grid, split at r = rho/h cells, at least one."""
     h = u.h
-    key = (u.values.size, round(h, 14), int(round(rho / h)))
+    key = (u.values.size, h, int(round(rho / h)))
     if key[2] < 1:
         raise ValueError(f"rho = {rho!r} is below half the grid step {h!r}")
     if key not in _kernels:

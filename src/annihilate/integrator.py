@@ -66,7 +66,8 @@ float, and works out once per segment, from b less the committed
 clusters, the charged particles, their charges and the force workspace.
 _step_core, velocity_field and detect_clusters see only those m of the n
 particles; neutral particles and committed members do not move, so each
-accepted step writes the charged positions into a copy of the full row.
+accepted step writes the charged positions into one working row in place.
+A row is copied once, when it is stored.
 A ParticleState is built only after an event, which validates every
 post-event state.  The Trajectory stores times (K,), positions (K, n)
 and charges (K, n), with a row at every event time holding the charges
@@ -495,20 +496,18 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
     # the committed clusters' events and commit times, in tau order
     pending: list[tuple[EventRecord, float]] = []
     times, xs, bs, events = [t], [x], [b], []
-    x = x - shift
+    x = x - shift  # the working row, a fresh array that steps and events write in place
     stats = StepStats()
 
     def record(force_keep: bool = False):
         if config.store_steps or force_keep:
-            row = x
-            if pending:
-                # a committed cluster's members are frozen in x at their commit
-                # positions; the row shrinks them uniformly about y if tau is finite
-                row = x.copy()
-                for ev, t_c in pending:
-                    if ev.tau < math.inf:
-                        cl = list(ev.cluster)
-                        row[cl] = ev.y + (x[cl] - ev.y) * math.sqrt((ev.tau - t) / (ev.tau - t_c))
+            row = x.copy()
+            # a committed cluster's members are frozen in x at their commit
+            # positions; the row shrinks them uniformly about y if tau is finite
+            for ev, t_c in pending:
+                if ev.tau < math.inf:
+                    cl = list(ev.cluster)
+                    row[cl] = ev.y + (x[cl] - ev.y) * math.sqrt((ev.tau - t) / (ev.tau - t_c))
             times.append(t)
             xs.append(row)
             bs.append(b)
@@ -539,12 +538,12 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
 
     def collide() -> bool:
         """Apply the committed collisions due by t; False when there are none."""
-        nonlocal x, b, pending
+        nonlocal b, pending
         due = [ev for ev, _ in pending if ev.tau <= t]
         if not due:
             return False
         pending = pending[len(due):]
-        x, b = x.copy(), b.copy()
+        b = b.copy()  # stored rows share b
         for ev in due:
             cl = list(ev.cluster)
             x[cl] = ev.y
@@ -570,14 +569,12 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
     try:
         for target in targets:
             while t < target:
-                if stats.accepted > MAX_STEPS:
+                if stats.accepted >= MAX_STEPS:
                     raise StepSizeUnderflow(f"exceeded {MAX_STEPS} steps at t={t:.6e}")
                 while clusters := detect_clusters(xc, seg.bc, vc, t, gamma):
                     commit([seg.charged[cl].tolist() for cl in clusters])
                 stop = min(target, pending[0][0].tau) if pending else target
                 xc, dt, vc = _step_core(xc, t, stop - t, seg, config, vc, stats)
-                # stored rows are kept by reference, so the step writes a new one
-                x = x.copy()
                 x[seg.charged] = xc
                 t += dt
                 stats.accepted += 1

@@ -43,7 +43,7 @@ class StepFunction:
     base: float = 0.0
 
     def __post_init__(self):
-        loc = np.asarray(self.locations, dtype=float)
+        loc = np.array(self.locations, dtype=float)
         sg = np.asarray(self.signs)
         if loc.shape != sg.shape or loc.ndim != 1:
             raise ValueError("locations and signs must be matching 1-d arrays")
@@ -51,10 +51,9 @@ class StepFunction:
             raise ValueError("jump locations must be strictly increasing")
         if loc.size and not np.isin(sg, (-1, 1)).all():
             raise ValueError("jump signs must be +-1")
-        sg = sg.astype(np.int64)
+        sg = sg.astype(np.int64)  # a copy, like loc
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        loc = loc.copy()  # astype has copied sg
         loc.flags.writeable = False
         sg.flags.writeable = False
         object.__setattr__(self, "locations", loc)

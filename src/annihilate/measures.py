@@ -46,7 +46,7 @@ class SignedAtomicMeasure:
         if loc.shape != w.shape or loc.ndim != 1:
             raise ValueError("locations and weights must be matching 1-d arrays")
         order = np.argsort(loc, kind="stable")
-        loc, w = loc[order].copy(), w[order].copy()
+        loc, w = loc[order], w[order]  # the reorder copies
         if loc.size > 1 and np.any(np.diff(loc) <= 0):
             raise ValueError("atom locations must be distinct")
         loc.flags.writeable = False
@@ -90,7 +90,7 @@ def cdf(mu: SignedAtomicMeasure) -> StepFunction:
         return StepFunction(locations=np.array([]), signs=np.array([], dtype=int), eps=1.0)
     mags = np.abs(mu.weights)
     eps = float(mags[0])
-    if not np.allclose(mags, eps, rtol=0, atol=1e-15):
+    if not np.allclose(mags, eps, rtol=0, atol=1e-15 * min(1.0, eps)):
         raise ValueError("cdf step function needs uniform atom magnitudes")
     return StepFunction(
         locations=mu.locations,

@@ -61,7 +61,7 @@ class ParticleState:
     time: float = 0.0
 
     def __post_init__(self):
-        x = np.asarray(self.positions, dtype=float)
+        x = np.array(self.positions, dtype=float)
         b = np.asarray(self.charges)
         if x.ndim != 1 or b.shape != x.shape:
             raise InvalidState("positions and charges must be 1-d arrays of equal length")
@@ -71,7 +71,7 @@ class ParticleState:
             raise InvalidState("positions must be finite")
         if not ((b == -1) | (b == 0) | (b == 1)).all():
             raise InvalidState("charges must lie in {-1, 0, +1}")
-        b = b.astype(np.int64)
+        b = b.astype(np.int64)  # a copy, like x
         idx = np.flatnonzero(b)
         xc = x[idx]
         bad = np.flatnonzero(xc[1:] <= xc[:-1])
@@ -83,7 +83,6 @@ class ParticleState:
         gamma = 1.0 / x.size if self.coupling is None else float(self.coupling)
         if not (gamma > 0 and np.isfinite(gamma)):
             raise InvalidState("coupling must be positive")
-        x = x.copy()  # astype has copied b
         x.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "positions", x)
@@ -180,15 +179,13 @@ def velocity_field(
     zero self-term, 1 / inf against b_i / inf, which no row sum sees: a row
     of two or more holds a nonzero term, and numpy sums a lone -0.0 to +0.0
     (the tests check m = 1 with either charge).  So every velocity, sign
-    bits included, is that kernel's.  Per call, that kernel with its m x m
-    buffer held against this one (best of 15 timeit runs on 2 shared
-    cores, numpy 2.4.6, single-threaded OpenBLAS 0.3.31):
+    bits included, is that kernel's.  Per call (best of 15 timeit runs on
+    2 shared cores, numpy 2.4.6, single-threaded OpenBLAS 0.3.31):
 
     | charges | 8 | 40 | 80 | 160 | 316 | 636 | 1276 |
     |---|---|---|---|---|---|---|---|
     | blocks | 1 | 1 | 1 | 1 | 1 | 4 | 13 |
-    | broadcast (us) | 3.8 | 8.0 | 20.8 | 64.7 | 241 | 1,045 | 4,478 |
-    | row blocks (us) | 3.7 | 6.3 | 13.3 | 43.9 | 162 | 618 | 2,481 |
+    | time (us) | 3.7 | 6.3 | 13.3 | 43.9 | 162 | 618 | 2,481 |
 
     The pair matrix is exactly antisymmetric in IEEE arithmetic, so the
     total momentum error comes only from the row sums.  Their error is a

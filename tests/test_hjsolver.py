@@ -135,6 +135,17 @@ class TestOperator:
         assert not np.array_equal(first, second)
         assert not np.shares_memory(first, second)
 
+    def test_kernel_cache_tells_tiny_grids_apart(self, monkeypatch):
+        # two 201-node grids with r = 4 whose steps 1e-15 and 2e-15 both
+        # round to 0 at 14 digits: each must get its own kernel
+        monkeypatch.setattr(H, "_kernels", {})
+        cfgs = [H.SchemeConfig(L=100 * h, h=h, rho=4 * h, t_end=1.0) for h in (1e-15, 2e-15)]
+        grids = [H.GridFunction.from_callable(lambda x: np.tanh(x / 2e-14), cfg) for cfg in cfgs]
+        got = [H.levy_operator_all(u, cfg.rho) for u, cfg in zip(grids, cfgs)]
+        for u, cfg, v in zip(grids, cfgs, got):
+            monkeypatch.setattr(H, "_kernels", {})
+            assert np.array_equal(v, H.levy_operator_all(u, cfg.rho))
+
     def test_split_below_half_a_cell_refused(self):
         u = H.GridFunction(xs=np.linspace(-2.0, 2.0, 5), values=np.zeros(5), tails=(0.0, 0.0))
         with pytest.raises(ValueError, match="below half the grid step"):

@@ -420,6 +420,21 @@ class TestEvolve:
         assert np.array_equal(t1.times, t2.times)
         assert np.array_equal(t1.positions, t2.positions)
 
+    def test_step_budget(self, monkeypatch):
+        # a run that needs k accepted steps runs with a budget of k and
+        # gives up at k - 1
+        s = make([-0.5, -0.1, 0.2, 0.7], [1, -1, -1, 1])
+        cfg = IntegratorConfig(t_end=0.3)
+        want = evolve(s, cfg)
+        k = want.stats.accepted
+        monkeypatch.setattr(integrator, "MAX_STEPS", k)
+        got = evolve(s, cfg)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.positions, want.positions)
+        monkeypatch.setattr(integrator, "MAX_STEPS", k - 1)
+        with pytest.raises(EvolveError, match=f"exceeded {k - 1} steps"):
+            evolve(s, cfg)
+
     def test_error_carries_trajectory(self, monkeypatch):
         # clustering and pair commits disabled: the pair integrates into the
         # singularity until dt underflows, and the partial trajectory comes

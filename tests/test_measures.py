@@ -51,6 +51,17 @@ class TestCdf:
         u = M.cdf(mu)
         assert np.all(u(np.linspace(-5, 5, 11)) == 0.0)
 
+    def test_uniformity_is_checked_relative_to_the_atom_size(self):
+        # weights 1e-16 and 3e-16 differ by 2e-16, which an absolute 1e-15
+        # would pass and then read 2e-16 past both atoms instead of 4e-16
+        mu = M.SignedAtomicMeasure(locations=np.array([0.0, 1.0]),
+                                   weights=np.array([1e-16, 3e-16]))
+        with pytest.raises(ValueError, match="uniform"):
+            M.cdf(mu)
+        tiny = M.SignedAtomicMeasure(locations=np.array([0.0, 1.0]),
+                                     weights=np.array([-1e-16, 1e-16]))
+        assert M.cdf(tiny)(2.0) == 0.0
+
     def test_dipole_sup_is_one_for_every_n(self):
         for n in (2, 8, 64, 1024):
             assert M.cdf(dipole(n)).sup_norm() == 1.0
