@@ -61,26 +61,20 @@ MAX_PARTICLES = 2**14
 LADDER_TOLERANCES = (1e-10, 1e-7)
 """(abs_tol, rel_tol) at which `converge` evolves every rung.
 
-A rung is integrated only as accurately as e_n can see.  e_n is 0.0196
-or more on the benchmark rungs, and the `IntegratorConfig` defaults
-(1e-12, 1e-9) hold the ODE error about seven orders below it.  On the
-seed-0 `double_bump` ladder (n = 8..64, offset 0.5, ref_h = 1/256), with
-in-process CPU on a 2-core shared VM and the e_n move against the rows
-recorded at the defaults:
+A rung is integrated only as accurately as e_n can see: e_n is about
+0.02 or more on the benchmark rungs, and these tolerances keep the ODE
+error at least 1e4 below it, with equal events and e_n moved far inside
+the 1e-4 to which the benchmark pins the ladder's rows, for fewer force
+evaluations than the `IntegratorConfig` defaults.  `simulate`, `verify`
+and `evolve` keep those defaults.
+"""
 
-    (abs_tol, rel_tol)     force evals   CPU      largest e_n move
-    (1e-12, 1e-9)          9,102         0.68 s   3.5e-10
-    (1e-11, 1e-8)          6,990         0.51 s   7.9e-9
-    (1e-10, 1e-7)          5,551         0.42 s   3.1e-7
-    (1e-9, 1e-6)           4,501         0.39 s   1.1e-5
+LADDER_PAIR_ISOLATION = 1e-2
+"""The pair isolation at which `converge` commits an approaching +- pair.
 
-The events stay (5, 8, 15, 30) on every row.  At (1e-10, 1e-7) the ODE
-error stays at least 1e4 below e_n: over twelve ladders (n = 8..128 on
-`double_bump`, `sigmoid` and `semicircle` at four offsets) the events
-are equal and e_n moves by at most 7.5e-7 relative, far inside the 1e-4
-to which the benchmark pins the ladder's rows, for 37-47% fewer force
-evaluations.  The next pair already moves e_n by a tenth of that pin.
-`simulate`, `verify` and `evolve` keep the `IntegratorConfig` defaults.
+Its dipole error delta^3 D / 6 (`integrator` module docstring) is 1.7e-7
+D, matched to LADDER_TOLERANCES' rel_tol as `integrator.PAIR_ISOLATION`
+is to the default.  `simulate`, `verify` and `evolve` keep the latter.
 """
 
 
@@ -174,18 +168,19 @@ def quantized_level_below(value: float, eps: float, a: float) -> float:
     return level
 
 
-def _crossings(vals: np.ndarray, n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """(interval, level) of every crossing of the scan values vals at heights (1/n)(Z + a).
+def _crossings(xs: np.ndarray, vals: np.ndarray, n: int, a: float) -> tuple[np.ndarray, ...]:
+    """(lo, hi, vals at lo - level, level) of every crossing of the scan at heights (1/n)(Z + a).
 
-    Interval i runs from vals[i] to vals[i + 1].  Its candidate levels are
-    the levels k_lo..k_hi between min(vals) and max(vals) that lie within
-    2e-12 (1 + max |vals|) of its values: every level within the flatness
-    tolerance 1e-12, with room for the rounding of k = v n - a.  A
-    candidate is a crossing iff (vals[i] - level) (vals[i + 1] - level)
-    < 0, so a value equal to a level is not one.  The cost is
-    O(len(vals) + crossings).  Raises DegenerateCrossing, naming the
-    lowest such level, if two neighbouring values both lie within 1e-12
-    of a level.
+    The scan is the values vals of u0 on the grid xs.  Interval i runs
+    from xs[i] to xs[i + 1], where u0 goes from vals[i] to vals[i + 1].
+    Its candidate levels are the levels k_lo..k_hi between min(vals) and
+    max(vals) that lie within 2e-12 (1 + max |vals|) of its values: every
+    level within the flatness tolerance 1e-12, with room for the rounding
+    of k = v n - a.  A candidate is a crossing iff (vals[i] - level)
+    (vals[i + 1] - level) < 0, so a value equal to a level is not one.
+    The cost is O(len(vals) + crossings).  Raises DegenerateCrossing,
+    naming the lowest such level, if two neighbouring values both lie
+    within 1e-12 of a level.
     """
     eps = 1.0 / n
     k_lo = math.ceil(float(vals.min()) / eps - a)
@@ -205,7 +200,8 @@ def _crossings(vals: np.ndarray, n: int, a: float) -> tuple[np.ndarray, np.ndarr
     if flat.any():
         raise DegenerateCrossing(f"u0 is flat at level {float(level[flat].min())}")
     cross = f0 * f1 < 0.0
-    return idx[cross], level[cross]
+    idx = idx[cross]
+    return xs[idx], xs[idx + 1], f0[cross], level[cross]
 
 
 def sample_particles(
@@ -214,6 +210,8 @@ def sample_particles(
     a: float,
     window: tuple[float, float] = (-4.0, 4.0),
     scan_points: int = SCAN_POINTS,
+    *,
+    brackets: tuple[np.ndarray, ...] | None = None,
 ) -> ParticleState | None:
     """Particles as level crossings of u0 at heights (1/n)(Z + a).
 
@@ -224,16 +222,18 @@ def sample_particles(
     to eps = 1/n, the rescaled system of the level-set correspondence.
     Returns None when no level is crossed (constant data).  Raises
     DegenerateCrossing if u0 sits exactly on a level over an interval.
+    brackets, if given, is the scan's result for these arguments, as
+    ExperimentSpec's build keeps it per rung, and u0 is not called on the
+    scan grid.
     """
     if not (0.0 <= a < 1.0):
         raise ValueError("offset a must lie in [0, 1)")
-    xs = np.linspace(window[0], window[1], scan_points)
-    vals = u0(xs)
-    idx, level = _crossings(vals, n, a)
-    if not idx.size:
+    if brackets is None:
+        xs = np.linspace(window[0], window[1], scan_points)
+        brackets = _crossings(xs, u0(xs), n, a)
+    lo, hi, flo, level = brackets
+    if not lo.size:
         return None
-    lo, hi = xs[idx], xs[idx + 1]
-    flo = vals[idx] - level
     chg = np.where(flo < 0, 1, -1)  # rising crossing carries +1
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -263,9 +263,10 @@ class ExperimentSpec:
     The reference grid spans the `SchemeConfig` default [-L, L] with its
     default near-field radius rho, and the particles run at
     LADDER_TOLERANCES.  A rung may sample at most MAX_PARTICLES particles:
-    the build counts each rung's crossings on the scan grid, one u0 call
-    for all of them, and refuses a larger count.  seed changes no result:
-    the ladder draws no random numbers.
+    the build brackets each rung's crossings on the scan grid, one u0 call
+    for all of them, refuses a larger count, and keeps the brackets for the
+    rung's sampling.  seed changes no result: the ladder draws no random
+    numbers.
     """
 
     datum: str = "sigmoid"
@@ -275,6 +276,7 @@ class ExperimentSpec:
     ref_h: float = 1.0 / 256.0
     scan_points: int = SCAN_POINTS
     seed: int = 0
+    _brackets: dict[int, tuple[np.ndarray, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         catalog_datum(self.datum)
@@ -289,12 +291,15 @@ class ExperimentSpec:
         except ValueError as exc:
             raise ValueError(f"grid of ref_h={self.ref_h!r}, t_end={self.t_end!r}: {exc}") from exc
         self.integrator_config()
-        vals = CATALOG[self.datum].u0(np.linspace(-L, L, self.scan_points))
+        xs = np.linspace(-L, L, self.scan_points)
+        vals = CATALOG[self.datum].u0(xs)
+        object.__setattr__(self, "_brackets", {})
         for n in self.ns:
             try:
-                count = _crossings(vals, n, self.offset)[0].size
+                self._brackets[n] = _crossings(xs, vals, n, self.offset)
             except DegenerateCrossing:
                 continue  # sampling refuses it again, and the rung fails as a row
+            count = self._brackets[n][0].size
             if count > MAX_PARTICLES:
                 raise ValueError(f"ns: n={n} samples {count} particles from {self.datum}, "
                                  f"more than {MAX_PARTICLES}")
@@ -305,7 +310,8 @@ class ExperimentSpec:
     def integrator_config(self) -> IntegratorConfig:
         abs_tol, rel_tol = LADDER_TOLERANCES
         return IntegratorConfig(t_end=self.t_end, abs_tol=abs_tol, rel_tol=rel_tol,
-                                sample_times=tuple(self.snapshot_times()), store_steps=False)
+                                sample_times=tuple(self.snapshot_times()), store_steps=False,
+                                pair_isolation=LADDER_PAIR_ISOLATION)
 
     def snapshot_times(self) -> np.ndarray:
         """0 and six times spaced geometrically from t_end / 30 to t_end, sorted and distinct."""
@@ -359,7 +365,7 @@ def _ladder_row(spec: ExperimentSpec, n: int, u0: Callable[[np.ndarray], np.ndar
         eps = 1.0 / n
         L = spec.scheme_config().L
         state = sample_particles(u0, n, spec.offset, window=(-L, L),
-                                 scan_points=spec.scan_points)
+                                 scan_points=spec.scan_points, brackets=spec._brackets.get(n))
         times, u_left = spec.snapshot_times(), frames[0].tails[0]
         if state is None:
             # no crossings: the constant datum is represented exactly

@@ -42,16 +42,19 @@ current state alone.  Only opposite-sign charged neighbors whose gap
 closes are linked, and two criteria apply in turn:
 
 * Pairs, on isolation.  An approaching +- pair of neighbors with gap d is
-  committed once d < PAIR_ISOLATION * D, D the distance from the pair to
-  the nearest other integrated charge: tau = t + d^2 / (4 gamma).  To
-  first order in d / D, with F the field sum_k b_k / (x - x_k) of the
-  other charges at y: the outside field moves the pair's d^2 at the rate
-  4 gamma d |F| against its own 4 gamma, so the remaining time tau - t is
-  off by about (2/3) d |F| relative, or F d^3 / (6 gamma) absolute; the
-  mean drifts by about |F'| d^3 / 12, (d / D)^2 relative to d; and leaving
-  out the pair's dipole field moves a charge at distance r >= D by at most
-  d^3 / (6 r^2) over [t, tau].  At PAIR_ISOLATION = 1e-3 that is at most
-  1.7e-10 D, against the default rel_tol of 1e-9.
+  committed once d < delta D, D the distance from the pair to the nearest
+  other integrated charge and delta the run's pair isolation
+  (IntegratorConfig.pair_isolation, by default PAIR_ISOLATION): tau = t +
+  d^2 / (4 gamma).  To first order in d / D, with F the field sum_k b_k /
+  (x - x_k) of the other charges at y: the outside field moves the pair's
+  d^2 at the rate 4 gamma d |F| against its own 4 gamma, so the remaining
+  time tau - t is off by about (2/3) d |F| relative, or F d^3 / (6 gamma)
+  absolute; the mean drifts by about |F'| d^3 / 12, (d / D)^2 relative to
+  d; and leaving out the pair's dipole field moves a charge at distance
+  r >= D by at most d^3 / (6 r^2) over [t, tau], below delta^3 D / 6.  So
+  delta goes with rel_tol: PAIR_ISOLATION = 1e-3 gives 1.7e-10 D against
+  the default rel_tol of 1e-9, and `converge`, at rel_tol 1e-7, commits
+  at harness.LADDER_PAIR_ISOLATION = 1e-2, which gives 1.7e-7 D.
 * Any cluster, on length.  When no pair is isolated, closing links below
   the clustering gap CLUSTER_GAP * L, L the larger of the charged span and
   sqrt(gamma |t|), are joined into runs, each committed whole: a pair that
@@ -135,6 +138,10 @@ class IntegratorConfig:
     0), so evolve() commutes with translation to rounding away from 0.
     abs_tol is absolute: x -> lambda x, t -> lambda^2 t holds only while
     abs_tol << rel_tol times the span (9e-5 relative at span 1e-6).
+    pair_isolation is the fraction of the distance to the nearest other
+    charge below which an approaching +- pair is committed
+    (detect_clusters); None reads the module's PAIR_ISOLATION at each
+    detection.
     """
 
     t_end: float = 1.0
@@ -142,10 +149,13 @@ class IntegratorConfig:
     rel_tol: float = 1e-9
     sample_times: tuple[float, ...] | None = None
     store_steps: bool = True
+    pair_isolation: float | None = None
 
     def __post_init__(self):
-        for name in ("t_end", "abs_tol", "rel_tol"):
+        for name in ("t_end", "abs_tol", "rel_tol", "pair_isolation"):
             value = getattr(self, name)
+            if value is None and name == "pair_isolation":
+                continue  # the module's PAIR_ISOLATION
             if not value > 0:
                 raise ValueError(f"{name} must be positive")
             if not math.isfinite(value):
@@ -372,6 +382,7 @@ def _step_core(
 
 def detect_clusters(
     x: np.ndarray, b: np.ndarray, v: np.ndarray, t: float, gamma: float,
+    isolation: float | None = None,
 ) -> list[list[int]]:
     """The groups of charged particles ripe for annihilation, from the state alone.
 
@@ -379,10 +390,12 @@ def detect_clusters(
     particles only, in order, and the groups are lists of indices into
     them; a zero charge raises InvalidState.  A closing link joins two
     adjacent neighbors of opposite sign whose gap g shrinks under v.
-    If any closing link has g < PAIR_ISOLATION times the nearer of its
-    outer gaps (an end pair has only one), exactly those pairs are
-    returned.  Otherwise closing links with g < CLUSTER_GAP * L are joined
-    into maximal runs, L = max(span of the charged x, sqrt(gamma |t|)).
+    If any closing link has g < isolation times the nearer of its outer
+    gaps (an end pair has only one), exactly those pairs are returned.
+    Otherwise closing links with g < CLUSTER_GAP * L are joined into
+    maximal runs, L = max(span of the charged x, sqrt(gamma |t|)).
+    isolation None means PAIR_ISOLATION; the module docstring says why
+    `converge` passes a larger one.
 
     Bounds, stated before measuring: a link below CLUSTER_GAP sqrt(gamma
     |t|) closes within g^2 / (4 gamma) < 2.5e-15 |t|, so the collision cap
@@ -396,14 +409,16 @@ def detect_clusters(
 
     With three or more charges every link has an outer gap, and none
     exceeds the largest gap, so when the smallest opposite-sign gap is at
-    least PAIR_ISOLATION times the largest gap and at least CLUSTER_GAP *
-    L, nothing can be returned and the links are not looked at.  A lone
+    least isolation times the largest gap and at least CLUSTER_GAP * L,
+    nothing can be returned and the links are not looked at.  A lone
     pair has no outer gap and is isolated whenever it closes.
     """
     if np.count_nonzero(b) != b.size:
         raise InvalidState("detect_clusters takes the charged particles only")
     if b.size < 2:
         return []
+    if isolation is None:
+        isolation = PAIR_ISOLATION
     g = x[1:] - x[:-1]
     opposite = b[:-1] != b[1:]
     cut = CLUSTER_GAP * max(float(x[-1] - x[0]), math.sqrt(gamma * abs(t)))
@@ -412,7 +427,7 @@ def detect_clusters(
         if not g_opp.size:
             return []
         least = np.minimum.reduce(g_opp)
-        if least >= PAIR_ISOLATION * np.maximum.reduce(g) and least >= cut:
+        if least >= isolation * np.maximum.reduce(g) and least >= cut:
             return []
     closing = opposite & (v[1:] - v[:-1] < 0.0)
     if not closing.any():
@@ -420,7 +435,7 @@ def detect_clusters(
     outer = np.full_like(g, np.inf)
     outer[1:] = g[:-1]
     np.minimum(outer[:-1], g[1:], out=outer[:-1])
-    isolated = closing & (g < PAIR_ISOLATION * outer)
+    isolated = closing & (g < isolation * outer)
     if isolated.any():
         return [[k, k + 1] for k in np.flatnonzero(isolated).tolist()]
     linked = closing & (g < cut)
@@ -539,9 +554,9 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
     def collide() -> bool:
         """Apply the committed collisions due by t; False when there are none."""
         nonlocal b, pending
-        due = [ev for ev, _ in pending if ev.tau <= t]
-        if not due:
+        if not (pending and pending[0][0].tau <= t):
             return False
+        due = [ev for ev, _ in pending if ev.tau <= t]  # a prefix: pending is in tau order
         pending = pending[len(due):]
         b = b.copy()  # stored rows share b
         for ev in due:
@@ -571,7 +586,8 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
             while t < target:
                 if stats.accepted >= MAX_STEPS:
                     raise StepSizeUnderflow(f"exceeded {MAX_STEPS} steps at t={t:.6e}")
-                while clusters := detect_clusters(xc, seg.bc, vc, t, gamma):
+                # the isolation goes positionally: wrappers that count detections see *args only
+                while clusters := detect_clusters(xc, seg.bc, vc, t, gamma, config.pair_isolation):
                     commit([seg.charged[cl].tolist() for cl in clusters])
                 stop = min(target, pending[0][0].tau) if pending else target
                 xc, dt, vc = _step_core(xc, t, stop - t, seg, config, vc, stats)

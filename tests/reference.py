@@ -324,8 +324,11 @@ def step_core_fresh(
 
 def detect_clusters_every_link(
     x: np.ndarray, b: np.ndarray, v: np.ndarray, t: float, gamma: float,
+    isolation: float | None = None,
 ) -> list[list[int]]:
     """`integrator.detect_clusters` without its early exit: every link is looked at."""
+    if isolation is None:
+        isolation = PAIR_ISOLATION
     if not b.all():
         raise InvalidState("detect_clusters takes the charged particles only")
     g = x[1:] - x[:-1]
@@ -335,7 +338,7 @@ def detect_clusters_every_link(
     outer = np.full_like(g, np.inf)
     outer[1:] = g[:-1]
     np.minimum(outer[:-1], g[1:], out=outer[:-1])
-    isolated = closing & (g < PAIR_ISOLATION * outer)
+    isolated = closing & (g < isolation * outer)
     if isolated.any():
         return [[k, k + 1] for k in np.flatnonzero(isolated).tolist()]
     linked = closing & (g < CLUSTER_GAP * max(float(x[-1] - x[0]), math.sqrt(gamma * abs(t))))

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from annihilate import cli
 from annihilate import harness as Hn
-from annihilate.integrator import IntegratorConfig, Trajectory, evolve
+from annihilate.integrator import PAIR_ISOLATION, IntegratorConfig, Trajectory, evolve
 from annihilate.levelset import from_particles
 from annihilate.particles import EventRecord, ParticleState
 from reference import (
@@ -57,6 +58,38 @@ class TestSampler:
         # no annihilations ever: all charges equal
         traj = evolve(st, IntegratorConfig(t_end=0.5))
         assert not traj.events
+
+    @pytest.mark.parametrize("datum, n", [("double_bump", 16), ("sigmoid", 8), ("constant", 8)])
+    def test_build_brackets_sample_the_same_bits(self, datum, n):
+        # the brackets a spec's build keeps give the state a fresh scan gives
+        spec = Hn.ExperimentSpec(datum=datum, ns=(n,), scan_points=2**12)
+        L = spec.scheme_config().L
+        args = (Hn.CATALOG[datum].u0, n, spec.offset, (-L, L), spec.scan_points)
+        fresh, kept = Hn.sample_particles(*args), Hn.sample_particles(*args,
+                                                                      brackets=spec._brackets[n])
+        if fresh is None:
+            assert kept is None
+        else:
+            assert fresh.positions.tobytes() == kept.positions.tobytes()
+            assert fresh.charges.tobytes() == kept.charges.tobytes()
+
+    def test_ladder_scans_once(self, monkeypatch):
+        # the build's one u0 call on the scan grid serves every rung: no rung
+        # scans again, and a second run of the spec reads the same brackets
+        scans = []
+        u0 = Hn.CATALOG["double_bump"].u0
+
+        def counting(x):
+            scans.append(x.size == 2**12)
+            return u0(x)
+
+        monkeypatch.setitem(Hn.CATALOG, "double_bump", Hn.InitialDatum(u0=counting))
+        spec = Hn.ExperimentSpec(datum="double_bump", ns=(8, 16), ref_h=1 / 64,
+                                 scan_points=2**12)
+        assert sum(scans) == 1
+        rows = [Hn.run_convergence(spec).rows for _ in range(2)]
+        assert sum(scans) == 1
+        assert [(r.e_n, r.events) for r in rows[0]] == [(r.e_n, r.events) for r in rows[1]]
 
     def test_constant_data_has_no_particles(self):
         assert Hn.sample_particles(lambda x: np.full_like(x, 0.25), 8, 0.5) is None
@@ -231,6 +264,47 @@ class TestConvergence:
             assert a.error is None and b.error is None
             assert a.events == b.events
             assert abs(a.e_n - b.e_n) <= 1e-5 * b.e_n
+
+    @pytest.mark.parametrize("datum", ["double_bump", "sigmoid"])
+    def test_ladder_pair_isolation_moves_no_event_and_no_visible_digit(self, datum, monkeypatch):
+        # the ladder commits pairs at LADDER_PAIR_ISOLATION: against the
+        # module's PAIR_ISOLATION every rung keeps its events and e_n moves
+        # by less than a tenth of the benchmark's 1e-4 pin
+        spec = Hn.ExperimentSpec(datum=datum, ns=(8, 16, 32), ref_h=1 / 64)
+        assert spec.integrator_config().pair_isolation == Hn.LADDER_PAIR_ISOLATION
+        assert Hn.LADDER_PAIR_ISOLATION != PAIR_ISOLATION
+        ladder = Hn.run_convergence(spec).rows
+        monkeypatch.setattr(Hn, "LADDER_PAIR_ISOLATION", PAIR_ISOLATION)
+        default = Hn.run_convergence(spec).rows
+        for a, b in zip(ladder, default, strict=True):
+            assert a.error is None and b.error is None
+            assert a.events == b.events
+            assert abs(a.e_n - b.e_n) <= 1e-5 * b.e_n
+
+    def test_only_the_ladder_sets_pair_isolation(self, monkeypatch, tmp_path):
+        # simulate, verify, the property suite and the stability sweep keep
+        # the module's PAIR_ISOLATION: every config they evolve with leaves it None
+        configs = []
+
+        def spy(real):
+            def run(state, config):
+                configs.append(config)
+                return real(state, config)
+            return run
+
+        monkeypatch.setattr(Hn, "evolve", spy(Hn.evolve))
+        monkeypatch.setattr(cli, "evolve", spy(cli.evolve))
+        for command, section in (
+                ("simulate", "{positions: [0.0, 0.8], charges: [1, -1], t_end: 0.5}"),
+                ("verify", "{sizes: [4], runs: 2, t_end: 0.5}")):
+            cfg = tmp_path / f"{command}.yaml"
+            cfg.write_text(f"{command}: {section}\n")
+            assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+        Hn.run_property_suite(seed=1, sizes=(4, 6), runs=2, t_end=0.5)
+        Hn.stability_sweep(Hn._triple_collision_fixture(), (1e-2,), 0.5,
+                           np.random.default_rng(0))
+        assert len(configs) > 10
+        assert all(c.pair_isolation is None for c in configs)
 
     def test_benchmark_ladder_rows(self, monkeypatch):
         # the benchmark's gate on the seed-0 double_bump ladder, read from

@@ -150,6 +150,22 @@ class TestDetect:
         # the exit returns [] only where looking at every link finds nothing
         assert detect_clusters(*case) == detect_clusters_every_link(*case)
 
+    @given(detector_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_early_exit_matches_every_link_at_ladder_isolation(self, case):
+        isolation = harness.LADDER_PAIR_ISOLATION
+        assert detect_clusters(*case, isolation) == detect_clusters_every_link(*case, isolation)
+
+    def test_isolation_is_the_callers(self):
+        # a closing end pair of three charges at 5e-3 of its outer gap is
+        # committed at the ladder's isolation, not at the default: both the
+        # early exit and the isolation mask read the isolation passed in
+        case = (np.array([0.0, 1.0, 1.005]), np.array([1, 1, -1]), np.array([0.0, 1.0, -1.0]),
+                0.0, 0.5)
+        assert detect_clusters(*case) == detect_clusters(*case, PAIR_ISOLATION) == []
+        ladder = harness.LADDER_PAIR_ISOLATION
+        assert detect_clusters(*case, ladder) == detect_clusters_every_link(*case, ladder) == [[1, 2]]
+
     def test_close_pair_detected(self):
         s = make([0.0, 1e-9, 1.0], [1, -1, 1])
         assert detect(s) == [[0, 1]]
@@ -279,6 +295,14 @@ class TestEvolve:
     def test_tolerances_must_be_positive_and_finite(self, field, value, match):
         with pytest.raises(ValueError, match=f"{field} must be {match}"):
             IntegratorConfig(**{field: value})
+
+    @pytest.mark.parametrize("value, match", [
+        (0.0, "positive"), (-1e-2, "positive"), (np.nan, "positive"), (np.inf, "finite"),
+    ])
+    def test_pair_isolation_must_be_positive_and_finite(self, value, match):
+        assert IntegratorConfig().pair_isolation is None  # the module's PAIR_ISOLATION
+        with pytest.raises(ValueError, match=f"pair_isolation must be {match}"):
+            IntegratorConfig(pair_isolation=value)
 
     def test_pair_annihilation_time(self):
         a = 0.6
@@ -631,6 +655,12 @@ def _ladder_rung_16():
     return state, dataclasses.replace(spec.integrator_config(), store_steps=True)
 
 
+def _ladder_rung_16_at_the_default_isolation():
+    """_ladder_rung_16 with the module's PAIR_ISOLATION, not the ladder's."""
+    state, cfg = _ladder_rung_16()
+    return state, dataclasses.replace(cfg, pair_isolation=None)
+
+
 # -1 charges at 0..6, then a -+- triple at 7, 7.000001 and 7.000002, coupling
 # 1e-12: the triple falls below the clustering gap (CLUSTER_GAP x the charged
 # span, 7) near t = 0.5, where its collision is committed at tau =
@@ -689,6 +719,16 @@ class TestStats:
         # store_steps: one snapshot per accepted step, where a step that ends
         # on a collision stores the state after it
         assert st.accepted == len(traj.times) - 1
+
+    def test_ladder_isolation_commits_sooner(self):
+        # at the ladder's isolation a closing pair is committed before the
+        # collision cap walks it down: the same events in fewer steps
+        ladder = evolve(*_ladder_rung_16())
+        default = evolve(*_ladder_rung_16_at_the_default_isolation())
+        assert len(ladder.events) == len(default.events) > 0
+        assert ladder.stats.cap_bound < default.stats.cap_bound
+        assert ladder.stats.accepted < default.stats.accepted
+        assert ladder.stats.force_evals < default.stats.force_evals
 
     def test_force_evals_counts_every_evaluation(self, monkeypatch):
         import annihilate.integrator as integ
@@ -813,9 +853,10 @@ def _verify_suite_run(k: int):
 class TestHeldBuffers:
     @pytest.mark.parametrize(
         "make_run",
-        [_ladder_rung_16, lambda: (MPM, IntegratorConfig(t_end=2.0)),
+        [_ladder_rung_16, _ladder_rung_16_at_the_default_isolation,
+         lambda: (MPM, IntegratorConfig(t_end=2.0)),
          *(lambda k=k: _verify_suite_run(k) for k in range(4))],
-        ids=["rung16", "-+-", *(f"verify{k}" for k in range(4))],
+        ids=["rung16", "rung16-default", "-+-", *(f"verify{k}" for k in range(4))],
     )
     def test_evolve_is_bit_identical_to_the_fresh_array_step(self, make_run, monkeypatch):
         # the segment's held buffers and detect_clusters' early exit change
