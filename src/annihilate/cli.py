@@ -131,7 +131,10 @@ def _hj_args(initial: str = "sigmoid", snapshots: int = 5):
 
 
 def _moments_positions(positions: tuple[float, ...]) -> tuple[float, ...]:
-    """The `moments` section's positions: a non-empty list of finite numbers."""
+    """The `moments` section's positions: 1..MAX_POSITIONS finite numbers."""
+    if len(positions) > moments.MAX_POSITIONS:
+        raise ValueError(f"moments.positions holds at most {moments.MAX_POSITIONS} numbers, "
+                         f"got {len(positions)}")
     if not positions or not np.isfinite(positions).all():
         raise ValueError(f"positions must be non-empty and finite, got {list(positions)}")
     return positions
@@ -225,23 +228,8 @@ def cmd_measure(out: Path, chash: str, measure) -> int:
     return 0
 
 
-def _real_roots(M: np.ndarray) -> np.ndarray:
-    """reconstruct_positions(M), or the real roots that only its error estimate refused."""
-    try:
-        return moments.reconstruct_positions(M)
-    except moments.ReconstructionError as exc:
-        if exc.positions is None:
-            raise
-        return exc.positions
-
-
 def cmd_moments(out: Path, chash: str, x: tuple[float, ...]) -> int:
-    M = moments.moments(x)
-    rec = _real_roots(M)
-    err = float(np.max(np.abs(rec - np.sort(x))))
-    tol = moments.ROUND_TRIP_TOL * max(1.0, float(np.max(np.abs(x))))
-    if not err <= tol:
-        raise moments.ReconstructionError(f"reconstruction error {err:.3e} exceeds {tol:.3e}")
+    M, rec = moments.round_trip(x)
     print(json.dumps({"moments": M.tolist(), "reconstructed": rec.tolist()}))
     return 0
 

@@ -53,9 +53,8 @@ SCAN_POINTS = 2**15
 MAX_SCAN_POINTS = 2**20  # an 8 MiB scan grid; a build counts the crossings on it
 MAX_SUITE_SIZE = 256  # largest state the property suite draws; its d_M passes float64 at |x| ~ 4
 # largest particle count a size or a ladder rung may give, a bound on time:
-# one force call takes 2.2, 7.7, 29.5 and 440 ms at 1,024, 2,048, 4,096 and
-# 16,384 charges, and a rung takes about 0.75 n calls, so n = 16,384 is
-# already hours (the kernel's scratch stays within 1 MiB at any m)
+# one force call costs about n^2 and a rung takes about 0.75 n calls, so
+# n = 16,384 is already hours (the kernel's scratch stays within 1 MiB at any m)
 MAX_PARTICLES = 2**14
 
 LADDER_TOLERANCES = (1e-10, 1e-7)

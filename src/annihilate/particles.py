@@ -179,13 +179,7 @@ def velocity_field(
     zero self-term, 1 / inf against b_i / inf, which no row sum sees: a row
     of two or more holds a nonzero term, and numpy sums a lone -0.0 to +0.0
     (the tests check m = 1 with either charge).  So every velocity, sign
-    bits included, is that kernel's.  Per call (best of 15 timeit runs on
-    2 shared cores, numpy 2.4.6, single-threaded OpenBLAS 0.3.31):
-
-    | charges | 8 | 40 | 80 | 160 | 316 | 636 | 1276 |
-    |---|---|---|---|---|---|---|---|
-    | blocks | 1 | 1 | 1 | 1 | 1 | 4 | 13 |
-    | time (us) | 3.7 | 6.3 | 13.3 | 43.9 | 162 | 618 | 2,481 |
+    bits included, is that kernel's.
 
     The pair matrix is exactly antisymmetric in IEEE arithmetic, so the
     total momentum error comes only from the row sums.  Their error is a

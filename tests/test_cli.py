@@ -266,17 +266,32 @@ class TestOtherCommands:
         assert json.loads(capsys.readouterr().out)["error"] == "moments"
 
     @pytest.mark.parametrize("x", [[1.0e200, 2.0e200], [1.0e160, -1.0e160, 3.0],
-                                   [1.0e40] * 7 + [2.0e40]],
-                             ids=["inf-moment", "inf-minus-inf", "inf-extended-moment"])
+                                   [1.0e40] * 7 + [2.0e40],
+                                   np.random.default_rng(0).uniform(-10.0, 10.0, 300).tolist()],
+                             ids=["inf-moment", "inf-minus-inf", "inf-extended-moment",
+                                  "inf-elementary"])
     def test_moments_past_float64_exits_3(self, tmp_path, capsys, x):
         # M_2 overflows float64; the second also sums +-inf in M_3; the third
-        # overflows only M_8, summed in extended precision.  A documented
-        # outcome prints no warning
+        # overflows only M_8, summed in extended precision; the fourth has
+        # finite moments, up to 4.5e297, but the Newton recursion's
+        # elementary values pass float64.  A documented outcome prints no
+        # warning
         cfg = write_cfg(tmp_path, {"moments": {"positions": x}})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert json.loads(capsys.readouterr().out)["error"] == "moments"
+
+    def test_moments_far_off_roots_exit_3_without_warning(self, tmp_path, capsys):
+        # 1,000 points in (-1, 1) come back more than 3 off; judging the
+        # roots takes no powers of them, so nothing overflows
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, 1000).tolist()
+        cfg = write_cfg(tmp_path, {"moments": {"positions": x}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "moments", "message": "reconstruction error 3.112e+00 exceeds 1.000e-08"}
 
     def test_verify_past_float64_exits_3(self, tmp_path, capsys):
         # at t_end = 1e300 the positions spread until their moments pass
@@ -301,11 +316,8 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("n, code", [(22, 0), (24, 3)])
     def test_moments_judges_refused_roots_by_round_trip(self, tmp_path, capsys, n, code):
-        # reconstruct_positions refuses both; the command knows the input, and
         # n = 22 comes back 9.4e-10 off, within the tolerance, n = 24 2.9e-8 off
         x = np.linspace(-1.0, 1.0, n)
-        with pytest.raises(moments.ReconstructionError):
-            moments.reconstruct_positions(moments.moments(x))
         cfg = write_cfg(tmp_path, {"moments": {"positions": x.tolist()}})
         assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == code
         capsys.readouterr()
@@ -539,14 +551,19 @@ class TestConfigSchema:
             ("converge", {"experiment": {"datum": "double_bump", "ns": [8, 16384]}},
              "n=16384 samples 40632 particles"),
             ("converge", {"experiment": {"scan_points": 2**40}}, "scan_points must lie in"),
+            ("moments", {"moments": {"positions": [0.0] * (moments.MAX_POSITIONS + 1)}},
+             "moments.positions"),
         ],
         ids=["measure-ns-overflow", "lipschitz_cdf-ns-huge", "experiment-ns-huge",
-             "experiment-rung-past-cap", "experiment-scan_points-huge"],
+             "experiment-rung-past-cap", "experiment-scan_points-huge",
+             "moments-positions-past-cap"],
     )
     def test_size_past_a_cap_exits_2_at_once(self, tmp_path, command, payload, named):
         # each used to make its output directory and then fail (an
         # OverflowError, a 74.5 GiB array) or run on in the sampler or the
-        # force kernel; in a child process, so a run that goes on is cut
+        # force kernel, or, for `moments`, root a polynomial at a cost that
+        # grows as its degree cubed; in a child process, so a run that goes
+        # on is cut
         out = tmp_path / "out"
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(
@@ -558,6 +575,10 @@ class TestConfigSchema:
         failure = json.loads(proc.stdout)
         assert failure["error"] == "config" and named in failure["message"]
         assert not out.exists()
+
+    def test_moments_positions_at_the_cap_build(self):
+        positions = (0.0,) * moments.MAX_POSITIONS
+        assert _build(_moments_positions, {"positions": list(positions)}) == positions
 
     @given(data=st.data())
     @settings(max_examples=400, deadline=None)

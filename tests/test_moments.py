@@ -10,7 +10,7 @@ from annihilate.moments import (
     d_M,
     moments,
     moments_to_elementary,
-    reconstruct_positions,
+    round_trip,
 )
 
 
@@ -143,54 +143,44 @@ class TestNewton:
 
 class TestReconstruct:
     def test_round_trip_simple(self):
-        rec = reconstruct_positions(moments([1.0, 2.0, 3.0]))
+        M, rec = round_trip([1.0, 2.0, 3.0])
+        assert M == pytest.approx([6.0, 7.0, 12.0], abs=0)
         assert rec == pytest.approx([1.0, 2.0, 3.0], abs=1e-8)
 
     def test_double_root(self):
-        rec = reconstruct_positions(moments([0.0, 0.0]))
-        assert rec == pytest.approx([0.0, 0.0], abs=1e-9)
+        assert round_trip([0.0, 0.0])[1] == pytest.approx([0.0, 0.0], abs=1e-9)
 
     def test_symmetric_pair(self):
-        rec = reconstruct_positions(moments([-5.0, 5.0]))
-        assert rec == pytest.approx([-5.0, 5.0], abs=1e-8)
+        assert round_trip([5.0, -5.0])[1] == pytest.approx([-5.0, 5.0], abs=1e-8)
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             n = int(rng.integers(1, 13))
-            x = np.sort(rng.uniform(-5, 5, n))
-            rec = reconstruct_positions(moments(x))
-            assert rec == pytest.approx(x, abs=1e-6)
+            x = rng.uniform(-5, 5, n)
+            assert round_trip(x)[1] == pytest.approx(np.sort(x), abs=1e-6)
 
-    def test_unrealizable_moments_raise(self):
-        # moment vector of the complex pair +-i: monic z^2 + 1
-        with pytest.raises(ReconstructionError):
-            reconstruct_positions(np.array([0.0, -1.0]))
+    def test_complex_roots_are_refused(self):
+        # 40 spread-out points: the Newton-identity polynomial has complex roots
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, 40)
+        with pytest.raises(ReconstructionError, match="imaginary"):
+            round_trip(x)
 
     @pytest.mark.parametrize("n", [24, 28, 32])
     def test_lost_precision_is_refused(self, n):
         # float64 moments of these points returned them 2.9e-8, 1.0e-6 and
         # 3.9e-6 off, past the round-trip tolerance 1e-8
-        x = np.linspace(-1.0, 1.0, n)
-        with pytest.raises(ReconstructionError, match="error estimate") as info:
-            reconstruct_positions(moments(x))
-        # the refused roots come with the error
-        assert np.max(np.abs(info.value.positions - x)) > mm.ROUND_TRIP_TOL
-
-    def test_complex_roots_carry_no_positions(self):
-        with pytest.raises(ReconstructionError, match="imaginary") as info:
-            reconstruct_positions(np.array([0.0, -1.0]))
-        assert info.value.positions is None
+        with pytest.raises(ReconstructionError, match="reconstruction error"):
+            round_trip(np.linspace(-1.0, 1.0, n))
 
     def test_eight_points_round_trip(self):
         x = np.linspace(-1.0, 1.0, 8)
-        assert np.max(np.abs(reconstruct_positions(moments(x)) - x)) <= mm.ROUND_TRIP_TOL
+        assert np.max(np.abs(round_trip(x)[1] - x)) <= mm.ROUND_TRIP_TOL
 
-    def test_estimate_covers_the_error_and_refuses_only_near_the_tolerance(self):
+    def test_each_family_comes_back_or_is_refused(self):
         # uniform points, Hermite nodes and random draws, n = 4..32: each
-        # family is refused somewhere; wherever it is accepted the estimate
-        # is at least the true error, which is then within the tolerance,
-        # and every refusal with real roots is off by at least 1/50 of it
+        # input comes back within the tolerance or raises, and each family
+        # is accepted at some n and refused at another
         rng = np.random.default_rng(2)
         families = {
             "uniform": lambda n: np.linspace(-1.0, 1.0, n),
@@ -201,16 +191,12 @@ class TestReconstruct:
             accepted = 0
             for n in range(4, 33):
                 x = make(n)
-                M = moments(x)
-                tol = mm.ROUND_TRIP_TOL * max(1.0, float(np.max(np.abs(x))))
                 try:
-                    rec = reconstruct_positions(M)
-                except ReconstructionError as exc:
-                    if exc.positions is not None:
-                        assert np.max(np.abs(exc.positions - x)) >= tol / 50, (name, n)
+                    M, rec = round_trip(x)
+                except ReconstructionError:
                     continue
                 accepted += 1
-                err = float(np.max(np.abs(rec - x)))
-                assert mm._error_estimate(rec, M) >= err, (name, n)
-                assert err <= tol, (name, n)
+                assert np.array_equal(M, moments(x)), (name, n)
+                tol = mm.ROUND_TRIP_TOL * max(1.0, float(np.max(np.abs(x))))
+                assert np.max(np.abs(rec - x)) <= tol, (name, n)
             assert 4 <= accepted < 29, name
