@@ -778,8 +778,9 @@ def _check_ode_residual(traj):
                      * max(h0, h1)**2 / (16.0 * (ev.tau - tb)**2.5) > 0.1 * thr}
         diff = (h1 * ((x1 - x0) / h0) + h0 * ((x2 - x1) / h1)) / (h0 + h1)
         c = np.flatnonzero(window.charges[1])
-        v = np.zeros(x1.size)  # neutral particles stay put
-        v[c] = particles.velocity_field(x1[c], window.charges[1][c], traj.coupling)
+        v = np.zeros(x1.size)  # neutral particles, and a lone charge, stay put
+        if c.size >= 2:
+            v[c] = particles.velocity_field(x1[c], window.charges[1][c], traj.coupling)
         for i, r in enumerate(np.abs(diff - v).tolist()):
             if i not in colliding:
                 yield r <= thr, thr - r, f"t={tm:.3f} i={i}"
@@ -816,23 +817,33 @@ def _check_envelopes(rng):
 
 
 def _check_hj_comparison(rng):
+    """Monotonicity of one HJ step, the property behind the comparison principle.
+
+    Each of three data, a tanh profile plus a bump at random centers, takes
+    one step of a fixed dt, 0.99 of its own stable step.  Then each node i
+    with i mod 3 = case, one third of the grid, is raised in turn by
+    delta = 1e-6 and the step is taken again at the same dt: no node of
+    the step may fall.  Raising a node moves the data's stable step by at
+    most about 3 delta / (h max|u_x|) relative, far under the 1% held back.
+    A step upwinded the wrong way, or past its CFL bound, lowers some node
+    by about 1e-7.
+    """
     cfg = hjsolver.SchemeConfig(L=2.0, h=1 / 32, rho=4 / 32, t_end=0.05)
     xs = np.linspace(-2.0, 2.0, 129)
+    delta = 1e-6
     worst = math.inf
-    for _ in range(3):
+    for case in range(3):
         c1, c2 = rng.uniform(-0.5, 0.5, 2)
-        u = hjsolver.GridFunction(xs=xs, values=np.tanh(xs - c1) * 0.3, tails=(-0.3, 0.3))
-        bumpvals = 0.2 * np.exp(-((xs - c2) ** 2))
-        w = hjsolver.GridFunction(xs=xs, values=u.values + bumpvals, tails=u.tails)
-        for _ in range(15):
-            dt = min(
-                hjsolver.step_hj(u, cfg).time - u.time,
-                hjsolver.step_hj(w, cfg).time - w.time,
-            )
-            u = hjsolver.step_hj(u, cfg, dt=dt)
-            w = hjsolver.step_hj(w, cfg, dt=dt)
-            worst = min(worst, float(np.min(w.values - u.values)))
-    yield worst >= -1e-12, worst + 1e-12, f"min ordering gap {worst:.2e}"
+        vals = np.tanh(xs - c1) * 0.3 + 0.2 * np.exp(-((xs - c2) ** 2))
+        u = hjsolver.GridFunction(xs=xs, values=vals, tails=(-0.3, 0.3))
+        dt = 0.99 * (hjsolver.step_hj(u, cfg).time - u.time)
+        base = hjsolver.step_hj(u, cfg, dt=dt).values
+        for i in range(case, xs.size, 3):
+            raised = vals.copy()
+            raised[i] += delta
+            step = hjsolver.step_hj(u.copy_with(raised, u.time), cfg, dt=dt)
+            worst = min(worst, float(np.min(step.values - base)))
+    yield worst >= -1e-12, worst + 1e-12, f"least change under a raised node {worst:.2e}"
 
 
 def _check_measures(rng):

@@ -18,9 +18,11 @@ as a circulant product with a kernel spectrum cached per grid
 (Golub-Van Loan, Matrix Computations, section 4.7), plus each tail times
 the cached total weight of the padding beyond its end.  A step then
 costs one numpy.fft rfft/irfft pair, of the smallest power-of-two length
-at least 2n - 2, into buffers its kernel holds, and a fixed few passes
-over the n nodes.  An initial datum acts elementwise on an array of
-points; `GridFunction.from_callable` calls it once on all nodes.
+at least 2n - 2, into buffers its kernel holds (the rfft zero-pads the n
+values itself, and the irfft's buffer is then the scratch of the tail
+terms), and a fixed few passes over the n nodes.  An initial datum acts
+elementwise on an array of points; `GridFunction.from_callable` calls it
+once on all nodes.
 """
 from __future__ import annotations
 
@@ -143,7 +145,10 @@ class _Kernel:
     weights of the padding beyond each end, each accumulated by a cumsum
     from its far end: G_0 is in neither, and no difference of partial sums
     cancels against it.  An application is an rfft/irfft pair through two
-    held buffers (one caller at a time), then a few passes over the nodes.
+    held buffers (one caller at a time), then a few passes over the nodes:
+    the rfft reads the n values and zero-pads them to `size` internally,
+    and the irfft's buffer `_work`, once its first n entries are added to
+    the result, holds uR right and then u / (0.5 tail_cut) in turn.
     """
 
     def __init__(self, n: int, h: float, r: int):
@@ -170,14 +175,16 @@ class _Kernel:
             padded = np.concatenate([np.full(pad, u.tails[0]), u.values, np.full(pad, u.tails[1])])
             out = np.convolve(padded, self.G[::-1], mode="valid")
             return out + (u.tails[0] + u.tails[1]) / self.tail_cut - 2.0 * u.values / self.tail_cut
-        self._work[:n], self._work[n:] = u.values, 0.0
-        np.fft.rfft(self._work, out=self._spec)
+        np.fft.rfft(u.values, self.size, out=self._spec)
         self._spec *= self.spectrum
         np.fft.irfft(self._spec, self.size, out=self._work)
-        out = np.add(self._work[:n], u.tails[0] * self.left)
-        out += u.tails[1] * self.right
+        scratch = self._work[:n]
+        # IEEE addition commutes, so tl left + Toeplitz part is the Toeplitz part + tl left
+        out = np.multiply(u.tails[0], self.left)
+        out += scratch
+        out += np.multiply(u.tails[1], self.right, out=scratch)
         out += (u.tails[0] + u.tails[1]) / self.tail_cut
-        return np.subtract(out, u.values / (0.5 * self.tail_cut), out=out)  # (2 u) / tail_cut
+        return np.subtract(out, np.divide(u.values, 0.5 * self.tail_cut, out=scratch), out=out)
 
 
 _kernels: dict[tuple[int, float, int], _Kernel] = {}
@@ -217,9 +224,10 @@ def _godunov_gradient(u: GridFunction, v: np.ndarray) -> np.ndarray:
     np.subtract(u.values[1:], u.values[:-1], out=d[1:-1])
     d /= u.h
     nd = -d
-    falling = np.maximum(d[:-1], nd[1:])
+    grad = np.maximum(d[:-1], nd[1:])  # falling
     rising = np.maximum(nd[:-1], d[1:], out=nd[:-1])
-    return np.maximum(np.where(v >= 0.0, rising, falling), 0.0)
+    np.copyto(grad, rising, where=v >= 0.0)  # a NaN v stays falling
+    return np.maximum(grad, 0.0, out=grad)
 
 
 def step_hj(u: GridFunction, config: SchemeConfig, dt: float | None = None) -> GridFunction:

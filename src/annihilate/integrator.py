@@ -255,12 +255,13 @@ class _Segment:
 
     Built from the integrated field's charges b over all n particles:
     charged lists the m particles that carry one, bc their int charges and
-    bf their float copy, and work is the force kernel's workspace for them.
-    The segment also holds the stage matrix k (7, m) with its prefix views
-    ks[s] = k[:s], two position buffers that _step_core writes in turn,
-    and m-long scratch rows; a step allocates none of them.  An array that
-    _step_core returns is one of these buffers and valid only as long as
-    its docstring says.
+    bf their float copy, and work is the force kernel's workspace for them,
+    None below two charges, where no step reads a velocity (_step_core and
+    detect_clusters return first).  The segment also holds the stage
+    matrix k (7, m) with its prefix views ks[s] = k[:s], two position
+    buffers that _step_core writes in turn, and m-long scratch rows; a step
+    allocates none of them.  An array that _step_core returns is one of
+    these buffers and valid only as long as its docstring says.
     """
 
     def __init__(self, b: np.ndarray, gamma: float):
@@ -268,7 +269,7 @@ class _Segment:
         self.charged = np.flatnonzero(b)
         self.bc = b[self.charged]
         self.bf = self.bc.astype(float)
-        self.work = ForceWorkspace(self.bf, gamma)
+        self.work = ForceWorkspace(self.bf, gamma) if self.bc.size >= 2 else None
         self.opposite = self.bc[:-1] != self.bc[1:]  # adjacent charged pairs of opposite sign
         self.any_opposite = bool(self.opposite.any())
         self.hint = math.inf  # first dt to try
@@ -528,14 +529,20 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
             bs.append(b)
 
     def begin_segment():
-        """Build the segment of the integrated field, b less the committed clusters, and f at x."""
+        """Build the segment of the integrated field, b less the committed clusters, and f at x.
+
+        Below two charges f is left at zero, unevaluated: no step reads it.
+        """
         nonlocal seg, xc, vc
         flow = b.copy()
         flow[[i for ev, _ in pending for i in ev.cluster]] = 0
         seg = _Segment(flow, gamma)
         xc = x[seg.charged]
-        stats.force_evals += 1
-        vc = velocity_field(xc, seg.bf, gamma, work=seg.work)
+        if seg.work is None:
+            vc = np.zeros(xc.size)
+        else:
+            stats.force_evals += 1
+            vc = velocity_field(xc, seg.bf, gamma, work=seg.work)
 
     def trajectory() -> Trajectory:
         positions = np.array(xs)

@@ -8,6 +8,8 @@ loop, independent of the vectorized code in `annihilate`:
 every node by one direct convolution with the solver's own weights, the
 oracle of its FFT branch, and `kernel_loop` builds those weights term by
 term in a scalar loop, the oracle of `hjsolver._Kernel`'s array build.
+`step_hj_plain` is `hjsolver.step_hj` with a fresh array for every
+intermediate, the oracle of the step's in-place passes (same bits).
 `aec_defect_loop` is one defect of
 `measures.aec_modulus` by a scalar double loop over intervals, and
 `narrow_proxy_loop` is `measures.narrow_distance_proxy` by scalar sums
@@ -46,9 +48,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from annihilate import moments
+from annihilate import hjsolver, moments
 from annihilate.harness import SCAN_POINTS, ConvergenceResult, InitialDatum
-from annihilate.hjsolver import GridFunction
+from annihilate.hjsolver import GridFunction, SchemeConfig
 from annihilate.integrator import (
     _DP_A, _DP_E, _GUS_EXP, _PI_ALPHA, _PI_BETA, CLUSTER_GAP, COLLISION_SAFETY, PAIR_ISOLATION,
     IntegratorConfig, StepSizeUnderflow, StepStats, Trajectory, _Segment, _step_core,
@@ -190,6 +192,48 @@ def kernel_loop(n_nodes: int, h: float, r: int) -> dict:
         "left": np.cumsum(G)[n:0:-1],
         "right": np.cumsum(G[::-1])[1 : n + 1],
     }
+
+
+def step_hj_plain(u: GridFunction, config: SchemeConfig, dt: float | None = None) -> GridFunction:
+    """`hjsolver.step_hj` with every intermediate a fresh array, the oracle of its in-place passes.
+
+    The operator copies the values into a zero-filled array of the FFT
+    length and adds uL left, uR right, (uL + uR) / tail_cut and
+    -(u / (0.5 tail_cut)) to the Toeplitz part in that order, each a
+    temporary; below `FFT_NODES` it convolves the tail-padded values.  The
+    upwind gradient picks rising where v >= 0 and falling elsewhere (NaN
+    included) by `np.where`, then clamps at 0.  The kernel's weights,
+    spectrum and tail weights are the solver's own, and the dt rule is
+    step_hj's, so the two must agree bit for bit.
+    """
+    kern = hjsolver._kernel_for(u, config.rho)
+    n = u.values.size
+    tl, tr = u.tails
+    if n < hjsolver.FFT_NODES:
+        v = np.convolve(_padded(u, kern.half + 1), kern.G[::-1], mode="valid")
+        v = v + (tl + tr) / kern.tail_cut - 2.0 * u.values / kern.tail_cut
+    else:
+        padded = np.zeros(kern.size)
+        padded[:n] = u.values
+        toeplitz = np.fft.irfft(np.fft.rfft(padded) * kern.spectrum, kern.size)[:n]
+        v = toeplitz + tl * kern.left
+        v = v + tr * kern.right
+        v = v + (tl + tr) / kern.tail_cut
+        v = v - u.values / (0.5 * kern.tail_cut)
+    d = np.concatenate([[u.values[0] - tl], np.diff(u.values), [tr - u.values[-1]]]) / u.h
+    falling = np.maximum(d[:-1], -d[1:])
+    rising = np.maximum(-d[:-1], d[1:])
+    grad = np.maximum(np.where(v >= 0.0, rising, falling), 0.0)
+    denom = kern.W * float(grad.max()) + float(max(v.max(), -v.min())) / u.h
+    dt_max = math.inf if denom == 0.0 else hjsolver.CFL / denom
+    if dt is None:
+        dt = min(dt_max, config.t_end - u.time)
+        if dt <= 0:
+            dt = dt_max
+    elif dt > dt_max * (1 + 1e-12):
+        raise hjsolver.CFLViolation(f"dt={dt} exceeds stability bound {dt_max:.3e}")
+    values = u.values + dt * v * grad
+    return u.copy_with(values, config.t_end if dt == config.t_end - u.time else u.time + dt)
 
 
 def _bisect(f: Callable, lo: float, hi: float, flo: float) -> float:

@@ -349,7 +349,21 @@ class TestPropertySuite:
         rep = Hn.run_property_suite(seed=0, **wl.VERIFY_SUITE["full"])
         assert rep.all_passed and rep.events_total == 61
         assert totals == {"accepted": 3067, "rejected_error": 397, "rejected_order": 5,
-                          "force_evals": 19142, "events": 73}
+                          "force_evals": 19102, "events": 73}
+
+    @pytest.mark.parametrize("mutant", ["none", "swapped_upwinding", "cfl_doubled"])
+    def test_hj_comparison_catches_a_non_monotone_step(self, monkeypatch, mutant):
+        # smooth ordered data stay ordered for a while under either mutant;
+        # a single raised node shows the step is not monotone at once
+        from annihilate import hjsolver
+
+        real = hjsolver._godunov_gradient
+        if mutant == "swapped_upwinding":
+            monkeypatch.setattr(hjsolver, "_godunov_gradient", lambda u, v: real(u, -v))
+        elif mutant == "cfl_doubled":
+            monkeypatch.setattr(hjsolver, "CFL", 2 * hjsolver.CFL)
+        rep = Hn.run_property_suite(seed=0, sizes=[8], runs=20)
+        assert rep.checks["hj_comparison"].passed == (mutant == "none")
 
     def test_report_serializes(self):
         import json

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from annihilate import hjsolver as H
-from annihilate.harness import CATALOG
+from annihilate.harness import CATALOG, ExperimentSpec
 from reference import (
     barrier_check,
     far_field_grid,
@@ -16,6 +16,7 @@ from reference import (
     levy_operator_direct,
     near_field_quadrature,
     pair_bump,
+    step_hj_plain,
 )
 
 SIGMOID = CATALOG["sigmoid"].u0
@@ -134,6 +135,11 @@ class TestOperator:
         assert np.array_equal(first, kept)
         assert not np.array_equal(first, second)
         assert not np.shares_memory(first, second)
+        # the irfft buffer is also the tail terms' scratch: no result may be a view of it
+        kern = H._kernel_for(u, 4 * u.h)
+        for result in (first, second):
+            assert not np.shares_memory(result, kern._work)
+            assert not np.shares_memory(result, kern._spec)
 
     def test_kernel_cache_tells_tiny_grids_apart(self, monkeypatch):
         # two 201-node grids with r = 4 whose steps 1e-15 and 2e-15 both
@@ -235,16 +241,41 @@ class TestStep:
             assert past.time == free.time > time
             assert np.array_equal(past.values, free.values)
 
+    @pytest.mark.parametrize("n", [8193, 2049, 257])
+    def test_steps_match_the_plain_step(self, n):
+        # unequal tails and v of both signs: every tail term and both upwind
+        # branches reach the bits, on both operator paths
+        cfg = H.SchemeConfig(L=4.0, h=8.0 / (n - 1), rho=1 / 16, t_end=0.25)
+        u = H.GridFunction.from_callable(
+            lambda x: 0.5 * np.tanh(2 * x) - 0.2 + 0.3 * np.exp(-((x - 1) ** 2)), cfg
+        )
+        v = H.levy_operator_all(u, cfg.rho)
+        assert v.min() < 0.0 < v.max() and u.tails[0] != u.tails[1]
+        assert (n >= H.FFT_NODES) == (n > 257)
+        a = b = u
+        for _ in range(50):
+            a, b = H.step_hj(a, cfg), step_hj_plain(b, cfg)
+            assert a.values.tobytes() == b.values.tobytes() and a.time == b.time
+
     def test_godunov_gradient_against_one_sided_differences(self, small_cfg):
         u = H.GridFunction.from_callable(lambda x: np.sin(3 * x), small_cfg)
         v = H.levy_operator_all(u, small_cfg.rho)
         U = np.concatenate([[u.tails[0]], u.values, [u.tails[1]]])
         dm = (U[1:-1] - U[:-2]) / u.h
         dp = (U[2:] - U[1:-1]) / u.h
-        want = np.where(v >= 0.0, np.maximum(np.maximum(-dm, dp), 0.0),
-                        np.maximum(np.maximum(dm, -dp), 0.0))
-        # bit for bit, sign bits of zeros included
-        assert H._godunov_gradient(u, v).tobytes() == want.tobytes()
+        rising = np.maximum(np.maximum(-dm, dp), 0.0)
+        falling = np.maximum(np.maximum(dm, -dp), 0.0)
+        # -0.0 and +0.0 count as v >= 0 (rising), NaN as not (falling); at
+        # these nodes the two branches differ, so the choice shows
+        nodes, special = [40, 80, 120], [-0.0, 0.0, np.nan]
+        assert all(rising[nodes] != falling[nodes])
+        edited = v.copy()
+        edited[nodes] = special
+        for vals in (v, edited):
+            want = np.where(vals >= 0.0, rising, falling)
+            # bit for bit, sign bits of zeros included
+            assert H._godunov_gradient(u, vals).tobytes() == want.tobytes()
+        assert np.array_equal(want[nodes], [rising[40], rising[80], falling[120]])
 
 
 class TestSolve:
@@ -306,6 +337,19 @@ class TestSolve:
         assert frames[0].values.size == 1025 >= H.FFT_NODES
         assert calls["step"] > 2
         assert calls["operator"] == calls["step"]
+
+    def test_ladder_reference_matches_the_plain_step(self, monkeypatch):
+        # the ladder's reference solve, frame for frame, bit for bit
+        spec = ExperimentSpec(datum="double_bump")
+        cfg, times = spec.scheme_config(), spec.snapshot_times()
+        assert cfg.h == 1 / 256
+        u0 = CATALOG["double_bump"].u0
+        frames = H.solve_hj(u0, cfg, times)
+        monkeypatch.setattr(H, "step_hj", step_hj_plain)
+        plain = H.solve_hj(u0, cfg, times)
+        assert len(frames) == len(plain) == len(times)
+        for a, b in zip(frames, plain):
+            assert a.time == b.time and a.values.tobytes() == b.values.tobytes()
 
     def test_self_convergence(self):
         # roughly first order on a smooth monotone datum
