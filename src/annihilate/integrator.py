@@ -20,7 +20,12 @@ leaves its memory alone on steps clipped by a stop, and restarts, with
 the PI factor alone for the first step, on every new integrated field.
 The step size is capped by sigma * g^2 / (4 gamma), where g is the smallest
 opposite-sign neighbor gap: an isolated attracting pair obeys d(t)^2 = d0^2
-- 4 gamma t exactly, so no pair can cross zero within that horizon.
+- 4 gamma t exactly, so no pair can cross zero within that horizon.  That
+law misses a pair that an outside field drives shut, and a stage point
+that crosses a neighbor costs the stages already evaluated and half the
+step; so the step is also capped by ORDERING_SAFETY * g / r over the
+opposite-sign gaps g, r > 0 the rate at which g closes under the step's
+first stage f(x).
 
 Collisions are resolved in closed form by resolve_annihilation.  A
 cluster of alternating charges is committed: its collision (tau, y) is
@@ -103,6 +108,9 @@ __all__ = [
 
 # sigma of the collision cap sigma * g^2 / (4 gamma) on the step size
 COLLISION_SAFETY = 0.5
+# s of the ordering cap s * g / r on the step size, r the rate at which an
+# opposite-sign gap g closes at the step's start
+ORDERING_SAFETY = 0.4
 # clustering gap as a fraction of the state's length scale, the larger of
 # the charged span and sqrt(gamma |t|) (bounds in detect_clusters)
 CLUSTER_GAP = 1e-7
@@ -174,9 +182,10 @@ class StepStats:
     count attempts discarded for the error estimate and for a broken
     charged ordering; force_evals counts velocity_field evaluations.
     cap_bound counts accepted steps whose first trial dt was set by the
-    collision cap, and target_clipped those that end on a stop (a sample
-    time, t_end or a committed cluster's collision time); dt_min and dt_max
-    bound the accepted step sizes; events counts the annihilation events.
+    collision cap or the ordering cap, and target_clipped those that end on
+    a stop (a sample time, t_end or a committed cluster's collision time);
+    dt_min and dt_max bound the accepted step sizes; events counts the
+    annihilation events.
     """
 
     accepted: int = 0
@@ -259,9 +268,10 @@ class _Segment:
     None below two charges, where no step reads a velocity (_step_core and
     detect_clusters return first).  The segment also holds the stage
     matrix k (7, m) with its prefix views ks[s] = k[:s], two position
-    buffers that _step_core writes in turn, and m-long scratch rows; a step
-    allocates none of them.  An array that _step_core returns is one of
-    these buffers and valid only as long as its docstring says.
+    buffers that _step_core writes in turn, views of work's position row,
+    where the stage points go, and m-long scratch rows; a step allocates
+    none of them.  An array that _step_core returns is one of these
+    buffers and valid only as long as its docstring says.
     """
 
     def __init__(self, b: np.ndarray, gamma: float):
@@ -283,8 +293,12 @@ class _Segment:
         self.ks = [self.k[:s] for s in range(7)]
         self.pos = (np.empty(m), np.empty(m))
         self.inc, self.scale = np.empty(m), np.empty(m)  # stage increment, error scale
-        self.gaps = np.empty(max(m - 1, 0))
+        self.gaps, self.rate = np.empty(max(m - 1, 0)), np.empty(max(m - 1, 0))
         self.ordered = np.empty(max(m - 1, 0), dtype=bool)
+        if self.work is not None:
+            # stage points are written into the kernel's position row, and
+            # their ordering is read through these views of it
+            self.upper, self.lower = self.work.x[1:], self.work.x[:-1]
 
 
 def _step_core(
@@ -299,27 +313,39 @@ def _step_core(
     """One accepted RK step of the charged positions x from t; returns (new x, dt taken, f(new x)).
 
     x holds seg's m charged particles in order and k0 is f(x).  dt starts
-    from min(dt_max, collision cap, seg.hint) and shrinks until the local
-    error estimate passes the tolerances and every stage keeps x strictly
-    increasing; seg's step-size memory is updated for the next step.  The
-    error norm is the RMS over all seg.n particles, whose other entries are
-    exactly 0.  Fewer than two charges advance by dt_max exactly.
+    from min(dt_max, collision cap, ordering cap, seg.hint) and shrinks
+    until the local error estimate passes the tolerances and every stage
+    keeps x strictly increasing; seg's step-size memory is updated for the
+    next step.  The error norm is the RMS over all seg.n particles, whose
+    other entries are exactly 0.  Fewer than two charges advance by dt_max
+    exactly.
 
     The new x and f(new x) are seg's buffers, not copies: the next call
     reads f(new x) as its k0 and then overwrites it, and the second call
     after this one overwrites the new x, so a caller that keeps either
     copies it.  x may be the previous call's new x, never a buffer this
-    call writes.
+    call writes: the stage points go into seg.work's position row, and the
+    new x is copied from there once the step is accepted.
     """
     gamma = seg.gamma
     if x.size < 2:
         return x, dt_max, k0
 
     gaps = np.subtract(x[1:], x[:-1], out=seg.gaps)
+    d = float(np.minimum.reduce(gaps))
     cap = math.inf
     if seg.any_opposite:
-        g = float(np.minimum.reduce(gaps[seg.opposite]))
+        g = float(np.minimum.reduce(gaps, where=seg.opposite, initial=math.inf))
         cap = COLLISION_SAFETY * g * g / (4.0 * gamma)
+        # |k0| <= gamma (m - 1) / d, so every rate / gap is below 1e300 / 2
+        # here; below that, as for gaps whose square underflows, the
+        # ordering cap is left out and an unordered stage is rejected
+        if d * d * 1e300 > 4.0 * gamma * x.size:
+            rate = np.subtract(k0[:-1], k0[1:], out=seg.rate)
+            np.divide(rate, gaps, out=rate)
+            fastest = float(np.maximum.reduce(rate, where=seg.opposite, initial=0.0))
+            if fastest > 0.0:
+                cap = min(cap, ORDERING_SAFETY / fastest)
     internal_cap = min(cap, seg.hint)
     dt = min(dt_max, internal_cap)
     stats.cap_bound += cap <= seg.hint and cap < dt_max
@@ -327,11 +353,10 @@ def _step_core(
     rejected = False
     k, ks, inc, scale, ordered = seg.k, seg.ks, seg.inc, seg.scale, seg.ordered
     k[0] = k0
-    xs = seg.pos[1] if x is seg.pos[0] else seg.pos[0]
+    xs = seg.work.x
     # the floor is relative to the state's own time scale: |t|, or the time
     # d^2 / (4 gamma) in which the closest charged pair (gap d) moves by ~d;
     # a step cut short only by a nearby target is not held to it
-    d = float(np.minimum.reduce(gaps))
     tiny = 1e-16 * max(abs(t), d * d / (4.0 * gamma))
     while True:
         if not dt > tiny and not target_bound:
@@ -341,7 +366,7 @@ def _step_core(
             np.matmul(_DP_A[s], ks[s], out=inc)
             np.multiply(dt, inc, out=inc)
             np.add(x, inc, out=xs)
-            np.greater(xs[1:], xs[:-1], out=ordered)
+            np.greater(seg.upper, seg.lower, out=ordered)
             if np.count_nonzero(ordered) != ordered.size:
                 break
             velocity_field(xs, seg.bf, gamma, work=seg.work, out=k[s])
@@ -369,7 +394,9 @@ def _step_core(
                     seg.hint = dt * fac
                     seg.err_prev = max(err, 1e-4)
                     seg.dt_prev = dt
-                return xs, dt, k[6]
+                x5 = seg.pos[1] if x is seg.pos[0] else seg.pos[0]
+                np.copyto(x5, xs)
+                return x5, dt, k[6]
             stats.rejected_error += 1
             dt *= min(1.0, max(0.2, 0.9 * err**-0.2))
             target_bound = False
@@ -424,10 +451,7 @@ def detect_clusters(
     opposite = b[:-1] != b[1:]
     cut = CLUSTER_GAP * max(float(x[-1] - x[0]), math.sqrt(gamma * abs(t)))
     if b.size >= 3:
-        g_opp = g[opposite]
-        if not g_opp.size:
-            return []
-        least = np.minimum.reduce(g_opp)
+        least = np.minimum.reduce(g, where=opposite, initial=math.inf)
         if least >= isolation * np.maximum.reduce(g) and least >= cut:
             return []
     closing = opposite & (v[1:] - v[:-1] < 0.0)
@@ -515,18 +539,17 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
     x = x - shift  # the working row, a fresh array that steps and events write in place
     stats = StepStats()
 
-    def record(force_keep: bool = False):
-        if config.store_steps or force_keep:
-            row = x.copy()
-            # a committed cluster's members are frozen in x at their commit
-            # positions; the row shrinks them uniformly about y if tau is finite
-            for ev, t_c in pending:
-                if ev.tau < math.inf:
-                    cl = list(ev.cluster)
-                    row[cl] = ev.y + (x[cl] - ev.y) * math.sqrt((ev.tau - t) / (ev.tau - t_c))
-            times.append(t)
-            xs.append(row)
-            bs.append(b)
+    def record():
+        row = x.copy()
+        # a committed cluster's members are frozen in x at their commit
+        # positions; the row shrinks them uniformly about y if tau is finite
+        for ev, t_c in pending:
+            if ev.tau < math.inf:
+                cl = list(ev.cluster)
+                row[cl] = ev.y + (x[cl] - ev.y) * math.sqrt((ev.tau - t) / (ev.tau - t_c))
+        times.append(t)
+        xs.append(row)
+        bs.append(b)
 
     def begin_segment():
         """Build the segment of the integrated field, b less the committed clusters, and f at x.
@@ -588,6 +611,7 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
     # charges change
     seg, xc, vc = None, None, None
     begin_segment()
+    store_steps = config.store_steps
     try:
         for target in targets:
             while t < target:
@@ -606,8 +630,8 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
                 if abs(t - stop) <= 4e-15 * max(1.0, abs(stop)):
                     t = stop
                 stats.target_clipped += t == stop
-                collided = collide()
-                record(force_keep=collided or t >= target)
+                if collide() or store_steps or t >= target:
+                    record()
     except StepSizeUnderflow as exc:
         raise EvolveError(str(exc), trajectory()) from exc
     return trajectory()

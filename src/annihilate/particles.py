@@ -167,8 +167,9 @@ def velocity_field(
     StepFunction: a neutral particle neither exerts nor feels a force, so
     the caller leaves it out.  Without work, an unordered x raises
     InvalidState and the call builds its own ForceWorkspace(b, coupling);
-    with one, the charges are the workspace's.  The result is written into
-    out, which is returned, if it is given.
+    with one, the charges are the workspace's, and x may be its position
+    row work.x itself, which saves the copy into it.  The result is written
+    into out, which is returned, if it is given.
 
     Row i sums b_j / (x_i - x_j) and is then multiplied by b_i, which is
     exact for b_i = +-1.  Per block of rows the kernel makes one BLAS
@@ -191,7 +192,8 @@ def velocity_field(
         if not (x[1:] > x[:-1]).all():
             raise InvalidState("velocity_field needs strictly increasing positions")
         work = ForceWorkspace(b, coupling)
-    work.x[...] = x
+    if x is not work.x:
+        work.x[...] = x
     np.multiply(work.b, x, out=work.bx)
     for pt, block, diag, sums in work.blocks:
         np.dot(pt, work.V, out=block)

@@ -52,8 +52,9 @@ from annihilate import hjsolver, moments
 from annihilate.harness import SCAN_POINTS, ConvergenceResult, InitialDatum
 from annihilate.hjsolver import GridFunction, SchemeConfig
 from annihilate.integrator import (
-    _DP_A, _DP_E, _GUS_EXP, _PI_ALPHA, _PI_BETA, CLUSTER_GAP, COLLISION_SAFETY, PAIR_ISOLATION,
-    IntegratorConfig, StepSizeUnderflow, StepStats, Trajectory, _Segment, _step_core,
+    _DP_A, _DP_E, _GUS_EXP, _PI_ALPHA, _PI_BETA, CLUSTER_GAP, COLLISION_SAFETY, ORDERING_SAFETY,
+    PAIR_ISOLATION, IntegratorConfig, StepSizeUnderflow, StepStats, Trajectory, _Segment,
+    _step_core,
 )
 from annihilate.io import provenance_line
 from annihilate.levelset import StepFunction
@@ -311,10 +312,15 @@ def step_core_fresh(
         return x, dt_max, k0
 
     gaps = x[1:] - x[:-1]
+    d = float(gaps.min())
     cap = math.inf
     if seg.opposite.any():
         g = float(gaps[seg.opposite].min())
         cap = COLLISION_SAFETY * g * g / (4.0 * gamma)
+        if d * d * 1e300 > 4.0 * gamma * x.size:
+            fastest = float(((k0[:-1] - k0[1:]) / gaps)[seg.opposite].max(initial=0.0))
+            if fastest > 0.0:
+                cap = min(cap, ORDERING_SAFETY / fastest)
     internal_cap = min(cap, seg.hint)
     dt = min(dt_max, internal_cap)
     stats.cap_bound += cap <= seg.hint and cap < dt_max
@@ -325,7 +331,6 @@ def step_core_fresh(
     # the floor is relative to the state's own time scale: |t|, or the time
     # d^2 / (4 gamma) in which the closest charged pair (gap d) moves by ~d;
     # a step cut short only by a nearby target is not held to it
-    d = float(gaps.min())
     tiny = 1e-16 * max(abs(t), d * d / (4.0 * gamma))
     while True:
         if not dt > tiny and not target_bound:

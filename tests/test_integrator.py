@@ -9,6 +9,7 @@ from annihilate import harness, integrator
 from annihilate.integrator import (
     CLUSTER_GAP,
     COLLISION_SAFETY,
+    ORDERING_SAFETY,
     PAIR_ISOLATION,
     EvolveError,
     IntegratorConfig,
@@ -76,6 +77,19 @@ class TestStep:
         s = make([0.0, g], [1, -1], gamma=0.5)
         _, dt = step(s, 1.0, CFG)
         assert dt <= COLLISION_SAFETY * g * g / (4.0 * s.coupling) + 1e-18
+
+    def test_ordering_cap_limits_dt(self):
+        # a +1 charge half the gap to the left pushes the +- pair shut at
+        # r = (14 / 3) gamma / g, faster than the pair law's 2 gamma / g, so
+        # 0.4 g / r is below the collision cap; at loose tolerances the
+        # error would allow the collision cap's step
+        g = 1e-3
+        s = make([-0.5 * g, 0.0, g], [1, 1, -1], gamma=0.5)
+        v = velocities(s)
+        r = v[1] - v[2]
+        assert ORDERING_SAFETY * g / r < COLLISION_SAFETY * g * g / (4.0 * s.coupling)
+        _, dt = step(s, 1.0, IntegratorConfig(t_end=1.0, abs_tol=1e-6, rel_tol=1e-3))
+        assert dt <= ORDERING_SAFETY * g / r * (1 + 1e-12)
 
     def test_underflow_detected(self):
         s = make([0.0, 1e-13], [1, -1], gamma=0.5)
@@ -730,6 +744,22 @@ class TestStats:
         assert ladder.stats.accepted < default.stats.accepted
         assert ladder.stats.force_evals < default.stats.force_evals
 
+    @pytest.mark.parametrize(
+        "make_run, collision_cap_only_evals",
+        [(_ladder_rung_16, 690), (_ladder_rung_16_at_the_default_isolation, 888)],
+        ids=["rung16", "rung16-default"],
+    )
+    def test_ordering_cap_keeps_every_stage_in_order(self, make_run, collision_cap_only_evals):
+        # capping dt by each closing opposite gap over its closing speed
+        # keeps every stage point ordered on the ladder rung, where a stage
+        # that crossed a neighbor cost the stages before it and half of dt;
+        # with the collision cap alone the rung took 2 such rejections and
+        # collision_cap_only_evals force evaluations
+        st = evolve(*make_run()).stats
+        assert st.events == 8
+        assert st.rejected_order == 0
+        assert st.force_evals < collision_cap_only_evals
+
     def test_force_evals_counts_every_evaluation(self, monkeypatch):
         import annihilate.integrator as integ
 
@@ -746,15 +776,20 @@ class TestStats:
 
     def test_step_counters_on_the_ladder_rung(self, monkeypatch):
         state, cfg = _ladder_rung_16()
-        # a step is cap-bound when the collision cap is below both its stop
-        # and the controller's hint, worked out here before each step
+        # a step is cap-bound when the collision cap or the ordering cap is
+        # below both its stop and the controller's hint, worked out here
+        # before each step
         capped = []
         real = integrator._step_core
 
         def spy(x, t, dt_max, seg, config, k0, stats):
             if seg.opposite.any():
-                g = float(np.diff(x)[seg.opposite].min())
+                gaps = np.diff(x)
+                g = float(gaps[seg.opposite].min())
+                closing = ((k0[:-1] - k0[1:]) / gaps)[seg.opposite].max()
                 cap = COLLISION_SAFETY * g * g / (4.0 * seg.gamma)
+                if closing > 0:
+                    cap = min(cap, ORDERING_SAFETY / float(closing))
                 capped.append(cap <= seg.hint and cap < dt_max)
             return real(x, t, dt_max, seg, config, k0, stats)
 
