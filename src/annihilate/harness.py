@@ -422,9 +422,20 @@ def run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
 
 @dataclass
 class CheckResult:
+    """A check's worst case.  A per-run check also names the run it came from.
+
+    run is the run's index in the suite's draws (runs for the all-neutral
+    edge case), and positions and charges are that run's initial state, the
+    input of a `simulate` config that replays it; a one-shot check leaves
+    all three None.
+    """
+
     passed: bool
     margin: float
     detail: str = ""
+    run: int | None = None
+    positions: np.ndarray | None = None
+    charges: np.ndarray | None = None
 
     def __post_init__(self):
         self.passed = bool(self.passed)
@@ -447,6 +458,9 @@ class PropertyReport:
         def clean(d):
             m = d["margin"]
             d["margin"] = m if math.isfinite(m) else None
+            for key in ("positions", "charges"):
+                if d[key] is not None:
+                    d[key] = d[key].tolist()
             return d
 
         payload = {
@@ -527,12 +541,17 @@ def stability_sweep(
     return sups
 
 
-def _worst(cases: Iterable[tuple[bool, float, str]],
-           current: CheckResult | None = None) -> CheckResult | None:
-    """Fold (passed, margin, detail) cases into current: least margin, failures first."""
+def _worst(cases: Iterable[tuple[bool, float, str]], current: CheckResult | None = None,
+           run: int | None = None, state: ParticleState | None = None) -> CheckResult | None:
+    """Fold (passed, margin, detail) cases into current: least margin, failures first.
+
+    A case that wins names run and state's initial positions and charges.
+    """
     for passed, margin, detail in cases:
         if current is None or margin < current.margin or (not passed and current.passed):
-            current = CheckResult(passed=passed, margin=margin, detail=detail)
+            current = CheckResult(passed=passed, margin=margin, detail=detail, run=run,
+                                  positions=None if state is None else state.positions,
+                                  charges=None if state is None else state.charges)
     return current
 
 
@@ -562,9 +581,9 @@ def run_property_suite(
     found: dict[str, CheckResult | None] = dict.fromkeys([*_PER_RUN, *_ONE_SHOT])
     events: list[int] = []
 
-    def fold(checks, arg) -> None:
+    def fold(checks, arg, run=None, state=None) -> None:
         for name, check in checks:
-            found[name] = _worst(check(arg), found[name])
+            found[name] = _worst(check(arg), found[name], run, state)
 
     sample_grid = tuple(np.linspace(0.0, t_end, 21))
     for run_idx in range(runs + 1):
@@ -578,7 +597,7 @@ def run_property_suite(
             state = _random_state(rng, n)
         traj = evolve(state, IntegratorConfig(t_end=t_end, sample_times=sample_grid))
         events.append(len(traj.events))
-        fold(_PER_RUN.items(), traj)
+        fold(_PER_RUN.items(), traj, run_idx, state)
     fold(_ONE_SHOT.items(), np.random.default_rng(seed + 1))
 
     return PropertyReport(
@@ -632,7 +651,15 @@ def _m2(x: np.ndarray) -> float:
 
 
 def _check_m2(traj):
-    """On each run of equal charges M2 moves at the rate gamma/2 ((sum b)^2 - sum b^2)."""
+    """On each run of equal charges M2 moves at the rate gamma/2 ((sum b)^2 - sum b^2).
+
+    The slope from the run's first row to its last is held to 1e-6
+    relative, and each row between them, more than 0.05 after the first, to
+    the line through the first row at that rate within the propagated
+    position error 100 rel_tol (1 + |M2|) that a zero-rate run's slope is
+    held to, |M2| the larger of the two rows'.  The rows a step places
+    inside itself, at sample times and neutral collisions, are among them.
+    """
     rel_tol = 1e-6
     for k0, end in _charge_runs(traj):
         k1 = end - 1
@@ -641,18 +668,29 @@ def _check_m2(traj):
         # position error past the 1e-6 relative target; skip them
         if dt <= 0.05:
             continue
-        x0 = traj.positions[k0]
+        m0 = _m2(traj.positions[k0])
         pred = particles.m2_rate(traj.charges[k0], traj.coupling)
-        slope = (_m2(traj.positions[k1]) - _m2(x0)) / dt
+        slope = (_m2(traj.positions[k1]) - m0) / dt
         if pred == 0.0:
             # exactly conserved segment: allow the integrator's propagated
             # position error (~rel_tol * scale) spread over the segment
-            floor = 100.0 * traj.config.rel_tol * (1.0 + abs(_m2(x0))) / dt
+            floor = 100.0 * traj.config.rel_tol * (1.0 + abs(m0)) / dt
             dev = abs(slope)
             yield dev <= floor, floor - dev, f"zero-rate segment dev {dev:.2e}"
         else:
             rel = abs(slope - pred) / abs(pred)
             yield rel <= rel_tol, rel_tol - rel, f"rel dev {rel:.2e}"
+        # each row between, more than 0.05 after k0, within that error of the line
+        times = traj.times[k0 + 1:k1]
+        later = times - traj.times[k0] > 0.05
+        if later.any():
+            times = times[later]
+            m2 = 0.5 * np.sum(traj.positions[k0 + 1:k1][later] ** 2, axis=1)
+            devs = np.abs(m2 - m0 - pred * (times - traj.times[k0]))
+            floors = 100.0 * traj.config.rel_tol * (1.0 + np.maximum(abs(m0), np.abs(m2)))
+            j = int(np.argmin(floors - devs))
+            dev, floor = float(devs[j]), float(floors[j])
+            yield dev <= floor, floor - dev, f"row at t={times[j]:.3f} dev {dev:.2e}"
 
 
 def _check_equal_gap(traj):

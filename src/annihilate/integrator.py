@@ -31,9 +31,9 @@ Collisions are resolved in closed form by resolve_annihilation.  A
 cluster of alternating charges is committed: its collision (tau, y) is
 fixed from the positions at the commit time t_c, exactly for an isolated
 cluster.  The members leave the integrated field and stay frozen in the
-positions; every other particle is integrated up to tau, where the event
-takes place, and rows stored before tau shrink the members uniformly
-about y, x_i(t) = y + (x_i(t_c) - y) sqrt((tau - t) / (tau - t_c)).  That
+positions; every other particle is integrated on, the event takes place
+at tau, and rows stored before tau shrink the members uniformly about y,
+x_i(t) = y + (x_i(t_c) - y) sqrt((tau - t) / (tau - t_c)).  That
 keeps the first moment and the second-moment law exact for every shape,
 and for a pair it is the two-body law d(t)^2 = 4 gamma (tau - t).  A
 committed (tau, y) depends on neither the horizon nor the sample times,
@@ -77,9 +77,22 @@ particles; neutral particles and committed members do not move, so each
 accepted step writes the charged positions into one working row in place.
 A row is copied once, when it is stored.
 A ParticleState is built only after an event, which validates every
-post-event state.  The Trajectory stores times (K,), positions (K, n)
-and charges (K, n), with a row at every event time holding the charges
-after it: the inter-event segments are the runs of equal charges.
+post-event state.
+
+A step ends only where the integrated field changes: at t_end, or at the
+collision of a committed cluster that leaves a survivor, which rejoins
+the field.  A neutral cluster left the field at its commit, and a sample
+time only observes the trajectory, so both are soft stops: after each
+accepted step from t0 to t1, evolve() takes the soft stops in [t0, t1) in
+time order, places the integrated charges at each by the step's 4th-order
+continuous extension (_dense_weights), from the seven stages the step
+already evaluated, applies the due events and stores the row.  So the
+sample times move no step.  A row so placed that is not strictly ordered
+discards the step, which is taken again to end at that stop.
+
+The Trajectory stores times (K,), positions (K, n) and charges (K, n),
+with a row at every event time holding the charges after it: the
+inter-event segments are the runs of equal charges.
 """
 from __future__ import annotations
 
@@ -144,8 +157,10 @@ class IntegratorConfig:
     A step's error scale is abs_tol + rel_tol |x - c0|, c0 the midpoint of
     the initial charged span if that span lies within a factor 2 of it (else
     0), so evolve() commutes with translation to rounding away from 0.
-    abs_tol is absolute: x -> lambda x, t -> lambda^2 t holds only while
-    abs_tol << rel_tol times the span (9e-5 relative at span 1e-6).
+    abs_tol is absolute: x -> lambda x, t -> lambda^2 t holds bit for bit
+    when lambda is a power of 2 and abs_tol scales with it, and otherwise
+    only while abs_tol << rel_tol times the span (TestSymmetries.test_scaling
+    in tests/test_integrator.py gates both).
     pair_isolation is the fraction of the distance to the nearest other
     charge below which an approaching +- pair is committed
     (detect_clusters); None reads the module's PAIR_ISOLATION at each
@@ -180,12 +195,14 @@ class StepStats:
     accepted counts every accepted step (an all-neutral state advances in
     one step with no force evaluation); rejected_error and rejected_order
     count attempts discarded for the error estimate and for a broken
-    charged ordering; force_evals counts velocity_field evaluations.
-    cap_bound counts accepted steps whose first trial dt was set by the
-    collision cap or the ordering cap, and target_clipped those that end on
-    a stop (a sample time, t_end or a committed cluster's collision time);
-    dt_min and dt_max bound the accepted step sizes; events counts the
-    annihilation events.
+    charged ordering, at a stage point or in a row placed inside the step;
+    force_evals counts velocity_field evaluations.  cap_bound counts
+    accepted steps whose first trial dt was set by the collision cap or the
+    ordering cap, and target_clipped those that end on a stop: t_end, the
+    collision of a committed cluster that leaves a survivor, or a soft stop
+    whose placed row was out of order (a sample time or a neutral
+    cluster's collision time ends no step otherwise); dt_min and dt_max
+    bound the accepted step sizes; events counts the annihilation events.
     """
 
     accepted: int = 0
@@ -247,8 +264,25 @@ _DP_A = [
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
-# weights of the error estimate x5 - x4
-_DP_E = np.append(_DP_A[6], 0.0) - _DP_B4
+# 5th-order weights over all seven stages, and those of the error estimate x5 - x4
+_DP_B = np.append(_DP_A[6], 0.0)
+_DP_E = _DP_B - _DP_B4
+# Continuous extension (Dormand and Prince 1986; Hairer, Norsett and Wanner,
+# Solving ODEs I, section II.6, dopri5's contd5): inside an accepted step
+# from x0 over dt, x(t0 + theta dt) = x0 + dt (w(theta) @ k) to 4th order,
+# w(theta) = theta (b + (1 - theta) (e_1 - b + theta (2 b - e_1 - e_7 +
+# (1 - theta) d))), b = _DP_B; no stage beyond the step's seven
+_DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+                  -10690763975 / 1880347072, 701980252875 / 199316789632,
+                  -1453857185 / 822651844, 69997945 / 29380423])
+_DENSE_1 = np.eye(7)[0] - _DP_B
+_DENSE_2 = 2.0 * _DP_B - np.eye(7)[0] - np.eye(7)[6]
+
+
+def _dense_weights(theta: float) -> np.ndarray:
+    """The 7 stage weights w(theta) of the continuous extension at theta in [0, 1]."""
+    rest = 1.0 - theta
+    return theta * (_DP_B + rest * (_DENSE_1 + theta * (_DENSE_2 + rest * _DP_D)))
 
 # Step control: the PI factor (Gustafsson 1991) 0.9 err^-ALPHA err_prev^BETA,
 # capped by the predictive factor (Gustafsson 1994; Hairer and Wanner, Solving
@@ -267,10 +301,10 @@ class _Segment:
     bf their float copy, and work is the force kernel's workspace for them,
     None below two charges, where no step reads a velocity (_step_core and
     detect_clusters return first).  The segment also holds the stage
-    matrix k (7, m) with its prefix views ks[s] = k[:s], two position
-    buffers that _step_core writes in turn, views of work's position row,
-    where the stage points go, and m-long scratch rows; a step allocates
-    none of them.  An array that _step_core returns is one of these
+    matrix k (7, m), zero below two charges, with its prefix views ks[s] =
+    k[:s], two position buffers that _step_core writes in turn, views of
+    work's position row, where the stage points go, and m-long scratch
+    rows; a step allocates none of them.  An array that _step_core returns is one of these
     buffers and valid only as long as its docstring says.
     """
 
@@ -289,7 +323,7 @@ class _Segment:
         self.err_prev = 1e-4
         self.dt_prev: float | None = None
         m = self.bc.size
-        self.k = np.empty((7, m))
+        self.k = np.zeros((7, m))
         self.ks = [self.k[:s] for s in range(7)]
         self.pos = (np.empty(m), np.empty(m))
         self.inc, self.scale = np.empty(m), np.empty(m)  # stage increment, error scale
@@ -310,7 +344,7 @@ def _step_core(
     k0: np.ndarray,
     stats: StepStats,
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """One accepted RK step of the charged positions x from t; returns (new x, dt taken, f(new x)).
+    """One accepted RK step of the charged positions x from t; returns (new x, dt taken, k).
 
     x holds seg's m charged particles in order and k0 is f(x).  dt starts
     from min(dt_max, collision cap, ordering cap, seg.hint) and shrinks
@@ -318,18 +352,20 @@ def _step_core(
     keeps x strictly increasing; seg's step-size memory is updated for the
     next step.  The error norm is the RMS over all seg.n particles, whose
     other entries are exactly 0.  Fewer than two charges advance by dt_max
-    exactly.
+    exactly.  k is the accepted step's stage matrix (7, m): k[0] = f(x),
+    k[6] = f(new x), the next step's k0, and x + dt (w @ k) places the
+    step's interior by the continuous extension (_dense_weights).
 
-    The new x and f(new x) are seg's buffers, not copies: the next call
-    reads f(new x) as its k0 and then overwrites it, and the second call
-    after this one overwrites the new x, so a caller that keeps either
-    copies it.  x may be the previous call's new x, never a buffer this
-    call writes: the stage points go into seg.work's position row, and the
-    new x is copied from there once the step is accepted.
+    The new x and k are seg's buffers, not copies: the next call reads
+    k[6] as its k0 and then overwrites k, and the second call after this
+    one overwrites the new x, so a caller that keeps either copies it.  x
+    may be the previous call's new x, never a buffer this call writes: the
+    stage points go into seg.work's position row, and the new x is copied
+    from there once the step is accepted.
     """
     gamma = seg.gamma
     if x.size < 2:
-        return x, dt_max, k0
+        return x, dt_max, seg.k
 
     gaps = np.subtract(x[1:], x[:-1], out=seg.gaps)
     d = float(np.minimum.reduce(gaps))
@@ -396,7 +432,7 @@ def _step_core(
                     seg.dt_prev = dt
                 x5 = seg.pos[1] if x is seg.pos[0] else seg.pos[0]
                 np.copyto(x5, xs)
-                return x5, dt, k[6]
+                return x5, dt, k
             stats.rejected_error += 1
             dt *= min(1.0, max(0.2, 0.9 * err**-0.2))
             target_bound = False
@@ -515,15 +551,16 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
 
     Deterministic given (initial, config).  Between events the positions,
     the charges and the clock are plain values; a ParticleState is built
-    after each event, so every post-event state is validated.  Samples are
-    stored at every accepted step (if store_steps), and exactly at the
-    configured sample times, at t_end and at every event time, where the
-    row holds the state after the event.  Each iteration commits what
-    detect_clusters finds until it finds nothing, then takes one step,
-    which ends at the next stop: a sample time, t_end or the next committed
-    collision.  A committed cluster collides at its own tau whatever the
-    stops.  Integration failures propagate as EvolveError with the
-    trajectory so far attached.
+    after each event, so every post-event state is validated.  Rows are
+    stored at the end of every accepted step (if store_steps), and exactly
+    at the configured sample times, at t_end and at every event time,
+    where the row holds the state after the event.  Each iteration commits
+    what detect_clusters finds until it finds nothing, then takes one
+    step, which ends no later than the next change of the integrated
+    field, and places the soft stops inside it (module docstring).  So a
+    committed cluster collides at its own tau whatever the sample times.
+    Integration failures propagate as EvolveError with the trajectory so
+    far attached.
     """
     x, b, t, gamma = initial.positions, initial.charges, initial.time, initial.coupling
     # integrate the charged x - c0, c0 the midpoint of their span [lo, hi], if
@@ -535,6 +572,10 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
     shift = np.where(moving, c0, 0.0)
     # the committed clusters' events and commit times, in tau order
     pending: list[tuple[EventRecord, float]] = []
+    t_end = config.t_end
+    # the soft stops ahead, in order: the sample times strictly between t and
+    # t_end and the committed neutral clusters' collision times, each once
+    soft = sorted({s for s in config.sample_times or () if t < s < t_end})
     times, xs, bs, events = [t], [x], [b], []
     x = x - shift  # the working row, a fresh array that steps and events write in place
     stats = StepStats()
@@ -556,10 +597,13 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
 
         Below two charges f is left at zero, unevaluated: no step reads it.
         """
-        nonlocal seg, xc, vc
+        nonlocal seg, xc, vc, seg_end
         flow = b.copy()
         flow[[i for ev, _ in pending for i in ev.cluster]] = 0
         seg = _Segment(flow, gamma)
+        # the field changes next at t_end or at the first collision that
+        # leaves a survivor; other collisions change nothing a step sees
+        seg_end = min(t_end, next((ev.tau for ev, _ in pending if any(ev.post_charges)), t_end))
         xc = x[seg.charged]
         if seg.work is None:
             vc = np.zeros(xc.size)
@@ -576,9 +620,12 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
 
     def commit(clusters: list[list[int]]):
         """Fix the collisions of clusters and take them out of the integrated field."""
-        nonlocal pending
+        nonlocal pending, soft
         committed = resolve_annihilation(x, b, t, gamma, clusters)
         pending = sorted(pending + [(ev, t) for ev in committed], key=lambda p: p[0].tau)
+        neutral = [ev.tau for ev in committed if not any(ev.post_charges)]
+        if neutral:
+            soft = sorted(set(soft).union(neutral))
         begin_segment()
 
     def collide() -> bool:
@@ -601,37 +648,74 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
             begin_segment()
         return True
 
-    targets = [config.t_end]
-    if config.sample_times:
-        targets = sorted(set(s for s in config.sample_times if s <= config.t_end) | {config.t_end})
-    targets = [s for s in targets if s > t]
+    def interpolate(s: float) -> np.ndarray | None:
+        """The integrated charges at s in the last step, None unless strictly increasing.
+
+        The continuous extension from x0 over dt with the step's stages k;
+        fewer than two charges do not move.
+        """
+        if seg.work is None:
+            return x0
+        row = x0 + dt * (_dense_weights((s - t0) / dt) @ k)
+        return row if (row[1:] > row[:-1]).all() else None
 
     # between events only the segment's charged positions xc move, with
     # velocities vc = f(xc); the segment stays valid until the integrated
-    # charges change
-    seg, xc, vc = None, None, None
+    # charges change, at the latest at seg_end
+    seg, xc, vc, seg_end = None, None, None, t_end
     begin_segment()
     store_steps = config.store_steps
     try:
-        for target in targets:
-            while t < target:
-                if stats.accepted >= MAX_STEPS:
-                    raise StepSizeUnderflow(f"exceeded {MAX_STEPS} steps at t={t:.6e}")
-                # the isolation goes positionally: wrappers that count detections see *args only
-                while clusters := detect_clusters(xc, seg.bc, vc, t, gamma, config.pair_isolation):
-                    commit([seg.charged[cl].tolist() for cl in clusters])
-                stop = min(target, pending[0][0].tau) if pending else target
-                xc, dt, vc = _step_core(xc, t, stop - t, seg, config, vc, stats)
-                x[seg.charged] = xc
-                t += dt
-                stats.accepted += 1
-                stats.dt_min, stats.dt_max = min(stats.dt_min, dt), max(stats.dt_max, dt)
+        while t < t_end:
+            if stats.accepted >= MAX_STEPS:
+                raise StepSizeUnderflow(f"exceeded {MAX_STEPS} steps at t={t:.6e}")
+            # the isolation goes positionally: wrappers that count detections see *args only
+            while clusters := detect_clusters(xc, seg.bc, vc, t, gamma, config.pair_isolation):
+                commit([seg.charged[cl].tolist() for cl in clusters])
+            t0, x0, k0, stop = t, xc, vc, seg_end
+            memory, cap_bound = (seg.hint, seg.err_prev, seg.dt_prev), stats.cap_bound
+            while True:
+                xc, dt, k = _step_core(x0, t0, stop - t0, seg, config, k0, stats)
+                t = t0 + dt
                 # snap onto the stop when only fp residue remains
                 if abs(t - stop) <= 4e-15 * max(1.0, abs(stop)):
                     t = stop
-                stats.target_clipped += t == stop
-                if collide() or store_steps or t >= target:
+                # the rows at the soft stops inside the step; a stop whose
+                # row would be out of order ends the step instead, which is
+                # discarded as for a stage out of order
+                rows, late = [], None
+                for s in soft:
+                    if s >= t:
+                        break
+                    row = interpolate(s)
+                    if row is None:
+                        late = s
+                        break
+                    rows.append(row)
+                if late is None:
+                    break
+                stats.rejected_order += 1
+                stats.cap_bound = cap_bound
+                seg.hint, seg.err_prev, seg.dt_prev = memory
+                k0, stop = k[0], late
+            vc = k[6]
+            stats.accepted += 1
+            stats.dt_min, stats.dt_max = min(stats.dt_min, dt), max(stats.dt_max, dt)
+            stats.target_clipped += t == stop
+            if rows:
+                t1 = t
+                for t, row in zip(soft, rows):  # collide and record read t
+                    x[seg.charged] = row
+                    collide()
                     record()
+                del soft[:len(rows)]
+                t = t1
+            hit = bool(soft) and soft[0] == t
+            if hit:
+                del soft[0]
+            x[seg.charged] = xc
+            if collide() or store_steps or hit or t >= t_end:
+                record()
     except StepSizeUnderflow as exc:
         raise EvolveError(str(exc), trajectory()) from exc
     return trajectory()

@@ -305,11 +305,12 @@ def step_core_fresh(
 
     Every attempt allocates its stage matrix, and every stage point, error
     scale and error vector is a fresh array; the floating-point operations
-    and their order are the package's.  Returns fresh arrays.
+    and their order are the package's.  Returns fresh arrays: the new x,
+    the dt taken and the accepted step's stage matrix.
     """
     gamma = seg.gamma
     if x.size < 2:
-        return x, dt_max, k0
+        return x, dt_max, np.zeros((7, x.size))
 
     gaps = x[1:] - x[:-1]
     d = float(gaps.min())
@@ -359,7 +360,7 @@ def step_core_fresh(
                     seg.hint = dt * fac
                     seg.err_prev = max(err, 1e-4)
                     seg.dt_prev = dt
-                return xs, dt, k[6]
+                return xs, dt, k
             stats.rejected_error += 1
             dt *= min(1.0, max(0.2, 0.9 * err**-0.2))
             target_bound = False
@@ -712,6 +713,18 @@ def check_m2_loop(traj):
         else:
             rel = abs(slope - pred) / abs(pred)
             yield rel <= rel_tol, rel_tol - rel, f"rel dev {rel:.2e}"
+        # the row between k0 and k1, at least 0.05 after k0, nearest its bound
+        worst = None
+        for k in range(k0 + 1, k1):
+            span = times[k] - times[k0]
+            if span > 0.05:
+                dev = abs(m2(states[k]) - m2(st) - pred * span)
+                floor = 100.0 * traj.config.rel_tol * (1.0 + max(abs(m2(st)), abs(m2(states[k]))))
+                if worst is None or floor - dev < worst[0] - worst[1]:
+                    worst = (floor, dev, times[k])
+        if worst is not None:
+            floor, dev, t = worst
+            yield dev <= floor, floor - dev, f"row at t={t:.3f} dev {dev:.2e}"
 
 
 def check_equal_gap_loop(traj):

@@ -223,6 +223,48 @@ class TestOtherCommands:
         payload = json.loads((out / "properties.json").read_text())
         assert payload["all_passed"] is True
 
+    def test_a_failed_check_names_a_run_that_simulate_replays(self, tmp_path, monkeypatch):
+        # event_structure, forced to fail on a run with 3 or more events,
+        # names its worst run (the first with the most events): its index
+        # and initial state.  A `simulate` config built from them takes that
+        # run's steps again, since the sample times move no step, and so
+        # finds the same events bit for bit
+        runs = []
+        real = harness.evolve
+
+        def keeping(state, config):
+            traj = real(state, config)
+            if config.store_steps:  # not the residual windows
+                runs.append(traj)
+            return traj
+
+        monkeypatch.setattr(harness, "evolve", keeping)
+        monkeypatch.setitem(harness._PER_RUN, "event_structure",
+                            lambda traj: [(len(traj.events) < 3, 2.5 - len(traj.events), "forced")])
+        cfg = write_cfg(tmp_path, {"verify": {"seed": 3, "sizes": [8], "runs": 6, "t_end": 1.0}})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        checks = json.loads((out / "properties.json").read_text())["checks"]
+        failed = checks["event_structure"]
+        assert (failed["passed"], failed["detail"]) == (False, "forced")
+        assert all(checks[name][key] is None for name in harness._ONE_SHOT
+                   for key in ("run", "positions", "charges"))
+        runs = runs[:7]  # the 6 draws and the all-neutral run come before the one-shot checks
+        counts = [len(traj.events) for traj in runs]
+        k = failed["run"]
+        assert k == counts.index(max(counts)) and counts[k] >= 3
+        assert failed["positions"] == runs[k].positions[0].tolist()
+        assert failed["charges"] == runs[k].charges[0].tolist()
+
+        replay = tmp_path / "replay"
+        replay.mkdir()
+        cfg = write_cfg(replay, {"simulate": {"positions": failed["positions"],
+                                              "charges": failed["charges"], "t_end": 1.0}})
+        assert main(["simulate", "--config", cfg, "--out", str(replay / "out")]) == 0
+        events = read_events_jsonl(replay / "out" / "events.jsonl")
+        assert [(ev["tau"], ev["y"], tuple(ev["cluster"])) for ev in events] == [
+            (ev.tau, ev.y, ev.cluster) for ev in runs[k].events]
+
     def test_measure_dipole_flags_aec_failure(self, tmp_path):
         cfg = write_cfg(tmp_path, {"measure": {"family": "dipole", "ns": [4, 8, 16, 32]}})
         out = tmp_path / "out"

@@ -320,6 +320,27 @@ class TestConvergence:
             assert row.error is None and row.events == events
             assert abs(row.e_n - e_n) <= wl.LADDER_E_RTOL * e_n
 
+    def test_benchmark_ladder_takes_no_ulp_steps(self, monkeypatch):
+        # two committed pairs whose collisions fall an ulp apart used to
+        # cost a step of about 1e-16 between them (dt_min 8.3e-17 at n = 16
+        # and 5.6e-17 at n = 64); a collision without a survivor ends no
+        # step, so no step is that short (4.6e-6 and 2.9e-6)
+        wl = _benchmark_workloads(monkeypatch)
+        stats = []
+        real = Hn.evolve
+
+        def keeping(state, config):
+            traj = real(state, config)
+            stats.append(traj.stats)
+            return traj
+
+        monkeypatch.setattr(Hn, "evolve", keeping)
+        res = Hn.run_convergence(Hn.ExperimentSpec(
+            datum="double_bump", ns=(16, 64), offset=wl.ladder_offset(0),
+            ref_h=wl.LADDER_REF_H["full"], scan_points=wl.LADDER_SCAN["full"]))
+        assert [r.events for r in res.rows] == [8, 30]
+        assert len(stats) == 2 and all(st.dt_min > 1e-12 for st in stats)
+
 
 class TestPropertySuite:
     def test_small_suite_passes(self):
@@ -348,8 +369,8 @@ class TestPropertySuite:
         monkeypatch.setattr(Hn, "evolve", summing)
         rep = Hn.run_property_suite(seed=0, **wl.VERIFY_SUITE["full"])
         assert rep.all_passed and rep.events_total == 61
-        assert totals == {"accepted": 3069, "rejected_error": 392, "rejected_order": 0,
-                          "force_evals": 19062, "events": 73}
+        assert totals == {"accepted": 2595, "rejected_error": 430, "rejected_order": 8,
+                          "force_evals": 18061, "events": 73}
 
     @pytest.mark.parametrize("mutant", ["none", "swapped_upwinding", "cfl_doubled"])
     def test_hj_comparison_catches_a_non_monotone_step(self, monkeypatch, mutant):
@@ -364,6 +385,20 @@ class TestPropertySuite:
             monkeypatch.setattr(hjsolver, "CFL", 2 * hjsolver.CFL)
         rep = Hn.run_property_suite(seed=0, sizes=[8], runs=20)
         assert rep.checks["hj_comparison"].passed == (mutant == "none")
+
+    @pytest.mark.parametrize("mutant", ["none", "linear_extension"])
+    def test_m2_drift_catches_rows_off_the_trajectory(self, monkeypatch, mutant):
+        # rows at sample times lie inside steps; placed on the chord between
+        # step ends instead of by the continuous extension they sit about
+        # 6e-4 off the M2 line, where the real rows stay within 2.3e-8
+        from annihilate import integrator
+
+        if mutant == "linear_extension":
+            monkeypatch.setattr(integrator, "_dense_weights",
+                                lambda theta: theta * integrator._DP_B)
+        rep = Hn.run_property_suite(seed=0, sizes=[8], runs=20)
+        assert rep.checks["m2_drift"].passed == (mutant == "none")
+        assert rep.all_passed == (mutant == "none")
 
     def test_report_serializes(self):
         import json

@@ -730,9 +730,11 @@ class TestStats:
         attempts = st.accepted + st.rejected_error + st.rejected_order
         assert st.accepted > 0
         assert st.force_evals <= 1 + len(traj.events) + 6 * attempts
-        # store_steps: one snapshot per accepted step, where a step that ends
-        # on a collision stores the state after it
-        assert st.accepted == len(traj.times) - 1
+        # store_steps: one row per accepted step and one at each collision,
+        # which leaves no survivor here and so ends no step: its row is
+        # placed by the continuous extension
+        assert not any(any(ev.post_charges) for ev in traj.events)
+        assert st.accepted + len(traj.events) == len(traj.times) - 1
 
     def test_ladder_isolation_commits_sooner(self):
         # at the ladder's isolation a closing pair is committed before the
@@ -799,11 +801,14 @@ class TestStats:
         assert st.events == len(traj.events) == 8
         assert all(len(ev.cluster) == 2 for ev in traj.events)
         assert 0 < st.cap_bound == sum(capped) < st.accepted
-        # each stop (sample time, t_end or collision time) ends exactly one
-        # step, and with pairs only every row after the first is a step's
-        stops = {*cfg.sample_times, cfg.t_end, *(ev.tau for ev in traj.events)} - {0.0}
-        assert st.target_clipped == len(stops)
-        steps = np.diff(traj.times)
+        # with pairs only, t_end is the one stop that ends a step; the rows
+        # at the sample times and collision times lie inside steps, and
+        # every other row is a step's end
+        soft = {*cfg.sample_times, *(ev.tau for ev in traj.events)} - {0.0, cfg.t_end}
+        assert st.target_clipped == 1
+        ends = traj.times[~np.isin(traj.times, list(soft))]
+        assert ends.size + len(soft) == traj.times.size
+        steps = np.diff(ends)
         assert steps.size == st.accepted
         clock = 4 * np.spacing(cfg.t_end)  # the rounding of t + dt
         assert abs(st.dt_min - steps.min()) <= clock and abs(st.dt_max - steps.max()) <= clock
@@ -918,9 +923,87 @@ class TestHeldBuffers:
         stats = integrator.StepStats()
         x1, _, k1 = integrator._step_core(x, 0.0, 1e-3, seg, CFG, k0, stats)
         kept = x1.copy()
-        x2, _, _ = integrator._step_core(x1, 1e-3, 1e-3, seg, CFG, k1, stats)
+        x2, _, _ = integrator._step_core(x1, 1e-3, 1e-3, seg, CFG, k1[6], stats)
         assert x2 is not x1 and x1.tobytes() == kept.tobytes()
         assert {id(x1), id(x2)} == {id(p) for p in seg.pos}
+
+
+class TestSoftStops:
+    """Sample times and neutral collisions are placed inside steps by the continuous extension."""
+
+    @pytest.mark.parametrize(
+        "make_run",
+        [lambda: (_random_16(), 1.0), lambda: (MPM, 2.0),
+         *(lambda k=k: (_verify_suite_run(k)[0], 1.0) for k in range(2))],
+        ids=["random16", "-+-", "verify0", "verify1"],
+    )
+    def test_sample_times_do_not_move_the_steps(self, make_run):
+        # only t_end and a collision with a survivor end a step, so a run
+        # with 21 sample times takes the same steps as one without: its
+        # other rows and its events are bit for bit those of the plain run
+        state, t_end = make_run()
+        plain = evolve(state, IntegratorConfig(t_end=t_end))
+        grid = np.linspace(0.0, t_end, 21)
+        sampled = evolve(state, IntegratorConfig(t_end=t_end, sample_times=tuple(grid)))
+        assert plain.events and sampled.events == plain.events
+        steps = ~np.isin(sampled.times, grid[1:-1])
+        assert steps.sum() == plain.times.size == sampled.times.size - 19
+        for name in ("times", "positions", "charges"):
+            assert getattr(sampled, name)[steps].tobytes() == getattr(plain, name).tobytes()
+        assert sampled.stats.force_evals == plain.stats.force_evals
+
+    def test_an_out_of_order_row_ends_the_step(self, monkeypatch):
+        # weights that place every row at NaN, never strictly increasing:
+        # each soft stop inside a step discards that step, which is taken
+        # again to end there, so every row is a step's end and ordered
+        state = _random_16()
+        cfg = IntegratorConfig(t_end=1.0, sample_times=tuple(np.linspace(0.0, 1.0, 21)),
+                               store_steps=False)
+        plain = evolve(state, cfg)
+        monkeypatch.setattr(integrator, "_dense_weights", lambda theta: np.full(7, np.nan))
+        traj = evolve(state, cfg)
+        assert [ev.cluster for ev in traj.events] == [ev.cluster for ev in plain.events]
+        for ev, ref in zip(traj.events, plain.events):
+            assert ev.tau == pytest.approx(ref.tau, rel=1e-6)
+        soft = 19 + len(traj.events)  # the sample times inside (0, 1) and the pair collisions
+        assert not any(any(ev.post_charges) for ev in traj.events)
+        assert traj.stats.target_clipped == soft + 1
+        assert traj.stats.rejected_order >= soft
+        assert traj.times.size == soft + 2 and np.isfinite(traj.positions).all()
+        for k in range(traj.times.size):
+            traj.state(k)  # a ParticleState: the charged positions strictly increase
+
+    @pytest.mark.parametrize("theta", [0.0, 0.2, 0.5, 0.7, 1.0])
+    def test_dense_weights_are_4th_order(self, theta):
+        # the eight order conditions of x0 + dt (w(theta) @ k) up to order 4
+        # with the tableau's nodes c and matrix a, each tree's value at theta
+        # over its density; at theta = 1 the step's own 5th-order solution
+        a = np.zeros((7, 7))
+        for i, row in enumerate(integrator._DP_A):
+            a[i, :row.size] = row
+        c = a.sum(axis=1)
+        w = integrator._dense_weights(theta)
+        trees = [(w.sum(), 1), (w @ c, 2), (w @ c**2, 3), (w @ (a @ c), 6), (w @ c**3, 4),
+                 (w @ (c * (a @ c)), 8), (w @ (a @ c**2), 12), (w @ (a @ (a @ c)), 24)]
+        for value, density in trees:
+            order = {1: 1, 2: 2, 3: 3, 6: 3, 4: 4, 8: 4, 12: 4, 24: 4}[density]
+            assert value == pytest.approx(theta**order / density, abs=1e-15)
+        if theta == 1.0:
+            np.testing.assert_allclose(w, integrator._DP_B, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_sample_rows_track_a_tight_run(self, k):
+        # a row placed inside a step carries the run's own error: on the
+        # benchmark's verify runs the sample rows stay within 1e-7 of a run
+        # at rel_tol 1e-12 (measured up to 6.5e-9), where linear
+        # interpolation between step ends is off by 4.5e-5 to 2.2e-4
+        state, cfg = _verify_suite_run(k)
+        cfg = dataclasses.replace(cfg, store_steps=False)
+        tight = evolve(state, dataclasses.replace(cfg, abs_tol=1e-16, rel_tol=1e-12))
+        run = evolve(state, cfg)
+        for t in cfg.sample_times:
+            gap = np.abs(run.state_at(t).positions - tight.state_at(t).positions).max()
+            assert gap <= 1e-7, (t, gap)
 
 
 @st.composite
@@ -1184,3 +1267,31 @@ class TestSymmetries:
             assert np.array_equal(f.times, base.times)
             assert np.array_equal(f.positions, base.positions)
             assert np.array_equal(f.charges, -base.charges)
+
+    @pytest.mark.parametrize("lam", [2.0**-10, 2.0**-3, 2.0**3, 2.0**10, 1e-3, 1e3])
+    def test_scaling(self, runs, lam):
+        # x -> lam x, t -> lam^2 t maps solutions to solutions at the same
+        # coupling.  With lam a power of 2 and abs_tol scaled by lam every
+        # operation scales exactly, so the runs agree bit for bit.  Else
+        # abs_tol stays absolute, and the error scale abs_tol + rel_tol |x|
+        # moves relative to the span: the events keep their clusters, and
+        # each tau moves by at most 1e-6 relative (3.0e-9 measured at 1e3,
+        # 1.0e-7 at 1e-3)
+        exact = math.frexp(lam)[0] == 0.5
+        cfg = self.CFG
+        scaled_cfg = dataclasses.replace(
+            cfg, t_end=lam * lam * cfg.t_end,
+            sample_times=tuple(lam * lam * t for t in cfg.sample_times),
+            abs_tol=lam * cfg.abs_tol if exact else cfg.abs_tol)
+        for s, base in runs:
+            scaled = evolve(make(lam * s.positions, s.charges, s.coupling), scaled_cfg)
+            assert [ev.cluster for ev in scaled.events] == [ev.cluster for ev in base.events]
+            if exact:
+                assert scaled.times.tobytes() == (lam * lam * base.times).tobytes()
+                assert scaled.positions.tobytes() == (lam * base.positions).tobytes()
+                assert scaled.charges.tobytes() == base.charges.tobytes()
+                assert scaled.events == [dataclasses.replace(ev, tau=lam * lam * ev.tau,
+                                                             y=lam * ev.y) for ev in base.events]
+            else:
+                for ev, ref in zip(scaled.events, base.events):
+                    assert abs(ev.tau - lam * lam * ref.tau) <= 1e-6 * lam * lam * ref.tau
