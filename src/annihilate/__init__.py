@@ -4,8 +4,7 @@ Modules by concern:
 
 - ``particles``   state, forces, energy of the pairwise-singular system
 - ``integrator``  adaptive time evolution with collision detection/resolution
-- ``moments``     power-sum moments, the moment metric, Newton identities
-                  and their float64 round trip
+- ``moments``     power-sum moments and the moment metric
 - ``levelset``    step-function view, staircase envelopes, the discrete
                   nonlocal operator and its closed form
 - ``hjsolver``    monotone finite-difference solver for the nonlocal

@@ -1,14 +1,15 @@
-"""Command-line driver: simulate, hj, converge, verify, measure, moments.
+"""Command-line driver: simulate, hj, converge, verify, measure.
 
 Configuration is one YAML file of sections, each built by one callable
 whose parameters give the section's keys, types and defaults.  `_COMMANDS`
 names each command's sections and their builders; `main` builds every
 section a command reads before the command runs, and the command gets
 only those sections, its output path and the config hash.  An unknown or
-missing key, a section the command does not read, or a bad value exits 2
-before any output exists, and a typed run failure of any layer exits 3;
-`main` alone turns an exception into an exit code, with an error JSON on
-stdout.  `verify` exits 1 when an invariant fails.  Formats are in docs/formats.md.
+missing command or key, a section the command does not read, or a bad
+value exits 2 before any output exists, and a typed run failure of any
+layer exits 3; `main` alone turns an exception into an exit code, with
+an error JSON on stdout.  `verify` exits 1 when an invariant fails.
+Formats are in docs/formats.md.
 """
 from __future__ import annotations
 
@@ -43,10 +44,16 @@ class ConfigError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error, such as an unknown or missing command, is a ConfigError: exit 2."""
+        raise ConfigError(message)
+
+
 _REFUSED = (TypeError, ValueError, OverflowError)  # a builder's refusals: type, range, float64
 # the layers' typed run failures, each an exit 3; InvalidState is evolve's post-event check
 _RUN_FAILURES = (EvolveError, InvalidState, hjsolver.StepBudgetExceeded,
-                 moments.NonFiniteMoments, moments.ReconstructionError)
+                 moments.NonFiniteMoments)
 
 
 def _load_config(path: str | None, sections: dict) -> dict:
@@ -128,16 +135,6 @@ def _hj_args(initial: str = "sigmoid", snapshots: int = 5):
     if snapshots > hjsolver.MAX_STEPS + 1:  # each frame after the first ends a grid step
         raise ValueError(f"snapshots must be at most {hjsolver.MAX_STEPS + 1}, got {snapshots}")
     return datum.u0, snapshots
-
-
-def _moments_positions(positions: tuple[float, ...]) -> tuple[float, ...]:
-    """The `moments` section's positions: 1..MAX_POSITIONS finite numbers."""
-    if len(positions) > moments.MAX_POSITIONS:
-        raise ValueError(f"moments.positions holds at most {moments.MAX_POSITIONS} numbers, "
-                         f"got {len(positions)}")
-    if not positions or not np.isfinite(positions).all():
-        raise ValueError(f"positions must be non-empty and finite, got {list(positions)}")
-    return positions
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -228,12 +225,6 @@ def cmd_measure(out: Path, chash: str, measure) -> int:
     return 0
 
 
-def cmd_moments(out: Path, chash: str, x: tuple[float, ...]) -> int:
-    M, rec = moments.round_trip(x)
-    print(json.dumps({"moments": M.tolist(), "reconstructed": rec.tolist()}))
-    return 0
-
-
 # each command with the only config sections it reads, each with its
 # builder, in the order they are built and passed to the command
 _COMMANDS = {
@@ -242,24 +233,22 @@ _COMMANDS = {
     "converge": (cmd_converge, {"experiment": harness.ExperimentSpec}),
     "verify": (cmd_verify, {"verify": _run_suite}),
     "measure": (cmd_measure, {"measure": _measure_args}),
-    "moments": (cmd_moments, {"moments": _moments_positions}),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="annihilate", description=__doc__)
+    parser = _Parser(prog="annihilate", description=__doc__)
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", default=None, help="YAML config path")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--version", action="version", version=__version__)
-    args = parser.parse_args(argv)
-
     logging.basicConfig(
         level=os.environ.get("ANNIHILATE_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    command, sections = _COMMANDS[args.command]
     try:
+        args = parser.parse_args(argv)
+        command, sections = _COMMANDS[args.command]
         cfg = _load_config(args.config, sections)
         built = [_build(builder, cfg.get(section, {})) for section, builder in sections.items()]
         return command(Path(args.out), io.config_hash(cfg), *built)

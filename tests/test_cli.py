@@ -16,10 +16,10 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import annihilate
-from annihilate import harness, hjsolver, moments
+from annihilate import harness, hjsolver
 from annihilate.cli import (
     _COMMANDS, ConfigError, _build, _hj_args, _keys, _load_config, _measure_args,
-    _moments_positions, _simulate_args, _typed, main,
+    _simulate_args, _typed, main,
 )
 from reference import read_events_jsonl, read_trajectory_csv
 
@@ -176,8 +176,7 @@ class TestOtherCommands:
         # the suite's positions spread until their moments pass float64
         ("verify", {"verify": {"sizes": [4], "runs": 2, "t_end": 1.0e300}},
          "past float64", False),
-        ("moments", {"moments": {"positions": [1.0e200, 2.0e200]}}, "not finite", False),
-    ], ids=["simulate", "hj", "converge", "verify", "moments"])
+    ], ids=["simulate", "hj", "converge", "verify"])
     def test_run_failure_exits_3(self, tmp_path, capsys, monkeypatch, command, payload,
                                  message, made):
         # every run failure exits 3 with the command's name as its error kind;
@@ -294,47 +293,6 @@ class TestOtherCommands:
         for n, s in zip(payload["ns"], payload["aec_defects"]):
             assert s <= 2.0 / n + 1e-12
 
-    def test_moments_wrong_reconstruction_exits_3(self, tmp_path, capsys):
-        # clustered input: the Newton-identity roots come back far from [1]*30 + [5]
-        cfg = write_cfg(tmp_path, {"moments": {"positions": [1.0] * 30 + [5.0]}})
-        assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-        assert json.loads(capsys.readouterr().out)["error"] == "moments"
-
-    def test_moments_complex_roots_exits_3(self, tmp_path, capsys):
-        # 40 spread-out points: the Newton-identity polynomial has complex roots
-        x = np.random.default_rng(0).uniform(-1.0, 1.0, 40).tolist()
-        cfg = write_cfg(tmp_path, {"moments": {"positions": x}})
-        assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-        assert json.loads(capsys.readouterr().out)["error"] == "moments"
-
-    @pytest.mark.parametrize("x", [[1.0e200, 2.0e200], [1.0e160, -1.0e160, 3.0],
-                                   [1.0e40] * 7 + [2.0e40],
-                                   np.random.default_rng(0).uniform(-10.0, 10.0, 300).tolist()],
-                             ids=["inf-moment", "inf-minus-inf", "inf-extended-moment",
-                                  "inf-elementary"])
-    def test_moments_past_float64_exits_3(self, tmp_path, capsys, x):
-        # M_2 overflows float64; the second also sums +-inf in M_3; the third
-        # overflows only M_8, summed in extended precision; the fourth has
-        # finite moments, up to 4.5e297, but the Newton recursion's
-        # elementary values pass float64.  A documented outcome prints no
-        # warning
-        cfg = write_cfg(tmp_path, {"moments": {"positions": x}})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-        assert json.loads(capsys.readouterr().out)["error"] == "moments"
-
-    def test_moments_far_off_roots_exit_3_without_warning(self, tmp_path, capsys):
-        # 1,000 points in (-1, 1) come back more than 3 off; judging the
-        # roots takes no powers of them, so nothing overflows
-        x = np.random.default_rng(0).uniform(-1.0, 1.0, 1000).tolist()
-        cfg = write_cfg(tmp_path, {"moments": {"positions": x}})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-        assert json.loads(capsys.readouterr().out) == {
-            "error": "moments", "message": "reconstruction error 3.112e+00 exceeds 1.000e-08"}
-
     def test_verify_past_float64_exits_3(self, tmp_path, capsys):
         # at t_end = 1e300 the positions spread until their moments pass
         # float64: a typed refusal, with no warning and no nan margin
@@ -356,24 +314,32 @@ class TestOtherCommands:
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads((out / "properties.json").read_text())["all_passed"] is True
 
-    @pytest.mark.parametrize("n, code", [(22, 0), (24, 3)])
-    def test_moments_judges_refused_roots_by_round_trip(self, tmp_path, capsys, n, code):
-        # n = 22 comes back 9.4e-10 off, within the tolerance, n = 24 2.9e-8 off
-        x = np.linspace(-1.0, 1.0, n)
-        cfg = write_cfg(tmp_path, {"moments": {"positions": x.tolist()}})
-        assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == code
-        capsys.readouterr()
-
-    def test_moments_subcommand(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, {"moments": {"positions": [1.0, 2.0, 3.0]}})
-        assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["moments"] == pytest.approx([6.0, 7.0, 12.0])
-        assert payload["reconstructed"] == pytest.approx([1.0, 2.0, 3.0], abs=1e-8)
-
     def test_unknown_section_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, {"nonsense": {}})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["moments"], "invalid choice: 'moments'"),
+        ([], "required: command"),
+    ], ids=["removed-command", "no-command"])
+    def test_usage_error_exits_2_without_outputs(self, tmp_path, capsys, argv, message):
+        # the parser's refusals end as every config refusal does: one JSON
+        # line on stdout, nothing on stderr, no output directory
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        failure = json.loads(captured.out)
+        assert failure == {"error": "config", "message": failure["message"]}
+        assert message in failure["message"]
+        assert captured.err == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
 
 # what the refusal of some bad values must name: the key at fault, or the
@@ -443,11 +409,6 @@ class TestConfigSchema:
             ("converge", {"experiment": {"ns": [8, 16.5]}}),
             ("verify", {"verify": {"runs": 2.5}}),
             ("hj", {"hj": {"snapshots": True}}),
-            ("moments", {"moments": {"positions": "foo"}}),
-            ("moments", {"moments": {"positions": []}}),
-            ("moments", {"moments": {"positions": [[1, 2], [3, 4]]}}),
-            ("moments", {"moments": {"positions": [1, float("nan")]}}),
-            ("moments", {"moments": {"positions": [True, 2]}}),
             ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1.5, -1]}}),
             ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [True, -1]}}),
             ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1],
@@ -459,7 +420,6 @@ class TestConfigSchema:
             ("hj", {"hj": {"snapshots": 1}}),
             ("converge", {"experiment": {"offset": 1.5}}),
             ("simulate", {"simulate": {"positions": [0.0, 1.0]}}),
-            ("moments", {"moments": {}}),
             ("converge", {"experiment": {"ns": [8]}, "scheme": {"h": 1 / 64}}),
             ("converge", {"experiment": {"ns": [8]}, "integrator": {"rel_tol": 1e-6}}),
             ("simulate", {"simulate": {"positions": [0.0, 1.0], "charges": [1, -1]},
@@ -469,7 +429,6 @@ class TestConfigSchema:
             ("hj", {"hj": {"snapshots": 3}, "integrator": {"t_end": 0.1}}),
             ("verify", {"verify": {"runs": 1}, "measure": {"ns": [4]}}),
             ("measure", {"measure": {"ns": [4]}, "moments": {"positions": [1.0]}}),
-            ("moments", {"moments": {"positions": [1.0]}, "simulate": {}}),
             ("converge", {"experiment": {"scan_points": 1}}),
             ("converge", {"experiment": {"scan_points": 0}}),
             ("converge", {"experiment": {"ns": []}}),
@@ -521,16 +480,14 @@ class TestConfigSchema:
             "simulate-out-of-order", "simulate-charge-two", "simulate-positions-string",
             "measure-ns-fraction", "measure-ns-bool", "measure-ns-empty",
             "converge-ns-fraction", "verify-runs-fraction", "hj-snapshots-bool",
-            "moments-positions-string", "moments-positions-empty", "moments-positions-nested",
-            "moments-positions-nan", "moments-positions-bool", "simulate-charge-fraction",
-            "simulate-charge-bool", "integrator-t_end-bool",
+            "simulate-charge-fraction", "simulate-charge-bool", "integrator-t_end-bool",
             "experiment-t_end-bool",
             "verify-runs-negative", "verify-t_end-subnormal", "hj-snapshots-negative",
             "hj-snapshots-one",
-            "experiment-offset-above-one", "simulate-missing-charges", "moments-missing-positions",
+            "experiment-offset-above-one", "simulate-missing-charges",
             "converge-reads-no-scheme", "converge-reads-no-integrator",
             "simulate-reads-no-scheme", "simulate-reads-no-experiment", "hj-reads-no-integrator",
-            "verify-reads-no-measure", "measure-reads-no-moments", "moments-reads-no-simulate",
+            "verify-reads-no-measure", "measure-reads-no-moments",
             "experiment-scan_points-one", "experiment-scan_points-zero", "experiment-ns-empty",
             "scheme-h-not-dividing-2L", "scheme-rho-above-2L",
             "measure-threshold-nan", "measure-threshold-inf", "measure-threshold-negative",
@@ -593,19 +550,14 @@ class TestConfigSchema:
             ("converge", {"experiment": {"datum": "double_bump", "ns": [8, 16384]}},
              "n=16384 samples 40632 particles"),
             ("converge", {"experiment": {"scan_points": 2**40}}, "scan_points must lie in"),
-            ("moments", {"moments": {"positions": [0.0] * (moments.MAX_POSITIONS + 1)}},
-             "moments.positions"),
         ],
         ids=["measure-ns-overflow", "lipschitz_cdf-ns-huge", "experiment-ns-huge",
-             "experiment-rung-past-cap", "experiment-scan_points-huge",
-             "moments-positions-past-cap"],
+             "experiment-rung-past-cap", "experiment-scan_points-huge"],
     )
     def test_size_past_a_cap_exits_2_at_once(self, tmp_path, command, payload, named):
         # each used to make its output directory and then fail (an
         # OverflowError, a 74.5 GiB array) or run on in the sampler or the
-        # force kernel, or, for `moments`, root a polynomial at a cost that
-        # grows as its degree cubed; in a child process, so a run that goes
-        # on is cut
+        # force kernel; in a child process, so a run that goes on is cut
         out = tmp_path / "out"
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(
@@ -617,10 +569,6 @@ class TestConfigSchema:
         failure = json.loads(proc.stdout)
         assert failure["error"] == "config" and named in failure["message"]
         assert not out.exists()
-
-    def test_moments_positions_at_the_cap_build(self):
-        positions = (0.0,) * moments.MAX_POSITIONS
-        assert _build(_moments_positions, {"positions": list(positions)}) == positions
 
     @given(data=st.data())
     @settings(max_examples=400, deadline=None)
@@ -652,9 +600,8 @@ class TestConfigSchema:
         assert SCHEMA["hj"] == {"initial", "snapshots"}
         assert SCHEMA["verify"] == {"seed", "sizes", "runs", "t_end"}
         assert SCHEMA["measure"] == {"family", "ns"}
-        assert SCHEMA["moments"] == {"positions"}
-        assert len(SCHEMA) == 7
-        assert sum(map(len, SCHEMA.values())) == 23
+        assert len(SCHEMA) == 6
+        assert sum(map(len, SCHEMA.values())) == 22
 
     def test_converge_defaults_come_from_the_spec(self, tmp_path, monkeypatch):
         seen = []
@@ -683,18 +630,34 @@ class TestConfigSchema:
         assert seen == [{"runs": 3}]
 
 
+def formats_table(head: str) -> dict[str, list[str]]:
+    """The docs/formats.md table whose first column is headed head: each
+    row's first cell -> the backticked names in its last cell."""
+    lines = (ROOT / "docs" / "formats.md").read_text().splitlines()
+    start = next(k for k, ln in enumerate(lines) if re.match(rf"\|\s*{head}\s*\|", ln))
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        rows[cells[0].strip("`")] = re.findall(r"`([^`]+)`", cells[-1])
+    return rows
+
+
 class TestFormatsDoc:
     def test_section_table_lists_the_schema(self):
         # a key removed from a section must leave the docs with it
-        lines = (ROOT / "docs" / "formats.md").read_text().splitlines()
-        start = next(k for k, ln in enumerate(lines) if re.match(r"\|\s*section\s*\|", ln))
-        rows = {}
-        for line in lines[start + 2:]:
-            if not line.startswith("|"):
-                break
-            section, _, keys = (c.strip() for c in line.strip("|").split("|"))
-            rows[section.strip("`")] = set(re.findall(r"`([^`]+)`", keys))
-        assert rows == SCHEMA
+        rows = formats_table("section")
+        assert {section: set(keys) for section, keys in rows.items()} == SCHEMA
+
+    def test_command_lists_are_the_command_table(self):
+        # a command removed from the parser must leave the docs with it:
+        # the formats table with its sections, in build order, and README's list
+        commands = {name: list(sections) for name, (_, sections) in _COMMANDS.items()}
+        assert formats_table("command") == commands
+        readme = (ROOT / "README.md").read_text()
+        listed = readme.split("\nCommands: ", 1)[1].split("\n\n", 1)[0]
+        assert re.findall(r"`(\w+)`\s+\(", listed) == list(commands)
 
     def test_every_named_key_is_in_the_schema(self):
         # the docs name config keys as `section.key` and package attributes
@@ -704,8 +667,8 @@ class TestFormatsDoc:
         text = (ROOT / "docs" / "formats.md").read_text() + (ROOT / "README.md").read_text()
         named = {f"{a}.{b}" for a, b in re.findall(r"`(\w+)\.(\w+)", text)
                  if a in SCHEMA or a in modules}
-        assert {"integrator.CLUSTER_GAP", "hjsolver.CFL", "moments.ROUND_TRIP_TOL",
-                "particles.same_sign_gap", "moments.positions", "scheme.L"} <= named
+        assert {"integrator.CLUSTER_GAP", "hjsolver.CFL", "moments.d_M",
+                "particles.same_sign_gap", "verify.sizes", "scheme.L"} <= named
 
         def resolves(name):
             a, b = name.split(".")
@@ -799,7 +762,6 @@ SECTION_BUILDS = {
     "verify": lambda sec: inspect.signature(harness.run_property_suite).bind(
         **_typed(harness.run_property_suite, sec)),
     "measure": lambda sec: _build(_measure_args, sec),
-    "moments": lambda sec: _build(_moments_positions, sec),
 }
 
 
