@@ -14,13 +14,16 @@ the tail-padded values, at most about twice the FFT's cost there, whose
 exact shift structure keeps translated and mirrored data exactly
 translated and mirrored; the FFT's rounding does not.  From FFT_NODES on,
 the sum splits into a Toeplitz product of the grid values alone, done
-as a circulant product with a kernel spectrum cached per grid
+as a circulant product with kernel eigenvalues cached per grid
 (Golub-Van Loan, Matrix Computations, section 4.7), plus each tail times
 the cached total weight of the padding beyond its end.  A step then
-costs one numpy.fft rfft/irfft pair, of the smallest power-of-two length
-at least 2n - 2, into buffers its kernel holds (the rfft zero-pads the n
-values itself, and the irfft's buffer is then the scratch of the tail
-terms), and a fixed few passes over the n nodes.  An initial datum acts
+costs one transform pair of the smallest power-of-two length at least
+2n - 2, into buffers its kernel holds, and a fixed few passes over the n
+nodes.  Up to length 4,096 (2,049 nodes) the pair is a 1-D numpy.fft
+rfft/irfft; from BLOCKED_SIZE = 8,192 (4,097 nodes) on, where one such
+transform outgrows the L1 cache, it is the four-step FFT (Bailey 1990;
+Van Loan, Computational Frameworks for the FFT, 1992): batches of short
+rfft and fft transforms over FFT_ROWS rows.  An initial datum acts
 elementwise on an array of points; `GridFunction.from_callable` calls it
 once on all nodes.
 """
@@ -44,6 +47,13 @@ __all__ = [
 
 # grids of at least this many nodes apply the operator by FFT
 FFT_NODES = 600
+# circulant lengths from BLOCKED_SIZE on run the four-step FFT on FFT_ROWS
+# rows.  Toeplitz product on one core of a 2-core Xeon, 1-D pair -> four-step:
+# 115 -> 95 us at 4,097 nodes (length 8,192) and 229 -> 179 us at 8,193,
+# but 56 vs 60 us at 2,049 (length 4,096), so shorter circulants keep the
+# 1-D pair.  256 and 1,024 rows time within 8% of 512 at both lengths.
+BLOCKED_SIZE = 8192
+FFT_ROWS = 512
 # fraction of the computed stability bound each step takes
 CFL = 0.8
 # steps one solve_hj call may take before it gives up
@@ -137,18 +147,28 @@ class _Kernel:
     With n >= FFT_NODES nodes the sum over the padded array U splits as
     sum_j G_{j-i} u_j + uL left_i + uR right_i.  The first term is a
     Toeplitz product over lags -(n-1)..n-1; it runs as a circulant product
-    whose length `size` is the smallest power of two >= 2n - 2, with its
-    kernel spectrum cached.  (At size = 2n - 2, as on dyadic grids, lags
-    n-1 and -(n-1) share one slot of that circulant; G is symmetric, so
-    both read the same weight.)
+    whose length `size` is the smallest power of two >= 2n - 2, with the
+    circulant's eigenvalues `spectrum` cached.  (At size = 2n - 2, as on
+    dyadic grids, lags n-1 and -(n-1) share one slot of that circulant; G
+    is symmetric, so both read the same weight.)
     left_i = sum_{m < -i} G_m and right_i = sum_{m > n-1-i} G_m are the
     weights of the padding beyond each end, each accumulated by a cumsum
     from its far end: G_0 is in neither, and no difference of partial sums
-    cancels against it.  An application is an rfft/irfft pair through two
-    held buffers (one caller at a time), then a few passes over the nodes:
-    the rfft reads the n values and zero-pads them to `size` internally,
-    and the irfft's buffer `_work`, once its first n entries are added to
-    the result, holds uR right and then u / (0.5 tail_cut) in turn.
+    cancels against it.
+
+    An application runs the transforms through held buffers (one caller at
+    a time).  Below BLOCKED_SIZE, `spectrum` is the rfft of the
+    circulant's first column, and an rfft that zero-pads the n values to
+    `size` itself, times `spectrum`, goes through an irfft.  From
+    BLOCKED_SIZE on, value j = j1 C + j2 of the zero-padded `_padded` sits
+    in row j1 of R = FFT_ROWS rows of C = size / R, and frequency
+    k = k1 + R k2 is entry (k1, k2) of the (R/2 + 1, C) arrays `spectrum`
+    and `_spec`: an rfft along axis 0, `twiddle` exp(-2 pi i j2 k1 / size),
+    an fft along axis 1 and `spectrum`, then ifft along axis 1, `untwiddle`
+    (the conjugate) and irfft along axis 0.  No frequency is needed in
+    natural order, so nothing is transposed.  Either way the inverse
+    writes `_work`, which, once its first n entries are added to the
+    result, holds uR right and then u / (0.5 tail_cut) in turn.
     """
 
     def __init__(self, n: int, h: float, r: int):
@@ -158,15 +178,40 @@ class _Kernel:
         self.tail_cut = mid * h  # analytic tails beyond the explicit cells
         self.W = float(-G[mid] + 2.0 / self.tail_cut)
         if n >= FFT_NODES:
-            self.size = 1 << (2 * n - 3).bit_length()
+            self.size = size = 1 << (2 * n - 3).bit_length()
             # lag m at index m mod size
-            self._work = np.zeros(self.size)
+            self._work = np.zeros(size)
             self._work[:n] = G[mid : mid + n]
-            self._work[self.size - n + 1 :] = G[mid - n + 1 : mid]
-            self.spectrum = np.fft.rfft(self._work)
+            self._work[size - n + 1 :] = G[mid - n + 1 : mid]
+            if size < BLOCKED_SIZE:
+                self.spectrum = np.fft.rfft(self._work)
+            else:
+                k1 = np.arange(FFT_ROWS // 2 + 1)[:, None]
+                j2 = np.arange(size // FFT_ROWS)
+                self.spectrum = np.fft.fft(self._work)[k1 + FFT_ROWS * j2]
+                self.twiddle = np.exp(-2j * np.pi * (k1 * j2) / size)
+                self.untwiddle = np.conj(self.twiddle)
+                self._padded = np.zeros(size)
             self._spec = np.empty_like(self.spectrum)
             self.left = np.cumsum(G)[n:0:-1]
             self.right = np.cumsum(G[::-1])[1 : n + 1]
+
+    def _toeplitz(self, values: np.ndarray) -> np.ndarray:
+        """sum_j G_{j-i} u_j for the n nodes i, a view of `_work`."""
+        n = values.size
+        if self.size < BLOCKED_SIZE:
+            np.fft.rfft(values, self.size, out=self._spec)
+            self._spec *= self.spectrum
+            return np.fft.irfft(self._spec, self.size, out=self._work)[:n]
+        self._padded[:n] = values  # entries from n on stay zero
+        spec = np.fft.rfft(self._padded.reshape(FFT_ROWS, -1), axis=0, out=self._spec)
+        spec *= self.twiddle
+        np.fft.fft(spec, axis=1, out=spec)
+        spec *= self.spectrum
+        np.fft.ifft(spec, axis=1, out=spec)
+        spec *= self.untwiddle
+        np.fft.irfft(spec, FFT_ROWS, axis=0, out=self._work.reshape(FFT_ROWS, -1))
+        return self._work[:n]
 
     def apply(self, u: GridFunction) -> np.ndarray:
         n = u.values.size
@@ -175,10 +220,7 @@ class _Kernel:
             padded = np.concatenate([np.full(pad, u.tails[0]), u.values, np.full(pad, u.tails[1])])
             out = np.convolve(padded, self.G[::-1], mode="valid")
             return out + (u.tails[0] + u.tails[1]) / self.tail_cut - 2.0 * u.values / self.tail_cut
-        np.fft.rfft(u.values, self.size, out=self._spec)
-        self._spec *= self.spectrum
-        np.fft.irfft(self._spec, self.size, out=self._work)
-        scratch = self._work[:n]
+        scratch = self._toeplitz(u.values)
         # IEEE addition commutes, so tl left + Toeplitz part is the Toeplitz part + tl left
         out = np.multiply(u.tails[0], self.left)
         out += scratch
@@ -264,15 +306,18 @@ def solve_hj(
     """March u0, sampled on the grid, to t_end; the snapshots always include t=0 and t_end.
 
     Snapshot times are hit exactly: each step_hj runs with t_end set to
-    the next snapshot time, which clips the stable step there.  Raises
-    StepBudgetExceeded once MAX_STEPS steps in all have not reached
-    t_end.  A crude self-convergence probe is available by re-running
-    with h halved.
+    the next snapshot time, which clips the stable step there.  A
+    snapshot time outside [0, t_end], NaN included, raises ValueError.
+    Raises StepBudgetExceeded once MAX_STEPS steps in all have not
+    reached t_end.  A crude self-convergence probe is available by
+    re-running with h halved.
     """
-    u = GridFunction.from_callable(u0, config)
     extra = [] if snapshot_times is None else [float(t) for t in snapshot_times]
+    for t in extra:
+        if not 0.0 <= t <= config.t_end:
+            raise ValueError(f"snapshot time {t!r} is outside [0, t_end = {config.t_end!r}]")
+    u = GridFunction.from_callable(u0, config)
     wanted = sorted(set([0.0, config.t_end] + extra))
-    wanted = [t for t in wanted if t <= config.t_end]
     out = [u]  # the frame at t=0, the first of wanted
     steps = 0
     for target in wanted[1:]:

@@ -7,7 +7,8 @@ loop, independent of the vectorized code in `annihilate`:
 `hjsolver.levy_operator_all`.  `levy_operator_direct` is that operator at
 every node by one direct convolution with the solver's own weights, the
 oracle of its FFT branch, and `kernel_loop` builds those weights term by
-term in a scalar loop, the oracle of `hjsolver._Kernel`'s array build.
+term in a scalar loop, and the blocked layout's eigenvalues and twiddles
+one entry at a time, the oracle of `hjsolver._Kernel`'s array build.
 `step_hj_plain` is `hjsolver.step_hj` with a fresh array for every
 intermediate, the oracle of the step's in-place passes (same bits).
 `aec_defect_loop` is one defect of
@@ -41,6 +42,7 @@ of the semicircle datum is not here: it is `CATALOG["semicircle"].exact`.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from pathlib import Path
@@ -159,7 +161,10 @@ def kernel_loop(n_nodes: int, h: float, r: int) -> dict:
 
     Each quadrature term adds its weight w at lag m and subtracts it from
     lag 0, in the order: the centered gradient, the near field, then each
-    far cell's near and far end, + side before - side.
+    far cell's near and far end, + side before - side.  From
+    `BLOCKED_SIZE` on, spectrum[k1, k2] is entry k1 + R k2 of the full
+    fft of the circulant's first column, R = `FFT_ROWS`, and the twiddle
+    and its conjugate are exp(-2 pi i j2 k1 / size), each by `cmath`.
     """
     half = n_nodes
     G = np.zeros(2 * half + 3)
@@ -186,25 +191,38 @@ def kernel_loop(n_nodes: int, h: float, r: int) -> dict:
     wrapped = np.zeros(size)
     wrapped[:n] = G[mid : mid + n]
     wrapped[size - n + 1 :] = G[mid - n + 1 : mid]
-    return {
+    out = {
         "G": G,
         "W": float(-G[mid] + 2.0 / tail_cut),
         "spectrum": np.fft.rfft(wrapped),
         "left": np.cumsum(G)[n:0:-1],
         "right": np.cumsum(G[::-1])[1 : n + 1],
     }
+    if size >= hjsolver.BLOCKED_SIZE:
+        rows, cols = hjsolver.FFT_ROWS, size // hjsolver.FFT_ROWS
+        full = np.fft.fft(wrapped)
+        shape = (rows // 2 + 1, cols)
+        spectrum, twiddle = np.empty(shape, complex), np.empty(shape, complex)
+        for k1 in range(shape[0]):
+            for j in range(cols):
+                spectrum[k1, j] = full[k1 + rows * j]
+                twiddle[k1, j] = cmath.exp(complex(0.0, -2.0 * math.pi * (j * k1) / size))
+        out.update(spectrum=spectrum, twiddle=twiddle, untwiddle=twiddle.conj())
+    return out
 
 
 def step_hj_plain(u: GridFunction, config: SchemeConfig, dt: float | None = None) -> GridFunction:
     """`hjsolver.step_hj` with every intermediate a fresh array, the oracle of its in-place passes.
 
     The operator copies the values into a zero-filled array of the FFT
-    length and adds uL left, uR right, (uL + uR) / tail_cut and
-    -(u / (0.5 tail_cut)) to the Toeplitz part in that order, each a
-    temporary; below `FFT_NODES` it convolves the tail-padded values.  The
-    upwind gradient picks rising where v >= 0 and falling elsewhere (NaN
-    included) by `np.where`, then clamps at 0.  The kernel's weights,
-    spectrum and tail weights are the solver's own, and the dt rule is
+    length, takes the Toeplitz part by the 1-D rfft/irfft pair or, from
+    `BLOCKED_SIZE` on, by the four-step FFT over `FFT_ROWS` rows, and
+    adds uL left, uR right, (uL + uR) / tail_cut and -(u / (0.5
+    tail_cut)) to it in that order, each a temporary; below `FFT_NODES`
+    it convolves the tail-padded values.  The upwind gradient picks
+    rising where v >= 0 and falling elsewhere (NaN included) by
+    `np.where`, then clamps at 0.  The kernel's weights, eigenvalues,
+    twiddles and tail weights are the solver's own, and the dt rule is
     step_hj's, so the two must agree bit for bit.
     """
     kern = hjsolver._kernel_for(u, config.rho)
@@ -216,7 +234,14 @@ def step_hj_plain(u: GridFunction, config: SchemeConfig, dt: float | None = None
     else:
         padded = np.zeros(kern.size)
         padded[:n] = u.values
-        toeplitz = np.fft.irfft(np.fft.rfft(padded) * kern.spectrum, kern.size)[:n]
+        if kern.size < hjsolver.BLOCKED_SIZE:
+            toeplitz = np.fft.irfft(np.fft.rfft(padded) * kern.spectrum, kern.size)[:n]
+        else:
+            rows = hjsolver.FFT_ROWS
+            spec = np.fft.rfft(padded.reshape(rows, -1), axis=0) * kern.twiddle
+            spec = np.fft.fft(spec, axis=1) * kern.spectrum
+            spec = np.fft.ifft(spec, axis=1) * np.conj(kern.twiddle)
+            toeplitz = np.fft.irfft(spec, rows, axis=0).reshape(-1)[:n]
         v = toeplitz + tl * kern.left
         v = v + tr * kern.right
         v = v + (tl + tr) / kern.tail_cut

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -102,7 +103,8 @@ class TestOperator:
                 levy_operator(u, i, small_cfg.rho), abs=1e-10
             )
 
-    @pytest.mark.parametrize("n", [601, 1025, 8193])
+    # 601..2049 run the 1-D pair, 4097..16385 the four-step FFT
+    @pytest.mark.parametrize("n", [601, 1025, 2049, 4097, 8193, 16385])
     def test_fft_branch_matches_direct_sum(self, n):
         assert n >= H.FFT_NODES
         rng = np.random.default_rng(n)
@@ -116,30 +118,34 @@ class TestOperator:
         scale = float(np.max(np.abs(kern.G))) * max(float(np.max(np.abs(vals))), *map(abs, tails))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
-    @pytest.mark.parametrize("n, r", [(601, 2), (1025, 8), (2049, 16), (8193, 64)])
+    @pytest.mark.parametrize("n, r", [(601, 2), (1025, 8), (2049, 16), (4097, 32), (8193, 64)])
     def test_kernel_build_matches_the_loop(self, n, r):
         kern = H._Kernel(n, 8.0 / (n - 1), r)
         want = kernel_loop(n, 8.0 / (n - 1), r)
-        for name in ("G", "spectrum", "left", "right"):
-            assert np.array_equal(getattr(kern, name), want[name]), name
+        assert (kern.size >= H.BLOCKED_SIZE) == (n > 2049) == ("twiddle" in want)
+        for name in ("G", "spectrum", "left", "right", "twiddle", "untwiddle"):
+            if name in want:
+                assert np.array_equal(getattr(kern, name), want[name]), name
         assert kern.W == want["W"]
 
     def test_fft_results_do_not_alias_the_kernel_buffers(self):
-        n = 8193
-        xs = np.linspace(-4.0, 4.0, n)
-        u = H.GridFunction(xs=xs, values=np.tanh(xs), tails=(-1.0, 1.0))
-        w = H.GridFunction(xs=xs, values=np.sin(xs), tails=(0.0, 0.5))
-        first = H.levy_operator_all(u, 4 * u.h)
-        kept = first.copy()
-        second = H.levy_operator_all(w, 4 * u.h)
-        assert np.array_equal(first, kept)
-        assert not np.array_equal(first, second)
-        assert not np.shares_memory(first, second)
-        # the irfft buffer is also the tail terms' scratch: no result may be a view of it
-        kern = H._kernel_for(u, 4 * u.h)
-        for result in (first, second):
-            assert not np.shares_memory(result, kern._work)
-            assert not np.shares_memory(result, kern._spec)
+        for n in (2049, 8193):  # the 1-D pair's buffers, then the four-step FFT's
+            xs = np.linspace(-4.0, 4.0, n)
+            u = H.GridFunction(xs=xs, values=np.tanh(xs), tails=(-1.0, 1.0))
+            w = H.GridFunction(xs=xs, values=np.sin(xs), tails=(0.0, 0.5))
+            first = H.levy_operator_all(u, 4 * u.h)
+            kept = first.copy()
+            second = H.levy_operator_all(w, 4 * u.h)
+            assert np.array_equal(first, kept)
+            assert not np.array_equal(first, second)
+            assert not np.shares_memory(first, second)
+            # the inverse's buffer is also the tail terms' scratch: no result may be a view of it
+            kern = H._kernel_for(u, 4 * u.h)
+            buffers = [name for name, a in vars(kern).items() if isinstance(a, np.ndarray)]
+            assert ("_padded" in buffers) == (n > 2049) and {"_work", "_spec"} <= set(buffers)
+            for result in (first, second):
+                for name in buffers:
+                    assert not np.shares_memory(result, getattr(kern, name)), name
 
     def test_kernel_cache_tells_tiny_grids_apart(self, monkeypatch):
         # two 201-node grids with r = 4 whose steps 1e-15 and 2e-15 both
@@ -302,6 +308,21 @@ class TestSolve:
         frames = H.solve_hj(SIGMOID, cfg, times)
         assert [fr.time for fr in frames] == times.tolist()
         assert not np.array_equal(frames[-1].values, frames[0].values)
+
+    @pytest.mark.parametrize("times, bad", [
+        ([0.05, math.nan], math.nan), ([0.05, 0.2], 0.2), ([-0.01, 0.05], -0.01),
+        ([math.inf], math.inf), ([math.nextafter(0.1, 1.0)], math.nextafter(0.1, 1.0)),
+    ], ids=["nan", "past-t_end", "negative", "inf", "one-ulp-past"])
+    def test_snapshot_time_outside_the_run_refused(self, small_cfg, times, bad):
+        # NaN and later times used to be dropped, a negative one refused as a bad t_end
+        calls = []
+        with pytest.raises(ValueError, match=re.escape(f"snapshot time {bad!r} is outside [0, t_end")):
+            H.solve_hj(lambda x: calls.append(1) or SIGMOID(x), small_cfg, times)
+        assert not calls  # refused before u0 is sampled
+
+    def test_snapshot_times_at_both_ends_accepted(self, small_cfg):
+        frames = H.solve_hj(SIGMOID, small_cfg, [0.0, -0.0, 0.05, small_cfg.t_end])
+        assert [fr.time for fr in frames] == [0.0, 0.05, small_cfg.t_end]
 
     def test_step_budget(self, small_cfg, monkeypatch):
         # a solve that needs k steps runs with a budget of k and gives up at k - 1
