@@ -3,12 +3,12 @@
 Configuration is one YAML file of sections, each built by one callable
 whose parameters give the section's keys, types and defaults.  `_COMMANDS`
 names each command's sections and their builders; `main` builds every
-section a command reads before the command runs, and the command gets
-only those sections, its output path and the config hash.  An unknown or
-missing command or key, a section the command does not read, or a bad
-value exits 2 before any output exists, and a typed run failure of any
-layer exits 3; `main` alone turns an exception into an exit code, with
-an error JSON on stdout.  `verify` exits 1 when an invariant fails.
+section a command reads, then makes the output directory, and the command
+gets only those sections, its output path and the config hash.  An
+unknown or missing command or key, a section the command does not read,
+or a bad value exits 2 before any output exists, and a typed run failure
+of any layer exits 3; `main` alone turns an exception into an exit code,
+with an error JSON on stdout.  `verify` exits 1 when an invariant fails.
 Formats are in docs/formats.md.
 """
 from __future__ import annotations
@@ -132,7 +132,7 @@ def _hj_args(initial: str = "sigmoid", snapshots: int = 5):
     datum = harness.catalog_datum(initial)
     if snapshots < 2:
         raise ValueError(f"snapshots must be at least 2, got {snapshots}")
-    if snapshots > hjsolver.MAX_STEPS + 1:  # each frame after the first ends a grid step
+    if snapshots > hjsolver.MAX_STEPS + 1:  # each frame at a new time ends a grid step
         raise ValueError(f"snapshots must be at most {hjsolver.MAX_STEPS + 1}, got {snapshots}")
     return datum.u0, snapshots
 
@@ -144,7 +144,6 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 def cmd_simulate(out: Path, chash: str, simulate) -> int:
     state, icfg = simulate
-    out.mkdir(parents=True, exist_ok=True)
     traj = evolve(state, icfg)
     io.write_trajectory_csv(out / "trajectory.csv", traj.times, traj.positions, traj.charges, chash)
     io.write_events_jsonl(out / "events.jsonl", traj.events, chash)
@@ -154,7 +153,6 @@ def cmd_simulate(out: Path, chash: str, simulate) -> int:
 
 def cmd_hj(out: Path, chash: str, scheme: hjsolver.SchemeConfig, hj) -> int:
     u0, snapshots = hj
-    out.mkdir(parents=True, exist_ok=True)
     frames = hjsolver.solve_hj(u0, scheme, np.linspace(0.0, scheme.t_end, snapshots))
     for k, fr in enumerate(frames):
         io.write_xy_csv(out / f"hj_{k:03d}.csv", fr.xs, fr.values, chash)
@@ -162,7 +160,6 @@ def cmd_hj(out: Path, chash: str, scheme: hjsolver.SchemeConfig, hj) -> int:
 
 
 def cmd_converge(out: Path, chash: str, spec: harness.ExperimentSpec) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     result = harness.run_convergence(spec)
     io.write_convergence_csv(out / "convergence.csv", result, chash)
     for k, fr in enumerate(result.ref_frames):
@@ -182,7 +179,6 @@ def _run_suite(**section):
 
 
 def cmd_verify(out: Path, chash: str, report: harness.PropertyReport) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     (out / "properties.json").write_text(report.to_json() + "\n")
     for name, chk in sorted(report.checks.items()):
         log.info("%-28s %s margin=%.3e", name, "PASS" if chk.passed else "FAIL", chk.margin)
@@ -201,7 +197,6 @@ def _measure_args(
 
 def cmd_measure(out: Path, chash: str, measure) -> int:
     family, ns = measure
-    out.mkdir(parents=True, exist_ok=True)
     empty = measures.SignedAtomicMeasure(locations=np.empty(0), weights=np.empty(0))
     mus = []
     for n in ns:
@@ -251,7 +246,9 @@ def main(argv: list[str] | None = None) -> int:
         command, sections = _COMMANDS[args.command]
         cfg = _load_config(args.config, sections)
         built = [_build(builder, cfg.get(section, {})) for section, builder in sections.items()]
-        return command(Path(args.out), io.config_hash(cfg), *built)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return command(out, io.config_hash(cfg), *built)
     except ConfigError as exc:
         return _fail(2, "config", str(exc))
     except _RUN_FAILURES as exc:

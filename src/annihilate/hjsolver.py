@@ -303,25 +303,24 @@ def solve_hj(
     config: SchemeConfig,
     snapshot_times: Sequence[float] | None = None,
 ) -> list[GridFunction]:
-    """March u0, sampled on the grid, to t_end; the snapshots always include t=0 and t_end.
+    """March u0, sampled on the grid, to the snapshot times, (0, t_end) by default.
 
-    Snapshot times are hit exactly: each step_hj runs with t_end set to
-    the next snapshot time, which clips the stable step there.  A
-    snapshot time outside [0, t_end], NaN included, raises ValueError.
-    Raises StepBudgetExceeded once MAX_STEPS steps in all have not
-    reached t_end.  A crude self-convergence probe is available by
-    re-running with h halved.
+    One frame per time, in time order: a time given twice gives its frame
+    twice, and no time is added.  Each time is hit exactly: step_hj runs
+    with t_end set to the next one, which clips the stable step there.  A
+    time outside [0, t_end], NaN included, raises ValueError.  Raises
+    StepBudgetExceeded once MAX_STEPS steps in all have not reached the
+    last time.  A crude self-convergence probe re-runs with h halved.
     """
-    extra = [] if snapshot_times is None else [float(t) for t in snapshot_times]
-    for t in extra:
+    times = (0.0, config.t_end) if snapshot_times is None else [float(t) for t in snapshot_times]
+    for t in times:
         if not 0.0 <= t <= config.t_end:
             raise ValueError(f"snapshot time {t!r} is outside [0, t_end = {config.t_end!r}]")
     u = GridFunction.from_callable(u0, config)
-    wanted = sorted(set([0.0, config.t_end] + extra))
-    out = [u]  # the frame at t=0, the first of wanted
-    steps = 0
-    for target in wanted[1:]:
-        leg = replace(config, t_end=target)
+    out, steps = [], 0
+    for target in sorted(times):
+        if u.time < target:  # SchemeConfig refuses t_end = 0
+            leg = replace(config, t_end=target)
         while u.time < target:
             if steps == MAX_STEPS:
                 raise StepBudgetExceeded(

@@ -618,16 +618,6 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
                           coupling=gamma, events=[replace(ev, y=ev.y + c0) for ev in events],
                           config=config, stats=stats)
 
-    def commit(clusters: list[list[int]]):
-        """Fix the collisions of clusters and take them out of the integrated field."""
-        nonlocal pending, soft
-        committed = resolve_annihilation(x, b, t, gamma, clusters)
-        pending = sorted(pending + [(ev, t) for ev in committed], key=lambda p: p[0].tau)
-        neutral = [ev.tau for ev in committed if not any(ev.post_charges)]
-        if neutral:
-            soft = sorted(set(soft).union(neutral))
-        begin_segment()
-
     def collide() -> bool:
         """Apply the committed collisions due by t; False when there are none."""
         nonlocal b, pending
@@ -648,17 +638,6 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
             begin_segment()
         return True
 
-    def interpolate(s: float) -> np.ndarray | None:
-        """The integrated charges at s in the last step, None unless strictly increasing.
-
-        The continuous extension from x0 over dt with the step's stages k;
-        fewer than two charges do not move.
-        """
-        if seg.work is None:
-            return x0
-        row = x0 + dt * (_dense_weights((s - t0) / dt) @ k)
-        return row if (row[1:] > row[:-1]).all() else None
-
     # between events only the segment's charged positions xc move, with
     # velocities vc = f(xc); the segment stays valid until the integrated
     # charges change, at the latest at seg_end
@@ -671,7 +650,14 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
                 raise StepSizeUnderflow(f"exceeded {MAX_STEPS} steps at t={t:.6e}")
             # the isolation goes positionally: wrappers that count detections see *args only
             while clusters := detect_clusters(xc, seg.bc, vc, t, gamma, config.pair_isolation):
-                commit([seg.charged[cl].tolist() for cl in clusters])
+                # fix the clusters' collisions and take them out of the integrated field
+                committed = resolve_annihilation(x, b, t, gamma,
+                                                 [seg.charged[cl].tolist() for cl in clusters])
+                pending = sorted(pending + [(ev, t) for ev in committed], key=lambda p: p[0].tau)
+                neutral = [ev.tau for ev in committed if not any(ev.post_charges)]
+                if neutral:
+                    soft = sorted(set(soft).union(neutral))
+                begin_segment()
             t0, x0, k0, stop = t, xc, vc, seg_end
             memory, cap_bound = (seg.hint, seg.err_prev, seg.dt_prev), stats.cap_bound
             while True:
@@ -680,15 +666,16 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
                 # snap onto the stop when only fp residue remains
                 if abs(t - stop) <= 4e-15 * max(1.0, abs(stop)):
                     t = stop
-                # the rows at the soft stops inside the step; a stop whose
-                # row would be out of order ends the step instead, which is
+                # the rows at the soft stops inside the step, by the continuous
+                # extension (below two charges none move); a stop whose row
+                # would be out of order ends the step instead, which is
                 # discarded as for a stage out of order
                 rows, late = [], None
                 for s in soft:
                     if s >= t:
                         break
-                    row = interpolate(s)
-                    if row is None:
+                    row = x0 if seg.work is None else x0 + dt * (_dense_weights((s - t0) / dt) @ k)
+                    if not (row[1:] > row[:-1]).all():
                         late = s
                         break
                     rows.append(row)

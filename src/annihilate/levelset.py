@@ -72,25 +72,22 @@ class StepFunction:
         k = np.searchsorted(self.locations, np.asarray(x, dtype=float), side="right")
         return self.base + self.eps * self._prefix[k]
 
+    def _sides(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Signed jump counts left of x and up to x: the plateaus on either side of x."""
+        x = np.asarray(x, dtype=float)
+        return tuple(self._prefix[np.searchsorted(self.locations, x, side)]
+                     for side in ("left", "right"))
+
     def upper(self, x) -> np.ndarray:
         """Upper semicontinuous envelope: max of left and right values."""
-        x = np.asarray(x, dtype=float)
-        right = np.searchsorted(self.locations, x, side="right")
-        left = np.searchsorted(self.locations, x, side="left")
-        vals = np.maximum(self._prefix[right], self._prefix[left])
-        return self.base + self.eps * vals
+        return self.base + self.eps * np.maximum(*self._sides(x))
 
     def lower(self, x) -> np.ndarray:
         """Lower semicontinuous envelope: min of left and right values."""
-        x = np.asarray(x, dtype=float)
-        right = np.searchsorted(self.locations, x, side="right")
-        left = np.searchsorted(self.locations, x, side="left")
-        vals = np.minimum(self._prefix[right], self._prefix[left])
-        return self.base + self.eps * vals
+        return self.base + self.eps * np.minimum(*self._sides(x))
 
     def sup_norm(self) -> float:
-        vals = self.base + self.eps * self._prefix
-        return float(np.max(np.abs(vals)))
+        return float(np.max(np.abs(self.plateau_values())))
 
     def plateau_values(self) -> np.ndarray:
         """Values on the n_jumps + 1 constancy intervals, left to right."""

@@ -164,6 +164,15 @@ class TestOtherCommands:
         assert len(files) == 3
         assert files[0].read_text().startswith("# annihilate v")
 
+    def test_hj_writes_every_frame_of_a_subnormal_horizon(self, tmp_path):
+        # linspace(0, 1.5e-323, 5) holds 5e-324 twice: still one file per
+        # requested frame, not one per distinct time
+        cfg = write_cfg(tmp_path, {"scheme": {"t_end": 1.5e-323, "h": 0.25, "rho": 0.5},
+                                   "hj": {"snapshots": 5}})
+        out = tmp_path / "out"
+        assert main(["hj", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == [f"hj_{k:03d}.csv" for k in range(5)]
+
     @pytest.mark.parametrize("command, payload, message, made", [
         # gaps whose time scale underflows: no step can advance
         ("simulate", {"simulate": {"positions": [-1e-200, 0.0, 1e-200], "charges": [1, -1, 1]}},
@@ -355,6 +364,7 @@ NAMED_IN_MESSAGE = {
     "hj-snapshots-huge": "at most 500001",
     "scheme-h-past-array": "h = 7.46",
     "experiment-ref_h-past-array": "ref_h=7.46",
+    "experiment-t_end-snapshot-underflow": "t_end=5e-323",
 }
 
 # values no builder may let out as anything but a ConfigError
@@ -472,6 +482,8 @@ class TestConfigSchema:
             # grids of 2**1000 cells: more nodes than one float64 array holds
             ("hj", {"scheme": {"h": 2.0**-997}}),
             ("converge", {"experiment": {"ref_h": 2.0**-997}}),
+            # t_end / 30, the first geometric snapshot time, underflows to 0
+            ("converge", {"experiment": {"ns": [8], "t_end": 5.0e-323}}),
         ],
         ids=[
             "ns-string", "ns-zero", "ref_h-zero", "ref_h-coarse", "experiment-t_end-inf",
@@ -497,6 +509,7 @@ class TestConfigSchema:
             "simulate-t_end-negative", "simulate-t_end-inf", "simulate-t_end-null",
             "verify-sizes-huge", "verify-t_end-huge-int", "scheme-rho-inf", "scheme-rho-nan",
             "hj-snapshots-huge", "scheme-h-past-array", "experiment-ref_h-past-array",
+            "experiment-t_end-snapshot-underflow",
         ],
     )
     def test_bad_value_exits_2_without_outputs(self, tmp_path, capsys, request, command, payload):

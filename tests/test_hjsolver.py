@@ -322,7 +322,14 @@ class TestSolve:
 
     def test_snapshot_times_at_both_ends_accepted(self, small_cfg):
         frames = H.solve_hj(SIGMOID, small_cfg, [0.0, -0.0, 0.05, small_cfg.t_end])
-        assert [fr.time for fr in frames] == [0.0, 0.05, small_cfg.t_end]
+        assert [fr.time for fr in frames] == [0.0, 0.0, 0.05, small_cfg.t_end]
+
+    def test_one_frame_per_requested_time(self, small_cfg):
+        # a repeated time gives its frame again, and no time is added
+        frames = H.solve_hj(SIGMOID, small_cfg, [0.05, 0.05, 0.1])
+        assert [fr.time for fr in frames] == [0.05, 0.05, 0.1]
+        assert np.array_equal(frames[0].values, frames[1].values)
+        assert [fr.time for fr in H.solve_hj(SIGMOID, small_cfg)] == [0.0, small_cfg.t_end]
 
     def test_step_budget(self, small_cfg, monkeypatch):
         # a solve that needs k steps runs with a budget of k and gives up at k - 1
