@@ -720,7 +720,8 @@ def _check_opposite_gap(traj):
     idx = np.flatnonzero(b[0])
     for i, j in zip(idx[:-1].tolist(), idx[1:].tolist()):
         c0 = min(c0_all, x[0, j] - x[0, i])
-        radicand = c0 * c0 - beta * (times - times[0])
+        # elapsed time clipped at 2 c0^2 / beta, past where the bound runs out: no overflow
+        radicand = c0 * c0 - beta * np.minimum(times - times[0], 2.0 * c0 * c0 / beta)
         # the pair is followed until one of them is neutral or the bound runs out
         stop = (b[:, i] == 0) | (b[:, j] == 0) | (radicand <= 0)
         end = int(np.argmax(stop)) if stop.any() else len(times)

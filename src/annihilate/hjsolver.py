@@ -310,7 +310,7 @@ def solve_hj(
     with t_end set to the next one, which clips the stable step there.  A
     time outside [0, t_end], NaN included, raises ValueError.  Raises
     StepBudgetExceeded once MAX_STEPS steps in all have not reached the
-    last time.  A crude self-convergence probe re-runs with h halved.
+    last time.
     """
     times = (0.0, config.t_end) if snapshot_times is None else [float(t) for t in snapshot_times]
     for t in times:

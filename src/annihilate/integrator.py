@@ -33,8 +33,8 @@ fixed from the positions at the commit time t_c, exactly for an isolated
 cluster.  The members leave the integrated field and stay frozen in the
 positions; every other particle is integrated on, the event takes place
 at tau, and rows stored before tau shrink the members uniformly about y,
-x_i(t) = y + (x_i(t_c) - y) sqrt((tau - t) / (tau - t_c)).  That
-keeps the first moment and the second-moment law exact for every shape,
+x_i(t) = y + (x_i(t_c) - y) sqrt((tau - t) / (tau - t_c)) (_stored_row).
+That keeps the first moment and the second-moment law exact for every shape,
 and for a pair it is the two-body law d(t)^2 = 4 gamma (tau - t).  A
 committed (tau, y) depends on neither the horizon nor the sample times,
 and a state stored before tau evolves on through the same (tau, y).
@@ -70,8 +70,10 @@ closes are linked, and two criteria apply in turn:
 
 The charges change only at events and commits, so between them evolve()
 carries the positions, the charges and the clock as plain arrays and a
-float, and works out once per segment, from b less the committed
-clusters, the charged particles, their charges and the force workspace.
+float.  _start_segment works out once per segment, from b less the
+committed clusters, the charged particles, their charges, the force
+workspace, f at the charged positions and the segment's end; evolve()
+calls it at the start, after each commit and when a survivor rejoins.
 _step_core, velocity_field and detect_clusters see only those m of the n
 particles; neutral particles and committed members do not move, so each
 accepted step writes the charged positions into one working row in place.
@@ -83,12 +85,15 @@ A step ends only where the integrated field changes: at t_end, or at the
 collision of a committed cluster that leaves a survivor, which rejoins
 the field.  A neutral cluster left the field at its commit, and a sample
 time only observes the trajectory, so both are soft stops: after each
-accepted step from t0 to t1, evolve() takes the soft stops in [t0, t1) in
-time order, places the integrated charges at each by the step's 4th-order
-continuous extension (_dense_weights), from the seven stages the step
-already evaluated, applies the due events and stores the row.  So the
-sample times move no step.  A row so placed that is not strictly ordered
-discards the step, which is taken again to end at that stop.
+accepted step from t0 to t1, evolve() places the integrated charges at
+the soft stops in [t0, t1) by the step's 4th-order continuous extension
+(_dense_weights), from the seven stages the step already evaluated.  A
+row so placed that is not strictly ordered discards the step, which is
+taken again to end at that stop.  One loop then takes those rows and the
+step's end in time order; at each it applies the collisions due by then
+and stores the row through _stored_row, always at a soft stop and at t1
+on an event, a soft stop, t_end or store_steps.  So the sample times
+move no step.
 
 The Trajectory stores times (K,), positions (K, n) and charges (K, n),
 with a row at every event time holding the charges after it: the
@@ -335,6 +340,37 @@ class _Segment:
             self.upper, self.lower = self.work.x[1:], self.work.x[:-1]
 
 
+def _start_segment(x, b, pending, t_end, gamma, stats):
+    """(seg, xc, f(xc), seg_end) of b less the pending clusters, xc a copy of the charged x.
+
+    f is one counted velocity_field call, left at zero below two charges,
+    where no step reads it.  seg_end is t_end or the first pending collision
+    that leaves a survivor; other collisions change nothing a step sees.
+    """
+    flow = b.copy()
+    flow[[i for ev, _ in pending for i in ev.cluster]] = 0
+    seg = _Segment(flow, gamma)
+    seg_end = min(t_end, next((ev.tau for ev, _ in pending if any(ev.post_charges)), t_end))
+    xc = x[seg.charged]
+    if seg.work is None:
+        return seg, xc, np.zeros(xc.size), seg_end
+    stats.force_evals += 1
+    return seg, xc, velocity_field(xc, seg.bf, gamma, work=seg.work), seg_end
+
+
+def _stored_row(x, pending, t):
+    """A copy of x to store at t, each pending cluster of finite tau shrunk about its y.
+
+    The members, frozen in x since t_c, go to y + (x - y) sqrt((tau - t) / (tau - t_c)).
+    """
+    row = x.copy()
+    for ev, t_c in pending:
+        if ev.tau < math.inf:
+            cl = list(ev.cluster)
+            row[cl] = ev.y + (x[cl] - ev.y) * math.sqrt((ev.tau - t) / (ev.tau - t_c))
+    return row
+
+
 def _step_core(
     x: np.ndarray,
     t: float,
@@ -579,71 +615,11 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
     times, xs, bs, events = [t], [x], [b], []
     x = x - shift  # the working row, a fresh array that steps and events write in place
     stats = StepStats()
-
-    def record():
-        row = x.copy()
-        # a committed cluster's members are frozen in x at their commit
-        # positions; the row shrinks them uniformly about y if tau is finite
-        for ev, t_c in pending:
-            if ev.tau < math.inf:
-                cl = list(ev.cluster)
-                row[cl] = ev.y + (x[cl] - ev.y) * math.sqrt((ev.tau - t) / (ev.tau - t_c))
-        times.append(t)
-        xs.append(row)
-        bs.append(b)
-
-    def begin_segment():
-        """Build the segment of the integrated field, b less the committed clusters, and f at x.
-
-        Below two charges f is left at zero, unevaluated: no step reads it.
-        """
-        nonlocal seg, xc, vc, seg_end
-        flow = b.copy()
-        flow[[i for ev, _ in pending for i in ev.cluster]] = 0
-        seg = _Segment(flow, gamma)
-        # the field changes next at t_end or at the first collision that
-        # leaves a survivor; other collisions change nothing a step sees
-        seg_end = min(t_end, next((ev.tau for ev, _ in pending if any(ev.post_charges)), t_end))
-        xc = x[seg.charged]
-        if seg.work is None:
-            vc = np.zeros(xc.size)
-        else:
-            stats.force_evals += 1
-            vc = velocity_field(xc, seg.bf, gamma, work=seg.work)
-
-    def trajectory() -> Trajectory:
-        positions = np.array(xs)
-        positions[1:] += shift  # row 0 is the input itself
-        return Trajectory(times=np.array(times), positions=positions, charges=np.array(bs),
-                          coupling=gamma, events=[replace(ev, y=ev.y + c0) for ev in events],
-                          config=config, stats=stats)
-
-    def collide() -> bool:
-        """Apply the committed collisions due by t; False when there are none."""
-        nonlocal b, pending
-        if not (pending and pending[0][0].tau <= t):
-            return False
-        due = [ev for ev, _ in pending if ev.tau <= t]  # a prefix: pending is in tau order
-        pending = pending[len(due):]
-        b = b.copy()  # stored rows share b
-        for ev in due:
-            cl = list(ev.cluster)
-            x[cl] = ev.y
-            b[cl] = ev.post_charges
-        ParticleState(positions=x, charges=b, coupling=gamma, time=t)
-        events.extend(due)
-        stats.events += len(due)
-        if any(any(ev.post_charges) for ev in due):
-            # a survivor rejoins the integrated field
-            begin_segment()
-        return True
-
     # between events only the segment's charged positions xc move, with
     # velocities vc = f(xc); the segment stays valid until the integrated
     # charges change, at the latest at seg_end
-    seg, xc, vc, seg_end = None, None, None, t_end
-    begin_segment()
-    store_steps = config.store_steps
+    seg, xc, vc, seg_end = _start_segment(x, b, pending, t_end, gamma, stats)
+    failure = None
     try:
         while t < t_end:
             if stats.accepted >= MAX_STEPS:
@@ -657,7 +633,7 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
                 neutral = [ev.tau for ev in committed if not any(ev.post_charges)]
                 if neutral:
                     soft = sorted(set(soft).union(neutral))
-                begin_segment()
+                seg, xc, vc, seg_end = _start_segment(x, b, pending, t_end, gamma, stats)
             t0, x0, k0, stop = t, xc, vc, seg_end
             memory, cap_bound = (seg.hint, seg.err_prev, seg.dt_prev), stats.cap_bound
             while True:
@@ -678,7 +654,7 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
                     if not (row[1:] > row[:-1]).all():
                         late = s
                         break
-                    rows.append(row)
+                    rows.append((s, row, True))
                 if late is None:
                     break
                 stats.rejected_order += 1
@@ -689,20 +665,40 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
             stats.accepted += 1
             stats.dt_min, stats.dt_max = min(stats.dt_min, dt), max(stats.dt_max, dt)
             stats.target_clipped += t == stop
-            if rows:
-                t1 = t
-                for t, row in zip(soft, rows):  # collide and record read t
-                    x[seg.charged] = row
-                    collide()
-                    record()
-                del soft[:len(rows)]
-                t = t1
-            hit = bool(soft) and soft[0] == t
-            if hit:
-                del soft[0]
-            x[seg.charged] = xc
-            if collide() or store_steps or hit or t >= t_end:
-                record()
+            hit = len(soft) > len(rows) and soft[len(rows)] == t  # a soft stop at the step's end
+            del soft[:len(rows) + hit]
+            # place each row, apply the collisions due by its time and store it
+            # (always at a soft stop; at the end on an event, a hit, t_end or store_steps)
+            rows.append((t, xc, hit or config.store_steps or t >= t_end))
+            for t, row, store in rows:
+                x[seg.charged] = row
+                if pending and pending[0][0].tau <= t:
+                    # a prefix, as pending is in tau order
+                    due = [ev for ev, _ in pending if ev.tau <= t]
+                    pending = pending[len(due):]
+                    b = b.copy()  # stored rows share b
+                    for ev in due:
+                        cl = list(ev.cluster)
+                        x[cl] = ev.y
+                        b[cl] = ev.post_charges
+                    ParticleState(positions=x, charges=b, coupling=gamma, time=t)
+                    events.extend(due)
+                    stats.events += len(due)
+                    store = True
+                    if any(any(ev.post_charges) for ev in due):
+                        # a survivor rejoins the integrated field
+                        seg, xc, vc, seg_end = _start_segment(x, b, pending, t_end, gamma, stats)
+                if store:
+                    times.append(t)
+                    xs.append(_stored_row(x, pending, t))
+                    bs.append(b)
     except StepSizeUnderflow as exc:
-        raise EvolveError(str(exc), trajectory()) from exc
-    return trajectory()
+        failure = exc
+    positions = np.array(xs)
+    positions[1:] += shift  # row 0 is the input itself
+    trajectory = Trajectory(times=np.array(times), positions=positions, charges=np.array(bs),
+                            coupling=gamma, events=[replace(ev, y=ev.y + c0) for ev in events],
+                            config=config, stats=stats)
+    if failure is not None:
+        raise EvolveError(str(failure), trajectory) from failure
+    return trajectory

@@ -323,6 +323,14 @@ class TestOtherCommands:
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads((out / "properties.json").read_text())["all_passed"] is True
 
+    def test_verify_horizon_near_float_max_warns_nothing(self, tmp_path):
+        # at t_end = 1e308, beta times the elapsed time passes float64 in
+        # opposite_gap_bound, long after that pair's bound has run out
+        cfg = write_cfg(tmp_path, {"verify": {"sizes": [2], "runs": 3, "t_end": 1.0e308}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
     def test_unknown_section_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, {"nonsense": {}})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
