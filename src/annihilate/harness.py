@@ -543,14 +543,14 @@ def stability_sweep(
     return sups
 
 
-def _worst(cases: Iterable[tuple[bool, float, str]], current: CheckResult | None = None,
-           run: int | None = None, state: ParticleState | None = None) -> CheckResult | None:
+def _worst(cases: Iterable[tuple[bool, float, str]], current: CheckResult,
+           run: int | None = None, state: ParticleState | None = None) -> CheckResult:
     """Fold (passed, margin, detail) cases into current: least margin, failures first.
 
     A case that wins names run and state's initial positions and charges.
     """
     for passed, margin, detail in cases:
-        if current is None or margin < current.margin or (not passed and current.passed):
+        if margin < current.margin or (not passed and current.passed):
             current = CheckResult(passed=passed, margin=margin, detail=detail, run=run,
                                   positions=None if state is None else state.positions,
                                   charges=None if state is None else state.charges)
@@ -580,7 +580,8 @@ def run_property_suite(
     if not t_end >= sys.float_info.min:
         raise ValueError(f"t_end must be at least {sys.float_info.min!r}, got {t_end!r}")
     rng = np.random.default_rng(seed)
-    found: dict[str, CheckResult | None] = dict.fromkeys([*_PER_RUN, *_ONE_SHOT])
+    found = {name: CheckResult(passed=True, margin=math.inf, detail="vacuous")
+             for name in [*_PER_RUN, *_ONE_SHOT]}
     events: list[int] = []
 
     def fold(checks, arg, run=None, state=None) -> None:
@@ -607,10 +608,7 @@ def run_property_suite(
         runs=runs,
         runs_with_events=sum(1 for k in events if k),
         events_total=sum(events),
-        checks={
-            k: (v if v is not None else CheckResult(passed=True, margin=math.inf, detail="vacuous"))
-            for k, v in found.items()
-        },
+        checks=found,
     )
 
 
@@ -829,7 +827,6 @@ def _check_ode_residual(traj):
 
 
 def _check_operator_identity(rng):
-    worst = 0.0
     for _ in range(60):
         n = int(rng.integers(2, 9))
         st = _random_state(rng, n)
@@ -837,25 +834,20 @@ def _check_operator_identity(rng):
         closed = levelset.nonlocal_operator_closed_form(u)
         for jump in range(u.n_jumps):
             quad = levelset.nonlocal_operator_quadrature(u, float(u.locations[jump]))
-            worst = max(worst, n * abs(quad - closed[jump]))
-    yield worst <= 1e-10, 1e-10 - worst, f"max abs dev {worst:.2e}"
+            dev = n * abs(quad - closed[jump])
+            yield dev <= 1e-10, 1e-10 - dev, f"max abs dev {dev:.2e}"
 
 
 def _check_envelopes(rng):
-    worst = -math.inf
-    ok = True
     for _ in range(20):
         st = _random_state(rng, int(rng.integers(2, 9)))
         u = levelset.from_particles(st)
         xs = np.concatenate([u.locations, rng.uniform(-2, 2, 40)])
         lo, mid, hi = u.lower(xs), u(xs), u.upper(xs)
-        ok &= bool(np.all(lo <= mid + 1e-15) and np.all(mid <= hi + 1e-15))
         gaps = u.upper(u.locations) - u.lower(u.locations)
-        ok &= bool(
-            np.all((np.abs(gaps) < 1e-15) | (np.abs(gaps - u.eps) < 1e-15))
-        )
-        worst = max(worst, float(np.max(gaps)))
-    yield ok, 1.0 if ok else -1.0, f"max envelope gap {worst:.3e}"
+        ok = bool(np.all(lo <= mid + 1e-15) and np.all(mid <= hi + 1e-15)
+                  and np.all((np.abs(gaps) < 1e-15) | (np.abs(gaps - u.eps) < 1e-15)))
+        yield ok, 1.0 if ok else -1.0, f"max envelope gap {float(np.max(gaps)):.3e}"
 
 
 def _check_hj_comparison(rng):
@@ -873,7 +865,6 @@ def _check_hj_comparison(rng):
     cfg = hjsolver.SchemeConfig(L=2.0, h=1 / 32, rho=4 / 32, t_end=0.05)
     xs = np.linspace(-2.0, 2.0, 129)
     delta = 1e-6
-    worst = math.inf
     for case in range(3):
         c1, c2 = rng.uniform(-0.5, 0.5, 2)
         vals = np.tanh(xs - c1) * 0.3 + 0.2 * np.exp(-((xs - c2) ** 2))
@@ -884,21 +875,20 @@ def _check_hj_comparison(rng):
             raised = vals.copy()
             raised[i] += delta
             step = hjsolver.step_hj(u.copy_with(raised, u.time), cfg, dt=dt)
-            worst = min(worst, float(np.min(step.values - base)))
-    yield worst >= -1e-12, worst + 1e-12, f"least change under a raised node {worst:.2e}"
+            least = float(np.min(step.values - base))
+            yield least >= -1e-12, least + 1e-12, f"least change under a raised node {least:.2e}"
 
 
 def _check_measures(rng):
-    ok = True
     for _ in range(10):
         st = _random_state(rng, int(rng.integers(2, 12)))
         mu = measures.from_state(st)
         u_m = measures.cdf(mu)
         u_p = levelset.from_particles(st)
         xs = np.concatenate([u_p.locations, rng.uniform(-2, 2, 50)])
-        ok &= bool(np.array_equal(u_m(xs), u_p(xs)))
-        ok &= abs(mu.total_mass() - net_charge(st) / st.n) < 1e-15
-    yield ok, 1.0 if ok else -1.0, "cdf vs step function, net mass"
+        ok = bool(np.array_equal(u_m(xs), u_p(xs))
+                  and abs(mu.total_mass() - net_charge(st) / st.n) < 1e-15)
+        yield ok, 1.0 if ok else -1.0, "cdf vs step function, net mass"
 
 
 def _check_odd_lattice(_rng):
@@ -924,14 +914,14 @@ def _triple_collision_fixture() -> ParticleState:
 
 def _check_stability(rng):
     sups = stability_sweep(_triple_collision_fixture(), (1e-2, 1e-3, 1e-4), 1.0, rng)
-    ok = all(b < a for a, b in zip(sups[:-1], sups[1:]))
-    margin = min((a - b) for a, b in zip(sups[:-1], sups[1:])) if len(sups) > 1 else math.inf
-    yield ok, margin, f"sup d_M ladder {['%.3e' % s for s in sups]}"
+    for a, b in zip(sups[:-1], sups[1:]):
+        yield b < a, a - b, f"sup d_M ladder {['%.3e' % s for s in sups]}"
 
 
-# Each check yields (passed, margin, detail) cases and the suite keeps the
-# worst per name.  Per-run checks take each run's trajectory; one-shot
-# checks share one rng, drawn from in this order.
+# Each check yields one (passed, margin, detail) case per thing it checks,
+# and _worst alone keeps the worst per name: no check folds its own cases.
+# Per-run checks take each run's trajectory; one-shot checks share one
+# rng, drawn from in this order.
 _PER_RUN = {
     "m1_conservation": _check_m1,
     "net_charge": _check_net_charge,
