@@ -6,9 +6,10 @@ names each command's sections and their builders; `main` builds every
 section a command reads, then makes the output directory, and the command
 gets only those sections, its output path and the config hash.  An
 unknown or missing command or key, a section the command does not read,
-or a bad value exits 2 before any output exists, and a typed run failure
-of any layer exits 3; `main` alone turns an exception into an exit code,
-with an error JSON on stdout.  `verify` exits 1 when an invariant fails.
+a bad value or an --out that cannot be made a directory exits 2 before
+any output exists, and a typed run failure of any layer exits 3; `main`
+alone turns an exception into an exit code, with an error JSON on
+stdout.  `verify` exits 1 when an invariant fails.
 Formats are in docs/formats.md.
 """
 from __future__ import annotations
@@ -247,7 +248,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args.config, sections)
         built = [_build(builder, cfg.get(section, {})) for section, builder in sections.items()]
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # --out is a file or lies under one
+            raise ConfigError(f"cannot make the output directory {args.out!r}: {exc}") from exc
         return command(out, io.config_hash(cfg), *built)
     except ConfigError as exc:
         return _fail(2, "config", str(exc))

@@ -53,8 +53,9 @@ SCAN_POINTS = 2**15
 MAX_SCAN_POINTS = 2**20  # an 8 MiB scan grid; a build counts the crossings on it
 MAX_SUITE_SIZE = 256  # largest state the property suite draws; its d_M passes float64 at |x| ~ 4
 # largest particle count a size or a ladder rung may give, a bound on time:
-# one force call costs about n^2 and a rung takes about 0.75 n calls, so
-# n = 16,384 is already hours (the kernel's scratch stays within 1 MiB at any m)
+# one force call costs about n^2, 0.43 s at this n on one core of a 2-core
+# Xeon, and a rung takes about 0.75 n calls, so this n is already hours
+# (the kernel's scratch stays within 1 MiB at any m)
 MAX_PARTICLES = 2**14
 
 LADDER_TOLERANCES = (1e-10, 1e-7)
@@ -71,9 +72,9 @@ and `evolve` keep those defaults.
 LADDER_PAIR_ISOLATION = 1e-2
 """The pair isolation at which `converge` commits an approaching +- pair.
 
-Its dipole error delta^3 D / 6 (`integrator` module docstring) is 1.7e-7
+By the `integrator` module docstring's bound its dipole error is 1.7e-7
 D, matched to LADDER_TOLERANCES' rel_tol as `integrator.PAIR_ISOLATION`
-is to the default.  `simulate`, `verify` and `evolve` keep the latter.
+is to the default, which `simulate`, `verify` and `evolve` keep.
 """
 
 
@@ -377,11 +378,12 @@ def _ladder_row(spec: ExperimentSpec, n: int, u0: Callable[[np.ndarray], np.ndar
             base = quantized_level_below(u_left, eps, spec.offset)
             steps = [levelset.from_particles(traj.state_at(t), base=base) for t in times]
             events = len(traj.events)
-        e_n = 0.0
+        sups = []
         for k, u_n in enumerate(steps):
             pts = _comparison_points(spec, frames[k], u_n)
-            e_n = max(e_n, float(np.max(np.abs(u_n(pts) - values[k](pts)))))
-        return ConvergenceRow(n=n, e_n=e_n, events=events,
+            sups.append(np.max(np.abs(u_n(pts) - values[k](pts))))
+        # np.max, not Python's max, which would drop a NaN reference frame
+        return ConvergenceRow(n=n, e_n=float(np.max(sups)), events=events,
                               runtime_s=_time.perf_counter() - t0)
     except (EvolveError, DegenerateCrossing, particles.InvalidState) as exc:
         return ConvergenceRow(n=n, e_n=float("nan"), events=0,
@@ -494,8 +496,9 @@ def fit_collision_exponent(traj: Trajectory, event: EventRecord) -> float | None
     Uses the stored pre-collision snapshots of the event's last
     inter-event segment (the run of equal charges holding the last row
     before tau: earlier rows follow another ODE) whose time-to-collision
-    lies in the last two available decades; returns None when fewer than
-    five points exist (no fit).
+    lies within two decades of the smallest, or within three decades when
+    two hold fewer than five points; returns None (no fit) when three
+    decades hold fewer than five points.
     """
     k = int(np.searchsorted(traj.times, event.tau))  # the first row at or after tau
     start = next((lo for lo, hi in _charge_runs(traj) if lo < k <= hi), k)

@@ -9,23 +9,9 @@ every stencil input under the computed CFL bound, so the comparison
 principle holds nodewise, exactly.
 
 On the grid the operator is one discrete convolution with symmetric
-weights G.  Below FFT_NODES nodes it runs as a direct `np.convolve` of
-the tail-padded values, at most about twice the FFT's cost there, whose
-exact shift structure keeps translated and mirrored data exactly
-translated and mirrored; the FFT's rounding does not.  From FFT_NODES on,
-the sum splits into a Toeplitz product of the grid values alone, done
-as a circulant product with kernel eigenvalues cached per grid
-(Golub-Van Loan, Matrix Computations, section 4.7), plus each tail times
-the cached total weight of the padding beyond its end.  A step then
-costs one transform pair of the smallest power-of-two length at least
-2n - 2, into buffers its kernel holds, and a fixed few passes over the n
-nodes.  Up to length 4,096 (2,049 nodes) the pair is a 1-D numpy.fft
-rfft/irfft; from BLOCKED_SIZE = 8,192 (4,097 nodes) on, where one such
-transform outgrows the L1 cache, it is the four-step FFT (Bailey 1990;
-Van Loan, Computational Frameworks for the FFT, 1992): batches of short
-rfft and fft transforms over FFT_ROWS rows.  An initial datum acts
-elementwise on an array of points; `GridFunction.from_callable` calls it
-once on all nodes.
+weights G, cached per grid; `_Kernel` says how it is applied at each grid
+size.  An initial datum acts elementwise on an array of points;
+`GridFunction.from_callable` calls it once on all nodes.
 """
 from __future__ import annotations
 
@@ -144,23 +130,31 @@ class _Kernel:
     nonnegative; W = -G_0 is the total derivative weight used by the CFL
     bound.
 
-    With n >= FFT_NODES nodes the sum over the padded array U splits as
-    sum_j G_{j-i} u_j + uL left_i + uR right_i.  The first term is a
-    Toeplitz product over lags -(n-1)..n-1; it runs as a circulant product
-    whose length `size` is the smallest power of two >= 2n - 2, with the
-    circulant's eigenvalues `spectrum` cached.  (At size = 2n - 2, as on
-    dyadic grids, lags n-1 and -(n-1) share one slot of that circulant; G
-    is symmetric, so both read the same weight.)
+    Below FFT_NODES nodes the sum runs as a direct `np.convolve` of the
+    tail-padded values, at most about twice the FFT's cost there, whose
+    exact shift structure keeps translated and mirrored data exactly
+    translated and mirrored; the FFT's rounding does not.  From FFT_NODES
+    on, the sum over the padded array U splits as sum_j G_{j-i} u_j +
+    uL left_i + uR right_i.  The first term is a Toeplitz product over lags
+    -(n-1)..n-1; it runs as a circulant product (Golub and Van Loan, Matrix
+    Computations, section 4.7) whose length `size` is the smallest power
+    of two >= 2n - 2, with the circulant's eigenvalues `spectrum` cached.
+    (At size = 2n - 2, as on dyadic grids, lags n-1 and -(n-1) share one
+    slot of that circulant; G is symmetric, so both read the same weight.)
     left_i = sum_{m < -i} G_m and right_i = sum_{m > n-1-i} G_m are the
     weights of the padding beyond each end, each accumulated by a cumsum
     from its far end: G_0 is in neither, and no difference of partial sums
     cancels against it.
 
-    An application runs the transforms through held buffers (one caller at
-    a time).  Below BLOCKED_SIZE, `spectrum` is the rfft of the
-    circulant's first column, and an rfft that zero-pads the n values to
-    `size` itself, times `spectrum`, goes through an irfft.  From
-    BLOCKED_SIZE on, value j = j1 C + j2 of the zero-padded `_padded` sits
+    An application is one transform pair of length `size`, through held
+    buffers (one caller at a time), and a fixed few passes over the n
+    nodes.  Below BLOCKED_SIZE the pair is a 1-D rfft/irfft: `spectrum` is
+    the rfft of the circulant's first column, and an rfft that zero-pads
+    the n values to `size` itself, times `spectrum`, goes through an
+    irfft.  From BLOCKED_SIZE on, where one such transform outgrows the L1
+    cache, it is the four-step FFT (Bailey 1990; Van Loan, Computational
+    Frameworks for the FFT, 1992), batches of short transforms over
+    FFT_ROWS rows: value j = j1 C + j2 of the zero-padded `_padded` sits
     in row j1 of R = FFT_ROWS rows of C = size / R, and frequency
     k = k1 + R k2 is entry (k1, k2) of the (R/2 + 1, C) arrays `spectrum`
     and `_spec`: an rfft along axis 0, `twiddle` exp(-2 pi i j2 k1 / size),

@@ -58,28 +58,20 @@ closes are linked, and two criteria apply in turn:
   d; and leaving out the pair's dipole field moves a charge at distance
   r >= D by at most d^3 / (6 r^2) over [t, tau], below delta^3 D / 6.  So
   delta goes with rel_tol: PAIR_ISOLATION = 1e-3 gives 1.7e-10 D against
-  the default rel_tol of 1e-9, and `converge`, at rel_tol 1e-7, commits
-  at harness.LADDER_PAIR_ISOLATION = 1e-2, which gives 1.7e-7 D.
+  the default rel_tol of 1e-9, and `converge`, at a looser rel_tol,
+  commits at the larger harness.LADDER_PAIR_ISOLATION matched to it.
 * Any cluster, on length.  When no pair is isolated, closing links below
   the clustering gap CLUSTER_GAP * L, L the larger of the charged span and
   sqrt(gamma |t|), are joined into runs, each committed whole: a pair that
-  gets this close before it is isolated, or three or more charges.  L is
-  a length of the state, so a run restarted from a stored row commits what
-  the run would have.  Collapse profiles of three or more charges are
-  unstable, so for them the closed form is exact only on the profile.
+  gets this close before it is isolated, or three or more charges.
+  Collapse profiles of three or more charges are unstable, so for them the
+  closed form is exact only on the profile.
 
 The charges change only at events and commits, so between them evolve()
 carries the positions, the charges and the clock as plain arrays and a
-float.  _start_segment works out once per segment, from b less the
-committed clusters, the charged particles, their charges, the force
-workspace, f at the charged positions and the segment's end; evolve()
-calls it at the start, after each commit and when a survivor rejoins.
-_step_core, velocity_field and detect_clusters see only those m of the n
-particles; neutral particles and committed members do not move, so each
-accepted step writes the charged positions into one working row in place.
-A row is copied once, when it is stored.
-A ParticleState is built only after an event, which validates every
-post-event state.
+float, and steps with the buffers of one _Segment (its docstring says what
+a segment holds and what a step writes in place).  A ParticleState is
+built only after an event, which validates every post-event state.
 
 A step ends only where the integrated field changes: at t_end, or at the
 collision of a committed cluster that leaves a survivor, which rejoins
@@ -94,10 +86,6 @@ step's end in time order; at each it applies the collisions due by then
 and stores the row through _stored_row, always at a soft stop and at t1
 on an event, a soft stop, t_end or store_steps.  So the sample times
 move no step.
-
-The Trajectory stores times (K,), positions (K, n) and charges (K, n),
-with a row at every event time holding the charges after it: the
-inter-event segments are the runs of equal charges.
 """
 from __future__ import annotations
 
@@ -226,7 +214,9 @@ class Trajectory:
     """Time-ordered samples, stored as arrays, plus the annihilation event log.
 
     Row k of positions (K, n) and charges (K, n) is the configuration at
-    times[k]; every row shares one coupling.  A ParticleState is built only
+    times[k]; every row shares one coupling.  Every event time has a row
+    holding the charges after the event, so the inter-event segments are
+    the runs of rows with equal charges.  A ParticleState is built only
     when asked for, by state(k), state_at(t) or final.
     """
 
@@ -289,10 +279,9 @@ def _dense_weights(theta: float) -> np.ndarray:
     rest = 1.0 - theta
     return theta * (_DP_B + rest * (_DENSE_1 + theta * (_DENSE_2 + rest * _DP_D)))
 
-# Step control: the PI factor (Gustafsson 1991) 0.9 err^-ALPHA err_prev^BETA,
-# capped by the predictive factor (Gustafsson 1994; Hairer and Wanner, Solving
-# ODEs II, section IV.8, radau5's facgus) 0.9 (dt / dt_prev) (err_prev /
-# err^2)^(1/5)
+# Exponents of the step control (module docstring): the PI factor's (Gustafsson
+# 1991) and the predictive factor's (Gustafsson 1994; Hairer and Wanner, Solving
+# ODEs II, section IV.8, radau5's facgus)
 _PI_ALPHA = 0.7 / 5
 _PI_BETA = 0.4 / 5
 _GUS_EXP = 1 / 5
@@ -301,16 +290,22 @@ _GUS_EXP = 1 / 5
 class _Segment:
     """The fixed charges, step-size memory and step buffers of one inter-event segment of evolve().
 
-    Built from the integrated field's charges b over all n particles:
-    charged lists the m particles that carry one, bc their int charges and
-    bf their float copy, and work is the force kernel's workspace for them,
-    None below two charges, where no step reads a velocity (_step_core and
-    detect_clusters return first).  The segment also holds the stage
-    matrix k (7, m), zero below two charges, with its prefix views ks[s] =
-    k[:s], two position buffers that _step_core writes in turn, views of
-    work's position row, where the stage points go, and m-long scratch
-    rows; a step allocates none of them.  An array that _step_core returns is one of these
-    buffers and valid only as long as its docstring says.
+    Built by _start_segment at the start of a run, after each commit and
+    when a survivor rejoins, from the integrated field's charges b over all
+    n particles, b less the committed clusters: charged lists the m
+    particles that carry one, bc their int charges and bf their float copy,
+    and work is the force kernel's workspace for them, None below two
+    charges, where no step reads a velocity (_step_core and detect_clusters
+    return first).  _step_core, velocity_field and detect_clusters see only
+    these m particles.  Neutral particles and committed members do not
+    move, so evolve() writes each accepted step's charged positions into
+    one working row of all n in place, and copies a row once, when it is
+    stored.  The segment also holds the stage matrix k (7, m), zero below
+    two charges, with its prefix views ks[s] = k[:s], two position buffers
+    that _step_core writes in turn, views of work's position row, where the
+    stage points go, and m-long scratch rows; a step allocates none of
+    them.  An array that _step_core returns is one of these buffers and
+    valid only as long as its docstring says.
     """
 
     def __init__(self, b: np.ndarray, gamma: float):
@@ -582,6 +577,10 @@ def resolve_annihilation(
     return events
 
 
+# a charged gap below 1 / DBL_MAX, or stage points near float64's end, overflow
+# the kernel: the infinite velocities close a pair, which is committed, or make
+# a step's error NaN or inf, which rejects it until StepSizeUnderflow
+@np.errstate(over="ignore", invalid="ignore")
 def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
     """Run the full dynamics to t_end, recording steps and events.
 

@@ -10,11 +10,9 @@ i > j with b_i b_j != 0 implies x_i > x_j.  ``ParticleState`` refuses any
 other state, so index order is position order for charged particles
 everywhere downstream, and no two charged particles coincide.
 
-``velocity_field`` is the one force kernel.  It forms the pair matrix
-b_j (x_i - x_j) by one k = 2 BLAS product per block of rows, exact for
-b_j = +-1, and takes its reciprocal in place, so every velocity has the
-bits of the plain b_j / (x_i - x_j) sum.  The blocks share one buffer of at
-most ``ROW_BLOCK_BYTES``, so the kernel's scratch does not grow as m^2.
+``velocity_field`` is the one force kernel: every velocity has the bits
+of the plain b_j / (x_i - x_j) sum, and ``ForceWorkspace`` says how its
+blocks form the pair matrix exactly within ``ROW_BLOCK_BYTES`` of scratch.
 """
 from __future__ import annotations
 

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import inspect
 import json
@@ -110,6 +111,27 @@ class TestSimulate:
         assert read_events_jsonl(out / "events.jsonl") == []
         times, xs, bs = read_trajectory_csv(out / "trajectory.csv")
         assert np.isfinite(xs).all() and (xs == [-1.0e300, 1.0e300]).all()
+
+    @pytest.mark.parametrize("positions, charges, code", [
+        ([0.0, 5.0e-324], [1, -1], 0),
+        ([0.0, 5.0e-309], [1, 1], 3),
+        ([0.0, 1.0e-308], [1, 1], 3),
+    ], ids=["pair-one-subnormal-apart", "same-sign-subnormal-gap", "same-sign-gap-1e-308"])
+    def test_gap_whose_reciprocal_overflows_warns_nothing(self, tmp_path, capsys, positions,
+                                                          charges, code):
+        # 1 / gap, or the stage points after it, pass float64: the pair still
+        # collides at once and the same-sign pairs still end in the typed
+        # failure, with no RuntimeWarning on the way
+        cfg = write_cfg(tmp_path, {"simulate": {"positions": positions, "charges": charges}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == code
+        if code == 0:
+            (ev,) = read_events_jsonl(out / "events.jsonl")
+            assert (ev["tau"], ev["y"], ev["cluster"]) == (0.0, 0.0, [0, 1])
+        else:
+            assert "pathological state" in json.loads(capsys.readouterr().out)["message"]
 
     def test_lopsided_triple_collides_near_0(self, tmp_path):
         # 0 and 1 both round to -5e19 about the span's midpoint, so a state
@@ -350,6 +372,19 @@ class TestOtherCommands:
         assert message in failure["message"]
         assert captured.err == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_out_through_a_file_exits_2(self, tmp_path, capsys, under):
+        # an --out that cannot be made a directory is refused like a bad
+        # value, not with exit 1, verify's failed invariant; the file stays
+        blocker = tmp_path / "F"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if under else blocker
+        cfg = str(CONFIG_DIR / "pair.yaml")
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        failure = json.loads(capsys.readouterr().out)
+        assert failure["error"] == "config" and repr(str(out)) in failure["message"]
+        assert blocker.read_text() == "kept\n"
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_0(self, capsys, flag):
@@ -651,18 +686,23 @@ class TestConfigSchema:
         assert seen == [{"runs": 3}]
 
 
-def formats_table(head: str) -> dict[str, list[str]]:
-    """The docs/formats.md table whose first column is headed head: each
-    row's first cell -> the backticked names in its last cell."""
+def formats_rows(head: str) -> list[list[str]]:
+    """The cells of each row of the docs/formats.md table whose first column is headed head."""
     lines = (ROOT / "docs" / "formats.md").read_text().splitlines()
     start = next(k for k, ln in enumerate(lines) if re.match(rf"\|\s*{head}\s*\|", ln))
-    rows = {}
+    rows = []
     for line in lines[start + 2:]:
         if not line.startswith("|"):
             break
-        cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        rows[cells[0].strip("`")] = re.findall(r"`([^`]+)`", cells[-1])
+        rows.append([c.strip() for c in line.strip().strip("|").split("|")])
     return rows
+
+
+def formats_table(head: str) -> dict[str, list[str]]:
+    """The docs/formats.md table whose first column is headed head: each
+    row's first cell -> the backticked names in its last cell."""
+    return {cells[0].strip("`"): re.findall(r"`([^`]+)`", cells[-1])
+            for cells in formats_rows(head)}
 
 
 class TestFormatsDoc:
@@ -713,6 +753,34 @@ class TestFormatsDoc:
         section = text.split("## properties.json", 1)[1].split("\n## ", 1)[0]
         names = re.findall(r"^- `(\w+)`:", section, flags=re.M)
         assert names == [*harness._PER_RUN, *harness._ONE_SHOT]
+
+    def test_defaults_table_is_the_builders_defaults(self):
+        # one row per config key, its cell the default of the parameter the
+        # key is built into, as a config writes it: a default changed in the
+        # code or in the table alone fails here
+        rows = {key.strip("`"): cell for key, cell in formats_rows("key")}
+        assert set(rows) == {f"{s}.{k}" for s, keys in SCHEMA.items() for k in keys}
+        for name, cell in rows.items():
+            section, key = name.split(".")
+            default = inspect.signature(BUILDERS[section]).parameters[key].default
+            if cell == "required":
+                assert default is inspect.Parameter.empty, name
+            else:
+                value = yaml.safe_load(cell.strip("`"))
+                assert _typed(BUILDERS[section], {key: value})[key] == default, name
+
+    def test_constants_table_is_the_modules_values(self):
+        # every constant the docs name as `module.NAME` has one row, whose
+        # cell is the module attribute's value as Python writes it
+        rows = {name.strip("`"): cell.strip("`") for name, cell in formats_rows("constant")}
+        text = (ROOT / "docs" / "formats.md").read_text()
+        modules = {m.name for m in pkgutil.iter_modules(annihilate.__path__)}
+        named = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*)`", text)
+        assert {f"{a}.{b}" for a, b in named if a in modules} == set(rows)
+        for name, cell in rows.items():
+            module, attr = name.split(".")
+            value = getattr(importlib.import_module(f"annihilate.{module}"), attr)
+            assert ast.literal_eval(cell) == value, name
 
     def test_datum_choices_are_the_catalog(self):
         # the sentence that lists the `experiment.datum` choices names every

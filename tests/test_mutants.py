@@ -7,8 +7,9 @@ operator's closed form) or in hjsolver (the upwind gradient).  It then runs
 the property suite at the benchmark's size ([8] x 20).  A change that
 blunts a check fails here by name.  The NaN mutants fail a check only if
 its cases reach the suite's fold unreduced, since Python's max and min
-drop NaN.  The swapped upwinding, CFL 1.6 and the linear dense extension
-have their cases in test_harness.py.
+drop NaN.  The NaN gradient also has a ladder case: its NaN reference
+frames must reach every row's e_n.  The swapped upwinding, CFL 1.6 and
+the linear dense extension have their cases in test_harness.py.
 """
 import math
 from dataclasses import replace
@@ -95,6 +96,14 @@ def test_mutant_fails_its_checks(monkeypatch, mutant):
     (module, attribute, value), failing = MUTANTS[mutant]
     monkeypatch.setattr(module, attribute, value)
     assert _failed_checks() == failing
+
+
+def test_gradient_nan_makes_every_ladder_row_nan(monkeypatch):
+    # the NaN spreads through every reference frame after the first, so each
+    # row's sup error over the frames is NaN, which Python's max would drop
+    monkeypatch.setattr(hjsolver, "_godunov_gradient", _gradient_nan_in_the_middle)
+    result = harness.run_convergence(harness.ExperimentSpec(datum="double_bump", ns=(8, 16)))
+    assert [math.isnan(row.e_n) for row in result.rows] == [True, True]
 
 
 def test_real_code_passes_every_check():
