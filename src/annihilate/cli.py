@@ -6,17 +6,17 @@ names each command's sections and their builders; `main` builds every
 section a command reads, then makes the output directory, and the command
 gets only those sections, its output path and the config hash.  An
 unknown or missing command or key, a section the command does not read,
-a bad value or an --out that cannot be made a directory exits 2 before
-any output exists, and a typed run failure of any layer exits 3; `main`
-alone turns an exception into an exit code, with an error JSON on
-stdout.  `verify` exits 1 when an invariant fails.
+a bad value, an ANNIHILATE_LOG that names no logging level or an --out
+that cannot be made a directory exits 2 before any output exists, and a
+typed run failure of any layer exits 3; `main` alone turns an exception
+into an exit code, with an error JSON on stdout.  `verify` exits 1 when
+an invariant fails.
 Formats are in docs/formats.md.
 """
 from __future__ import annotations
 
 import argparse
 import collections.abc
-import functools
 import inspect
 import json
 import logging
@@ -171,15 +171,8 @@ def cmd_converge(out: Path, chash: str, spec: harness.ExperimentSpec) -> int:
     return 0
 
 
-# the `verify` section's builder runs the suite: `harness.run_property_suite`,
-# looked up per call, so a wrapper put on it after import (a tracer, a
-# test) sees the run
-@functools.wraps(harness.run_property_suite)
-def _run_suite(**section):
-    return harness.run_property_suite(**section)
-
-
-def cmd_verify(out: Path, chash: str, report: harness.PropertyReport) -> int:
+def cmd_verify(out: Path, chash: str, spec: harness.SuiteSpec) -> int:
+    report = harness.run_property_suite(spec)
     (out / "properties.json").write_text(report.to_json() + "\n")
     for name, chk in sorted(report.checks.items()):
         log.info("%-28s %s margin=%.3e", name, "PASS" if chk.passed else "FAIL", chk.margin)
@@ -227,7 +220,7 @@ _COMMANDS = {
     "simulate": (cmd_simulate, {"simulate": _simulate_args}),
     "hj": (cmd_hj, {"scheme": hjsolver.SchemeConfig, "hj": _hj_args}),
     "converge": (cmd_converge, {"experiment": harness.ExperimentSpec}),
-    "verify": (cmd_verify, {"verify": _run_suite}),
+    "verify": (cmd_verify, {"verify": harness.SuiteSpec}),
     "measure": (cmd_measure, {"measure": _measure_args}),
 }
 
@@ -238,11 +231,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", default=None, help="YAML config path")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--version", action="version", version=__version__)
-    logging.basicConfig(
-        level=os.environ.get("ANNIHILATE_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
+        level = os.environ.get("ANNIHILATE_LOG", "WARNING")
+        if not isinstance(logging.getLevelName(level.upper()), int):  # an int for a level name only
+            raise ConfigError(f"ANNIHILATE_LOG: {level!r} is not a logging level name")
+        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
         args = parser.parse_args(argv)
         command, sections = _COMMANDS[args.command]
         cfg = _load_config(args.config, sections)

@@ -41,6 +41,7 @@ __all__ = [
     "ConvergenceRow",
     "ConvergenceResult",
     "run_convergence",
+    "SuiteSpec",
     "PropertyReport",
     "run_property_suite",
     "fit_collision_exponent",
@@ -424,6 +425,36 @@ def run_convergence(spec: ExperimentSpec) -> ConvergenceResult:
 # randomized invariant battery
 
 
+@dataclass(frozen=True)
+class SuiteSpec:
+    """One run of the property suite.
+
+    The suite draws `runs` initial states from `default_rng(seed)`
+    (positions with gaps ~ 1/n in [-1, 1], n drawn from sizes, i.i.d.
+    signs with both present), evolves each to t_end at coupling 1/n, and
+    then runs the one-shot checks on `default_rng(seed + 1)`.  Refused
+    with ValueError: an empty sizes or a size below 2, which cannot carry
+    both signs, or above MAX_SUITE_SIZE; a negative runs or seed; a t_end
+    that is not finite, or below the smallest normal float, where the
+    ode_residual window 1e-4 t_end is subnormal (2.2e-312 at 2.2e-308),
+    short of full precision, and rounds to zero below about 2.5e-320.  A
+    finite t_end so far that the moments pass float64 ends in
+    moments.NonFiniteMoments when the suite runs.
+    """
+
+    seed: int = 0
+    sizes: tuple[int, ...] = (4, 6, 8, 12, 16, 24, 32)
+    runs: int = 100
+    t_end: float = 1.0
+
+    def __post_init__(self):
+        if (not self.sizes or not 2 <= min(self.sizes) <= max(self.sizes) <= MAX_SUITE_SIZE
+                or self.runs < 0 or self.seed < 0):
+            raise ValueError(f"need sizes in 2..{MAX_SUITE_SIZE}, runs >= 0, seed >= 0, got {self}")
+        if not sys.float_info.min <= self.t_end < math.inf:
+            raise ValueError(f"t_end must lie in [{sys.float_info.min!r}, inf), got {self.t_end!r}")
+
+
 @dataclass
 class CheckResult:
     """A check's worst case.  A per-run check also names the run it came from.
@@ -560,29 +591,13 @@ def _worst(cases: Iterable[tuple[bool, float, str]], current: CheckResult,
     return current
 
 
-def run_property_suite(
-    seed: int = 0,
-    sizes: Sequence[int] = (4, 6, 8, 12, 16, 24, 32),
-    runs: int = 100,
-    t_end: float = 1.0,
-) -> PropertyReport:
-    """Randomized battery of every quantitative invariant.
+def run_property_suite(spec: SuiteSpec) -> PropertyReport:
+    """Randomized battery of every quantitative invariant, drawn as spec says.
 
-    Draws `runs` initial states (positions with gaps ~ 1/n in [-1, 1],
-    i.i.d. signs with both present), evolves each to t_end at coupling
-    1/n, and aggregates worst-case margins per named check.  Margins are
-    positive iff the check passed with room.  Raises ValueError before
-    drawing anything when sizes is empty or holds a size below 2, which
-    cannot carry both signs, or above MAX_SUITE_SIZE, when runs is
-    negative, or when t_end is below the smallest normal float, where the
-    ode_residual window 1e-4 t_end rounds to zero.  A t_end so far that
-    the moments pass float64 ends in moments.NonFiniteMoments.
+    Aggregates worst-case margins per named check.  Margins are positive
+    iff the check passed with room.
     """
-    if not sizes or not 2 <= min(sizes) <= max(sizes) <= MAX_SUITE_SIZE or runs < 0:
-        raise ValueError(f"need sizes in 2..{MAX_SUITE_SIZE}, runs >= 0, got {list(sizes)}, {runs}")
-    if not t_end >= sys.float_info.min:
-        raise ValueError(f"t_end must be at least {sys.float_info.min!r}, got {t_end!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(spec.seed)
     found = {name: CheckResult(passed=True, margin=math.inf, detail="vacuous")
              for name in [*_PER_RUN, *_ONE_SHOT]}
     events: list[int] = []
@@ -591,24 +606,23 @@ def run_property_suite(
         for name, check in checks:
             found[name] = _worst(check(arg), found[name], run, state)
 
-    sample_grid = tuple(np.linspace(0.0, t_end, 21))
-    for run_idx in range(runs + 1):
-        if run_idx == runs:
+    sample_grid = tuple(np.linspace(0.0, spec.t_end, 21))
+    for run_idx in range(spec.runs + 1):
+        if run_idx == spec.runs:
             # all-neutral edge case: every check holds vacuously
             state = ParticleState(
                 positions=np.linspace(-1.0, 1.0, 4), charges=np.zeros(4, dtype=int)
             )
         else:
-            n = int(rng.choice(list(sizes)))
-            state = _random_state(rng, n)
-        traj = evolve(state, IntegratorConfig(t_end=t_end, sample_times=sample_grid))
+            state = _random_state(rng, int(rng.choice(spec.sizes)))
+        traj = evolve(state, IntegratorConfig(t_end=spec.t_end, sample_times=sample_grid))
         events.append(len(traj.events))
         fold(_PER_RUN.items(), traj, run_idx, state)
-    fold(_ONE_SHOT.items(), np.random.default_rng(seed + 1))
+    fold(_ONE_SHOT.items(), np.random.default_rng(spec.seed + 1))
 
     return PropertyReport(
-        seed=seed,
-        runs=runs,
+        seed=spec.seed,
+        runs=spec.runs,
         runs_with_events=sum(1 for k in events if k),
         events_total=sum(events),
         checks=found,

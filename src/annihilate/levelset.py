@@ -33,8 +33,9 @@ __all__ = [
 class StepFunction:
     """Right-continuous step function with uniform jump height eps.
 
-    locations are strictly increasing; signs are +-1 per jump.  The value
-    convention H(0) = 1 means the jump at x_i is already included at x_i.
+    locations are finite and strictly increasing; signs are +-1 per jump.
+    The value convention H(0) = 1 means the jump at x_i is already
+    included at x_i.
     """
 
     locations: np.ndarray
@@ -47,8 +48,8 @@ class StepFunction:
         sg = np.asarray(self.signs)
         if loc.shape != sg.shape or loc.ndim != 1:
             raise ValueError("locations and signs must be matching 1-d arrays")
-        if loc.size and np.any(np.diff(loc) <= 0):
-            raise ValueError("jump locations must be strictly increasing")
+        if not np.isfinite(loc).all() or np.any(np.diff(loc) <= 0):
+            raise ValueError("jump locations must be finite and strictly increasing")
         if loc.size and not np.isin(sg, (-1, 1)).all():
             raise ValueError("jump signs must be +-1")
         sg = sg.astype(np.int64)  # a copy, like loc

@@ -35,7 +35,7 @@ AEC_THRESHOLD = 0.05
 
 @dataclass(frozen=True)
 class SignedAtomicMeasure:
-    """Finitely many atoms (location, weight), locations strictly increasing."""
+    """Finitely many atoms (location, weight): finite, locations strictly increasing."""
 
     locations: np.ndarray
     weights: np.ndarray
@@ -47,8 +47,8 @@ class SignedAtomicMeasure:
             raise ValueError("locations and weights must be matching 1-d arrays")
         order = np.argsort(loc, kind="stable")
         loc, w = loc[order], w[order]  # the reorder copies
-        if loc.size > 1 and np.any(np.diff(loc) <= 0):
-            raise ValueError("atom locations must be distinct")
+        if not (np.isfinite(loc).all() and np.isfinite(w).all()) or np.any(np.diff(loc) <= 0):
+            raise ValueError("atom locations and weights must be finite, the locations distinct")
         loc.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "locations", loc)

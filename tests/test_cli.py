@@ -17,11 +17,8 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import annihilate
-from annihilate import harness, hjsolver
-from annihilate.cli import (
-    _COMMANDS, ConfigError, _build, _hj_args, _keys, _load_config, _measure_args,
-    _simulate_args, _typed, main,
-)
+from annihilate import harness, hjsolver, integrator
+from annihilate.cli import _COMMANDS, ConfigError, _build, _keys, _load_config, _typed, main
 from reference import read_events_jsonl, read_trajectory_csv
 
 
@@ -195,24 +192,23 @@ class TestOtherCommands:
         assert main(["hj", "--config", cfg, "--out", str(out)]) == 0
         assert sorted(f.name for f in out.iterdir()) == [f"hj_{k:03d}.csv" for k in range(5)]
 
-    @pytest.mark.parametrize("command, payload, message, made", [
+    @pytest.mark.parametrize("command, payload, message", [
         # gaps whose time scale underflows: no step can advance
         ("simulate", {"simulate": {"positions": [-1e-200, 0.0, 1e-200], "charges": [1, -1, 1]}},
-         "pathological state", True),
+         "pathological state"),
         # horizons out of reach: the grid solve gives up at its step budget
         ("hj", {"scheme": {"h": 0.25, "rho": 0.5, "t_end": 1.0e300}},
-         "200 steps reached t=", True),
+         "200 steps reached t="),
         ("converge", {"experiment": {"ns": [8], "t_end": 1.0e300, "ref_h": 1 / 32}},
-         "200 steps reached t=", True),
+         "200 steps reached t="),
         # the suite's positions spread until their moments pass float64
         ("verify", {"verify": {"sizes": [4], "runs": 2, "t_end": 1.0e300}},
-         "past float64", False),
+         "past float64"),
     ], ids=["simulate", "hj", "converge", "verify"])
-    def test_run_failure_exits_3(self, tmp_path, capsys, monkeypatch, command, payload,
-                                 message, made):
+    def test_run_failure_exits_3(self, tmp_path, capsys, monkeypatch, command, payload, message):
         # every run failure exits 3 with the command's name as its error kind;
-        # simulate, hj and converge have made their output directory by then and
-        # write nothing into it.  The grid solves' step budget is lowered from
+        # every command has made its output directory by then and writes
+        # nothing into it.  The grid solves' step budget is lowered from
         # 500000 to keep the test short
         monkeypatch.setattr(hjsolver, "MAX_STEPS", 200)
         out = tmp_path / "out"
@@ -220,8 +216,7 @@ class TestOtherCommands:
         failure = json.loads(capsys.readouterr().out)
         assert failure == {"error": command, "message": failure["message"]}
         assert message in failure["message"]
-        assert out.exists() == made
-        assert not made or list(out.iterdir()) == []
+        assert list(out.iterdir()) == []
 
     def test_converge_writes_monotone_table(self, tmp_path):
         cfg = write_cfg(
@@ -335,7 +330,7 @@ class TestOtherCommands:
         failure = json.loads(capsys.readouterr().out)
         assert failure["error"] == "verify"
         assert "past float64" in failure["message"]
-        assert not out.exists()
+        assert list(out.iterdir()) == []
 
     def test_verify_far_horizon_exits_0(self, tmp_path):
         # at t_end = 1e20 the positions spread to about 5e9, where float64
@@ -386,6 +381,32 @@ class TestOtherCommands:
         assert failure["error"] == "config" and repr(str(out)) in failure["message"]
         assert blocker.read_text() == "kept\n"
 
+    def test_verify_out_through_a_file_runs_no_suite(self, tmp_path, capsys, monkeypatch):
+        # the suite runs after --out is made, so a refused --out costs no run
+        def ran(*args, **kwargs):
+            pytest.fail("the suite ran before --out was made")
+
+        monkeypatch.setattr(harness, "run_property_suite", ran)
+        blocker = tmp_path / "F"
+        blocker.write_text("kept\n")
+        assert main(["verify", "--out", str(blocker)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "config"
+        assert blocker.read_text() == "kept\n"
+
+    def test_unknown_log_level_exits_2_without_outputs(self, tmp_path):
+        # ANNIHILATE_LOG is outside input, refused like a bad value; in a
+        # child process, since logging.basicConfig checks nothing once the
+        # root logger has handlers, as it has under pytest
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), ANNIHILATE_LOG="verbose")
+        proc = subprocess.run([sys.executable, "-m", "annihilate.cli", "hj", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        failure = json.loads(proc.stdout)
+        assert failure == {"error": "config", "message": failure["message"]}
+        assert "ANNIHILATE_LOG" in failure["message"] and "'verbose'" in failure["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_0(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
@@ -402,6 +423,8 @@ NAMED_IN_MESSAGE = {
     "hj-scheme-built-first": "SchemeConfig: ",
     "verify-sizes-huge": "sizes in 2..256",
     "verify-t_end-huge-int": "t_end: int too large",
+    "verify-t_end-inf": "SuiteSpec: t_end must lie in",
+    "verify-seed-negative": "SuiteSpec: need sizes in 2..256, runs >= 0, seed >= 0",
     "scheme-rho-inf": "rho must be",
     "scheme-rho-nan": "rho must be",
     "hj-snapshots-huge": "at most 500001",
@@ -469,6 +492,8 @@ class TestConfigSchema:
             ("converge", {"experiment": {"t_end": True}}),
             ("verify", {"verify": {"runs": -1}}),
             ("verify", {"verify": {"t_end": 1.0e-320}}),
+            ("verify", {"verify": {"t_end": float("inf")}}),
+            ("verify", {"verify": {"seed": -1}}),
             ("hj", {"hj": {"snapshots": -3}}),
             ("hj", {"hj": {"snapshots": 1}}),
             ("converge", {"experiment": {"offset": 1.5}}),
@@ -537,7 +562,8 @@ class TestConfigSchema:
             "converge-ns-fraction", "verify-runs-fraction", "hj-snapshots-bool",
             "simulate-charge-fraction", "simulate-charge-bool", "integrator-t_end-bool",
             "experiment-t_end-bool",
-            "verify-runs-negative", "verify-t_end-subnormal", "hj-snapshots-negative",
+            "verify-runs-negative", "verify-t_end-subnormal", "verify-t_end-inf",
+            "verify-seed-negative", "hj-snapshots-negative",
             "hj-snapshots-one",
             "experiment-offset-above-one", "simulate-missing-charges",
             "converge-reads-no-scheme", "converge-reads-no-integrator",
@@ -629,14 +655,10 @@ class TestConfigSchema:
     @given(data=st.data())
     @settings(max_examples=400, deadline=None)
     def test_builders_refuse_only_with_config_error(self, data):
-        # building `verify` runs the suite, so only its values are converted
         section = data.draw(st.sampled_from(sorted(BUILDERS)))
         values = data.draw(st.dictionaries(st.sampled_from(sorted(SCHEMA[section])), HOSTILE))
         try:
-            if section == "verify":
-                _typed(harness.run_property_suite, values)
-            else:
-                _build(BUILDERS[section], values)
+            _build(BUILDERS[section], values)
         except ConfigError:
             pass
 
@@ -673,17 +695,18 @@ class TestConfigSchema:
 
     def test_verify_runs_the_suite_looked_up_per_call(self, tmp_path, monkeypatch):
         # a wrapper put on harness.run_property_suite after import, as the
-        # benchmark's tracer puts one, sees the command's run
+        # benchmark's tracer puts one, sees the command's run, whose
+        # defaults come from the spec
         seen = []
 
-        def capture(**kwargs):
-            seen.append(kwargs)
-            raise ValueError("stop before running the suite")
+        def capture(spec):
+            seen.append(spec)
+            raise hjsolver.StepBudgetExceeded("stop after building the spec")
 
         monkeypatch.setattr(harness, "run_property_suite", capture)
         cfg = write_cfg(tmp_path, {"verify": {"runs": 3}})
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert seen == [{"runs": 3}]
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert seen == [harness.SuiteSpec(runs=3)]
 
 
 def formats_rows(head: str) -> list[list[str]]:
@@ -821,15 +844,6 @@ class TestShippedConfigs:
         )
         assert spec.ns
 
-    @pytest.mark.parametrize(
-        "path", [p for p in CONFIGS if p.stem.startswith("verify")], ids=lambda p: p.stem,
-    )
-    def test_verify_configs_build(self, path):
-        kwargs = _typed(
-            harness.run_property_suite, _load_config(str(path), _COMMANDS["verify"][1])["verify"]
-        )
-        inspect.signature(harness.run_property_suite).bind(**kwargs)
-
 
 def _workloads() -> dict:
     spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS_PY)
@@ -842,22 +856,7 @@ def _workloads() -> dict:
 WORKLOADS = _workloads()
 
 
-# each section's build, short of running anything: the suite's arguments are only bound
-SECTION_BUILDS = {
-    "scheme": lambda sec: _build(hjsolver.SchemeConfig, sec),
-    "experiment": lambda sec: _build(harness.ExperimentSpec, sec),
-    "simulate": lambda sec: _build(_simulate_args, sec),
-    "hj": lambda sec: _build(_hj_args, sec),
-    "verify": lambda sec: inspect.signature(harness.run_property_suite).bind(
-        **_typed(harness.run_property_suite, sec)),
-    "measure": lambda sec: _build(_measure_args, sec),
-}
-
-
 class TestBenchmarkWorkloads:
-    def test_every_section_has_a_build(self):
-        assert set(SECTION_BUILDS) == set(SCHEMA)
-
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_tiny_calls_build(self, tmp_path, name):
         # the benchmark's configs pass the section rule of their command
@@ -865,7 +864,26 @@ class TestBenchmarkWorkloads:
             for command, payload in WORKLOADS[name].calls(seed, "tiny"):
                 cfg = _load_config(write_cfg(tmp_path, payload), _COMMANDS[command][1])
                 for section, content in cfg.items():
-                    SECTION_BUILDS[section](content)
+                    _build(BUILDERS[section], content)
+
+    def test_no_section_build_runs_a_command(self, tmp_path, monkeypatch):
+        # a command's work starts after `main` has made --out: building the
+        # sections of every shipped config and every benchmark call runs none of it
+        def ran(*args, **kwargs):
+            pytest.fail("a section's build ran a command's work")
+
+        for module, name in [(harness, "evolve"), (integrator, "evolve"),
+                             (harness, "run_convergence"), (harness, "run_property_suite"),
+                             (hjsolver, "solve_hj")]:
+            monkeypatch.setattr(module, name, ran)
+        cfgs = [_load_config(str(path), BUILDERS) for path in CONFIGS]
+        cfgs += [_load_config(write_cfg(tmp_path, payload), BUILDERS)
+                 for workload in WORKLOADS.values() for seed in (0, 1) for size in ("full", "tiny")
+                 for _, payload in workload.calls(seed, size)]
+        for cfg in cfgs:
+            for section, content in cfg.items():
+                _build(BUILDERS[section], content)
+        assert {section for cfg in cfgs for section in cfg} == set(BUILDERS)
 
 
 class TestStartup:

@@ -300,7 +300,7 @@ class TestConvergence:
             cfg = tmp_path / f"{command}.yaml"
             cfg.write_text(f"{command}: {section}\n")
             assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
-        Hn.run_property_suite(seed=1, sizes=(4, 6), runs=2, t_end=0.5)
+        Hn.run_property_suite(Hn.SuiteSpec(seed=1, sizes=(4, 6), runs=2, t_end=0.5))
         Hn.stability_sweep(Hn._triple_collision_fixture(), (1e-2,), 0.5,
                            np.random.default_rng(0))
         assert len(configs) > 10
@@ -344,7 +344,7 @@ class TestConvergence:
 
 class TestPropertySuite:
     def test_small_suite_passes(self):
-        rep = Hn.run_property_suite(seed=3, sizes=(4, 6, 8), runs=12, t_end=0.8)
+        rep = Hn.run_property_suite(Hn.SuiteSpec(seed=3, sizes=(4, 6, 8), runs=12, t_end=0.8))
         assert rep.all_passed, {
             k: (c.margin, c.detail) for k, c in rep.checks.items() if not c.passed
         }
@@ -367,7 +367,7 @@ class TestPropertySuite:
             return traj
 
         monkeypatch.setattr(Hn, "evolve", summing)
-        rep = Hn.run_property_suite(seed=0, **wl.VERIFY_SUITE["full"])
+        rep = Hn.run_property_suite(Hn.SuiteSpec(seed=0, **wl.VERIFY_SUITE["full"]))
         assert rep.all_passed and rep.events_total == 61
         assert totals == {"accepted": 2595, "rejected_error": 430, "rejected_order": 8,
                           "force_evals": 18061, "events": 73}
@@ -383,7 +383,7 @@ class TestPropertySuite:
             monkeypatch.setattr(hjsolver, "_godunov_gradient", lambda u, v: real(u, -v))
         elif mutant == "cfl_doubled":
             monkeypatch.setattr(hjsolver, "CFL", 2 * hjsolver.CFL)
-        rep = Hn.run_property_suite(seed=0, sizes=[8], runs=20)
+        rep = Hn.run_property_suite(Hn.SuiteSpec(seed=0, sizes=[8], runs=20))
         assert rep.checks["hj_comparison"].passed == (mutant == "none")
 
     @pytest.mark.parametrize("mutant", ["none", "linear_extension"])
@@ -396,14 +396,14 @@ class TestPropertySuite:
         if mutant == "linear_extension":
             monkeypatch.setattr(integrator, "_dense_weights",
                                 lambda theta: theta * integrator._DP_B)
-        rep = Hn.run_property_suite(seed=0, sizes=[8], runs=20)
+        rep = Hn.run_property_suite(Hn.SuiteSpec(seed=0, sizes=[8], runs=20))
         assert rep.checks["m2_drift"].passed == (mutant == "none")
         assert rep.all_passed == (mutant == "none")
 
     def test_report_serializes(self):
         import json
 
-        rep = Hn.run_property_suite(seed=4, sizes=(4,), runs=3, t_end=0.5)
+        rep = Hn.run_property_suite(Hn.SuiteSpec(seed=4, sizes=(4,), runs=3, t_end=0.5))
         payload = json.loads(rep.to_json())
         assert payload["runs"] == 3
         assert set(payload["checks"]) == set(rep.checks)
@@ -420,14 +420,14 @@ class TestPropertySuite:
             return replace(traj, positions=x)
 
         monkeypatch.setattr(Hn, "evolve", drifting)
-        rep = Hn.run_property_suite(seed=4, sizes=(4,), runs=3, t_end=0.5)
+        rep = Hn.run_property_suite(Hn.SuiteSpec(seed=4, sizes=(4,), runs=3, t_end=0.5))
         assert not rep.checks["m1_conservation"].passed
 
     @pytest.mark.parametrize("sizes", [(1,), (4, 1), ()])
     def test_sizes_below_two_rejected(self, sizes):
         # a state of one particle can never carry both signs, so drawing one would never end
         with pytest.raises(ValueError, match="sizes"):
-            Hn.run_property_suite(sizes=sizes, runs=1)
+            Hn.run_property_suite(Hn.SuiteSpec(sizes=sizes, runs=1))
 
     def test_ode_residual_ignores_collision_truncation(self):
         # opposite pair that annihilates at tau = 0.900465, 4.65e-4 after the
@@ -457,7 +457,7 @@ class TestPropertySuite:
             return traj
 
         monkeypatch.setattr(Hn, "evolve", evolve_spy)
-        Hn.run_property_suite(seed=4, sizes=(4, 6), runs=7, t_end=0.5)
+        Hn.run_property_suite(Hn.SuiteSpec(seed=4, sizes=(4, 6), runs=7, t_end=0.5))
         assert len(runs) == 8  # the seven draws and the all-neutral run
 
         def reached(traj):
@@ -496,7 +496,7 @@ class TestPropertySuite:
         exact = Hn.particles.velocity_field
         monkeypatch.setattr(Hn.particles, "velocity_field",
                             lambda x, b, g: exact(x, b, g) * (1.0 + 1e-3))
-        rep = Hn.run_property_suite(seed=4, sizes=(4,), runs=3, t_end=0.5)
+        rep = Hn.run_property_suite(Hn.SuiteSpec(seed=4, sizes=(4,), runs=3, t_end=0.5))
         assert rep.checks["ode_residual"].margin < 0
         assert not rep.checks["ode_residual"].passed
 

@@ -44,6 +44,14 @@ class TestFromParticles:
         with pytest.raises(ValueError, match="jump signs must be"):
             L.StepFunction(locations=np.array([0.0, 1.0]), signs=[1.9, -1.2], eps=0.5)
 
+    @pytest.mark.parametrize("locations", [[0.0, np.nan, 1.0], [np.nan], [0.0, 1.0, np.inf]],
+                             ids=["nan-inside", "nan-alone", "inf"])
+    def test_non_finite_locations_rejected(self, locations):
+        # a difference with a NaN is not <= 0, so the order check alone passed one
+        with pytest.raises(ValueError, match="finite"):
+            L.StepFunction(locations=np.array(locations), signs=[1, -1, 1][:len(locations)],
+                           eps=0.5)
+
 
 class TestStaircase:
     def test_upper_example(self):

@@ -62,6 +62,15 @@ class TestCdf:
                                      weights=np.array([-1e-16, 1e-16]))
         assert M.cdf(tiny)(2.0) == 0.0
 
+    @pytest.mark.parametrize("locations, weights", [
+        ([np.nan, 0.0], [1.0, -1.0]), ([0.0, np.inf], [1.0, -1.0]), ([0.0, 1.0], [np.nan, 1.0]),
+    ], ids=["nan-location", "inf-location", "nan-weight"])
+    def test_non_finite_atoms_rejected(self, locations, weights):
+        # a NaN location sorts last and passes the order check, after which
+        # aec_modulus read a finite defect of 1.0 for the measure
+        with pytest.raises(ValueError, match="finite"):
+            M.SignedAtomicMeasure(locations=np.array(locations), weights=np.array(weights))
+
     def test_dipole_sup_is_one_for_every_n(self):
         for n in (2, 8, 64, 1024):
             assert M.cdf(dipole(n)).sup_norm() == 1.0

@@ -87,7 +87,7 @@ MUTANTS = {
 
 
 def _failed_checks() -> set[str]:
-    report = harness.run_property_suite(seed=0, sizes=[8], runs=20)
+    report = harness.run_property_suite(harness.SuiteSpec(seed=0, sizes=[8], runs=20))
     return {name for name, check in report.checks.items() if not check.passed}
 
 
@@ -107,6 +107,6 @@ def test_gradient_nan_makes_every_ladder_row_nan(monkeypatch):
 
 
 def test_real_code_passes_every_check():
-    report = harness.run_property_suite(seed=0, sizes=[8], runs=20)
+    report = harness.run_property_suite(harness.SuiteSpec(seed=0, sizes=[8], runs=20))
     assert len(report.checks) == 16
     assert report.all_passed
