@@ -52,9 +52,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 _REFUSED = (TypeError, ValueError, OverflowError)  # a builder's refusals: type, range, float64
-# the layers' typed run failures, each an exit 3; InvalidState is evolve's post-event check
+# the layers' typed run failures, each an exit 3; InvalidState is evolve's post-event check,
+# MemoryError a grid or a state larger than memory
 _RUN_FAILURES = (EvolveError, InvalidState, hjsolver.StepBudgetExceeded,
-                 moments.NonFiniteMoments)
+                 moments.NonFiniteMoments, MemoryError)
 
 
 def _load_config(path: str | None, sections: dict) -> dict:
@@ -62,7 +63,7 @@ def _load_config(path: str | None, sections: dict) -> dict:
     if path is None:
         return {}
     try:
-        raw = yaml.safe_load(Path(path).read_text())
+        raw = yaml.safe_load(Path(path).read_bytes())  # the encoding from the BOM, else UTF-8
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     if raw is None:
@@ -79,7 +80,7 @@ def _load_config(path: str | None, sections: dict) -> dict:
             raise ConfigError(f"section {section!r} must be a mapping")
         unknown = set(content) - _keys(sections[section])
         if unknown:
-            raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
+            raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown, key=str)}")
     return raw
 
 

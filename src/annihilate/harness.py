@@ -223,9 +223,9 @@ def sample_particles(
     to eps = 1/n, the rescaled system of the level-set correspondence.
     Returns None when no level is crossed (constant data).  Raises
     DegenerateCrossing if u0 sits exactly on a level over an interval.
-    brackets, if given, is the scan's result for these arguments, as
-    ExperimentSpec's build keeps it per rung, and u0 is not called on the
-    scan grid.
+    brackets, if given, is a scan's result for n and a, as
+    ExperimentSpec's build keeps it per rung; window and scan_points are
+    then unused, and u0 is not called on a scan grid.
     """
     if not (0.0 <= a < 1.0):
         raise ValueError("offset a must lie in [0, 1)")
@@ -263,11 +263,12 @@ class ExperimentSpec:
 
     The reference grid spans the `SchemeConfig` default [-L, L] with its
     default near-field radius rho, and the particles run at
-    LADDER_TOLERANCES.  A rung may sample at most MAX_PARTICLES particles:
-    the build brackets each rung's crossings on the scan grid, one u0 call
-    for all of them, refuses a larger count, and keeps the brackets for the
-    rung's sampling.  seed changes no result: the ladder draws no random
-    numbers.
+    LADDER_TOLERANCES.  The build brackets each rung's crossings on the
+    scan grid, one u0 call for all of them, and keeps the brackets for the
+    rung's sampling.  It refuses a rung that samples more than
+    MAX_PARTICLES particles, or whose datum is flat at one of its levels
+    (DegenerateCrossing, naming the rung).  seed changes no result: the
+    ladder draws no random numbers.
     """
 
     datum: str = "sigmoid"
@@ -300,8 +301,8 @@ class ExperimentSpec:
         for n in self.ns:
             try:
                 self._brackets[n] = _crossings(xs, vals, n, self.offset)
-            except DegenerateCrossing:
-                continue  # sampling refuses it again, and the rung fails as a row
+            except DegenerateCrossing as exc:
+                raise DegenerateCrossing(f"ns: n={n}: {exc}") from exc
             count = self._brackets[n][0].size
             if count > MAX_PARTICLES:
                 raise ValueError(f"ns: n={n} samples {count} particles from {self.datum}, "
@@ -361,14 +362,13 @@ def _ladder_row(spec: ExperimentSpec, n: int, u0: Callable[[np.ndarray], np.ndar
     the sampling level just below frames[0]'s left tail, the datum's
     value left of all crossings.  The row fails with the message of a
     typed refusal of sampling or evolve, the only ones a built spec meets
-    (DegenerateCrossing, InvalidState, EvolveError); anything else raises.
+    (DegenerateCrossing, when bisection makes two crossings coincide;
+    InvalidState; EvolveError); anything else raises.
     """
     t0 = _time.perf_counter()
     try:
         eps = 1.0 / n
-        L = spec.scheme_config().L
-        state = sample_particles(u0, n, spec.offset, window=(-L, L),
-                                 scan_points=spec.scan_points, brackets=spec._brackets.get(n))
+        state = sample_particles(u0, n, spec.offset, brackets=spec._brackets[n])
         times, u_left = spec.snapshot_times(), frames[0].tails[0]
         if state is None:
             # no crossings: the constant datum is represented exactly
@@ -891,7 +891,7 @@ def _check_hj_comparison(rng):
         for i in range(case, xs.size, 3):
             raised = vals.copy()
             raised[i] += delta
-            step = hjsolver.step_hj(u.copy_with(raised, u.time), cfg, dt=dt)
+            step = hjsolver.step_hj(replace(u, values=raised), cfg, dt=dt)
             least = float(np.min(step.values - base))
             yield least >= -1e-12, least + 1e-12, f"least change under a raised node {least:.2e}"
 

@@ -103,9 +103,6 @@ class GridFunction:
     def interp(self, x) -> np.ndarray:
         return np.interp(x, self.xs, self.values, left=self.tails[0], right=self.tails[1])
 
-    def copy_with(self, values: np.ndarray, time: float) -> "GridFunction":
-        return GridFunction(xs=self.xs, values=values, tails=self.tails, time=time)
-
 
 def _weights(half: int, h: float, r: int) -> np.ndarray:
     """G over lags -(half+1)..half+1, each weight's terms summed in the quadrature's order: the
@@ -289,15 +286,15 @@ def step_hj(u: GridFunction, config: SchemeConfig, dt: float | None = None) -> G
     v *= dt  # u + (dt v) grad, in v's storage
     v *= grad
     v += u.values
-    return u.copy_with(v, config.t_end if dt == config.t_end - u.time else u.time + dt)
+    return replace(u, values=v, time=config.t_end if dt == config.t_end - u.time else u.time + dt)
 
 
 def solve_hj(
     u0: Callable,
     config: SchemeConfig,
-    snapshot_times: Sequence[float] | None = None,
+    snapshot_times: Sequence[float],
 ) -> list[GridFunction]:
-    """March u0, sampled on the grid, to the snapshot times, (0, t_end) by default.
+    """March u0, sampled on the grid, to the snapshot times.
 
     One frame per time, in time order: a time given twice gives its frame
     twice, and no time is added.  Each time is hit exactly: step_hj runs
@@ -306,7 +303,7 @@ def solve_hj(
     StepBudgetExceeded once MAX_STEPS steps in all have not reached the
     last time.
     """
-    times = (0.0, config.t_end) if snapshot_times is None else [float(t) for t in snapshot_times]
+    times = [float(t) for t in snapshot_times]
     for t in times:
         if not 0.0 <= t <= config.t_end:
             raise ValueError(f"snapshot time {t!r} is outside [0, t_end = {config.t_end!r}]")

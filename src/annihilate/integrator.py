@@ -154,31 +154,26 @@ class IntegratorConfig:
     when lambda is a power of 2 and abs_tol scales with it, and otherwise
     only while abs_tol << rel_tol times the span (TestSymmetries.test_scaling
     in tests/test_integrator.py gates both).
-    pair_isolation is the fraction of the distance to the nearest other
-    charge below which an approaching +- pair is committed
-    (detect_clusters); None reads the module's PAIR_ISOLATION at each
-    detection.
+    sample_times are stored sorted.  pair_isolation is the fraction of
+    the distance to the nearest other charge below which an approaching
+    +- pair is committed (detect_clusters).
     """
 
     t_end: float = 1.0
     abs_tol: float = 1e-12
     rel_tol: float = 1e-9
-    sample_times: tuple[float, ...] | None = None
+    sample_times: tuple[float, ...] = ()
     store_steps: bool = True
-    pair_isolation: float | None = None
+    pair_isolation: float = PAIR_ISOLATION
 
     def __post_init__(self):
         for name in ("t_end", "abs_tol", "rel_tol", "pair_isolation"):
             value = getattr(self, name)
-            if value is None and name == "pair_isolation":
-                continue  # the module's PAIR_ISOLATION
             if not value > 0:
                 raise ValueError(f"{name} must be positive")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if self.sample_times is not None:
-            ts = tuple(sorted(float(t) for t in self.sample_times))
-            object.__setattr__(self, "sample_times", ts)
+        object.__setattr__(self, "sample_times", tuple(sorted(float(t) for t in self.sample_times)))
 
 
 @dataclass
@@ -476,8 +471,7 @@ def _step_core(
 
 
 def detect_clusters(
-    x: np.ndarray, b: np.ndarray, v: np.ndarray, t: float, gamma: float,
-    isolation: float | None = None,
+    x: np.ndarray, b: np.ndarray, v: np.ndarray, t: float, gamma: float, isolation: float,
 ) -> list[list[int]]:
     """The groups of charged particles ripe for annihilation, from the state alone.
 
@@ -489,8 +483,8 @@ def detect_clusters(
     gaps (an end pair has only one), exactly those pairs are returned.
     Otherwise closing links with g < CLUSTER_GAP * L are joined into
     maximal runs, L = max(span of the charged x, sqrt(gamma |t|)).
-    isolation None means PAIR_ISOLATION; the module docstring says why
-    `converge` passes a larger one.
+    isolation is the run's IntegratorConfig.pair_isolation; the module
+    docstring says why `converge` passes a larger one.
 
     Bounds, stated before measuring: a link below CLUSTER_GAP sqrt(gamma
     |t|) closes within g^2 / (4 gamma) < 2.5e-15 |t|, so the collision cap
@@ -512,8 +506,6 @@ def detect_clusters(
         raise InvalidState("detect_clusters takes the charged particles only")
     if b.size < 2:
         return []
-    if isolation is None:
-        isolation = PAIR_ISOLATION
     g = x[1:] - x[:-1]
     opposite = b[:-1] != b[1:]
     cut = CLUSTER_GAP * max(float(x[-1] - x[0]), math.sqrt(gamma * abs(t)))
@@ -610,7 +602,7 @@ def evolve(initial: ParticleState, config: IntegratorConfig) -> Trajectory:
     t_end = config.t_end
     # the soft stops ahead, in order: the sample times strictly between t and
     # t_end and the committed neutral clusters' collision times, each once
-    soft = sorted({s for s in config.sample_times or () if t < s < t_end})
+    soft = sorted({s for s in config.sample_times if t < s < t_end})
     times, xs, bs, events = [t], [x], [b], []
     x = x - shift  # the working row, a fresh array that steps and events write in place
     stats = StepStats()

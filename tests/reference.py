@@ -45,6 +45,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -55,7 +56,7 @@ from annihilate.harness import SCAN_POINTS, ConvergenceResult, InitialDatum
 from annihilate.hjsolver import GridFunction, SchemeConfig
 from annihilate.integrator import (
     _DP_A, _DP_E, _GUS_EXP, _PI_ALPHA, _PI_BETA, CLUSTER_GAP, COLLISION_SAFETY, ORDERING_SAFETY,
-    PAIR_ISOLATION, IntegratorConfig, StepSizeUnderflow, StepStats, Trajectory, _Segment,
+    IntegratorConfig, StepSizeUnderflow, StepStats, Trajectory, _Segment,
     _step_core,
 )
 from annihilate.io import provenance_line
@@ -259,7 +260,8 @@ def step_hj_plain(u: GridFunction, config: SchemeConfig, dt: float | None = None
     elif dt > dt_max * (1 + 1e-12):
         raise hjsolver.CFLViolation(f"dt={dt} exceeds stability bound {dt_max:.3e}")
     values = u.values + dt * v * grad
-    return u.copy_with(values, config.t_end if dt == config.t_end - u.time else u.time + dt)
+    return replace(u, values=values,
+                   time=config.t_end if dt == config.t_end - u.time else u.time + dt)
 
 
 def _bisect(f: Callable, lo: float, hi: float, flo: float) -> float:
@@ -398,12 +400,9 @@ def step_core_fresh(
 
 
 def detect_clusters_every_link(
-    x: np.ndarray, b: np.ndarray, v: np.ndarray, t: float, gamma: float,
-    isolation: float | None = None,
+    x: np.ndarray, b: np.ndarray, v: np.ndarray, t: float, gamma: float, isolation: float,
 ) -> list[list[int]]:
     """`integrator.detect_clusters` without its early exit: every link is looked at."""
-    if isolation is None:
-        isolation = PAIR_ISOLATION
     if not b.all():
         raise InvalidState("detect_clusters takes the charged particles only")
     g = x[1:] - x[:-1]

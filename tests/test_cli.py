@@ -34,7 +34,7 @@ SCHEMA = {s: _keys(b) for s, b in BUILDERS.items()}
 
 def write_cfg(tmp_path, payload):
     p = tmp_path / "config.yaml"
-    p.write_text(yaml.safe_dump(payload))
+    p.write_text(yaml.safe_dump(payload, sort_keys=False))  # keys of mixed types stay as given
     return str(p)
 
 
@@ -204,7 +204,9 @@ class TestOtherCommands:
         # the suite's positions spread until their moments pass float64
         ("verify", {"verify": {"sizes": [4], "runs": 2, "t_end": 1.0e300}},
          "past float64"),
-    ], ids=["simulate", "hj", "converge", "verify"])
+        # 2^49 cells: numpy refuses the 4 PiB grid, more than the address space, at once
+        ("hj", {"scheme": {"h": 1.4210854715202004e-14}}, "Unable to allocate"),
+    ], ids=["simulate", "hj", "converge", "verify", "hj-past-memory"])
     def test_run_failure_exits_3(self, tmp_path, capsys, monkeypatch, command, payload, message):
         # every run failure exits 3 with the command's name as its error kind;
         # every command has made its output directory by then and writes
@@ -431,6 +433,8 @@ NAMED_IN_MESSAGE = {
     "scheme-h-past-array": "h = 7.46",
     "experiment-ref_h-past-array": "ref_h=7.46",
     "experiment-t_end-snapshot-underflow": "t_end=5e-323",
+    "experiment-rung-flat": "ExperimentSpec: ns: n=4: u0 is flat at level 0.25",
+    "simulate-mixed-type-keys": "unknown keys in 'simulate': [1, 'a']",
 }
 
 # values no builder may let out as anything but a ConfigError
@@ -552,6 +556,12 @@ class TestConfigSchema:
             ("converge", {"experiment": {"ref_h": 2.0**-997}}),
             # t_end / 30, the first geometric snapshot time, underflows to 0
             ("converge", {"experiment": {"ns": [8], "t_end": 5.0e-323}}),
+            # the datum is flat at level 0.25 of the only rung: refused at build, not as a row
+            ("converge", {"experiment": {"datum": "constant", "offset": 0.0, "ns": [4],
+                                         "ref_h": 0.015625, "t_end": 0.05}}),
+            # unknown keys that do not sort against each other
+            ("simulate", {"simulate": {1: 2, "a": 3, "positions": [0.0, 1.0],
+                                       "charges": [1, -1]}}),
         ],
         ids=[
             "ns-string", "ns-zero", "ref_h-zero", "ref_h-coarse", "experiment-t_end-inf",
@@ -578,7 +588,8 @@ class TestConfigSchema:
             "simulate-t_end-negative", "simulate-t_end-inf", "simulate-t_end-null",
             "verify-sizes-huge", "verify-t_end-huge-int", "scheme-rho-inf", "scheme-rho-nan",
             "hj-snapshots-huge", "scheme-h-past-array", "experiment-ref_h-past-array",
-            "experiment-t_end-snapshot-underflow",
+            "experiment-t_end-snapshot-underflow", "experiment-rung-flat",
+            "simulate-mixed-type-keys",
         ],
     )
     def test_bad_value_exits_2_without_outputs(self, tmp_path, capsys, request, command, payload):
@@ -587,6 +598,17 @@ class TestConfigSchema:
         failure = json.loads(capsys.readouterr().out)
         assert failure["error"] == "config"
         assert NAMED_IN_MESSAGE.get(request.node.callspec.id, "") in failure["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe\x00bad", b"hj: {initial: sigmoid}\n\x80"],
+                             ids=["utf16-bom", "stray-byte"])
+    def test_undecodable_config_exits_2_without_outputs(self, tmp_path, capsys, raw):
+        # PyYAML decodes the bytes itself, from the BOM or as UTF-8, whatever the locale
+        cfg = tmp_path / "config.yaml"
+        cfg.write_bytes(raw)
+        out = tmp_path / "out"
+        assert main(["hj", "--config", str(cfg), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "config"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -164,10 +164,9 @@ class TestSampler:
         Hn.ExperimentSpec(datum="sigmoid", ns=(8, Hn.MAX_PARTICLES))
         with pytest.raises(ValueError, match="n=16384 samples 40632 particles from double_bump"):
             Hn.ExperimentSpec(datum="double_bump", ns=(8, Hn.MAX_PARTICLES))
-        # a rung the sampler refuses is left to fail as a row
-        spec = Hn.ExperimentSpec(datum="constant", ns=(4,), offset=0.0, ref_h=1 / 64, t_end=0.05)
-        (row,) = Hn.run_convergence(spec).rows
-        assert row.error == "u0 is flat at level 0.25"
+        # a rung whose datum is flat at one of its levels is refused at build, by name
+        with pytest.raises(Hn.DegenerateCrossing, match="^ns: n=4: u0 is flat at level 0.25$"):
+            Hn.ExperimentSpec(datum="constant", ns=(3, 4), offset=0.0, ref_h=1 / 64, t_end=0.05)
 
     @pytest.mark.parametrize("name", list(Hn.CATALOG))
     def test_datum_is_elementwise(self, name):
@@ -283,7 +282,7 @@ class TestConvergence:
 
     def test_only_the_ladder_sets_pair_isolation(self, monkeypatch, tmp_path):
         # simulate, verify, the property suite and the stability sweep keep
-        # the module's PAIR_ISOLATION: every config they evolve with leaves it None
+        # the module's PAIR_ISOLATION: every config they evolve with holds it
         configs = []
 
         def spy(real):
@@ -304,7 +303,7 @@ class TestConvergence:
         Hn.stability_sweep(Hn._triple_collision_fixture(), (1e-2,), 0.5,
                            np.random.default_rng(0))
         assert len(configs) > 10
-        assert all(c.pair_isolation is None for c in configs)
+        assert all(c.pair_isolation == PAIR_ISOLATION for c in configs)
 
     def test_benchmark_ladder_rows(self, monkeypatch):
         # the benchmark's gate on the seed-0 double_bump ladder, read from

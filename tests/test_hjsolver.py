@@ -241,7 +241,7 @@ class TestStep:
         # an unreached horizon gives
         u = H.GridFunction.from_callable(SIGMOID, small_cfg)
         for time in (small_cfg.t_end, 2 * small_cfg.t_end):
-            at = u.copy_with(u.values, time)
+            at = replace(u, time=time)
             past = H.step_hj(at, small_cfg)
             free = H.step_hj(at, replace(small_cfg, t_end=1e6))
             assert past.time == free.time > time
@@ -329,7 +329,8 @@ class TestSolve:
         frames = H.solve_hj(SIGMOID, small_cfg, [0.05, 0.05, 0.1])
         assert [fr.time for fr in frames] == [0.05, 0.05, 0.1]
         assert np.array_equal(frames[0].values, frames[1].values)
-        assert [fr.time for fr in H.solve_hj(SIGMOID, small_cfg)] == [0.0, small_cfg.t_end]
+        frames = H.solve_hj(SIGMOID, small_cfg, (0.0, small_cfg.t_end))
+        assert [fr.time for fr in frames] == [0.0, small_cfg.t_end]
 
     def test_step_budget(self, small_cfg, monkeypatch):
         # a solve that needs k steps runs with a budget of k and gives up at k - 1
@@ -436,7 +437,7 @@ class TestSemicircle:
         errs = []
         for h in (1 / 64, 1 / 128, 1 / 256):
             cfg = H.SchemeConfig(L=4.0, h=h, rho=1 / 16, t_end=0.25)
-            u = H.solve_hj(semicircle.u0, cfg)[-1]
+            u = H.solve_hj(semicircle.u0, cfg, (0.0, cfg.t_end))[-1]
             assert u.time == 0.25
             errs.append(float(np.max(np.abs(u.values - semicircle.exact(0.25, u.xs)))))
         assert all(a >= 1.6 * b for a, b in zip(errs[:-1], errs[1:])), errs

@@ -101,7 +101,7 @@ class TestStep:
 def detect(s, v=None):
     """detect_clusters on state s, with its own velocities unless v is given."""
     return detect_clusters(s.positions, s.charges, velocities(s) if v is None else v,
-                           s.time, s.coupling)
+                           s.time, s.coupling, PAIR_ISOLATION)
 
 
 @st.composite
@@ -162,7 +162,8 @@ class TestDetect:
     @settings(max_examples=300, deadline=None)
     def test_early_exit_matches_every_link(self, case):
         # the exit returns [] only where looking at every link finds nothing
-        assert detect_clusters(*case) == detect_clusters_every_link(*case)
+        assert (detect_clusters(*case, PAIR_ISOLATION)
+                == detect_clusters_every_link(*case, PAIR_ISOLATION))
 
     @given(detector_cases())
     @settings(max_examples=100, deadline=None)
@@ -176,7 +177,7 @@ class TestDetect:
         # early exit and the isolation mask read the isolation passed in
         case = (np.array([0.0, 1.0, 1.005]), np.array([1, 1, -1]), np.array([0.0, 1.0, -1.0]),
                 0.0, 0.5)
-        assert detect_clusters(*case) == detect_clusters(*case, PAIR_ISOLATION) == []
+        assert detect_clusters(*case, PAIR_ISOLATION) == []
         ladder = harness.LADDER_PAIR_ISOLATION
         assert detect_clusters(*case, ladder) == detect_clusters_every_link(*case, ladder) == [[1, 2]]
 
@@ -203,7 +204,8 @@ class TestDetect:
     def test_neutral_refused(self):
         # the groups index the particles passed in, which must all be charged
         with pytest.raises(InvalidState, match="charged particles only"):
-            detect_clusters(np.array([0.0, 1e-9, 1.0]), np.array([1, 0, -1]), np.zeros(3), 0.0, 0.5)
+            detect_clusters(np.array([0.0, 1e-9, 1.0]), np.array([1, 0, -1]), np.zeros(3), 0.0, 0.5,
+                            PAIR_ISOLATION)
 
     # (state, its clusters): an isolated pair; a pair below the clustering
     # gap but not isolated; a triple linked at t = 1 by sqrt(gamma t); and a
@@ -234,7 +236,7 @@ class TestDetect:
             else:
                 k = 5 if transform == "scale-up" else -5
                 x, v, t = x * 2.0**k, v / 2.0**k, t * 4.0**k
-            got = detect_clusters(x, b, v, t, s.coupling)
+            got = detect_clusters(x, b, v, t, s.coupling, PAIR_ISOLATION)
             assert sorted(sorted(index[i] for i in cl) for cl in got) == want
 
 
@@ -310,11 +312,18 @@ class TestEvolve:
         with pytest.raises(ValueError, match=f"{field} must be {match}"):
             IntegratorConfig(**{field: value})
 
+    def test_every_default_is_a_value(self):
+        # no field defers to a module global at run time, so a run's config
+        # says what it ran with
+        cfg = IntegratorConfig()
+        assert all(getattr(cfg, f.name) is not None for f in dataclasses.fields(cfg))
+        assert cfg.pair_isolation == integrator.PAIR_ISOLATION and cfg.sample_times == ()
+
     @pytest.mark.parametrize("value, match", [
         (0.0, "positive"), (-1e-2, "positive"), (np.nan, "positive"), (np.inf, "finite"),
     ])
     def test_pair_isolation_must_be_positive_and_finite(self, value, match):
-        assert IntegratorConfig().pair_isolation is None  # the module's PAIR_ISOLATION
+        assert IntegratorConfig().pair_isolation == PAIR_ISOLATION
         with pytest.raises(ValueError, match=f"pair_isolation must be {match}"):
             IntegratorConfig(pair_isolation=value)
 
@@ -479,10 +488,9 @@ class TestEvolve:
         # back attached
         monkeypatch.setattr(integrator, "MAX_STEPS", 500)
         monkeypatch.setattr(integrator, "CLUSTER_GAP", 1e-300)
-        monkeypatch.setattr(integrator, "PAIR_ISOLATION", 1e-300)
         s = make([0.0, 2e-5, 1.0], [1, -1, 1], gamma=0.5)
         with pytest.raises(EvolveError) as exc_info:
-            evolve(s, IntegratorConfig(t_end=1.0))
+            evolve(s, IntegratorConfig(t_end=1.0, pair_isolation=1e-300))
         assert len(exc_info.value.trajectory.times) > 1
 
     def test_charges_piecewise_constant(self):
@@ -511,8 +519,8 @@ class TestEvolve:
         runs = []
         for gap, isolation in ((1e-5, 1e-3), (1e-7, 1e-4)):
             monkeypatch.setattr(integrator, "CLUSTER_GAP", gap / span)
-            monkeypatch.setattr(integrator, "PAIR_ISOLATION", isolation)
-            runs.append(evolve(s, IntegratorConfig(t_end=1.0, sample_times=(1.0,))))
+            runs.append(evolve(s, IntegratorConfig(t_end=1.0, sample_times=(1.0,),
+                                                   pair_isolation=isolation)))
         assert len(runs[0].events) == len(runs[1].events) == 2
         for ea, eb in zip(runs[0].events, runs[1].events):
             assert ea.cluster == eb.cluster
@@ -672,7 +680,7 @@ def _ladder_rung_16():
 def _ladder_rung_16_at_the_default_isolation():
     """_ladder_rung_16 with the module's PAIR_ISOLATION, not the ladder's."""
     state, cfg = _ladder_rung_16()
-    return state, dataclasses.replace(cfg, pair_isolation=None)
+    return state, dataclasses.replace(cfg, pair_isolation=PAIR_ISOLATION)
 
 
 # -1 charges at 0..6, then a -+- triple at 7, 7.000001 and 7.000002, coupling

@@ -2,7 +2,7 @@
 
 Each case applies one mutant with monkeypatch, to a module attribute that
 is looked up at call time: in integrator (resolve_annihilation, the
-stored-row function _stored_row or PAIR_ISOLATION), in levelset (the
+stored-row function _stored_row or detect_clusters), in levelset (the
 operator's closed form) or in hjsolver (the upwind gradient).  It then runs
 the property suite at the benchmark's size ([8] x 20).  A change that
 blunts a check fails here by name.  The NaN mutants fail a check only if
@@ -45,6 +45,14 @@ def _meet_and_time_at_leftmost(x, b, t, gamma, clusters):
     return sorted(events, key=lambda ev: ev.tau)
 
 
+REAL_DETECT = integrator.detect_clusters
+
+
+def _isolation_1e_1(x, b, v, t, gamma, isolation):
+    # every detection commits pairs at isolation 1e-1, not at the run's
+    return REAL_DETECT(x, b, v, t, gamma, 1e-1)
+
+
 REAL_GRADIENT = hjsolver._godunov_gradient
 
 
@@ -78,7 +86,7 @@ MUTANTS = {
         {"collision_slope", "m1_conservation", "m2_drift", "ode_residual"}),
     "shrink_linearly": ((integrator, "_stored_row", _shrink_linearly),
                         {"collision_slope", "m2_drift", "ode_residual"}),
-    "pair_isolation_1e-1": ((integrator, "PAIR_ISOLATION", 1e-1), {"collision_slope"}),
+    "pair_isolation_1e-1": ((integrator, "detect_clusters", _isolation_1e_1), {"collision_slope"}),
     "closed_form_nan": ((levelset, "nonlocal_operator_closed_form", _closed_form_nan),
                         {"operator_identity"}),
     "gradient_nan": ((hjsolver, "_godunov_gradient", _gradient_nan_in_the_middle),
